@@ -4,15 +4,24 @@ The partition splits the address universe so that all addresses in one
 block are treated identically by a simple-firewall ruleset, as source and
 as destination.  The service matrix then merges behaviorally equal blocks
 for one fixed service and records which classes may reach which.
+
+Neither step splits intervals pairwise.  The partition is one sweep over
+the sorted boundary points of the rule address sets, grouping elementary
+intervals by membership bitmask.  The matrix keeps every address set, row
+and column as a Python-int bitset over block indices, so one rule costs a
+few big-int operations per block.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+from .errors import ConsistencyError, IllformedService
+from .ruleset import PROTO_NUMBERS, match_iface
 from .semantics import ALLOW, Packet
-from .simplefw import SimpleRule, simple_fw_eval
+from .simplefw import simple_fw_eval
 from .wordinterval import WordInterval, format_interval, ip_format
 
 SERVICE_PRESETS = {
@@ -35,13 +44,17 @@ class ServiceTemplate:
 
     @classmethod
     def preset(cls, name):
-        if ":" in name:
-            proto_name, _, port = name.partition(":")
-            from .ruleset import PROTO_NUMBERS
-
-            return cls(PROTO_NUMBERS[proto_name], int(port))
-        proto, dport, sport = SERVICE_PRESETS[name]
-        return cls(proto, dport, sport)
+        """A named preset (ssh, http) or <proto>:<port>, e.g. udp:53."""
+        if ":" not in name:
+            if name not in SERVICE_PRESETS:
+                raise IllformedService(f"unknown service {name!r}; use ssh, http or proto:port")
+            return cls(*SERVICE_PRESETS[name])
+        proto_name, _, port = name.partition(":")
+        if proto_name not in PROTO_NUMBERS:
+            raise IllformedService(f"unknown protocol {proto_name!r} in service {name!r}")
+        if not port.isdecimal() or int(port) > 65535:
+            raise IllformedService(f"port {port!r} in service {name!r} is not in 0-65535")
+        return cls(PROTO_NUMBERS[proto_name], int(port))
 
     def packet(self, src, dst):
         return Packet(
@@ -58,83 +71,88 @@ class ServiceTemplate:
 def ip_partition(rules, width=32) -> list:
     """Partition the address universe by every src/dst set in the ruleset.
 
-    part S TS splits every block of TS into the part inside S and the part
-    outside; folding over all rule address sets yields blocks that are,
-    per block, uniformly treated by the ruleset.  Empty blocks are pruned.
+    Two addresses share a block iff they lie in the same rule address
+    sets, so every block is treated uniformly by the ruleset.  One sweep:
+    each distinct set gets one bit, XORed into a toggle map at each part's
+    lo and hi + 1; walking the sorted boundary points keeps the running
+    membership mask and groups the elementary intervals by mask.  For P
+    boundary points and S distinct sets this is O(P log P) plus P mask
+    updates of S bits.  The blocks are those of folding "split every block
+    into its parts inside and outside the set" over all sets, in another
+    order.
     """
-    blocks = [WordInterval.universe(width)]
-    sets = []
+    bits = {}
+    toggles = {0: 0}
     for r in rules:
-        sets.append(r.match.src.interval())
-        sets.append(r.match.dst.interval())
-    for s in sets:
-        next_blocks = []
-        for block in blocks:
-            inside = block.intersect(s)
-            outside = block.difference(s)
-            if not inside.is_empty():
-                next_blocks.append(inside)
-            if not outside.is_empty():
-                next_blocks.append(outside)
-        blocks = next_blocks
-    return blocks
+        for cidr in (r.match.src, r.match.dst):
+            if cidr in bits:
+                continue
+            bit = bits[cidr] = 1 << len(bits)
+            for lo, hi in cidr.interval().parts:
+                toggles[lo] = toggles.get(lo, 0) ^ bit
+                toggles[hi + 1] = toggles.get(hi + 1, 0) ^ bit
+    end = 1 << width
+    points = sorted(p for p in toggles if p < end)
+    groups = {}
+    mask = 0
+    for lo, nxt in zip(points, points[1:] + [end]):
+        mask ^= toggles[lo]
+        groups.setdefault(mask, []).append((lo, nxt - 1))
+    return [WordInterval(parts, width) for parts in groups.values()]
 
 
-def _rule_applies_modulo(rule: SimpleRule, svc: ServiceTemplate, src=None, dst=None):
-    """Does the rule match the fixed service fields plus the given src/dst
-    representative (the other address side left free)?"""
-    m = rule.match
-    from .ruleset import match_iface
-
-    if not match_iface(m.iiface, svc.iiface) or not match_iface(m.oiface, svc.oiface):
-        return False
-    if m.proto is not None and m.proto != svc.protocol:
-        return False
-    if not m.sports[0] <= svc.sport <= m.sports[1]:
-        return False
-    if not m.dports[0] <= svc.dport <= m.dports[1]:
-        return False
-    if src is not None and src not in m.src.interval():
-        return False
-    if dst is not None and dst not in m.dst.interval():
-        return False
-    return True
+def _service_applies(m, svc: ServiceTemplate):
+    """Does the simple match accept the service's fixed fields (interfaces,
+    protocol, ports), whatever the addresses?"""
+    return (
+        match_iface(m.iiface, svc.iiface)
+        and match_iface(m.oiface, svc.oiface)
+        and m.proto in (None, svc.protocol)
+        and m.sports[0] <= svc.sport <= m.sports[1]
+        and m.dports[0] <= svc.dport <= m.dports[1]
+    )
 
 
-def _accepted_dsts(rules, svc, src_rep, width):
-    """One ruleset pass: the destination addresses accepted for a fixed
-    source representative (requires a final catch-all rule)."""
-    accepted = WordInterval.empty(width)
-    remaining = WordInterval.universe(width)
-    for r in rules:
-        if remaining.is_empty():
+def _accepted(masks, i, side, everything):
+    """One first-match pass for block i as source (side 0: the accepted
+    destination blocks) or as destination (side 1: the accepted source
+    blocks).  None when some blocks stay undecided (no default rule)."""
+    accepted, remaining = 0, everything
+    for m in masks:
+        if not remaining:
             break
-        if not _rule_applies_modulo(r, svc, src=src_rep):
-            continue
-        covered = r.match.dst.interval().intersect(remaining)
-        if r.accept:
-            accepted = accepted.union(covered)
-        remaining = remaining.difference(covered)
-    if not remaining.is_empty():
-        return None  # no default rule: caller must fall back
-    return accepted
+        if m[side] >> i & 1:
+            covered = m[1 - side] & remaining
+            if m[2]:
+                accepted |= covered
+            remaining &= ~covered
+    return None if remaining else accepted
 
 
-def _accepted_srcs(rules, svc, dst_rep, width):
-    accepted = WordInterval.empty(width)
-    remaining = WordInterval.universe(width)
-    for r in rules:
-        if remaining.is_empty():
-            break
-        if not _rule_applies_modulo(r, svc, dst=dst_rep):
-            continue
-        covered = r.match.src.interval().intersect(remaining)
-        if r.accept:
-            accepted = accepted.union(covered)
-        remaining = remaining.difference(covered)
-    if not remaining.is_empty():
-        return None
-    return accepted
+def _fast_rows(rules, svc, reps):
+    """Rows (accepted destinations of each block) and columns (accepted
+    sources) as bitsets over block indices, or None without a default
+    rule.  reps are the sorted block minima; since the blocks refine every
+    rule address set, a block lies in a set iff its representative does."""
+    masks = {}
+
+    def mask(cidr):
+        if cidr not in masks:
+            masks[cidr] = sum(
+                (1 << bisect_right(reps, hi)) - (1 << bisect_left(reps, lo))
+                for lo, hi in cidr.interval().parts
+            )
+        return masks[cidr]
+
+    applicable = [
+        (mask(r.match.src), mask(r.match.dst), r.accept)
+        for r in rules
+        if _service_applies(r.match, svc)
+    ]
+    everything = (1 << len(reps)) - 1
+    rows = [_accepted(applicable, i, 0, everything) for i in range(len(reps))]
+    cols = [_accepted(applicable, i, 1, everything) for i in range(len(reps))]
+    return None if None in rows or None in cols else (rows, cols)
 
 
 @dataclass
@@ -198,72 +216,45 @@ class AccessMatrix:
 def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
     """Build the minimal service matrix.
 
-    Starts from the address partition, computes each block's accepted
-    source/destination sets with the linear per-representative pass (or a
-    quadratic simple-fw fallback when the ruleset has no default rule),
-    merges blocks with identical rows and columns, and derives the edges.
+    The blocks of ip_partition, sorted by minimum, are numbered, and each
+    rule address set becomes an int bitset over block indices (bisect over
+    the minima, once per distinct set).  Each block's row and column is one
+    first-match pass over the rules that match the service's fixed fields,
+    so B blocks and R rules cost O(B·R) operations on B-bit ints.  Without
+    a default rule the rows come from _slow_rows, O(B²·R).  Blocks with
+    equal (row, column) merge into one class, and the edges are read off
+    the rows.
     """
-    blocks = ip_partition(rules, width)
+    blocks = sorted(ip_partition(rules, width), key=WordInterval.min)
     reps = [b.min() for b in blocks]
-    out_sets = {}
-    in_sets = {}
-    fast = True
-    for b, rep in zip(blocks, reps):
-        dsts = _accepted_dsts(rules, svc, rep, width)
-        srcs = _accepted_srcs(rules, svc, rep, width)
-        if dsts is None or srcs is None:
-            fast = False
-            break
-        out_sets[rep] = dsts
-        in_sets[rep] = srcs
-    if not fast:
-        out_sets, in_sets = _slow_rows(rules, svc, reps, width)
-
-    def signature(rep):
-        row = tuple(other in out_sets[rep] for other in reps)
-        col = tuple(other in in_sets[rep] for other in reps)
-        return row, col
-
+    rows, cols = _fast_rows(rules, svc, reps) or _slow_rows(rules, svc, reps)
     groups = {}
-    for b, rep in zip(blocks, reps):
-        groups.setdefault(signature(rep), []).append(b)
-    classes = {}
-    covered = WordInterval.empty(width)
-    for members in groups.values():
-        merged = members[0]
-        for wi in members[1:]:
-            merged = merged.union(wi)
-        classes[merged.min()] = merged
-        if not merged.isdisjoint(covered):
-            raise AssertionError("matrix classes overlap")
-        covered = covered.union(merged)
-    if not covered.is_universe():
-        raise AssertionError("matrix classes do not cover the address space")
-    edges = set()
-    for a, wa in classes.items():
-        for b, wb in classes.items():
-            if wb.min() in out_sets[_first_rep(reps, wa)]:
-                edges.add((a, b))
+    for i, signature in enumerate(zip(rows, cols)):
+        groups.setdefault(signature, []).append(i)
+    classes = {
+        reps[members[0]]: WordInterval([p for i in members for p in blocks[i].parts], width)
+        for members in groups.values()
+    }
+    if not WordInterval([p for wi in classes.values() for p in wi.parts], width).is_universe():
+        raise ConsistencyError("matrix classes do not cover the address space")
+    if sum(wi.size() for wi in classes.values()) != 1 << width:
+        raise ConsistencyError("matrix classes overlap")
+    firsts = [members[0] for members in groups.values()]
+    edges = {(reps[a], reps[b]) for a in firsts for b in firsts if rows[a] >> b & 1}
     return AccessMatrix(classes, edges, svc, width)
 
 
-def _first_rep(reps, wi):
-    for rep in reps:
-        if rep in wi:
-            return rep
-    raise AssertionError("class without representative")
-
-
-def _slow_rows(rules, svc, reps, width):
-    out_sets = {rep: WordInterval.empty(width) for rep in reps}
-    in_sets = {rep: WordInterval.empty(width) for rep in reps}
-    for a in reps:
-        for b in reps:
+def _slow_rows(rules, svc, reps):
+    """Rows and columns as in _fast_rows, from simple_fw_eval on every pair
+    of representatives: O(B²·R), for rulesets without a default rule."""
+    rows, cols = [0] * len(reps), [0] * len(reps)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
             # an Undecided verdict counts as deny here
             if simple_fw_eval(rules, svc.packet(a, b)) == ALLOW:
-                out_sets[a] = out_sets[a].union(WordInterval.single(b, width))
-                in_sets[b] = in_sets[b].union(WordInterval.single(a, width))
-    return out_sets, in_sets
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
+    return rows, cols
 
 
 def export_matrix(matrix: AccessMatrix, fmt="dot") -> str:

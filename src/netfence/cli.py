@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input/processing error, 2 certification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -47,6 +48,7 @@ def analyze_pipeline(
     """parse -> unfold -> ctstate -> interface constraining -> closure ->
     translate -> partition -> matrix.  Returns a result namespace dict."""
     width = family_width(family)
+    svc = analysis.ServiceTemplate.preset(service)
     table = parser.parse_save(save_text, family)
     unfolded = semantics.unfold(table, chain)
     specialized = semantics.ctstate_specialize(unfolded, assumed_state)
@@ -65,25 +67,9 @@ def analyze_pipeline(
     closed = semantics.closure(prepared, tactic)
     simple = simplefw.translate_to_simple(closed, width)
     no_ifaces = [
-        r
-        for r in (
-            simplefw.SimpleRule(
-                simplefw.SimpleMatch(
-                    width,
-                    "+",
-                    "+",
-                    r.match.src,
-                    r.match.dst,
-                    r.match.proto,
-                    r.match.sports,
-                    r.match.dports,
-                ),
-                r.accept,
-            )
-            for r in simple
-        )
+        simplefw.SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
+        for r in simple
     ]
-    svc = analysis.ServiceTemplate.preset(service)
     matrix = analysis.access_matrix(no_ifaces, svc, width)
     return {
         "table": table,
@@ -96,6 +82,7 @@ def analyze_pipeline(
 
 
 def _cmd_analyze(args):
+    analysis.ServiceTemplate.preset(args.service)  # reject a bad --service before any parsing
     family = args.family
     save_text = Path(args.input).read_text()
     ipassmt = None

@@ -78,6 +78,14 @@ class GotoUnsupported(IllformedRuleset):
     pass
 
 
+class IllformedService(NetfenceError):
+    """A --service name that is no preset and no valid <proto>:<port>."""
+
+
+class ConsistencyError(NetfenceError):
+    """A computed result failed its own consistency check (a bug)."""
+
+
 class UnsupportedResidue(NetfenceError):
     """A primitive survived to simple-firewall translation that the simple
     model cannot express; the abstraction step should have removed it."""

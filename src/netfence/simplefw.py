@@ -14,6 +14,7 @@ from typing import Optional
 
 from . import ruleset as rs
 from .errors import (
+    ConsistencyError,
     IllformedRuleset,
     UnsupportedResidue,
     ZoneSpanningInterfaces,
@@ -122,7 +123,8 @@ def simple_match_conj(a: SimpleMatch, b: SimpleMatch) -> Optional[SimpleMatch]:
     src_c = src.to_cidrs()
     dst_c = dst.to_cidrs()
     # CIDR intersection is empty or the smaller block of the two
-    assert len(src_c) == 1 and len(dst_c) == 1
+    if len(src_c) != 1 or len(dst_c) != 1:
+        raise ConsistencyError(f"CIDR intersection split into {src_c} and {dst_c}")
     if a.proto is None:
         proto = b.proto
     elif b.proto is None or a.proto == b.proto:

@@ -12,6 +12,7 @@ non-overlapping and non-adjacent, so structural equality is set equality.
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import IllformedCidr, ParseError, WidthMismatch
@@ -70,13 +71,19 @@ class WordInterval:
         return WordInterval(self.parts + other.parts, self.width)
 
     def intersect(self, other):
+        """Two-pointer merge over both sorted part lists: O(n + m)."""
         self._check(other)
+        a, b = self.parts, other.parts
         out = []
-        for alo, ahi in self.parts:
-            for blo, bhi in other.parts:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    out.append((lo, hi))
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+            if lo <= hi:
+                out.append((lo, hi))
+            if a[i][1] < b[j][1]:
+                i += 1
+            else:
+                j += 1
         return WordInterval(out, self.width)
 
     def difference(self, other):
@@ -108,7 +115,9 @@ class WordInterval:
         return self.parts == ((0, (1 << self.width) - 1),)
 
     def __contains__(self, value):
-        return any(lo <= value <= hi for lo, hi in self.parts)
+        # parts before (value + 1,) are exactly those starting at or below value
+        i = bisect_left(self.parts, (value + 1,))
+        return i > 0 and value <= self.parts[i - 1][1]
 
     def __eq__(self, other):
         return (

@@ -8,6 +8,19 @@ sys.path.insert(0, str(TESTS_DIR))
 
 DATA = TESTS_DIR / "data"
 
+# every IPv4 ruleset of the corpus with the chain it is analyzed at
+CORPUS = [
+    ("synology.iptables", "INPUT"),
+    ("example_ruleset.iptables", "FORWARD"),
+    ("fwbuilder.iptables", "INPUT"),
+    ("blogpost.iptables", "OUTPUT"),
+    ("forward_foo.iptables", "FORWARD"),
+    ("return_ports.iptables", "FORWARD"),
+    ("docker_default.iptables", "FORWARD"),
+    ("docker_mynet.iptables", "FORWARD"),
+    ("webapp_central.iptables", "FORWARD"),
+]
+
 
 @pytest.fixture(scope="session")
 def data_dir():

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import checkers
 import scenarios as sc
-from conftest import load_ruleset
+from conftest import CORPUS, load_ruleset
 from netfence import ruleset as rs
 from netfence.analysis import ServiceTemplate, access_matrix, ip_partition
 from netfence.cli import analyze_pipeline
@@ -197,19 +197,6 @@ def test_criterion_6_spoofing_certification():
         )
     assert not failed.certified
     report(6, "firewall-builder certifies, blog-post OUTPUT fails")
-
-
-CORPUS = [
-    ("synology.iptables", "INPUT"),
-    ("example_ruleset.iptables", "FORWARD"),
-    ("fwbuilder.iptables", "INPUT"),
-    ("blogpost.iptables", "OUTPUT"),
-    ("forward_foo.iptables", "FORWARD"),
-    ("return_ports.iptables", "FORWARD"),
-    ("docker_default.iptables", "FORWARD"),
-    ("docker_mynet.iptables", "FORWARD"),
-    ("webapp_central.iptables", "FORWARD"),
-]
 
 
 def test_criterion_7a_eight_bit_brute_force():

@@ -1,16 +1,21 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
-from conftest import load_ruleset
+from conftest import CORPUS, load_ruleset
+from netfence import analysis
 from netfence.analysis import (
     ServiceTemplate,
+    _fast_rows,
+    _slow_rows,
     access_matrix,
     export_matrix,
     ip_partition,
 )
 from netfence.cli import analyze_pipeline
+from netfence.errors import ConsistencyError, IllformedService
 from netfence.semantics import ALLOW
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
 from netfence.wordinterval import Cidr, WordInterval
@@ -106,6 +111,48 @@ def wi_mask(wi):
     return mask
 
 
+def fold_partition(rules, width):
+    """The definitional partition: fold over every rule address set,
+    splitting each block into its parts inside and outside the set."""
+    blocks = [WordInterval.universe(width)]
+    sets = []
+    for r in rules:
+        sets.append(r.match.src.interval())
+        sets.append(r.match.dst.interval())
+    for s in sets:
+        next_blocks = []
+        for block in blocks:
+            inside = block.intersect(s)
+            outside = block.difference(s)
+            if not inside.is_empty():
+                next_blocks.append(inside)
+            if not outside.is_empty():
+                next_blocks.append(outside)
+        blocks = next_blocks
+    return blocks
+
+
+def sorted_reps(rules, width):
+    return sorted(b.min() for b in ip_partition(rules, width))
+
+
+@pytest.fixture(scope="module")
+def corpus_rules():
+    """The simple rules of every IPv4 corpus ruleset under both closures,
+    as translated and with interfaces wildcarded as the matrix sees them."""
+    out = []
+    for name, chain in CORPUS:
+        for tactic in ("in_doubt_allow", "in_doubt_deny"):
+            simple = analyze_pipeline(load_ruleset(name), chain=chain, tactic=tactic)["simple"]
+            wildcarded = [
+                SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
+                for r in simple
+            ]
+            out.append((f"{name} {tactic}", simple))
+            out.append((f"{name} {tactic} without interfaces", wildcarded))
+    return out
+
+
 def test_oracle_agrees_with_definitional_evaluator():
     """Anchor the bitset oracle to the recursive first-match definition."""
     rng = random.Random(42)
@@ -165,6 +212,48 @@ class TestPartition:
                     assert cols[rep] == cols[other]
 
 
+class TestSweepPartition:
+    """The boundary sweep against the definitional fold."""
+
+    def test_equals_fold_on_random_rulesets(self):
+        rng = random.Random(56)
+        for _ in range(300):
+            rules = random_ruleset(rng, max_rules=rng.choice([7, 20]))
+            blocks = ip_partition(rules, 8)
+            assert len(set(blocks)) == len(blocks)
+            assert set(blocks) == set(fold_partition(rules, 8))
+
+    def test_equals_fold_on_corpus(self, corpus_rules):
+        for label, rules in corpus_rules:
+            blocks = ip_partition(rules, 32)
+            assert len(set(blocks)) == len(blocks), label
+            assert set(blocks) == set(fold_partition(rules, 32)), label
+
+
+class TestBitsetRows:
+    """The first-match bitset rows against simple_fw_eval on every pair."""
+
+    def test_fast_rows_equal_slow_rows_on_random_rulesets(self):
+        rng = random.Random(57)
+        for _ in range(200):
+            rules = random_ruleset(rng, max_rules=rng.choice([7, 20]))
+            reps = sorted_reps(rules, 8)
+            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+
+    def test_fast_rows_equal_slow_rows_on_corpus(self, corpus_rules):
+        services = [ServiceTemplate.preset(name) for name in ("ssh", "http", "udp:53")]
+        for label, rules in corpus_rules:
+            reps = sorted_reps(rules, 32)
+            for svc in services:
+                fast = _fast_rows(rules, svc, reps)
+                assert fast is not None, label
+                assert fast == _slow_rows(rules, svc, reps), (label, svc)
+
+    def test_no_default_rule_has_no_fast_rows(self):
+        rules = [SimpleRule(SimpleMatch(width=8, src=Cidr(0, 1, 8)), True)]
+        assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
+
+
 class TestAccessMatrix:
     def test_allow_all_single_class_with_loop(self):
         m = access_matrix([toy_rule(accept=True)], SVC, width=8)
@@ -220,6 +309,19 @@ class TestAccessMatrix:
             fast = access_matrix(explicit, SVC, width=8)
             assert slow.classes == fast.classes
             assert slow.edges == fast.edges
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [WordInterval.range(0, 99, 8)],  # does not cover
+            [WordInterval.range(0, 200, 8), WordInterval.range(150, 255, 8)],  # overlaps
+        ],
+    )
+    def test_classes_must_partition_the_space(self, monkeypatch, blocks):
+        rules = [SimpleRule(SimpleMatch(width=8, src=Cidr(0, 1, 8)), True), toy_rule(accept=False)]
+        monkeypatch.setattr(analysis, "ip_partition", lambda rules, width: blocks)
+        with pytest.raises(ConsistencyError):
+            access_matrix(rules, SVC, width=8)
 
     def test_class_lookup_and_allows(self):
         rules = [
@@ -304,3 +406,12 @@ class TestServiceTemplates:
     def test_proto_port_syntax(self):
         svc = ServiceTemplate.preset("udp:53")
         assert (svc.protocol, svc.dport) == (17, 53)
+
+    @pytest.mark.parametrize("name", ["foo", "bogus:22", "tcp:abc", "tcp:70000", "tcp:-1", "tcp:"])
+    def test_malformed_names_raise_typed_error(self, name):
+        with pytest.raises(IllformedService):
+            ServiceTemplate.preset(name)
+
+    def test_port_bounds_are_inclusive(self):
+        assert ServiceTemplate.preset("tcp:0").dport == 0
+        assert ServiceTemplate.preset("tcp:65535").dport == 65535

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import scenarios as sc
 from conftest import DATA
 from netfence.cli import main
@@ -62,6 +64,25 @@ class TestAnalyze:
         code = run(["analyze", "--input", bad, "--out-dir", tmp_path / "out"])
         assert code == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("service", ["foo", "bogus:22", "tcp:abc", "tcp:70000"])
+    def test_malformed_service_exit_one(self, tmp_path, capsys, service):
+        code = run(
+            ["analyze", "--input", DATA / "example_ruleset.iptables",
+             "--service", service, "--out-dir", tmp_path / "out"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_service_is_checked_before_the_input_is_read(self, tmp_path, capsys):
+        code = run(
+            ["analyze", "--input", tmp_path / "missing.iptables",
+             "--service", "foo", "--out-dir", tmp_path / "out"]
+        )
+        assert code == 1
+        assert "unknown service 'foo'" in capsys.readouterr().err
 
     def test_json_emission(self, tmp_path):
         out = tmp_path / "out"

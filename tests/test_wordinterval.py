@@ -73,6 +73,20 @@ class TestSetOperations:
         assert a.issubset(a.union(b))
         assert a.intersect(b).issubset(a)
 
+    def test_membership_and_merge_oracle(self):
+        """Membership, intersection and disjointness agree with naive sets
+        on intervals of many parts, including parts touching 0 and 255."""
+        rng = random.Random(43)
+        for _ in range(2_000):
+            a, b = (wi8(*((lo, min(255, lo + rng.randrange(20)))
+                          for lo in (rng.choice([0, 255, rng.randrange(256)])
+                                     for _ in range(rng.randrange(10)))))
+                    for _ in range(2))
+            sa, sb = as_set(a), as_set(b)
+            assert {v for v in range(256) if v in a} == sa
+            assert as_set(a.intersect(b)) == sa & sb
+            assert a.isdisjoint(b) == (not sa & sb)
+
 
 class TestCidr:
     def test_from_cidr_slash8(self):

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
 from . import analysis, parser, semantics, simplefw, spoofing
-from .errors import NetfenceError
+from .errors import NetfenceError, UnreadableInput
 from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
@@ -25,6 +26,16 @@ from .stateful import StatefulPolicy, generate_stateful
 from .synthesis import generate_valid_topology, generate_valid_topology3, policy_diff
 from .templates import load_invariants
 from .wordinterval import WordInterval, family_width
+
+
+def _read_input(path):
+    """The text of an input file; a file that cannot be read is an input error."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise UnreadableInput(f"cannot read {path}: not a text file") from None
 
 
 def _default_ipassmt(family):
@@ -84,13 +95,13 @@ def analyze_pipeline(
 def _cmd_analyze(args):
     analysis.ServiceTemplate.preset(args.service)  # reject a bad --service before any parsing
     family = args.family
-    save_text = Path(args.input).read_text()
+    save_text = _read_input(args.input)
     ipassmt = None
     if args.ipassmt:
-        ipassmt = parser.parse_ipassmt(Path(args.ipassmt).read_text(), family)
+        ipassmt = parser.parse_ipassmt(_read_input(args.ipassmt), family)
     routing = None
     if args.routing:
-        routing = parser.parse_routing(Path(args.routing).read_text(), family)
+        routing = parser.parse_routing(_read_input(args.routing), family)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -138,13 +149,13 @@ def _cmd_analyze(args):
 
 
 def _cmd_synthesize(args):
-    invariants = load_invariants(Path(args.invariants).read_text())
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    invariants = load_invariants(_read_input(args.invariants))
     manual = None
     if args.policy:
-        manual = PolicyGraph.from_json(Path(args.policy).read_text())
+        manual = PolicyGraph.from_json(_read_input(args.policy))
+    binding_text = _read_input(args.emit_iptables) if args.emit_iptables else None
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.verify:
         if manual is None:
@@ -191,12 +202,8 @@ def _cmd_synthesize(args):
         (out_dir / "stateful.dot").write_text(stateful_policy.to_dot())
         print(f"stateful policy: {len(stateful_policy.stateful)} stateful flows")
 
-    if args.emit_iptables:
-        import json as _json
-
-        binding = binding_from_json(
-            _json.loads(Path(args.emit_iptables).read_text()), args.family
-        )
+    if binding_text is not None:
+        binding = binding_from_json(json.loads(binding_text), args.family)
         if stateful_policy is None:
             stateful_policy = StatefulPolicy(graph.nodes, graph.edges, frozenset())
         text = emit_iptables(stateful_policy, binding, family=args.family)

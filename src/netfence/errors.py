@@ -5,6 +5,10 @@ class NetfenceError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UnreadableInput(NetfenceError):
+    """An input file that does not exist or cannot be read as text."""
+
+
 class WidthMismatch(NetfenceError):
     pass
 

@@ -4,6 +4,12 @@ A configured invariant is a predicate over policy graphs together with a
 strategy tag.  Phi-structured invariants (a per-edge predicate over the
 two endpoint attributes) admit a unique offending-flow set computable in
 linear time; everything else falls back to bounded brute force.
+
+Synthesis uses the Phi structure incrementally: generate_valid_topology3
+takes the phi-failing edges as the offending set without minimalizing,
+and the stateful filters check each candidate backflow on the edges it
+adds alone (phi_failing_edges over those edges).  Non-Phi invariants are
+always evaluated on whole graphs.
 """
 
 from __future__ import annotations
@@ -44,10 +50,14 @@ class ConfiguredInvariant:
         return f"<{self.template_id} {self.strategy.value}>"
 
 
-def _phi_failing_edges(inv, graph):
+def phi_failing_edges(inv: ConfiguredInvariant, edges) -> set:
+    """The edges among `edges` on which a Phi-structured invariant's phi
+    fails.  Over a graph's edges this is the unique offending-flow set, or
+    empty exactly when the invariant holds; over a few added edges it
+    checks them alone."""
     p = inv.attr_map
     fails = set()
-    for s, r in graph.edges:
+    for s, r in edges:
         if inv.norefl and s == r:
             continue
         if not inv.phi(p(s), s, p(r), r):
@@ -69,7 +79,7 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     if inv.holds(graph):
         return frozenset()
     if inv.phi is not None:
-        return frozenset({frozenset(_phi_failing_edges(inv, graph))})
+        return frozenset({frozenset(phi_failing_edges(inv, graph.edges))})
     edges = graph.sorted_edges()
     if len(edges) > inv.brute_force_bound:
         raise TooLargeForBruteForce(

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Any
 
-from .errors import DanglingEndpoint
+from .errors import DanglingEndpoint, UnknownHost
 
 
 class Strategy(Enum):
@@ -108,27 +109,35 @@ class PolicyGraph:
         return cls.of(set(nodes) | {h for e in edges for h in e}, edges)
 
 
-def succ_tran(graph: PolicyGraph, v) -> set:
-    """Hosts reachable from v via one or more edges (transitive closure image)."""
-    from .errors import UnknownHost
+def adjacency(edges) -> dict:
+    """Successor sets of every edge source; build once per graph and share
+    it across all reachability queries on that graph."""
+    adj = {}
+    for s, r in edges:
+        adj.setdefault(s, set()).add(r)
+    return adj
 
-    if v not in graph.nodes:
-        raise UnknownHost(v)
-    adjacency = {}
-    for s, r in graph.edges:
-        adjacency.setdefault(s, set()).add(r)
+
+def reachable(adj: dict, v) -> set:
+    """Hosts reachable from v via one or more edges of `adj` (breadth first)."""
     seen = set()
-    frontier = set(adjacency.get(v, ()))
+    frontier = set(adj.get(v, ()))
     while frontier:
         seen |= frontier
-        frontier = {n for f in frontier for n in adjacency.get(f, ())} - seen
+        frontier = {n for f in frontier for n in adj.get(f, ())} - seen
     return seen
 
 
-def undirected_reachable(graph: PolicyGraph, v) -> set:
-    """Reachability pretending every edge were bidirectional, minus v itself."""
-    both = graph.edges | {(r, s) for s, r in graph.edges}
-    return succ_tran(PolicyGraph(graph.nodes, frozenset(both)), v) - {v}
+def undirected_adjacency(edges) -> dict:
+    """Adjacency pretending every edge were bidirectional."""
+    return adjacency(chain(edges, backflows(edges)))
+
+
+def succ_tran(graph: PolicyGraph, v) -> set:
+    """Hosts reachable from v via one or more edges (transitive closure image)."""
+    if v not in graph.nodes:
+        raise UnknownHost(v)
+    return reachable(adjacency(graph.edges), v)
 
 
 def backflows(edges):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .invariants import get_acs, get_ifs, set_offending_flows
+from .invariants import get_acs, get_ifs, phi_failing_edges, set_offending_flows
 from .policy import PolicyGraph, backflows
 
 
@@ -96,54 +96,87 @@ def compliance_check(t: StatefulPolicy, invariants) -> ComplianceVerdict:
     return ComplianceVerdict(not ifs_failures, not excess, ifs_failures, excess)
 
 
+def _split_phi(invariants):
+    """(Phi-structured, other) invariants, each in their given order."""
+    phi = [m for m in invariants if m.phi is not None]
+    return phi, [m for m in invariants if m.phi is None]
+
+
 def filter_ifs(graph: PolicyGraph, invariants, order) -> list:
     """Greedily accumulate the edges whose backflows keep every IFS
-    invariant satisfied.  Edges listed first in `order` are preferred."""
-    ifs = get_ifs(invariants)
+    invariant satisfied.  Edges listed first in `order` are preferred.
+
+    Every accepted candidate satisfied the Phi-structured invariants, so
+    the next candidate is checked on the edges alpha adds (e and its
+    backflow) alone.  The other invariants are evaluated on the whole
+    candidate policy once those checks pass."""
+    phi, other = _split_phi(get_ifs(invariants))
+    if any(phi_failing_edges(m, graph.edges) for m in phi):
+        return []  # every candidate contains the failing base edges
     acc = []
     seen = set()
     for e in order:
         if e in seen:
             continue  # only the first occurrence of an edge counts
         seen.add(e)
-        candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, frozenset(acc) | {e}))
-        if all(m.holds(candidate) for m in ifs):
-            acc.append(e)
+        s, r = e
+        if any(phi_failing_edges(m, (e, (r, s))) for m in phi):
+            continue
+        if other:
+            candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, frozenset(acc) | {e}))
+            if not all(m.holds(candidate) for m in other):
+                continue
+        acc.append(e)
     return acc
 
 
 def filter_acs(graph: PolicyGraph, invariants, order) -> list:
     """Keep an edge when it is not already bidirectional and every ACS
     offending-flow set of the candidate policy stays within the added
-    backflows."""
-    acs = get_acs(invariants)
+    backflows.
+
+    A Phi-structured invariant's offending flows on the candidate are the
+    failing edges of the policy accepted so far, all tolerated, plus those
+    among the two edges alpha adds: the backflow, always tolerated, and e,
+    tolerated only as a backflow of the selection.  A failing edge of the
+    graph itself is never tolerated (its backflow is already bidirectional
+    and so never selected).  The other invariants are evaluated on the
+    whole candidate policy once those checks pass."""
+    phi, other = _split_phi(get_acs(invariants))
+    if any(phi_failing_edges(m, graph.edges) for m in phi):
+        return []
     already_bidirectional = backflows(graph.edges)
+    tolerated = set()  # backflows of the selection
     acc = []
     seen = set()
     for e in order:
         if e in seen or e in already_bidirectional:
             continue
         seen.add(e)
-        selected = frozenset(acc) | {e}
-        candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, selected))
-        tolerated = backflows(selected)
-        ok = True
-        for m in acs:
-            for flow_set in set_offending_flows(m, candidate):
-                if not flow_set <= tolerated:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            acc.append(e)
+        s, r = e
+        if s != r and e not in tolerated and any(phi_failing_edges(m, (e,)) for m in phi):
+            continue
+        if other:
+            selected = frozenset(acc) | {e}
+            candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, selected))
+            allowed = tolerated | {(r, s)}
+            if not all(flow_set <= allowed
+                       for m in other for flow_set in set_offending_flows(m, candidate)):
+                continue
+        acc.append(e)
+        tolerated.add((r, s))
     return acc
 
 
 def generate_stateful(graph: PolicyGraph, invariants, order=None, mode="chain") -> StatefulPolicy:
     """Compute a maximal compliant stateful policy from a valid directed
     policy.  mode "chain" runs filter_acs on filter_ifs's output; mode
-    "intersect" intersects both filters (empirically these agree)."""
+    "intersect" intersects both filters (empirically these agree).
+
+    Both filters check Phi-structured invariants incrementally, on the two
+    edges each candidate adds, in time linear in the graph plus the order;
+    only non-Phi invariants (CommWith, NotCommWith, Dependability,
+    NonInterference) are evaluated on every candidate's whole policy."""
     if order is None:
         order = graph.sorted_edges()
     if mode == "chain":

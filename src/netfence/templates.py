@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import AttrTypeMismatch, IllformedTaints, NoDefault
 from .invariants import ConfiguredInvariant
-from .policy import AttrMap, PolicyGraph, Strategy, succ_tran, undirected_reachable
+from .policy import AttrMap, PolicyGraph, Strategy, adjacency, reachable, undirected_adjacency
 
 
 # -- attribute value types ---------------------------------------------------
@@ -278,9 +278,10 @@ class CommWith(Template):
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
+            adj = adjacency(graph.edges)
             for v in graph.nodes:
                 allowed = attr_map(v)
-                if any(a not in allowed for a in succ_tran(graph, v)):
+                if any(a not in allowed for a in reachable(adj, v)):
                     return False
             return True
 
@@ -312,9 +313,10 @@ class NotCommWith(Template):
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
+            adj = adjacency(graph.edges)
             for v in graph.nodes:
                 forbidden = attr_map(v)
-                if any(a in forbidden for a in succ_tran(graph, v)):
+                if any(a in forbidden for a in reachable(adj, v)):
                     return False
             return True
 
@@ -336,15 +338,16 @@ class Dependability(Template):
     def attr_pool(self, hosts):
         return [0, 1, 2, 3]
 
-    def _reach(self, graph, v):
-        reach = succ_tran(graph, v)
+    def _reach(self, adj, v):
+        reach = reachable(adj, v)
         if not self.count_self:
             reach -= {v}
         return reach
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
-            return all(len(self._reach(graph, v)) <= attr_map(v) for v in graph.nodes)
+            adj = adjacency(graph.edges)
+            return all(len(self._reach(adj, v)) <= attr_map(v) for v in graph.nodes)
 
         return eval_fn
 
@@ -412,10 +415,11 @@ class NonInterference(Template):
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
+            adj = undirected_adjacency(graph.edges)
             for v in graph.nodes:
                 if attr_map(v) != "Interfering":
                     continue
-                for other in undirected_reachable(graph, v):
+                for other in reachable(adj, v) - {v}:
                     if attr_map(other) == "Interfering":
                         return False
             return True
@@ -664,8 +668,9 @@ def dependability_autolevels(graph: PolicyGraph, refl=True) -> AttrMap:
     """Assign each host the size of its reachable set; always a valid
     configuration for the (non-)reflexive dependability template."""
     levels = {}
+    adj = adjacency(graph.edges)
     for v in graph.nodes:
-        reach = succ_tran(graph, v)
+        reach = reachable(adj, v)
         if not refl:
             reach -= {v}
         levels[v] = len(reach)

@@ -145,22 +145,18 @@ class WordInterval:
     def to_cidrs(self):
         """Split into a covering, disjoint list of well-formed CIDR blocks.
 
-        Deterministic: repeatedly take the lowest remaining element and
-        split off the widest valid prefix that still fits.
+        Deterministic: walk each part from its low end and split off the
+        widest aligned block that still fits, so blocks come lowest element
+        first with the widest valid prefix; one step per block.
         """
         out = []
-        remaining = self
-        while not remaining.is_empty():
-            base = remaining.min()
-            for plen in range(0, self.width + 1):
-                low = (1 << (self.width - plen)) - 1
-                if base & low:
-                    continue
-                block = WordInterval.range(base, base | low, self.width)
-                if block.issubset(remaining):
-                    out.append(Cidr(base, plen, self.width))
-                    remaining = remaining.difference(block)
-                    break
+        for lo, hi in self.parts:
+            while lo <= hi:
+                # host bits: limited by the alignment of lo and by the room left
+                aligned = (lo & -lo).bit_length() - 1 if lo else self.width
+                bits = min(aligned, (hi - lo + 1).bit_length() - 1)
+                out.append(Cidr(lo, self.width - bits, self.width))
+                lo += 1 << bits
         return out
 
 

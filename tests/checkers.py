@@ -9,9 +9,14 @@ from itertools import product
 
 from netfence.invariants import offenders, set_offending_flows
 from netfence.policy import PolicyGraph
+from netfence.templates import LIBRARY_IDS, TEMPLATES
 
 HOSTS2 = ("a", "b")
 HOSTS3 = ("a", "b", "c")
+HOSTS6 = ("a", "b", "c", "d", "e", "f")
+
+PHI_IDS = [t for t in LIBRARY_IDS if TEMPLATES[t].phi_structured]
+NON_PHI_IDS = [t for t in LIBRARY_IDS if not TEMPLATES[t].phi_structured]
 
 
 def all_graphs(hosts):
@@ -117,3 +122,38 @@ def check_default_uniqueness(template):
         f"{template.template_id}: no masking witness for "
         f"{[candidates[i] for i in still_secure]}"
     )
+
+
+def random_library_invariants(rng, hosts, kind):
+    """One to three library invariants with random attributes.  kind "phi"
+    draws Phi-structured templates only, "nonphi" only the others, and
+    "mixed" at least one of each."""
+    pools = {"phi": [PHI_IDS], "nonphi": [NON_PHI_IDS], "mixed": [PHI_IDS, NON_PHI_IDS]}[kind]
+    ids = [rng.choice(pool) for pool in pools]
+    ids += [rng.choice(rng.choice(pools)) for _ in range(rng.randrange(2))]
+    rng.shuffle(ids)
+    out = []
+    for tid in ids:
+        template = TEMPLATES[tid]
+        pool = template.attr_pool(hosts)
+        out.append(template.instantiate({h: rng.choice(pool) for h in hosts if rng.random() < 0.7}))
+    return out
+
+
+def random_graph(rng, max_edges, hosts=HOSTS6):
+    """A graph over two to len(hosts) of the hosts with up to max_edges edges."""
+    nodes = hosts[: rng.randint(2, len(hosts))]
+    pairs = [(s, r) for s in nodes for r in nodes]
+    return PolicyGraph.of(nodes, rng.sample(pairs, rng.randint(0, min(max_edges, len(pairs)))))
+
+
+def random_order(rng, graph, foreign):
+    """The graph's edges plus up to `foreign` pairs of its nodes that are not
+    edges, with a few repeated, shuffled."""
+    outside = [(s, r) for s in graph.sorted_nodes() for r in graph.sorted_nodes()
+               if (s, r) not in graph.edges]
+    order = graph.sorted_edges() + rng.sample(outside, min(foreign, len(outside)))
+    if order:
+        order += rng.choices(order, k=rng.randrange(3))
+    rng.shuffle(order)
+    return order

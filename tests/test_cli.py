@@ -84,6 +84,27 @@ class TestAnalyze:
         assert code == 1
         assert "unknown service 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--input", "--ipassmt", "--routing"])
+    def test_missing_input_file_exit_one(self, tmp_path, capsys, option):
+        argv = {"--input": DATA / "fwbuilder.iptables",
+                "--ipassmt": DATA / "fwbuilder.ipassmt",
+                "--routing": DATA / "fwbuilder.ipassmt"}
+        argv[option] = tmp_path / "missing"
+        code = run(["analyze", "--chain", "INPUT", *(x for kv in argv.items() for x in kv),
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: cannot read ")
+        assert "missing" in err and "Traceback" not in err
+
+    def test_unreadable_input_exit_one(self, tmp_path, capsys):
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (tmp_path, binary):  # a directory, then not text
+            assert run(["analyze", "--input", path, "--out-dir", tmp_path / "out"]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("error: cannot read ")
+
     def test_json_emission(self, tmp_path):
         out = tmp_path / "out"
         code = run(
@@ -195,6 +216,21 @@ class TestSynthesize:
              "--policy", policy, "--verify", "--out-dir", tmp_path / "out"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--invariants", "--policy", "--emit-iptables"])
+    def test_missing_input_file_exit_one(self, tmp_path, capsys, option):
+        argv = {"--invariants": DATA / "factory_invariants.json",
+                "--policy": DATA / "factory_policy.json",
+                "--emit-iptables": DATA / "factory_binding.json"}
+        argv[option] = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        code = run(["synthesize", *(x for kv in argv.items() for x in kv),
+                    "--stateful", "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: cannot read ")
+        assert "missing.json" in err and "Traceback" not in err
+        assert not out.exists()  # inputs are read before any output is written
 
     def test_golden_stateful_dot(self, tmp_path):
         out = tmp_path / "out"

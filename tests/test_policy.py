@@ -1,7 +1,14 @@
 import pytest
 
 from netfence.errors import DanglingEndpoint, UnknownHost
-from netfence.policy import AttrMap, PolicyGraph, backflows, succ_tran, undirected_reachable
+from netfence.policy import (
+    AttrMap,
+    PolicyGraph,
+    backflows,
+    reachable,
+    succ_tran,
+    undirected_adjacency,
+)
 
 
 class TestGraphValidation:
@@ -57,7 +64,7 @@ class TestReachability:
 
     def test_undirected_excludes_self(self):
         g = PolicyGraph.of({"a", "b"}, {("a", "b")})
-        assert undirected_reachable(g, "b") == {"a"}
+        assert reachable(undirected_adjacency(g.edges), "b") - {"b"} == {"a"}
 
     def test_backflows(self):
         assert backflows({("a", "b")}) == {("b", "a")}

@@ -4,7 +4,9 @@ from itertools import combinations
 import pytest
 
 import scenarios as sc
-from netfence.invariants import get_acs, set_offending_flows
+from checkers import random_graph, random_library_invariants, random_order
+from netfence.errors import TooLargeForBruteForce
+from netfence.invariants import get_acs, get_ifs, set_offending_flows
 from netfence.policy import PolicyGraph, backflows
 from netfence.stateful import (
     StatefulPolicy,
@@ -14,7 +16,52 @@ from netfence.stateful import (
     filter_ifs,
     generate_stateful,
 )
+from netfence.synthesis import generate_valid_topology3
 from netfence.templates import HostSet, Master, instantiate
+
+
+# The filters by definition: every candidate's whole alpha policy is
+# evaluated against every invariant.  The library filters check
+# Phi-structured invariants incrementally and must return the same lists.
+
+
+def definitional_filter_ifs(graph, invariants, order):
+    ifs = get_ifs(invariants)
+    acc = []
+    seen = set()
+    for e in order:
+        if e in seen:
+            continue
+        seen.add(e)
+        candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, frozenset(acc) | {e}))
+        if all(m.holds(candidate) for m in ifs):
+            acc.append(e)
+    return acc
+
+
+def definitional_filter_acs(graph, invariants, order):
+    acs = get_acs(invariants)
+    already_bidirectional = backflows(graph.edges)
+    acc = []
+    seen = set()
+    for e in order:
+        if e in seen or e in already_bidirectional:
+            continue
+        seen.add(e)
+        selected = frozenset(acc) | {e}
+        candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, selected))
+        tolerated = backflows(selected)
+        ok = True
+        for m in acs:
+            for flow_set in set_offending_flows(m, candidate):
+                if not flow_set <= tolerated:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            acc.append(e)
+    return acc
 
 
 def building_automation():
@@ -222,3 +269,50 @@ class TestGenerate:
         assert all(m.holds(g) for m in invs)
         t = generate_stateful(g, invs)
         assert alpha(t).edges == g.edges | backflows(g.edges)
+
+
+class TestIncrementalFilters:
+    """The incremental filters against the definitional ones on random
+    graphs of up to six nodes, random orders with repeated edges and
+    edges outside the graph, and Phi, non-Phi and mixed invariant sets
+    drawn from the template library."""
+
+    @pytest.mark.parametrize("kind", ["phi", "nonphi", "mixed"])
+    def test_filters_equal_definitional(self, kind):
+        rng = random.Random(f"filters-{kind}")
+        # non-Phi ACS offending flows are brute forced: keep those graphs small
+        max_edges, foreign = (12, 4) if kind == "phi" else (4, 1)
+        compared = nonempty = 0
+        for case in range(150):
+            graph = random_graph(rng, max_edges)
+            invs = random_library_invariants(rng, graph.sorted_nodes(), kind)
+            if case % 2:
+                graph = generate_valid_topology3(invs, graph)  # a valid policy
+            order = random_order(rng, graph, foreign)
+            for new, definitional in ((filter_ifs, definitional_filter_ifs),
+                                      (filter_acs, definitional_filter_acs)):
+                try:
+                    expected = definitional(graph, invs, order)
+                except TooLargeForBruteForce:
+                    continue
+                assert new(graph, invs, order) == expected, (new.__name__, graph, invs, order)
+                compared += 1
+                nonempty += bool(expected)
+        assert compared >= 250 and nonempty >= 50
+
+    def test_added_edge_is_tolerated_only_as_a_backflow(self):
+        """A candidate edge that fails a Phi ACS invariant is kept only when
+        it is the backflow of an edge selected before it."""
+        g = PolicyGraph.of({"a", "b"}, set())
+        inv = instantiate("SubnetsInGW", {"b": "Member"})  # a -> b fails
+        for order, expected in (([("b", "a"), ("a", "b")], [("b", "a"), ("a", "b")]),
+                                ([("a", "b"), ("b", "a")], [("b", "a")])):
+            assert definitional_filter_acs(g, [inv], order) == expected
+            assert filter_acs(g, [inv], order) == expected
+
+    def test_failing_graph_edge_is_never_tolerated(self):
+        g = PolicyGraph.of({"a", "b", "c"}, {("a", "b"), ("c", "a")})
+        inv = instantiate("SubnetsInGW", {"b": "Member"})  # a -> b fails
+        order = [("b", "a"), ("a", "c"), ("c", "b"), ("b", "c"), ("a", "a")]
+        assert definitional_filter_acs(g, [inv], order) == []
+        assert filter_acs(g, [inv], order) == []

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import scenarios as sc
+from checkers import random_graph, random_library_invariants
 from netfence.errors import PreconditionViolated
-from netfence.invariants import set_offending_flows
+from netfence.invariants import phi_failing_edges, set_offending_flows
 from netfence.policy import PolicyGraph
 from netfence.synthesis import (
     generate_valid_topology,
@@ -13,6 +14,17 @@ from netfence.synthesis import (
     policy_diff,
 )
 from netfence.templates import instantiate
+
+
+def definitional_generate_valid_topology3(invariants, graph):
+    """Epsilon-choice construction by definition: minimalize every violated
+    invariant's offending flows on the whole graph."""
+    removed = set()
+    for inv in invariants:
+        if inv.holds(graph):
+            continue
+        removed |= set(minimalize_offending_overapprox(inv, graph.sorted_edges(), [], graph))
+    return graph.delete_edges(removed)
 
 
 def blp(attrs):
@@ -195,6 +207,39 @@ class TestGenerateValidTopology3:
             eps = generate_valid_topology3(invs, full)
             assert plain.edges <= eps.edges
             assert all(m.holds(eps) for m in invs)
+
+
+class TestPhiShortcut:
+    """generate_valid_topology3 takes a Phi-structured invariant's failing
+    edges without minimalizing; on random graphs of up to six nodes they
+    are what minimalize finds, and the construction equals the
+    definitional one for Phi, non-Phi and mixed invariant sets."""
+
+    def test_phi_failing_edges_equal_minimalize(self):
+        rng = random.Random(14)
+        checked = 0
+        for _ in range(200):
+            graph = random_graph(rng, 20)
+            for inv in random_library_invariants(rng, graph.sorted_nodes(), "phi"):
+                if inv.holds(graph):
+                    assert not phi_failing_edges(inv, graph.edges)
+                    continue
+                found = minimalize_offending_overapprox(inv, graph.sorted_edges(), [], graph)
+                assert set(found) == phi_failing_edges(inv, graph.edges)
+                checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("kind", ["phi", "nonphi", "mixed"])
+    def test_construction_equals_definitional(self, kind):
+        rng = random.Random(f"construct-{kind}")
+        for _ in range(100):
+            graph = random_graph(rng, 36 if kind == "phi" else 14)
+            if rng.random() < 0.3:
+                graph = graph.allow_all()
+            invs = random_library_invariants(rng, graph.sorted_nodes(), kind)
+            assert generate_valid_topology3(invs, graph) == definitional_generate_valid_topology3(
+                invs, graph
+            )
 
 
 class TestPolicyDiff:

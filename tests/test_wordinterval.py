@@ -139,6 +139,24 @@ class TestCidr:
             assert union == wi
             assert total == wi.size()
 
+    def test_split_equals_definitional_loop(self):
+        """The one-step-per-block walk gives the same blocks, in the same
+        order, as repeatedly splitting the widest prefix off the lowest
+        remaining element (the definition), at 8 and 32 bits."""
+        rng = random.Random(11)
+        for width in (8, 32):
+            top = (1 << width) - 1
+            for _ in range(400):
+                parts = []
+                for _ in range(rng.randrange(0, 5)):
+                    lo = rng.randrange(top + 1)
+                    span = rng.choice((1, 16, 1 << (width // 2), top))
+                    parts.append((lo, min(top, lo + rng.randrange(span))))
+                if rng.random() < 0.05:
+                    parts.append((0, top))
+                wi = WordInterval(parts, width)
+                assert wi.to_cidrs() == definitional_cidrs(wi), wi
+
     def test_cidr_conjunction_empty_or_smaller(self):
         rng = random.Random(9)
         for _ in range(500):
@@ -180,6 +198,25 @@ class TestAddressText:
         assert format_interval(wi) == "{10.0.1.1 .. 10.0.1.4}"
         single = parse_address_set("10.0.0.1")
         assert format_interval(single) == "{10.0.0.1}"
+
+
+def definitional_cidrs(wi):
+    """The CIDR split by definition: repeatedly take the lowest remaining
+    element and split off the widest prefix block that still fits."""
+    out = []
+    remaining = wi
+    while not remaining.is_empty():
+        base = remaining.min()
+        for plen in range(0, wi.width + 1):
+            low = (1 << (wi.width - plen)) - 1
+            if base & low:
+                continue
+            block = WordInterval.range(base, base | low, wi.width)
+            if block.issubset(remaining):
+                out.append(Cidr(base, plen, wi.width))
+                remaining = remaining.difference(block)
+                break
+    return out
 
 
 def as_set_32(wi):

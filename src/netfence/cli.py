@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import analysis, parser, semantics, simplefw, spoofing
-from .errors import NetfenceError, UnreadableInput
+from .errors import NetfenceError, UnreadableInput, load_json
 from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
@@ -153,7 +152,10 @@ def _cmd_synthesize(args):
     manual = None
     if args.policy:
         manual = PolicyGraph.from_json(_read_input(args.policy))
-    binding_text = _read_input(args.emit_iptables) if args.emit_iptables else None
+    binding = None
+    if args.emit_iptables:
+        binding = binding_from_json(load_json(_read_input(args.emit_iptables), "host binding"),
+                                    args.family)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -202,8 +204,7 @@ def _cmd_synthesize(args):
         (out_dir / "stateful.dot").write_text(stateful_policy.to_dot())
         print(f"stateful policy: {len(stateful_policy.stateful)} stateful flows")
 
-    if binding_text is not None:
-        binding = binding_from_json(json.loads(binding_text), args.family)
+    if binding is not None:
         if stateful_policy is None:
             stateful_policy = StatefulPolicy(graph.nodes, graph.edges, frozenset())
         text = emit_iptables(stateful_policy, binding, family=args.family)

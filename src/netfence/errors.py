@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all netfence modules."""
 
+import json
+
 
 class NetfenceError(Exception):
     """Base class for all errors raised by this package."""
@@ -80,6 +82,19 @@ class UnfoldBoundExceeded(IllformedRuleset):
 
 class GotoUnsupported(IllformedRuleset):
     pass
+
+
+class IllformedSpec(NetfenceError):
+    """A JSON input (invariants, policy, host binding) that is not valid
+    JSON or not of the documented shape."""
+
+
+def load_json(text, what):
+    """Decode the JSON text of an input; a syntax error is IllformedSpec."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IllformedSpec(f"{what}: not valid JSON ({exc})") from None
 
 
 class IllformedService(NetfenceError):

@@ -104,14 +104,6 @@ def offenders(flows, strategy: Strategy) -> frozenset:
     return frozenset(r for _, r in flows)
 
 
-def get_offending_flows(invariants, graph) -> frozenset:
-    """Union of all invariants' offending-flow sets (a set of sets)."""
-    out = frozenset()
-    for inv in invariants:
-        out |= set_offending_flows(inv, graph)
-    return out
-
-
 def get_ifs(invariants):
     return [m for m in invariants if m.strategy is Strategy.IFS]
 

@@ -13,7 +13,7 @@ from enum import Enum
 from itertools import chain
 from typing import Any
 
-from .errors import DanglingEndpoint, UnknownHost
+from .errors import DanglingEndpoint, IllformedSpec, UnknownHost, load_json
 
 
 class Strategy(Enum):
@@ -52,9 +52,6 @@ class PolicyGraph:
     def sorted_edges(self):
         return sorted(self.edges)
 
-    def with_edges(self, edges):
-        return PolicyGraph.of(self.nodes, edges)
-
     def delete_edges(self, removed):
         return PolicyGraph(self.nodes, self.edges - frozenset(removed))
 
@@ -72,8 +69,11 @@ class PolicyGraph:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        return cls.of(data["nodes"], [tuple(e) for e in data["edges"]])
+        data = load_json(text, "policy")
+        try:
+            return cls.of(data["nodes"], [tuple(e) for e in data["edges"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IllformedSpec(f"policy: expected nodes and [src, dst] edges ({exc!r})") from None
 
     def to_dot(self, edge_attrs=None):
         """Graphviz digraph; `edge_attrs` may map an edge to an attribute

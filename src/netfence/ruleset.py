@@ -36,25 +36,40 @@ CT_STATES = ("NEW", "ESTABLISHED", "RELATED", "INVALID", "UNTRACKED")
 class Src:
     addrs: WordInterval
 
+    def matches(self, p, oracle) -> bool:
+        return p.src in self.addrs
+
 
 @dataclass(frozen=True)
 class Dst:
     addrs: WordInterval
+
+    def matches(self, p, oracle) -> bool:
+        return p.dst in self.addrs
 
 
 @dataclass(frozen=True)
 class IIface:
     name: str  # trailing '+' is a prefix wildcard
 
+    def matches(self, p, oracle) -> bool:
+        return match_iface(self.name, p.iiface)
+
 
 @dataclass(frozen=True)
 class OIface:
     name: str
 
+    def matches(self, p, oracle) -> bool:
+        return match_iface(self.name, p.oiface)
+
 
 @dataclass(frozen=True)
 class Protocol:
     number: int
+
+    def matches(self, p, oracle) -> bool:
+        return p.protocol == self.number
 
 
 @dataclass(frozen=True)
@@ -62,17 +77,26 @@ class SrcPorts:
     proto: int  # ports only exist relative to a concrete protocol
     ports: WordInterval
 
+    def matches(self, p, oracle) -> bool:
+        return p.protocol == self.proto and p.sport in self.ports
+
 
 @dataclass(frozen=True)
 class DstPorts:
     proto: int
     ports: WordInterval
 
+    def matches(self, p, oracle) -> bool:
+        return p.protocol == self.proto and p.dport in self.ports
 
+
+# multiport differs from -m tcp/udp ports only in how it prints
 @dataclass(frozen=True)
 class MultiportSrc:
     proto: int
     ports: WordInterval
+
+    matches = SrcPorts.matches
 
 
 @dataclass(frozen=True)
@@ -80,10 +104,15 @@ class MultiportDst:
     proto: int
     ports: WordInterval
 
+    matches = DstPorts.matches
+
 
 @dataclass(frozen=True)
 class CtState:
     states: frozenset
+
+    def matches(self, p, oracle) -> bool:
+        return p.ctstate in self.states
 
 
 @dataclass(frozen=True)
@@ -91,10 +120,18 @@ class TcpFlags:
     mask: frozenset
     comp: frozenset
 
+    def matches(self, p, oracle) -> bool:
+        return (p.tcp_flags & self.mask) == self.comp
+
 
 @dataclass(frozen=True)
 class Extra:
+    """A match the semantics does not model; only an oracle can decide it."""
+
     text: str
+
+    def matches(self, p, oracle) -> bool:
+        return bool(oracle(self.text, p))
 
 
 PORT_PRIMITIVES = (SrcPorts, DstPorts, MultiportSrc, MultiportDst)
@@ -129,11 +166,17 @@ def iface_conj(a: str, b: str) -> Optional[str]:
 
 
 class MatchExpr:
+    """A match expression; `holds(packet, oracle)` is its exact Boolean
+    semantics, with Extra primitives decided by the oracle."""
+
     __slots__ = ()
 
 
 class _MTrue(MatchExpr):
     __slots__ = ()
+
+    def holds(self, p, oracle) -> bool:
+        return True
 
     def __repr__(self):
         return "MTrue"
@@ -152,16 +195,25 @@ MTrue = _MTrue()
 class MPrim(MatchExpr):
     prim: object
 
+    def holds(self, p, oracle) -> bool:
+        return self.prim.matches(p, oracle)
+
 
 @dataclass(frozen=True)
 class MNot(MatchExpr):
     inner: MatchExpr
+
+    def holds(self, p, oracle) -> bool:
+        return not self.inner.holds(p, oracle)
 
 
 @dataclass(frozen=True)
 class MAnd(MatchExpr):
     left: MatchExpr
     right: MatchExpr
+
+    def holds(self, p, oracle) -> bool:
+        return self.left.holds(p, oracle) and self.right.holds(p, oracle)
 
 
 MNotTrue = MNot(MTrue)
@@ -205,18 +257,6 @@ def opt_match(m: MatchExpr) -> MatchExpr:
             return inner.inner
         return MNot(inner)
     return m
-
-
-def map_primitives(m: MatchExpr, fn) -> MatchExpr:
-    """Rebuild a match expression, replacing each MPrim via fn (which may
-    return any match expression)."""
-    if m == MTrue:
-        return m
-    if isinstance(m, MPrim):
-        return fn(m.prim)
-    if isinstance(m, MNot):
-        return MNot(map_primitives(m.inner, fn))
-    return MAnd(map_primitives(m.left, fn), map_primitives(m.right, fn))
 
 
 def primitives_in(m: MatchExpr):

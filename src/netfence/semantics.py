@@ -24,7 +24,6 @@ from .ruleset import (
     Rule,
     Table,
     mand,
-    match_iface,
     opt_match,
 )
 
@@ -61,31 +60,6 @@ class Packet:
         return replace(self, **kwargs)
 
 
-_PRIM_MATCHERS = {
-    rs.Src: lambda prim, p: p.src in prim.addrs,
-    rs.Dst: lambda prim, p: p.dst in prim.addrs,
-    rs.IIface: lambda prim, p: match_iface(prim.name, p.iiface),
-    rs.OIface: lambda prim, p: match_iface(prim.name, p.oiface),
-    rs.Protocol: lambda prim, p: p.protocol == prim.number,
-    rs.SrcPorts: lambda prim, p: p.protocol == prim.proto and p.sport in prim.ports,
-    rs.MultiportSrc: lambda prim, p: p.protocol == prim.proto and p.sport in prim.ports,
-    rs.DstPorts: lambda prim, p: p.protocol == prim.proto and p.dport in prim.ports,
-    rs.MultiportDst: lambda prim, p: p.protocol == prim.proto and p.dport in prim.ports,
-    rs.CtState: lambda prim, p: p.ctstate in prim.states,
-    rs.TcpFlags: lambda prim, p: (p.tcp_flags & prim.mask) == prim.comp,
-}
-
-
-def match_primitive(prim, p: Packet) -> bool:
-    """The supported exact matcher; Extra has no exact semantics and must
-    be handled by the caller (oracle or ternary embedding)."""
-    try:
-        fn = _PRIM_MATCHERS[type(prim)]
-    except KeyError:
-        raise LookupError(f"no exact semantics for {prim!r}") from None
-    return fn(prim, p)
-
-
 def default_known(prim) -> bool:
     """Primitives the built-in matcher understands (everything but Extra)."""
     return not isinstance(prim, rs.Extra)
@@ -102,19 +76,7 @@ def bool_matcher(oracle=None):
     """Exact Boolean matcher; Extra primitives are resolved by the given
     oracle (default: never match), making the 'magic oracle' concrete."""
     oracle = oracle or constant_oracle(False)
-
-    def matcher(m: MatchExpr, p: Packet) -> bool:
-        if m == MTrue:
-            return True
-        if isinstance(m, MPrim):
-            if isinstance(m.prim, rs.Extra):
-                return bool(oracle(m.prim.text, p))
-            return match_primitive(m.prim, p)
-        if isinstance(m, MNot):
-            return not matcher(m.inner, p)
-        return matcher(m.left, p) and matcher(m.right, p)
-
-    return matcher
+    return lambda m, p: m.holds(p, oracle)
 
 
 # -- big-step evaluation ------------------------------------------------------
@@ -369,7 +331,7 @@ def ternary_eval(m: MatchExpr, p: Packet, known=default_known) -> str:
     if isinstance(m, MPrim):
         if not known(m.prim):
             return UNKNOWN
-        return TRUE if match_primitive(m.prim, p) else FALSE
+        return TRUE if m.prim.matches(p, None) else FALSE
     if isinstance(m, MNot):
         return _ternary_not(ternary_eval(m.inner, p, known))
     left = ternary_eval(m.left, p, known)

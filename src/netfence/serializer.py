@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnboundHost
+from .errors import IllformedSpec, UnboundHost
 from .stateful import StatefulPolicy
 from .wordinterval import WordInterval, ip_format
 
@@ -91,14 +91,17 @@ def binding_from_json(data, family="v4") -> dict:
 
     width = family_width(family)
     out = {}
-    for host, spec in data.items():
-        entries = spec.get("ips", [])
-        if isinstance(entries, str):
-            entries = [entries]
-        wi = WordInterval.empty(width)
-        for entry in entries:
-            wi = wi.union(parse_address_set(entry, family))
-        if spec.get("all_but"):
-            wi = wi.complement()
-        out[host] = HostBinding(spec["iface"], wi)
+    try:
+        for host, spec in data.items():
+            entries = spec.get("ips", [])
+            if isinstance(entries, str):
+                entries = [entries]
+            wi = WordInterval.empty(width)
+            for entry in entries:
+                wi = wi.union(parse_address_set(entry, family))
+            if spec.get("all_but"):
+                wi = wi.complement()
+            out[host] = HostBinding(spec["iface"], wi)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise IllformedSpec(f"host binding: expected iface and ips per host ({exc!r})") from None
     return out

@@ -64,15 +64,15 @@ class SimpleMatch:
         return self.sports[0] > self.sports[1] or self.dports[0] > self.dports[1]
 
     def matches(self, p: Packet) -> bool:
-        if not match_iface(self.iiface, p.iiface):
+        if self.iiface != "+" and not match_iface(self.iiface, p.iiface):
             return False
-        if not match_iface(self.oiface, p.oiface):
+        if self.oiface != "+" and not match_iface(self.oiface, p.oiface):
             return False
-        src_lo = self.src.base
-        if not src_lo <= p.src <= src_lo | self.src.hostmask():
+        # in the block iff no bit above the host bits differs from the base
+        src, dst = self.src, self.dst
+        if (p.src ^ src.base) >> (src.width - src.prefix):
             return False
-        dst_lo = self.dst.base
-        if not dst_lo <= p.dst <= dst_lo | self.dst.hostmask():
+        if (p.dst ^ dst.base) >> (dst.width - dst.prefix):
             return False
         if self.proto is not None and p.protocol != self.proto:
             return False

@@ -36,88 +36,48 @@ class SpoofVerdict:
         return f"{self.iface}: FAIL{where}{extra}"
 
 
-def _rule_iface_field(field):
-    return rs.IIface if field == "in" else rs.OIface
-
-
-def _accept_sources(disjuncts, iface, width, field):
-    """Over-approximation of the source IPs with which some packet on
-    `iface` can match; None-safe union over the NNF disjunctions."""
-    iface_type = _rule_iface_field(field)
+def _sources(disjuncts, iface, width, field, guaranteed):
+    """Union over the NNF disjuncts of the source IPs with which some packet
+    on `iface` can match (an over-approximation, for accept rules) or, when
+    `guaranteed`, with which every packet on `iface` matches (an
+    under-approximation, for drop rules: only interface and source
+    constraints may remain)."""
+    iface_type = rs.IIface if field == "in" else rs.OIface
     total = WordInterval.empty(width)
     for leaves in disjuncts:
         srcs = WordInterval.universe(width)
-        feasible = True
         for leaf in leaves:
             negated = isinstance(leaf, MNot)
             node = leaf.inner if negated else leaf
             prim = node.prim if isinstance(node, MPrim) else None
-            if isinstance(prim, iface_type):
-                if negated:
-                    # cannot bound what other interfaces may carry: stay safe
-                    srcs = WordInterval.universe(width)
-                    break
-                if not match_iface(prim.name, iface):
-                    feasible = False
-                    break
-            elif isinstance(prim, rs.Src):
+            if isinstance(prim, rs.Src):
                 srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
-            # every other primitive might be satisfiable by some packet
-        if feasible:
-            total = total.union(srcs)
-    return total
-
-
-def _deny_sources(disjuncts, iface, width, field):
-    """Under-approximation of the sources every packet on `iface` is
-    guaranteed to match: only interface and source constraints may remain."""
-    iface_type = _rule_iface_field(field)
-    total = WordInterval.empty(width)
-    for leaves in disjuncts:
-        srcs = WordInterval.universe(width)
-        guaranteed = True
-        for leaf in leaves:
-            negated = isinstance(leaf, MNot)
-            node = leaf.inner if negated else leaf
-            prim = node.prim if isinstance(node, MPrim) else None
-            if isinstance(prim, iface_type):
-                if negated or not match_iface(prim.name, iface):
-                    guaranteed = False
-                    break
-            elif isinstance(prim, rs.Src):
-                srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
-            else:
-                guaranteed = False  # residual match is not unconditionally true
+            elif isinstance(prim, iface_type) and negated and not guaranteed:
+                # cannot bound what other interfaces may carry: stay safe
+                srcs = WordInterval.universe(width)
                 break
-        if guaranteed:
+            elif isinstance(prim, iface_type):
+                if negated or not match_iface(prim.name, iface):
+                    srcs = None  # no packet on `iface` matches
+                    break
+            elif guaranteed:
+                srcs = None  # the residual match might not hold for every packet
+                break
+        if srcs is not None:
             total = total.union(srcs)
     return total
 
 
-def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
-    """Certify one interface of an unfolded Accept/Drop rule list.
-
-    The list must end in an explicit catch-all rule (the unfolded default
-    policy guarantees this).  `field` selects which interface side the
-    certification is about: "in" for INPUT/FORWARD, "out" for OUTPUT.
-    """
-    if iface not in ipassmt:
-        raise IfaceNotInIpassmt(iface)
-    if not rules or rules[-1].match != MTrue or rules[-1].action.kind not in ("accept", "drop"):
-        raise MissingFinalRule("ruleset must end with an explicit allow-all or deny-all rule")
-    allowed_range = ipassmt[iface]
+def _certify(rules, rule_disjuncts, iface, allowed_range, field) -> SpoofVerdict:
     width = allowed_range.width
     acc = WordInterval.empty(width)
     deny = WordInterval.empty(width)
     failing = None
-    for idx, rule in enumerate(rules):
-        disjuncts = [
-            [l for l in conjuncts(d) if l != MTrue] for d in normalize_nnf(rule.match)
-        ]
+    for idx, (rule, disjuncts) in enumerate(zip(rules, rule_disjuncts)):
         if rule.action.kind == "accept":
-            acc = acc.union(_accept_sources(disjuncts, iface, width, field))
+            acc = acc.union(_sources(disjuncts, iface, width, field, guaranteed=False))
         else:
-            newly = _deny_sources(disjuncts, iface, width, field).difference(acc)
+            newly = _sources(disjuncts, iface, width, field, guaranteed=True).difference(acc)
             deny = deny.union(newly)
         if failing is None and not acc.difference(deny).issubset(allowed_range):
             failing = idx
@@ -131,8 +91,28 @@ def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
     )
 
 
+def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
+    """Certify one interface of an unfolded Accept/Drop rule list.
+
+    The list must end in an explicit catch-all rule (the unfolded default
+    policy guarantees this).  `field` selects which interface side the
+    certification is about: "in" for INPUT/FORWARD, "out" for OUTPUT.
+    """
+    if iface not in ipassmt:
+        raise IfaceNotInIpassmt(iface)
+    return sp_certify_all(rules, {iface: ipassmt[iface]}, field)[iface]
+
+
 def sp_certify_all(rules, ipassmt, field="in") -> dict:
     """Pointwise certification for every interface in the assignment; the
     overall verdict is the conjunction.  An empty assignment certifies
-    vacuously (with a warning left to the caller)."""
-    return {iface: sp_certify(rules, iface, ipassmt, field) for iface in sorted(ipassmt)}
+    vacuously (with a warning left to the caller).  Each rule is
+    normalized once for all interfaces."""
+    if not ipassmt:
+        return {}
+    if not rules or rules[-1].match != MTrue or rules[-1].action.kind not in ("accept", "drop"):
+        raise MissingFinalRule("ruleset must end with an explicit allow-all or deny-all rule")
+    rule_disjuncts = [[[l for l in conjuncts(d) if l != MTrue] for d in normalize_nnf(r.match)]
+                      for r in rules]
+    return {iface: _certify(rules, rule_disjuncts, iface, ipassmt[iface], field)
+            for iface in sorted(ipassmt)}

@@ -27,11 +27,10 @@ Attribute encodings:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import AttrTypeMismatch, IllformedTaints, NoDefault
+from .errors import AttrTypeMismatch, IllformedSpec, IllformedTaints, NoDefault, load_json
 from .invariants import ConfiguredInvariant
 from .policy import AttrMap, PolicyGraph, Strategy, adjacency, reachable, undirected_adjacency
 
@@ -66,9 +65,6 @@ class HostSet:
     @classmethod
     def univ(cls):
         return cls(frozenset(), True)
-
-    def inverse(self):
-        return HostSet(self.members, not self.complemented)
 
 
 @dataclass(frozen=True)
@@ -713,14 +709,21 @@ def load_invariants(text) -> list:
     SystemBoundary entries carry "internal"/"passive"/"active" lists
     instead of "attrs" and expand to two invariants.
     """
-    entries = json.loads(text)
+    entries = load_json(text, "invariant specification")
+    if not isinstance(entries, list):
+        raise IllformedSpec("invariant specification: expected a JSON list of entries")
     out = []
-    for entry in entries:
-        tid = entry["template"]
-        if tid == "SystemBoundary":
-            out.extend(system_boundary_expand(entry))
-            continue
-        template = TEMPLATES[tid]
-        attrs = {h: template.decode_attr(v) for h, v in entry.get("attrs", {}).items()}
+    for i, entry in enumerate(entries):
+        tid = entry.get("template") if isinstance(entry, dict) else None
+        template = TEMPLATES.get(tid) if isinstance(tid, str) else None
+        if template is None:
+            raise IllformedSpec(f"invariant entry {i}: unknown template {tid!r}")
+        try:
+            if tid == "SystemBoundary":
+                out.extend(system_boundary_expand(entry))
+                continue
+            attrs = {h: template.decode_attr(v) for h, v in entry.get("attrs", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise IllformedSpec(f"invariant entry {i} ({tid}): malformed ({exc!r})") from None
         out.append(template.instantiate(attrs))
     return out

@@ -188,14 +188,6 @@ class Cidr:
         return f"{self.base}/{self.prefix}"
 
 
-def wi_from_cidr(cidr: Cidr) -> WordInterval:
-    return cidr.interval()
-
-
-def wi_split_cidr(wi: WordInterval):
-    return wi.to_cidrs()
-
-
 # -- address text formats ---------------------------------------------------
 
 _FAMILY_WIDTH = {"v4": 32, "v6": 128}

@@ -44,7 +44,6 @@ from netfence.wordinterval import (
     WordInterval,
     ip_parse,
     parse_address_set,
-    wi_split_cidr,
 )
 
 from test_analysis import accept_cols, accept_rows, members, random_ruleset, wi_mask
@@ -164,16 +163,16 @@ def test_criterion_4_service_matrix_reproduction():
 
 
 def test_criterion_5_cidr_split():
-    assert [str(c) for c in wi_split_cidr(parse_address_set("10.0.0.0-10.0.0.15"))] == [
+    assert [str(c) for c in parse_address_set("10.0.0.0-10.0.0.15").to_cidrs()] == [
         "10.0.0.0/28"
     ]
-    assert [str(c) for c in wi_split_cidr(parse_address_set("10.0.0.1-10.0.0.15"))] == [
+    assert [str(c) for c in parse_address_set("10.0.0.1-10.0.0.15").to_cidrs()] == [
         "10.0.0.1/32",
         "10.0.0.2/31",
         "10.0.0.4/30",
         "10.0.0.8/29",
     ]
-    wide = wi_split_cidr(parse_address_set("0.0.0.1-255.255.255.254"))
+    wide = parse_address_set("0.0.0.1-255.255.255.254").to_cidrs()
     assert len(wide) == 62
     report(5, "both split examples exact; widest range yields 62 blocks")
 

@@ -232,6 +232,35 @@ class TestSynthesize:
         assert "missing.json" in err and "Traceback" not in err
         assert not out.exists()  # inputs are read before any output is written
 
+    @pytest.mark.parametrize("option,text", [
+        ("--invariants", '[{"template": "Nope"}]'),
+        ("--invariants", '{"x": 1}'),
+        ("--invariants", "[{"),
+        ("--invariants", '[{"attrs": {}}]'),
+        ("--invariants", '[{"template": "BLPTrusted", "attrs": {"Robot1": {"level": "x"}}}]'),
+        ("--invariants", '[{"template": "SystemBoundary", "internal": 5}]'),
+        ("--policy", '{"edges": []}'),
+        ("--policy", '{"nodes": ["a"], "edges": [["a"]]}'),
+        ("--policy", "[1, 2]"),
+        ("--emit-iptables", '{"Robot1": {"ips": ["10.0.0.1"]}}'),
+        ("--emit-iptables", '{"Robot1": {"iface": "eth0", "ips": [7]}}'),
+        ("--emit-iptables", "{,}"),
+    ])
+    def test_malformed_spec_exit_one(self, tmp_path, capsys, option, text):
+        argv = {"--invariants": DATA / "factory_invariants.json",
+                "--policy": DATA / "factory_policy.json",
+                "--emit-iptables": DATA / "factory_binding.json"}
+        argv[option] = tmp_path / "spec.json"
+        argv[option].write_text(text)
+        out = tmp_path / "out"
+        code = run(["synthesize", *(x for kv in argv.items() for x in kv),
+                    "--stateful", "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()  # inputs are read before any output is written
+
     def test_golden_stateful_dot(self, tmp_path):
         out = tmp_path / "out"
         run(

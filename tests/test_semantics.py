@@ -88,6 +88,127 @@ def hash_oracle(seed):
     return oracle
 
 
+# The per-type dispatch table and recursive matcher that the per-primitive
+# `matches`/`holds` methods replaced, kept as their definitional oracle.
+_DEFINITIONAL_PRIM_MATCHERS = {
+    rs.Src: lambda prim, p: p.src in prim.addrs,
+    rs.Dst: lambda prim, p: p.dst in prim.addrs,
+    rs.IIface: lambda prim, p: rs.match_iface(prim.name, p.iiface),
+    rs.OIface: lambda prim, p: rs.match_iface(prim.name, p.oiface),
+    rs.Protocol: lambda prim, p: p.protocol == prim.number,
+    rs.SrcPorts: lambda prim, p: p.protocol == prim.proto and p.sport in prim.ports,
+    rs.MultiportSrc: lambda prim, p: p.protocol == prim.proto and p.sport in prim.ports,
+    rs.DstPorts: lambda prim, p: p.protocol == prim.proto and p.dport in prim.ports,
+    rs.MultiportDst: lambda prim, p: p.protocol == prim.proto and p.dport in prim.ports,
+    rs.CtState: lambda prim, p: p.ctstate in prim.states,
+    rs.TcpFlags: lambda prim, p: (p.tcp_flags & prim.mask) == prim.comp,
+}
+
+
+def definitional_matcher(oracle):
+    def matcher(m, p):
+        if m == MTrue:
+            return True
+        if isinstance(m, MPrim):
+            if isinstance(m.prim, rs.Extra):
+                return bool(oracle(m.prim.text, p))
+            return _DEFINITIONAL_PRIM_MATCHERS[type(m.prim)](m.prim, p)
+        if isinstance(m, MNot):
+            return not matcher(m.inner, p)
+        return matcher(m.left, p) and matcher(m.right, p)
+
+    return matcher
+
+
+def _random_set(rng, width, max_parts=4):
+    """A word set of up to max_parts ranges, biased toward small values so
+    that random packets land inside and outside it."""
+    top = (1 << width) - 1
+    parts = []
+    for _ in range(rng.randint(1, max_parts)):
+        lo = rng.choice((0, rng.randrange(1 << 8), rng.getrandbits(width)))
+        parts.append((lo, min(top, lo + rng.choice((0, 1, 255, rng.getrandbits(width))))))
+    return WordInterval(parts, width)
+
+
+def _random_primitive(rng):
+    ports = rng.choice((rs.SrcPorts, rs.DstPorts, rs.MultiportSrc, rs.MultiportDst))
+    choices = [
+        lambda: rs.Src(_random_set(rng, 32)),
+        lambda: rs.Dst(_random_set(rng, 32)),
+        lambda: rs.IIface(rng.choice(["eth0", "eth1", "eth+", "lo", "+", "wild+", "internal"])),
+        lambda: rs.OIface(rng.choice(["eth0", "eth1", "eth+", "+", "e+"])),
+        lambda: rs.Protocol(rng.choice((1, 6, 17, 47))),
+        lambda: ports(rng.choice((6, 17)), _random_set(rng, 16)),
+        lambda: rs.CtState(frozenset(rng.sample(rs.CT_STATES, rng.randint(1, 3)))),
+        lambda: rs.TcpFlags(frozenset(rng.sample(rs.TCP_FLAG_ORDER, 3)),
+                            frozenset(rng.sample(rs.TCP_FLAG_ORDER, 1))),
+        lambda: rs.Extra(rng.choice(["-m limit", "-m recent", "-m mark --mark 1"])),
+    ]
+    return rng.choice(choices)()
+
+
+def _random_expr(rng, depth):
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        return MPrim(_random_primitive(rng))
+    if r < 0.45:
+        return MTrue
+    if r < 0.65:
+        return MNot(_random_expr(rng, depth - 1))
+    return MAnd(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+
+
+def _near_packet(rng, m):
+    """A random packet whose addresses and ports sit on the edges of the
+    sets the expression names, so that both outcomes occur."""
+    p = random_packet(rng, protocols=(1, 6, 17))
+    edges = {"src": [], "dst": [], "sport": [], "dport": []}
+    for prim in rs.primitives_in(m):
+        field = {rs.Src: "src", rs.Dst: "dst", rs.SrcPorts: "sport", rs.MultiportSrc: "sport",
+                 rs.DstPorts: "dport", rs.MultiportDst: "dport"}.get(type(prim))
+        if field is not None:
+            wi = prim.addrs if field in ("src", "dst") else prim.ports
+            top = (1 << wi.width) - 1
+            edges[field] += [max(0, min(top, v + d)) for lo, hi in wi.parts
+                             for v in (lo, hi) for d in (-1, 0, 1)]
+    return p.with_(**{f: rng.choice(vs) for f, vs in edges.items() if vs and rng.random() < 0.7})
+
+
+class TestPerPrimitiveMatcher:
+    def test_holds_equals_definitional_matcher(self):
+        """m.holds and the matcher built on it decide every random match
+        expression as the recursive per-type matcher does."""
+        rng = random.Random(21)
+        seen = set()
+        for seed in range(40):
+            oracle = hash_oracle(seed)
+            oracle_matcher, reference = bool_matcher(oracle), definitional_matcher(oracle)
+            for _ in range(25):
+                m = _random_expr(rng, 5)
+                for _ in range(20):
+                    p = _near_packet(rng, m)
+                    expected = reference(m, p)
+                    assert m.holds(p, oracle) is expected
+                    assert oracle_matcher(m, p) is expected
+                    seen.add(expected)
+        assert seen == {True, False}
+
+    def test_ternary_eval_agrees_where_decided(self):
+        """Without Extra, ternary_eval is the Boolean semantics; with Extra,
+        a True or False it returns holds for every oracle."""
+        rng = random.Random(23)
+        for _ in range(400):
+            m = _random_expr(rng, 4)
+            p = _near_packet(rng, m)
+            v = ternary_eval(m, p)
+            if not any(isinstance(x, rs.Extra) for x in rs.primitives_in(m)):
+                assert v == (TRUE if definitional_matcher(None)(m, p) else FALSE)
+            elif v != UNKNOWN:
+                for seed in (1, 2):
+                    assert (v == TRUE) is definitional_matcher(hash_oracle(seed))(m, p)
+
+
 class TestBigStep:
     def test_accept_rule(self):
         t = Table({"INPUT": [Rule(MTrue, rs.ACCEPT)]}, {"INPUT": rs.DROP})

@@ -31,7 +31,7 @@ from netfence.simplefw import (
     simple_rules_to_save,
     translate_to_simple,
 )
-from netfence.wordinterval import WordInterval, ip_parse, parse_cidr, parse_address_set
+from netfence.wordinterval import Cidr, WordInterval, ip_parse, parse_cidr, parse_address_set
 
 
 def cidr(text):
@@ -68,6 +68,41 @@ class TestEval:
     def test_empty_match(self):
         m = SimpleMatch(proto=6, sports=(10, 5))
         assert m.is_empty()
+
+
+class TestSimpleMatchMembership:
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_prefix_test_equals_interval_membership(self, width):
+        """The shift test on addresses agrees with membership in the CIDR's
+        interval for every prefix length, at the block edges and for
+        integers outside the word width."""
+        rng = random.Random(width)
+        top = 1 << width
+        prefixes = range(33) if width == 32 else sorted({0, 1, 31, 32, 64, 127, 128}
+                                                       | set(rng.sample(range(129), 20)))
+        for prefix in prefixes:
+            for _ in range(20):
+                host_bits = width - prefix
+                src = Cidr(rng.getrandbits(width) >> host_bits << host_bits, prefix, width)
+                dst = Cidr(rng.getrandbits(width) >> host_bits << host_bits, prefix, width)
+                m = SimpleMatch(width, src=src, dst=dst)
+                lo, hi = src.base, src.base | src.hostmask()
+                values = [lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, dst.base, -1, top, top + lo,
+                          rng.getrandbits(width), rng.getrandbits(width + 8) - (1 << width)]
+                for a in values:
+                    for b in (a, dst.base, dst.base - 1, dst.base | dst.hostmask()):
+                        p = Packet(src=a, dst=b)
+                        assert m.matches(p) == (a in src.interval() and b in dst.interval())
+
+    def test_wildcard_and_named_interfaces(self):
+        rng = random.Random(3)
+        names = ["eth0", "eth1", "eth", "lo", "", "wild0", "+", "eth0+"]
+        patterns = ["+", "eth+", "eth0", "lo", "wild+", "e+", "eth0+"]
+        for _ in range(2000):
+            iif, oif = rng.choice(patterns), rng.choice(patterns)
+            p = Packet(iiface=rng.choice(names), oiface=rng.choice(names))
+            expected = rs.match_iface(iif, p.iiface) and rs.match_iface(oif, p.oiface)
+            assert SimpleMatch(iiface=iif, oiface=oif).matches(p) == expected
 
 
 class TestConjunction:

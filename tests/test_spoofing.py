@@ -1,14 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
-from conftest import load_ruleset
+from conftest import CORPUS, load_ruleset
 from netfence import ruleset as rs
 from netfence.errors import IfaceNotInIpassmt, MissingFinalRule
 from netfence.parser import parse_ipassmt, parse_save
 from netfence.ruleset import MNot, MPrim, MTrue, Rule, mand
 from netfence.semantics import ALLOW, Packet, bigstep_evaluator, bool_matcher, unfold
-from netfence.spoofing import sp_certify, sp_certify_all
+from netfence.spoofing import _sources, sp_certify, sp_certify_all
 from netfence.wordinterval import WordInterval, parse_address_set
 
 FWBUILDER_IPASSMT = parse_ipassmt(
@@ -125,6 +126,15 @@ class TestSoundness:
         ipassmt = {"eth0": parse_address_set("192.168.0.0/24")}
         assert not sp_certify(rules, "eth0", ipassmt).certified
 
+    def test_every_disjunct_of_an_accept_counts(self):
+        """not (not src and x) accepts 10/8 or, where x fails, any source."""
+        rules = [
+            Rule(mand(iif("eth0"), MNot(mand(MNot(src("10.0.0.0/8")), extra("x")))), rs.ACCEPT),
+            Rule(MTrue, rs.DROP),
+        ]
+        verdict = sp_certify(rules, "eth0", {"eth0": parse_address_set("10.0.0.0/8")})
+        assert not verdict.certified and verdict.failing_rule == 0
+
     def test_report_line_formats(self):
         rules = [Rule(MTrue, rs.DROP)]
         v = sp_certify(rules, "eth0", {"eth0": parse_address_set("10.0.0.0/8")})
@@ -141,3 +151,133 @@ class TestSoundness:
         verdict = sp_certify(rules, "eth0", ipassmt)
         assert not verdict.certified
         assert verdict.residual == parse_address_set("1.2.3.4/32")
+
+
+def return_ladder(k):
+    """A Docker-style FORWARD ruleset: eth0 drops spoofed sources up front,
+    eth1 only after a user chain whose k RETURN rules give every later
+    rule k negated conjunctions, eth2 never."""
+    lines = ["*filter", ":FORWARD DROP [0:0]", ":USER - [0:0]",
+             "-A FORWARD -i eth0 ! -s 10.0.0.0/16 -j DROP",
+             "-A FORWARD -j USER",
+             "-A FORWARD -i eth1 ! -s 10.1.0.0/16 -j DROP",
+             "-A FORWARD -j ACCEPT"]
+    conds = [lambda j: f"-i eth{j % 3} -p tcp -m tcp --dport {8000 + j}",
+             lambda j: f"-o eth{j % 3} -p udp -m udp --dport {5300 + j}",
+             lambda j: f"-m limit --limit {50 + j}/sec",
+             lambda j: f"-i eth{j % 3} -s 10.{j % 3}.0.0/16"]
+    for j in range(k):
+        lines.append(f"-A USER {conds[j % len(conds)](j)} -j RETURN")
+    lines += ["-A USER -i eth2 -p tcp -m tcp --dport 22 -j ACCEPT",
+              "-A USER -i eth1 -s 192.168.0.0/24 -j ACCEPT", "COMMIT"]
+    ipassmt = {f"eth{i}": parse_address_set(f"10.{i}.0.0/16") for i in range(3)}
+    return "\n".join(lines) + "\n", ipassmt
+
+
+def corpus_ipassmt(rules):
+    """One /16 per named interface of the ruleset, plus loopback."""
+    names = sorted({p.name for r in rules for p in rs.primitives_in(r.match)
+                    if isinstance(p, (rs.IIface, rs.OIface)) and not p.name.endswith("+")})
+    out = {name: parse_address_set(f"10.{i}.0.0/16") for i, name in enumerate(names)}
+    out["lo"] = parse_address_set("127.0.0.0/8")
+    return out
+
+
+class TestSharedNormalization:
+    @staticmethod
+    def check(rules, ipassmt, field="in"):
+        expected = {iface: sp_certify(rules, iface, ipassmt, field) for iface in sorted(ipassmt)}
+        got = sp_certify_all(rules, ipassmt, field)
+        assert list(got) == list(expected) and got == expected
+        return got
+
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_all_equals_each_on_the_corpus(self, name, chain):
+        rules = unfold(parse_save(load_ruleset(name)), chain)
+        field = "out" if chain == "OUTPUT" else "in"
+        self.check(rules, corpus_ipassmt(rules), field)
+        if name == "fwbuilder.iptables":
+            self.check(rules, FWBUILDER_IPASSMT)
+
+    def test_all_equals_each_on_return_ladders(self):
+        verdicts = set()
+        for k in range(7):
+            text, ipassmt = return_ladder(k)
+            got = self.check(unfold(parse_save(text), "FORWARD"), ipassmt)
+            verdicts |= {(iface, v.certified) for iface, v in got.items()}
+        assert verdicts == {("eth0", True), ("eth1", False), ("eth2", False)}
+
+    def test_empty_assignment_certifies_vacuously(self):
+        assert sp_certify_all([Rule(MNot(MTrue), rs.DROP)], {}) == {}
+
+
+# The mirror pair that `_sources` merged, kept as its definitional oracle.
+def definitional_accept_sources(disjuncts, iface, width, field):
+    iface_type = rs.IIface if field == "in" else rs.OIface
+    total = WordInterval.empty(width)
+    for leaves in disjuncts:
+        srcs = WordInterval.universe(width)
+        feasible = True
+        for leaf in leaves:
+            negated = isinstance(leaf, MNot)
+            node = leaf.inner if negated else leaf
+            prim = node.prim if isinstance(node, MPrim) else None
+            if isinstance(prim, iface_type):
+                if negated:
+                    srcs = WordInterval.universe(width)
+                    break
+                if not rs.match_iface(prim.name, iface):
+                    feasible = False
+                    break
+            elif isinstance(prim, rs.Src):
+                srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
+        if feasible:
+            total = total.union(srcs)
+    return total
+
+
+def definitional_deny_sources(disjuncts, iface, width, field):
+    iface_type = rs.IIface if field == "in" else rs.OIface
+    total = WordInterval.empty(width)
+    for leaves in disjuncts:
+        srcs = WordInterval.universe(width)
+        guaranteed = True
+        for leaf in leaves:
+            negated = isinstance(leaf, MNot)
+            node = leaf.inner if negated else leaf
+            prim = node.prim if isinstance(node, MPrim) else None
+            if isinstance(prim, iface_type):
+                if negated or not rs.match_iface(prim.name, iface):
+                    guaranteed = False
+                    break
+            elif isinstance(prim, rs.Src):
+                srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
+            else:
+                guaranteed = False
+                break
+        if guaranteed:
+            total = total.union(srcs)
+    return total
+
+
+def test_sources_equals_the_accept_and_deny_pair():
+    rng = random.Random(15)
+
+    def leaf():
+        prim = rng.choice([
+            lambda: rs.IIface(rng.choice(["eth0", "eth1", "eth+", "lo"])),
+            lambda: rs.OIface(rng.choice(["eth0", "eth+"])),
+            lambda: rs.Src(WordInterval.range(lo := rng.randrange(256),
+                                              min(255, lo + rng.randrange(64)), 8)),
+            lambda: rs.Protocol(6),
+            lambda: rs.Extra("-m limit"),
+        ])()
+        return MNot(MPrim(prim)) if rng.random() < 0.4 else MPrim(prim)
+
+    for _ in range(3000):
+        disjuncts = [[leaf() for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(0, 3))]
+        for iface, field in product(("eth0", "eth1", "lo"), ("in", "out")):
+            assert _sources(disjuncts, iface, 8, field, guaranteed=False) == \
+                definitional_accept_sources(disjuncts, iface, 8, field)
+            assert _sources(disjuncts, iface, 8, field, guaranteed=True) == \
+                definitional_deny_sources(disjuncts, iface, 8, field)

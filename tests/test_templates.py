@@ -13,7 +13,7 @@ import pytest
 
 import checkers
 from checkers import HOSTS2, HOSTS3, all_graphs
-from netfence.errors import AttrTypeMismatch, IllformedTaints, NoDefault
+from netfence.errors import AttrTypeMismatch, IllformedSpec, IllformedTaints, NoDefault
 from netfence.policy import PolicyGraph
 from netfence.templates import (
     BlpAttr,
@@ -321,3 +321,16 @@ class TestSpecFile:
         assert invs[0].attr_map("SensorSink") == BlpAttr(2, True)
         assert invs[1].attr_map("db") == Master(("app",))
         assert invs[3].attr_map("anon") == TaintsSpec.of({"energy"}, {"location"})
+
+    @pytest.mark.parametrize("text", [
+        '[{"template": "Nope"}]', '{"x": 1}', "[{", '["BLPTrusted"]',
+        '[{"template": "Subnets", "attrs": {"s": {"subnet": "one"}}}]',
+        '[{"template": "Tainting", "attrs": {"a": ["energy"]}}]',
+    ])
+    def test_malformed_specification_is_illformed_spec(self, text):
+        with pytest.raises(IllformedSpec):
+            load_invariants(text)
+
+    def test_attribute_type_errors_keep_their_type(self):
+        with pytest.raises(AttrTypeMismatch):
+            load_invariants('[{"template": "BLPBasic", "attrs": {"a": -1}}]')

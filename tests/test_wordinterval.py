@@ -12,8 +12,6 @@ from netfence.wordinterval import (
     ip_parse,
     parse_address_set,
     parse_cidr,
-    wi_from_cidr,
-    wi_split_cidr,
 )
 
 
@@ -90,15 +88,15 @@ class TestSetOperations:
 
 class TestCidr:
     def test_from_cidr_slash8(self):
-        wi = wi_from_cidr(parse_cidr("10.0.0.0/8"))
+        wi = parse_cidr("10.0.0.0/8").interval()
         assert wi == WordInterval.range(ip_parse("10.0.0.0"), ip_parse("10.255.255.255"), 32)
 
     def test_host_route(self):
         c = parse_cidr("1.2.3.4/32")
-        assert wi_from_cidr(c) == WordInterval.single(ip_parse("1.2.3.4"), 32)
+        assert c.interval() == WordInterval.single(ip_parse("1.2.3.4"), 32)
 
     def test_zero_prefix_is_universe(self):
-        assert wi_from_cidr(parse_cidr("0.0.0.0/0")).is_universe()
+        assert parse_cidr("0.0.0.0/0").interval().is_universe()
 
     def test_illformed_base(self):
         with pytest.raises(IllformedCidr):
@@ -106,11 +104,11 @@ class TestCidr:
 
     def test_split_aligned_block(self):
         wi = parse_address_set("10.0.0.0-10.0.0.15")
-        assert [str(c) for c in wi_split_cidr(wi)] == ["10.0.0.0/28"]
+        assert [str(c) for c in wi.to_cidrs()] == ["10.0.0.0/28"]
 
     def test_split_unaligned_block(self):
         wi = parse_address_set("10.0.0.1-10.0.0.15")
-        assert [str(c) for c in wi_split_cidr(wi)] == [
+        assert [str(c) for c in wi.to_cidrs()] == [
             "10.0.0.1/32",
             "10.0.0.2/31",
             "10.0.0.4/30",
@@ -119,7 +117,7 @@ class TestCidr:
 
     def test_split_widest_range_yields_62_blocks(self):
         wi = parse_address_set("0.0.0.1-255.255.255.254")
-        assert len(wi_split_cidr(wi)) == 62
+        assert len(wi.to_cidrs()) == 62
 
     def test_split_covers_and_is_disjoint(self):
         rng = random.Random(7)
@@ -129,7 +127,7 @@ class TestCidr:
                 lo = rng.randrange(256)
                 parts.append((lo, min(255, lo + rng.randrange(40))))
             wi = wi8(*parts)
-            cidrs = wi_split_cidr(wi)
+            cidrs = wi.to_cidrs()
             union = WordInterval.empty(8)
             total = 0
             for c in cidrs:

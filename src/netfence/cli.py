@@ -6,7 +6,8 @@ spoofing certification) over an iptables-save dump.  synthesize goes the
 other way: verify or construct policies from an invariant specification
 and serialize them as iptables rules.
 
-Exit codes: 0 success, 1 input/processing error, 2 certification failure.
+Exit codes: 0 success, 1 usage, input or processing error, 2 certification
+failure.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import sys
 from pathlib import Path
 
 from . import analysis, parser, semantics, simplefw, spoofing
-from .errors import NetfenceError, UnreadableInput, load_json
+from .errors import NetfenceError, UnreadableInput, UsageError, load_json
 from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
 from .stateful import StatefulPolicy, generate_stateful
-from .synthesis import generate_valid_topology, generate_valid_topology3, policy_diff
+from .synthesis import generate_valid_topology3, maximum_policy, policy_diff
 from .templates import load_invariants
 from .wordinterval import WordInterval, family_width
 
@@ -92,6 +93,8 @@ def analyze_pipeline(
 
 
 def _cmd_analyze(args):
+    if args.spoofing and not args.ipassmt:
+        raise UsageError("--spoofing requires --ipassmt")
     analysis.ServiceTemplate.preset(args.service)  # reject a bad --service before any parsing
     family = args.family
     save_text = _read_input(args.input)
@@ -133,9 +136,6 @@ def _cmd_analyze(args):
             )
 
     if args.spoofing:
-        if not ipassmt:
-            print("--spoofing requires --ipassmt", file=sys.stderr)
-            return 1
         table = parser.parse_save(save_text, family)
         unfolded = semantics.unfold(table, args.chain)
         field = "out" if args.chain == "OUTPUT" else "in"
@@ -148,10 +148,17 @@ def _cmd_analyze(args):
 
 
 def _cmd_synthesize(args):
+    if args.verify and not args.policy:
+        raise UsageError("--verify requires --policy")
     invariants = load_invariants(_read_input(args.invariants))
-    manual = None
     if args.policy:
         manual = PolicyGraph.from_json(_read_input(args.policy))
+        nodes = manual.nodes
+    else:
+        manual = None
+        nodes = {h for inv in invariants for h in inv.attr_map.partial}
+        if not nodes:
+            raise UsageError("no hosts found in the invariant specification")
     binding = None
     if args.emit_iptables:
         binding = binding_from_json(load_json(_read_input(args.emit_iptables), "host binding"),
@@ -159,12 +166,13 @@ def _cmd_synthesize(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    maximum = None
     if args.verify:
-        if manual is None:
-            print("--verify needs --policy", file=sys.stderr)
-            return 1
         report = all_hold(invariants, manual)
-        diff = policy_diff(manual, invariants)
+        maximum = maximum_policy(invariants, nodes)
+        diff = policy_diff(manual, invariants, maximum)
+        if not args.construct:
+            maximum = None  # free it before the outputs are built
         (out_dir / "verify.json").write_text(report.to_json())
         (out_dir / "diff.dot").write_text(diff.to_dot(manual))
         print(f"verify: {'OK' if report.overall else 'VIOLATED'}; "
@@ -174,20 +182,13 @@ def _cmd_synthesize(args):
 
     graph = manual
     if args.construct or graph is None:
-        if manual is not None:
-            nodes = manual.nodes
-        else:
-            nodes = set()
-            for inv in invariants:
-                nodes |= set(inv.attr_map.partial)
-            if not nodes:
-                print("no hosts found in the invariant specification", file=sys.stderr)
-                return 1
-        start = PolicyGraph.of(nodes).allow_all()
-        try:
-            constructed = generate_valid_topology(invariants, start)
-        except NetfenceError:
-            constructed = generate_valid_topology3(invariants, start)
+        constructed = maximum
+        if constructed is None:
+            try:
+                constructed = maximum_policy(invariants, nodes)
+            except NetfenceError:
+                constructed = generate_valid_topology3(invariants,
+                                                       PolicyGraph.of(nodes).allow_all())
         if not constructed.edges:
             print("warning: invariants are contradictory, policy is deny-all",
                   file=sys.stderr)
@@ -213,14 +214,22 @@ def _cmd_synthesize(args):
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a UsageError (one `error:` line, exit code
+    1) instead of argparse's exit code 2, which means certification
+    failure here."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_arg_parser():
-    ap = argparse.ArgumentParser(prog="netfence")
+    ap = _ArgumentParser(prog="netfence")
     sub = ap.add_subparsers(dest="command", required=True)
 
     an = sub.add_parser("analyze", help="analyze an iptables-save dump")
     an.add_argument("--input", required=True, help="iptables-save file")
     an.add_argument("--family", choices=("v4", "v6"), default="v4")
-    an.add_argument("--table", default="filter", choices=("filter",))
     an.add_argument("--chain", default="FORWARD", choices=("FORWARD", "INPUT", "OUTPUT"))
     an.add_argument("--ipassmt", help="interface address assignment file")
     an.add_argument("--routing", help="routing table file (output iface rewriting)")
@@ -245,8 +254,8 @@ def build_arg_parser():
 
 
 def main(argv=None):
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         return args.func(args)
     except NetfenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

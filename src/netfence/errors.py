@@ -7,6 +7,11 @@ class NetfenceError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(NetfenceError):
+    """A command line that is malformed or combines options that cannot
+    work together."""
+
+
 class UnreadableInput(NetfenceError):
     """An input file that does not exist or cannot be read as text."""
 

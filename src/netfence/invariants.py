@@ -8,7 +8,10 @@ linear time; everything else falls back to bounded brute force.
 Synthesis uses the Phi structure incrementally: generate_valid_topology3
 takes the phi-failing edges as the offending set without minimalizing,
 and the stateful filters check each candidate backflow on the edges it
-adds alone (phi_failing_edges over those edges).  Non-Phi invariants are
+adds alone (phi_failing_edges over those edges).  set_offending_flows
+and all_hold take a Phi invariant's verdict from its phi-failing edges
+without a separate `holds` pass, and synthesis.maximum_policy checks
+every phi in one pass over the host pairs.  Non-Phi invariants are
 always evaluated on whole graphs.
 """
 
@@ -55,14 +58,23 @@ def phi_failing_edges(inv: ConfiguredInvariant, edges) -> set:
     fails.  Over a graph's edges this is the unique offending-flow set, or
     empty exactly when the invariant holds; over a few added edges it
     checks them alone."""
-    p = inv.attr_map
+    phi, norefl = inv.phi, inv.norefl
+    attr, default = inv.attr_map.partial.get, inv.attr_map.default
     fails = set()
     for s, r in edges:
-        if inv.norefl and s == r:
+        if norefl and s == r:
             continue
-        if not inv.phi(p(s), s, p(r), r):
+        if not phi(attr(s, default), s, attr(r, default), r):
             fails.add((s, r))
     return fails
+
+
+def _phi_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozenset:
+    """A Phi-structured invariant's offending-flow set: its phi-failing
+    edges as the one member, or no member when there are none (exactly
+    when the invariant holds)."""
+    fails = phi_failing_edges(inv, graph.edges)
+    return frozenset({frozenset(fails)}) if fails else frozenset()
 
 
 def _powerset(items):
@@ -76,10 +88,10 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     unique member (all edges failing phi); the general definition
     enumerates subsets and is refused beyond the brute-force bound.
     """
+    if inv.phi is not None:
+        return _phi_offending_flows(inv, graph)
     if inv.holds(graph):
         return frozenset()
-    if inv.phi is not None:
-        return frozenset({frozenset(phi_failing_edges(inv, graph.edges))})
     edges = graph.sorted_edges()
     if len(edges) > inv.brute_force_bound:
         raise TooLargeForBruteForce(
@@ -157,9 +169,17 @@ class ComplianceReport:
 
 
 def all_hold(invariants, graph: PolicyGraph) -> ComplianceReport:
-    """Evaluate every invariant; the report's overall verdict is the conjunction."""
+    """Evaluate every invariant; the report's overall verdict is the
+    conjunction.  A Phi-structured invariant's verdict and offending flows
+    both come from one pass over its phi-failing edges."""
     report = ComplianceReport()
     for inv in invariants:
+        if inv.phi is not None:
+            offending = _phi_offending_flows(inv, graph)
+            report.verdicts.append(
+                InvariantVerdict(inv.template_id, inv.strategy, not offending, offending or None)
+            )
+            continue
         ok = inv.holds(graph)
         offending = None
         if not ok:

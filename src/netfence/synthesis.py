@@ -21,6 +21,31 @@ def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
     return graph.delete_edges(removed)
 
 
+def maximum_policy(invariants, nodes) -> PolicyGraph:
+    """The most permissive policy over `nodes` that satisfies the
+    invariants, by definition
+    generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all()).
+
+    When every invariant is Phi-structured that is the set of host pairs
+    on which every phi holds: one pass over the pairs, reading each host's
+    attribute once per invariant, without building the allow-all graph.
+    Otherwise the definition is evaluated, and a non-Phi invariant past
+    its brute-force bound raises TooLargeForBruteForce."""
+    if any(inv.phi is None for inv in invariants):
+        return generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all())
+    nodes = frozenset(nodes)
+    checks = [(inv.phi, inv.norefl, {h: inv.attr_map(h) for h in nodes}) for inv in invariants]
+    edges = []
+    for s in nodes:
+        for r in nodes:
+            for phi, norefl, attr in checks:
+                if not (norefl and s == r) and not phi(attr[s], s, attr[r], r):
+                    break
+            else:
+                edges.append((s, r))
+    return PolicyGraph(nodes, frozenset(edges))
+
+
 def minimalize_offending_overapprox(
     inv: ConfiguredInvariant, fs, keeps, graph: PolicyGraph
 ):
@@ -89,12 +114,16 @@ class DiffReport:
         return full.to_dot(edge_attrs=attrs)
 
 
-def policy_diff(manual: PolicyGraph, invariants) -> DiffReport:
+def policy_diff(manual: PolicyGraph, invariants, maximum=None) -> DiffReport:
+    """Compare a manual policy with the invariants.  `maximum` is the
+    maximum policy over the manual policy's hosts when the caller already
+    has it; it is computed otherwise."""
     violating = set()
     for inv in invariants:
         for flow_set in set_offending_flows(inv, manual):
             violating |= flow_set
-    maximum = generate_valid_topology(invariants, manual.allow_all())
+    if maximum is None:
+        maximum = maximum_policy(invariants, manual.nodes)
     absent = maximum.edges - manual.edges
     kept = manual.edges - violating
     return DiffReport(frozenset(kept), frozenset(violating), frozenset(absent))

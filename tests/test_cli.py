@@ -8,10 +8,75 @@ from netfence.cli import main
 from netfence.parser import parse_save
 from netfence.policy import PolicyGraph
 from netfence.semantics import unfold
+from netfence.synthesis import policy_diff
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("error: "), err
+    assert "Traceback" not in err
+    return err
+
+
+class TestUsage:
+    """A malformed command line exits 1 with one `error:` line, not
+    argparse's exit code 2, which means certification failure; an option
+    combination that cannot work is rejected before any output is
+    written."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["analyze"],
+        ["analyze", "--input", DATA / "example_ruleset.iptables", "--closure", "nope"],
+        ["analyze", "--input", DATA / "example_ruleset.iptables", "--table", "filter"],
+        ["analyze", "--input", DATA / "example_ruleset.iptables", "--chain"],
+        ["synthesize"],
+        ["synthesize", "--invariants", DATA / "factory_invariants.json", "--family", "v5"],
+        ["synthesize", "--invariants", DATA / "factory_invariants.json", "--bogus"],
+    ])
+    def test_parser_errors_exit_one(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "--out-dir", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [[], ["analyze"], ["synthesize"]])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_spoofing_without_ipassmt(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["analyze", "--input", DATA / "fwbuilder.iptables", "--chain", "INPUT",
+                    "--spoofing", "--out-dir", out])
+        assert code == 1
+        assert "--spoofing requires --ipassmt" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_verify_without_policy(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
+                    "--verify", "--construct", "--out-dir", out])
+        assert code == 1
+        assert "--verify requires --policy" in assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_no_hosts_without_policy(self, tmp_path, capsys):
+        spec = tmp_path / "inv.json"
+        spec.write_text(json.dumps([{"template": "NoRefl", "attrs": {}}]))
+        out = tmp_path / "out"
+        code = run(["synthesize", "--invariants", spec, "--construct",
+                    "--emit-iptables", DATA / "factory_binding.json", "--out-dir", out])
+        assert code == 1
+        assert "no hosts found" in assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -162,6 +227,21 @@ class TestSynthesize:
         manual = sc.factory_policy()
         assert manual.edges <= maximum.edges
         assert ("MissionControl1", "MissionControl2") in maximum.edges
+
+    def test_verify_and_construct_write_the_construct_policy(self, tmp_path):
+        """--verify --construct computes the maximum policy once, for the
+        diff and for policy.json; the file equals --construct's alone."""
+        files = {}
+        for flags in (["--construct"], ["--verify", "--construct"]):
+            out = tmp_path / "-".join(flags)
+            code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
+                        "--policy", DATA / "factory_policy.json", *flags, "--out-dir", out])
+            assert code == 0
+            files[len(flags)] = (out / "policy.json").read_text()
+        assert files[1] == files[2]
+        absent = policy_diff(sc.factory_policy(), sc.factory_invariants()).absent
+        maximum = PolicyGraph.from_json(files[1])
+        assert maximum.edges - sc.factory_policy().edges == absent
 
     def test_stateful_and_emission(self, tmp_path):
         out = tmp_path / "out"

@@ -3,11 +3,13 @@ from itertools import chain, combinations
 
 import pytest
 
+from checkers import random_graph, random_library_invariants, random_order
 from netfence.errors import TooLargeForBruteForce
 from netfence.invariants import (
     ConfiguredInvariant,
     all_hold,
     offenders,
+    phi_failing_edges,
     set_offending_flows,
     violation_dot,
 )
@@ -49,6 +51,54 @@ def brute_force_offending(inv, graph):
         if all(not inv.holds(PolicyGraph(graph.nodes, rest.edges | {e})) for e in f):
             out.add(f)
     return frozenset(out)
+
+
+def definitional_set_offending_flows(inv, graph):
+    """set_offending_flows as it read before Phi invariants skipped the
+    whole-graph check: `holds` first, then the phi-failing edges or the
+    brute force."""
+    if inv.holds(graph):
+        return frozenset()
+    if inv.phi is not None:
+        return frozenset({frozenset(phi_failing_edges(inv, graph.edges))})
+    return brute_force_offending(inv, graph)
+
+
+class TestPhiFailingEdges:
+    """A Phi invariant's verdict and offending flows come from its failing
+    edges alone; on random graphs of up to six nodes they equal the
+    holds-first definition."""
+
+    def test_equal_per_edge_attribute_lookups(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(200):
+            graph = random_graph(rng, 20)
+            edges = random_order(rng, graph, 4)
+            for inv in random_library_invariants(rng, graph.sorted_nodes(), "phi"):
+                expected = {
+                    (s, r) for s, r in edges
+                    if not (inv.norefl and s == r)
+                    and not inv.phi(inv.attr_map(s), s, inv.attr_map(r), r)
+                }
+                assert phi_failing_edges(inv, edges) == expected
+                checked += bool(expected)
+        assert checked >= 100
+
+    def test_offending_flows_and_reports_equal_definition(self):
+        rng = random.Random(32)
+        violated = 0
+        for _ in range(200):
+            graph = random_graph(rng, 20)
+            invs = random_library_invariants(rng, graph.sorted_nodes(), "phi")
+            report = all_hold(invs, graph)
+            for inv, verdict in zip(invs, report.verdicts):
+                expected = definitional_set_offending_flows(inv, graph)
+                assert set_offending_flows(inv, graph) == expected
+                assert verdict.holds == inv.holds(graph) == (not expected)
+                assert verdict.offending == (expected or None)
+                violated += not verdict.holds
+        assert violated >= 100
 
 
 class TestOffendingFlows:

@@ -3,13 +3,14 @@ import random
 import pytest
 
 import scenarios as sc
-from checkers import random_graph, random_library_invariants
-from netfence.errors import PreconditionViolated
+from checkers import HOSTS6, random_graph, random_library_invariants
+from netfence.errors import PreconditionViolated, TooLargeForBruteForce
 from netfence.invariants import phi_failing_edges, set_offending_flows
 from netfence.policy import PolicyGraph
 from netfence.synthesis import (
     generate_valid_topology,
     generate_valid_topology3,
+    maximum_policy,
     minimalize_offending_overapprox,
     policy_diff,
 )
@@ -240,6 +241,33 @@ class TestPhiShortcut:
             assert generate_valid_topology3(invs, graph) == definitional_generate_valid_topology3(
                 invs, graph
             )
+
+
+class TestMaximumPolicy:
+    """maximum_policy equals its definition, generate_valid_topology on
+    the allow-all graph, on random invariant sets over up to six nodes,
+    and raises TooLargeForBruteForce in the same cases.  Non-Phi sets skip
+    four nodes, whose 16-edge allow-all graph is the slowest brute force
+    within the bound."""
+
+    @pytest.mark.parametrize("kind", ["phi", "nonphi", "mixed"])
+    def test_equals_definition(self, kind):
+        rng = random.Random(f"maximum-{kind}")
+        sizes = (2, 3, 4, 5, 6) if kind == "phi" else (2, 3, 5, 6)
+        outcomes = set()
+        for _ in range(100):
+            nodes = HOSTS6[: rng.choice(sizes)]
+            invs = random_library_invariants(rng, nodes, kind)
+            try:
+                expected = generate_valid_topology(invs, PolicyGraph.of(nodes).allow_all())
+            except TooLargeForBruteForce:
+                with pytest.raises(TooLargeForBruteForce):
+                    maximum_policy(invs, nodes)
+                outcomes.add("raised")
+                continue
+            assert maximum_policy(invs, nodes) == expected
+            outcomes.add("equal")
+        assert outcomes == ({"equal"} if kind == "phi" else {"equal", "raised"})
 
 
 class TestPolicyDiff:

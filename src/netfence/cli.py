@@ -1,10 +1,12 @@
 """Command line interface: `netfence analyze` and `netfence synthesize`.
 
-analyze runs the full ruleset pipeline (parse, unfold, state
-specialization, closure, translation, partition, service matrix, optional
-spoofing certification) over an iptables-save dump.  synthesize goes the
-other way: verify or construct policies from an invariant specification
-and serialize them as iptables rules.
+analyze runs the ruleset pipeline over an iptables-save dump.  Parsing,
+unfolding, state specialization, preparation (NNF plus abstraction of
+what the simple model cannot express) and interface constraining run
+once; closure, translation, partition and service matrix run once per
+in-doubt tactic; spoofing certification reads the same unfolded rules.
+synthesize goes the other way: verify or construct policies from an
+invariant specification and serialize them as iptables rules.
 
 Exit codes: 0 success, 1 usage, input or processing error, 2 certification
 failure.
@@ -42,8 +44,7 @@ def _default_ipassmt(family):
     """Loopback is always known: lo carries 127.0.0.0/8 (::1 for v6)."""
     if family == "v6":
         return {"lo": WordInterval.single(1, 128)}
-    lo = WordInterval.range(0x7F000000, 0x7FFFFFFF, 32)
-    return {"lo": lo}
+    return {"lo": WordInterval.range(0x7F000000, 0x7FFFFFFF, 32)}
 
 
 def analyze_pipeline(
@@ -56,38 +57,43 @@ def analyze_pipeline(
     tactic="in_doubt_allow",
     assumed_state="NEW",
 ):
-    """parse -> unfold -> ctstate -> interface constraining -> closure ->
-    translate -> partition -> matrix.  Returns a result namespace dict."""
+    """parse -> unfold -> ctstate -> prepare -> interface constraining
+    (in, then out from the routing table), which no tactic changes, then
+    the tactic's closure -> translate -> partition -> matrix.  Returns a
+    result namespace dict; its `prepared` list is what closure_results
+    reads for another tactic."""
     width = family_width(family)
     svc = analysis.ServiceTemplate.preset(service)
     table = parser.parse_save(save_text, family)
     unfolded = semantics.unfold(table, chain)
-    specialized = semantics.ctstate_specialize(unfolded, assumed_state)
-    assignment = _default_ipassmt(family)
-    if ipassmt:
-        assignment.update(ipassmt)
-    constrained = simplefw.iface_rewrite(
-        semantics.normalize_rules(specialized), assignment, mode="constrain", field="in"
+    prepared = simplefw.prepare_for_simple(
+        semantics.ctstate_specialize(unfolded, assumed_state), width
     )
+    assignment = {**_default_ipassmt(family), **(ipassmt or {})}
+    prepared = simplefw.iface_rewrite(prepared, assignment, mode="constrain", field="in")
     if routing:
-        out_assignment = simplefw.routing_to_ipassmt(routing, width)
-        constrained = simplefw.iface_rewrite(
-            constrained, out_assignment, mode="constrain", field="out"
-        )
-    prepared = simplefw.prepare_for_simple(constrained, width)
-    closed = semantics.closure(prepared, tactic)
-    simple = simplefw.translate_to_simple(closed, width)
+        prepared = simplefw.iface_rewrite(prepared, simplefw.routing_to_ipassmt(routing, width),
+                                          mode="constrain", field="out")
+    return {
+        "table": table,
+        "unfolded": unfolded,
+        "prepared": prepared,
+        **closure_results(prepared, tactic, svc, width),
+    }
+
+
+def closure_results(prepared, tactic, svc, width):
+    """The tactic-dependent tail of analyze_pipeline: closure ->
+    translate -> partition -> matrix over a prepared rule list, for the
+    service template `svc`."""
+    simple = simplefw.translate_to_simple(semantics.closure(prepared, tactic), width)
     no_ifaces = [
         simplefw.SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
         for r in simple
     ]
-    matrix = analysis.access_matrix(no_ifaces, svc, width)
     return {
-        "table": table,
-        "unfolded": unfolded,
-        "specialized": specialized,
         "simple": simple,
-        "matrix": matrix,
+        "matrix": analysis.access_matrix(no_ifaces, svc, width),
         "partition": analysis.ip_partition(no_ifaces, width),
     }
 
@@ -95,7 +101,7 @@ def analyze_pipeline(
 def _cmd_analyze(args):
     if args.spoofing and not args.ipassmt:
         raise UsageError("--spoofing requires --ipassmt")
-    analysis.ServiceTemplate.preset(args.service)  # reject a bad --service before any parsing
+    svc = analysis.ServiceTemplate.preset(args.service)  # a bad --service fails before parsing
     family = args.family
     save_text = _read_input(args.input)
     ipassmt = None
@@ -108,20 +114,16 @@ def _cmd_analyze(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    closures = {"upper": ["in_doubt_allow"], "lower": ["in_doubt_deny"],
-                "both": ["in_doubt_allow", "in_doubt_deny"]}[args.closure]
-    exit_code = 0
-    for tactic in closures:
-        label = "upper" if tactic == "in_doubt_allow" else "lower"
-        result = analyze_pipeline(
-            save_text,
-            family=family,
-            chain=args.chain,
-            ipassmt=ipassmt,
-            routing=routing,
-            service=args.service,
-            tactic=tactic,
-        )
+    tactics = {"upper": "in_doubt_allow", "lower": "in_doubt_deny"}
+    result = None
+    for label in tactics if args.closure == "both" else [args.closure]:
+        tactic = tactics[label]
+        if result is None:
+            result = analyze_pipeline(save_text, family=family, chain=args.chain,
+                                      ipassmt=ipassmt, routing=routing,
+                                      service=args.service, tactic=tactic)
+        else:  # the second tactic reuses the first run's prepared rules
+            result.update(closure_results(result["prepared"], tactic, svc, family_width(family)))
         print(f"[{label}] {len(result['unfolded'])} unfolded rules, "
               f"{len(result['simple'])} simple rules, "
               f"{len(result['partition'])} partition blocks, "
@@ -135,16 +137,13 @@ def _cmd_analyze(args):
                 simplefw.simple_rules_table(result["simple"])
             )
 
-    if args.spoofing:
-        table = parser.parse_save(save_text, family)
-        unfolded = semantics.unfold(table, args.chain)
-        field = "out" if args.chain == "OUTPUT" else "in"
-        verdicts = spoofing.sp_certify_all(unfolded, ipassmt, field)
-        for v in verdicts.values():
-            print(v.report_line(family))
-        if not all(v.certified for v in verdicts.values()):
-            exit_code = 2
-    return exit_code
+    if not args.spoofing:
+        return 0
+    field = "out" if args.chain == "OUTPUT" else "in"
+    verdicts = spoofing.sp_certify_all(result["unfolded"], ipassmt, field)
+    for v in verdicts.values():
+        print(v.report_line(family))
+    return 0 if all(v.certified for v in verdicts.values()) else 2
 
 
 def _cmd_synthesize(args):
@@ -170,7 +169,7 @@ def _cmd_synthesize(args):
     if args.verify:
         report = all_hold(invariants, manual)
         maximum = maximum_policy(invariants, nodes)
-        diff = policy_diff(manual, invariants, maximum)
+        diff = policy_diff(manual, invariants, maximum, report)
         if not args.construct:
             maximum = None  # free it before the outputs are built
         (out_dir / "verify.json").write_text(report.to_json())

@@ -85,6 +85,11 @@ class UnfoldBoundExceeded(IllformedRuleset):
     pass
 
 
+class CallCycle(UnfoldBoundExceeded):
+    """A chain that reaches itself through calls or gotos: unfolding it
+    never reaches a fixpoint, and the kernel rejects such a ruleset."""
+
+
 class GotoUnsupported(IllformedRuleset):
     pass
 

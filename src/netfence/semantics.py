@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import ruleset as rs
-from .errors import GotoUnsupported, IllformedRuleset, UnfoldBoundExceeded
+from .errors import CallCycle, GotoUnsupported, IllformedRuleset
 from .ruleset import (
     MAnd,
     MNot,
@@ -34,8 +34,6 @@ UNDECIDED = "undecided"
 TRUE = "true"
 FALSE = "false"
 UNKNOWN = "unknown"
-
-UNFOLD_BOUND = 10_000
 
 SYN_MASK = frozenset({"FIN", "SYN", "RST", "ACK"})
 SYN_COMP = frozenset({"SYN"})
@@ -83,7 +81,9 @@ def bool_matcher(oracle=None):
 
 
 def _check_calls(table: Table, start_chain: str):
-    """Static sanity: all targets defined, call graph acyclic."""
+    """Static sanity: all targets defined, call graph (calls and gotos)
+    acyclic from the start chain; a cycle raises CallCycle naming a chain
+    on it."""
     table.validate()
     if start_chain not in table.chains:
         raise IllformedRuleset(f"start chain {start_chain!r} does not exist")
@@ -93,7 +93,7 @@ def _check_calls(table: Table, start_chain: str):
         if chain in done:
             return
         if chain in visiting:
-            raise IllformedRuleset(f"calling loop through chain {chain!r}")
+            raise CallCycle(f"calling loop through chain {chain!r}")
         visiting.add(chain)
         for rule in table.chains[chain]:
             if rule.action.kind in ("call", "goto"):
@@ -269,23 +269,18 @@ def unfold(table: Table, start_chain: str) -> list:
     """Flatten a chain into an equivalent Accept/Drop rule list.
 
     The evaluation wrapper [(True, Call start), (True, default-policy)] is
-    materialized, calls are unfolded to a fixpoint (bounded; exceeding the
-    bound mirrors the kernel's rejection of looping rulesets), Rejects
-    become Drops, Log/Empty disappear.
+    materialized, calls are unfolded to a fixpoint, Rejects become Drops,
+    Log/Empty disappear.  A call cycle, which the kernel rejects and which
+    has no fixpoint, raises CallCycle before the first unfolding step.
     """
-    if start_chain not in table.chains:
-        raise IllformedRuleset(f"start chain {start_chain!r} does not exist")
+    _check_calls(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None or policy.kind not in ("accept", "drop"):
         raise IllformedRuleset(f"chain {start_chain!r} has no Accept/Drop default policy")
     table = rewrite_goto(table)
     rules = [Rule(MTrue, rs.call(start_chain)), Rule(MTrue, policy)]
-    iterations = 0
     while any(r.action.kind == "call" for r in rules):
         rules = process_call(rules, table.chains)
-        iterations += 1
-        if iterations > UNFOLD_BOUND:
-            raise UnfoldBoundExceeded(f"no fixpoint after {UNFOLD_BOUND} unfolding steps")
     rules = optimize_rules(rules)
     for r in rules:
         if r.action.kind not in ("accept", "drop"):

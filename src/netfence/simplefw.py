@@ -174,11 +174,8 @@ def _compress_rule(m, width):
             pos_protos.add(prim.proto)
             leaves.append(leaf)
             continue
-        if isinstance(prim, rs.Src) and negated:
-            leaves.append(MPrim(rs.Src(prim.addrs.complement())))
-            continue
-        if isinstance(prim, rs.Dst) and negated:
-            leaves.append(MPrim(rs.Dst(prim.addrs.complement())))
+        if isinstance(prim, (rs.Src, rs.Dst)) and negated:
+            leaves.append(MPrim(type(prim)(prim.addrs.complement())))
             continue
         if isinstance(prim, (rs.IIface, rs.OIface)) and negated:
             leaves.append(MPrim(rs.Extra(f"{_NEG_IFACE_MARK} {prim.name}")))
@@ -217,19 +214,18 @@ def prepare_for_simple(rules, width=32) -> list:
 def translate_to_simple(rules, width=32) -> list:
     """Turn a prepared, closed rule list into simple firewall rules.
 
-    Address sets are rebuilt as word intervals and re-split into CIDRs,
-    one output rule per CIDR/port-part combination.  Anything left that
-    the simple model cannot express raises UnsupportedResidue.
+    The closed rules are prepared again, as the closure can leave negated
+    conjunctions.  Address sets are rebuilt as word intervals and
+    re-split into CIDRs, one output rule per CIDR/port-part combination.
+    Anything left that the simple model cannot express raises
+    UnsupportedResidue.
     """
     out = []
-    for r in normalize_rules(rules):
+    for r in prepare_for_simple(rules, width):
         if r.action.kind not in ("accept", "drop"):
             raise IllformedRuleset("translation needs an Accept/Drop list")
-        m = _compress_rule(r.match, width)
-        if m is None:
-            continue
         out.extend(
-            SimpleRule(sm, r.action.kind == "accept") for sm in _collect_simple(m, width)
+            SimpleRule(sm, r.action.kind == "accept") for sm in _collect_simple(r.match, width)
         )
     log.info("translated %d rules into %d simple rules", len(rules), len(out))
     return out
@@ -258,16 +254,14 @@ def _collect_simple(m, width):
             if proto is not None and proto != prim.number:
                 return
             proto = prim.number
-        elif isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)):
+        elif isinstance(prim, rs.PORT_PRIMITIVES):
             if proto is not None and proto != prim.proto:
                 return
             proto = prim.proto
-            sports = sports.intersect(prim.ports)
-        elif isinstance(prim, (rs.DstPorts, rs.MultiportDst)):
-            if proto is not None and proto != prim.proto:
-                return
-            proto = prim.proto
-            dports = dports.intersect(prim.ports)
+            if isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)):
+                sports = sports.intersect(prim.ports)
+            else:
+                dports = dports.intersect(prim.ports)
         else:
             raise UnsupportedResidue(f"cannot express {prim!r} in the simple model")
         if iif is None or oif is None:

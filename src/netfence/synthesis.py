@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
-from .invariants import ConfiguredInvariant, phi_failing_edges, set_offending_flows
+from .invariants import ConfiguredInvariant, all_hold, phi_failing_edges, set_offending_flows
 from .policy import PolicyGraph
 
 
@@ -114,13 +114,19 @@ class DiffReport:
         return full.to_dot(edge_attrs=attrs)
 
 
-def policy_diff(manual: PolicyGraph, invariants, maximum=None) -> DiffReport:
+def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> DiffReport:
     """Compare a manual policy with the invariants.  `maximum` is the
-    maximum policy over the manual policy's hosts when the caller already
-    has it; it is computed otherwise."""
+    maximum policy over the manual policy's hosts and `report` is
+    all_hold(invariants, manual), each when the caller already has it;
+    they are computed otherwise."""
+    if report is None:
+        report = all_hold(invariants, manual)
     violating = set()
-    for inv in invariants:
-        for flow_set in set_offending_flows(inv, manual):
+    for inv, verdict in zip(invariants, report.verdicts):
+        offending = verdict.offending
+        if offending is None and not verdict.holds:
+            offending = set_offending_flows(inv, manual)  # raises past the brute-force bound
+        for flow_set in offending or ():
             violating |= flow_set
     if maximum is None:
         maximum = maximum_policy(invariants, manual.nodes)

@@ -1,15 +1,29 @@
-"""Reusable bounded model-checking helpers for the invariant templates.
+"""Reusable bounded model-checking helpers for the invariant templates,
+and definitional oracles and inputs shared by several test modules.
 
-Shared between the per-template tests and the acceptance suite: the same
-checks run in both places, once parametrized for readability and once as a
-single gate."""
+The template checks are shared between the per-template tests and the
+acceptance suite: the same checks run in both places, once parametrized
+for readability and once as a single gate."""
 
 import random
 from itertools import product
 
+from netfence import cli
+from netfence.errors import IllformedRuleset
 from netfence.invariants import offenders, set_offending_flows
+from netfence.parser import parse_save
 from netfence.policy import PolicyGraph
+from netfence.semantics import closure, ctstate_specialize, normalize_rules, unfold
+from netfence.simplefw import (
+    SimpleRule,
+    _collect_simple,
+    _compress_rule,
+    iface_rewrite,
+    prepare_for_simple,
+    routing_to_ipassmt,
+)
 from netfence.templates import LIBRARY_IDS, TEMPLATES
+from netfence.wordinterval import family_width, parse_address_set
 
 HOSTS2 = ("a", "b")
 HOSTS3 = ("a", "b", "c")
@@ -157,3 +171,52 @@ def random_order(rng, graph, foreign):
         order += rng.choices(order, k=rng.randrange(3))
     rng.shuffle(order)
     return order
+
+
+# -- analysis pipeline -------------------------------------------------------
+
+
+def return_ladder(k):
+    """A Docker-style FORWARD ruleset: eth0 drops spoofed sources up front,
+    eth1 only after a user chain whose k RETURN rules give every later
+    rule k negated conjunctions, eth2 never."""
+    lines = ["*filter", ":FORWARD DROP [0:0]", ":USER - [0:0]",
+             "-A FORWARD -i eth0 ! -s 10.0.0.0/16 -j DROP",
+             "-A FORWARD -j USER",
+             "-A FORWARD -i eth1 ! -s 10.1.0.0/16 -j DROP",
+             "-A FORWARD -j ACCEPT"]
+    conds = [lambda j: f"-i eth{j % 3} -p tcp -m tcp --dport {8000 + j}",
+             lambda j: f"-o eth{j % 3} -p udp -m udp --dport {5300 + j}",
+             lambda j: f"-m limit --limit {50 + j}/sec",
+             lambda j: f"-i eth{j % 3} -s 10.{j % 3}.0.0/16"]
+    for j in range(k):
+        lines.append(f"-A USER {conds[j % len(conds)](j)} -j RETURN")
+    lines += ["-A USER -i eth2 -p tcp -m tcp --dport 22 -j ACCEPT",
+              "-A USER -i eth1 -s 192.168.0.0/24 -j ACCEPT", "COMMIT"]
+    ipassmt = {f"eth{i}": parse_address_set(f"10.{i}.0.0/16") for i in range(3)}
+    return "\n".join(lines) + "\n", ipassmt
+
+
+def staged_simple_rules(save_text, tactic, chain="FORWARD", ipassmt=None, routing=None,
+                        family="v4"):
+    """The simple rules of the analysis stage order that ran once per
+    tactic: NNF, interface constraining (in, then out from the routing
+    table), then preparation with a second NNF, closure, and a translation
+    with its own NNF and per-rule compression."""
+    width = family_width(family)
+    specialized = ctstate_specialize(unfold(parse_save(save_text, family), chain), "NEW")
+    assignment = cli._default_ipassmt(family)
+    assignment.update(ipassmt or {})
+    constrained = iface_rewrite(normalize_rules(specialized), assignment, "constrain", "in")
+    if routing:
+        constrained = iface_rewrite(constrained, routing_to_ipassmt(routing, width),
+                                    "constrain", "out")
+    out = []
+    for r in normalize_rules(closure(prepare_for_simple(constrained, width), tactic)):
+        if r.action.kind not in ("accept", "drop"):
+            raise IllformedRuleset("translation needs an Accept/Drop list")
+        m = _compress_rule(r.match, width)
+        if m is not None:
+            out.extend(SimpleRule(sm, r.action.kind == "accept")
+                       for sm in _collect_simple(m, width))
+    return out

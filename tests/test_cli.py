@@ -1,14 +1,18 @@
 import json
+from collections import Counter
 
 import pytest
 
 import scenarios as sc
-from conftest import DATA
-from netfence.cli import main
-from netfence.parser import parse_save
+from checkers import return_ladder, staged_simple_rules
+from conftest import CORPUS, DATA, load_ruleset
+from netfence import invariants, parser, semantics, simplefw, spoofing
+from netfence.cli import analyze_pipeline, main
+from netfence.parser import parse_ipassmt, parse_routing, parse_save
 from netfence.policy import PolicyGraph
 from netfence.semantics import unfold
 from netfence.synthesis import policy_diff
+from netfence.templates import load_invariants
 
 
 def run(argv):
@@ -202,6 +206,121 @@ class TestAnalyze:
         assert code == 0
 
 
+ROUTING = "10.0.0.0/8 dev eth1\n192.168.0.0/16 dev eth2\ndefault dev eth0\n"
+
+
+def write_ladder(tmp_path, k):
+    """A RETURN ladder ruleset, its assignment and a routing table, written
+    as input files."""
+    text, ipassmt = return_ladder(k)
+    (tmp_path / "ladder.iptables").write_text(text)
+    (tmp_path / "ladder.ipassmt").write_text(
+        "".join(f"{iface} = [{wi.to_cidrs()[0]}]\n" for iface, wi in ipassmt.items()))
+    (tmp_path / "routes").write_text(ROUTING)
+    return ["--input", tmp_path / "ladder.iptables", "--ipassmt", tmp_path / "ladder.ipassmt",
+            "--routing", tmp_path / "routes"]
+
+
+class TestOneAnalysisRun:
+    """The tactic-independent stages run once per `netfence analyze`; the
+    old stage order, which normalized before constraining interfaces and
+    ran everything per tactic, stays in checkers as the oracle."""
+
+    TACTICS = ("in_doubt_allow", "in_doubt_deny")
+
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_simple_rules_match_the_staged_order_on_the_corpus(self, name, chain):
+        text = load_ruleset(name)
+        ipassmt = parse_ipassmt((DATA / "fwbuilder.ipassmt").read_text())
+        routing = parse_routing(ROUTING)
+        for tactic in self.TACTICS:
+            for kwargs in ({}, {"ipassmt": ipassmt}, {"ipassmt": ipassmt, "routing": routing}):
+                got = analyze_pipeline(text, chain=chain, tactic=tactic, **kwargs)["simple"]
+                assert got == staged_simple_rules(text, tactic, chain, **kwargs), (tactic, kwargs)
+
+    def test_simple_rules_match_the_staged_order_on_return_ladders(self):
+        routing = parse_routing(ROUTING)
+        for k in range(7):
+            text, ipassmt = return_ladder(k)
+            for tactic in self.TACTICS:
+                for kwargs in ({"ipassmt": ipassmt}, {"ipassmt": ipassmt, "routing": routing}):
+                    got = analyze_pipeline(text, tactic=tactic, **kwargs)["simple"]
+                    assert got == staged_simple_rules(text, tactic, **kwargs), (k, tactic)
+
+    @pytest.mark.parametrize("emit", ["dot", "json", "table"])
+    @pytest.mark.parametrize("case", ["fwbuilder", "ladder"])
+    def test_one_run_equals_separate_runs(self, tmp_path, capsys, emit, case):
+        if case == "fwbuilder":
+            argv = ["--input", DATA / "fwbuilder.iptables", "--chain", "INPUT",
+                    "--ipassmt", DATA / "fwbuilder.ipassmt"]
+            exit_code = 0
+        else:
+            argv = write_ladder(tmp_path, 5)
+            exit_code = 2  # eth1 and eth2 are not certified
+
+        def analyze(out, *extra):
+            code = run(["analyze", *argv, "--emit", emit, "--out-dir", tmp_path / out, *extra])
+            return code, capsys.readouterr().out.splitlines()
+
+        both = analyze("both", "--closure", "both", "--spoofing")
+        upper = analyze("upper", "--closure", "upper")
+        lower = analyze("lower", "--closure", "lower")
+        spoof = analyze("spoof", "--spoofing")
+        assert upper[0] == lower[0] == 0 and both[0] == spoof[0] == exit_code
+        assert spoof[1][0] == upper[1][0]
+        assert both[1] == upper[1] + lower[1] + spoof[1][1:]
+        assert len(spoof[1]) > 1
+        written = {f.name: f.read_text() for f in (tmp_path / "both").iterdir()}
+        assert len(written) == 2
+        for label in ("upper", "lower"):
+            for f in (tmp_path / label).iterdir():
+                assert written[f.name] == f.read_text()
+
+    def test_stage_calls_of_one_both_closures_spoofing_run(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in [(parser, "parse_save"), (semantics, "unfold"),
+                             (semantics, "ctstate_specialize"), (semantics, "closure"),
+                             (simplefw, "prepare_for_simple"), (simplefw, "iface_rewrite"),
+                             (simplefw, "translate_to_simple"), (spoofing, "sp_certify_all")]:
+            count(module, name)
+        # prepare_for_simple reaches normalize_rules through its own import
+        count(semantics, "normalize_rules")
+        count(simplefw, "normalize_rules")
+        code = run(["analyze", *write_ladder(tmp_path, 4), "--closure", "both", "--spoofing",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 2
+        # prepare_for_simple runs once as a stage and once inside each
+        # translation, whose NNF of the closed rules it is
+        assert calls == {"parse_save": 1, "unfold": 1, "ctstate_specialize": 1,
+                         "iface_rewrite": 2, "prepare_for_simple": 3, "normalize_rules": 3,
+                         "closure": 2, "translate_to_simple": 2, "sp_certify_all": 1}
+
+    def test_call_cycle_exits_one_naming_the_chain(self, tmp_path, capsys, monkeypatch):
+        ruleset = tmp_path / "cycle.iptables"
+        ruleset.write_text("*filter\n:FORWARD ACCEPT [0:0]\n:A - [0:0]\n-A FORWARD -j A\n"
+                           "-A A -s 10.0.0.0/8 -j A\n-A A -d 10.0.0.0/8 -j A\nCOMMIT\n")
+
+        def no_step(*args):  # unfolding this chain doubles the rule list each step
+            raise AssertionError("unfolding started on a cyclic ruleset")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        code = run(["analyze", "--input", ruleset, "--closure", "both",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "calling loop through chain 'A'" in err
+
+
 class TestSynthesize:
     def test_verify_valid_policy(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -285,17 +404,26 @@ class TestSynthesize:
         constructed = PolicyGraph.from_json((out / "policy.json").read_text())
         assert not constructed.edges
 
-    def test_verify_detects_violations(self, tmp_path):
+    def test_verify_detects_violations(self, tmp_path, monkeypatch):
         policy = tmp_path / "policy.json"
         policy.write_text(json.dumps({
             "nodes": sorted(sc.FACTORY_HOSTS),
             "edges": [["Robot2", "INET"]],
         }))
+        checked = []
+        phi_failing_edges = invariants.phi_failing_edges
+        monkeypatch.setattr(invariants, "phi_failing_edges",
+                            lambda inv, edges: checked.append(inv) or phi_failing_edges(inv, edges))
         code = run(
             ["synthesize", "--invariants", DATA / "factory_invariants.json",
              "--policy", policy, "--verify", "--out-dir", tmp_path / "out"]
         )
         assert code == 2
+        # verify.json and diff.dot share one computation of the offending flows
+        phi = [inv for inv in load_invariants((DATA / "factory_invariants.json").read_text())
+               if inv.phi is not None]
+        assert len(checked) == len(phi) > 0
+        assert "color=red" in (tmp_path / "out" / "diff.dot").read_text()
 
     @pytest.mark.parametrize("option", ["--invariants", "--policy", "--emit-iptables"])
     def test_missing_input_file_exit_one(self, tmp_path, capsys, option):

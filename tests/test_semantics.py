@@ -5,7 +5,8 @@ import pytest
 
 from conftest import load_ruleset
 from netfence import ruleset as rs
-from netfence.errors import GotoUnsupported, IllformedRuleset, UnfoldBoundExceeded
+from netfence import semantics
+from netfence.errors import CallCycle, GotoUnsupported, IllformedRuleset, UnfoldBoundExceeded
 from netfence.parser import parse_save
 from netfence.ruleset import (
     MAnd,
@@ -361,6 +362,34 @@ class TestUnfold:
         )
         with pytest.raises(UnfoldBoundExceeded):
             unfold(t, "INPUT")
+
+    @pytest.mark.parametrize("body,chain", [
+        # a chain that calls itself twice: 2^n rules after n unfolding steps
+        ("-A A -s 10.0.0.0/8 -j A\n-A A -d 10.0.0.0/8 -j A\n", "A"),
+        ("-A A -s 10.0.0.0/8 -j B\n-A B -j A\n", "A"),    # A <-> B
+        ("-A A -g B\n-A B -s 10.0.0.0/8 -g A\n", "A"),    # a goto loop
+        ("-A A -j ACCEPT\n-A B -j FORWARD\n", "FORWARD"),  # back to the start chain
+    ])
+    def test_call_cycle_fails_before_unfolding(self, monkeypatch, body, chain):
+        text = ("*filter\n:FORWARD DROP [0:0]\n:A - [0:0]\n:B - [0:0]\n"
+                "-A FORWARD -i eth0 -j A\n-A FORWARD -i eth1 -j B\n" + body + "COMMIT\n")
+        table = parse_save(text)
+
+        def no_step(*args):
+            raise AssertionError("unfolding started on a cyclic ruleset")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        monkeypatch.setattr(semantics, "rewrite_goto", no_step)
+        with pytest.raises(CallCycle, match=f"chain '{chain}'") as exc:
+            unfold(table, "FORWARD")
+        assert isinstance(exc.value, UnfoldBoundExceeded)
+        with pytest.raises(CallCycle, match=f"chain '{chain}'"):
+            bigstep_evaluator(table, "FORWARD")
+
+    def test_cycle_outside_the_start_chains_reach_is_ignored(self):
+        text = ("*filter\n:FORWARD DROP [0:0]\n:A - [0:0]\n"
+                "-A FORWARD -j ACCEPT\n-A A -j A\nCOMMIT\n")
+        assert unfold(parse_save(text), "FORWARD") == [Rule(MTrue, rs.ACCEPT)]
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_unfolding_preserves_semantics(self, name, chain):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from checkers import return_ladder
 from conftest import CORPUS, load_ruleset
 from netfence import ruleset as rs
 from netfence.errors import IfaceNotInIpassmt, MissingFinalRule
@@ -151,27 +152,6 @@ class TestSoundness:
         verdict = sp_certify(rules, "eth0", ipassmt)
         assert not verdict.certified
         assert verdict.residual == parse_address_set("1.2.3.4/32")
-
-
-def return_ladder(k):
-    """A Docker-style FORWARD ruleset: eth0 drops spoofed sources up front,
-    eth1 only after a user chain whose k RETURN rules give every later
-    rule k negated conjunctions, eth2 never."""
-    lines = ["*filter", ":FORWARD DROP [0:0]", ":USER - [0:0]",
-             "-A FORWARD -i eth0 ! -s 10.0.0.0/16 -j DROP",
-             "-A FORWARD -j USER",
-             "-A FORWARD -i eth1 ! -s 10.1.0.0/16 -j DROP",
-             "-A FORWARD -j ACCEPT"]
-    conds = [lambda j: f"-i eth{j % 3} -p tcp -m tcp --dport {8000 + j}",
-             lambda j: f"-o eth{j % 3} -p udp -m udp --dport {5300 + j}",
-             lambda j: f"-m limit --limit {50 + j}/sec",
-             lambda j: f"-i eth{j % 3} -s 10.{j % 3}.0.0/16"]
-    for j in range(k):
-        lines.append(f"-A USER {conds[j % len(conds)](j)} -j RETURN")
-    lines += ["-A USER -i eth2 -p tcp -m tcp --dport 22 -j ACCEPT",
-              "-A USER -i eth1 -s 192.168.0.0/24 -j ACCEPT", "COMMIT"]
-    ipassmt = {f"eth{i}": parse_address_set(f"10.{i}.0.0/16") for i in range(3)}
-    return "\n".join(lines) + "\n", ipassmt
 
 
 def corpus_ipassmt(rules):

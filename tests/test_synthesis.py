@@ -5,7 +5,7 @@ import pytest
 import scenarios as sc
 from checkers import HOSTS6, random_graph, random_library_invariants
 from netfence.errors import PreconditionViolated, TooLargeForBruteForce
-from netfence.invariants import phi_failing_edges, set_offending_flows
+from netfence.invariants import all_hold, phi_failing_edges, set_offending_flows
 from netfence.policy import PolicyGraph
 from netfence.synthesis import (
     generate_valid_topology,
@@ -270,7 +270,48 @@ class TestMaximumPolicy:
         assert outcomes == ({"equal"} if kind == "phi" else {"equal", "raised"})
 
 
+def definitional_policy_diff(manual, invariants, maximum):
+    """policy_diff as it was before it could share all_hold's report."""
+    violating = set()
+    for inv in invariants:
+        for flow_set in set_offending_flows(inv, manual):
+            violating |= flow_set
+    return (frozenset(manual.edges - violating), frozenset(violating),
+            frozenset(maximum.edges - manual.edges))
+
+
 class TestPolicyDiff:
+    @pytest.mark.parametrize("kind", ["phi", "nonphi", "mixed"])
+    def test_shared_report_equals_definition(self, kind):
+        """With or without all_hold's report, policy_diff gives the
+        definitional sets, and raises TooLargeForBruteForce in the same
+        cases: a non-Phi invariant violated past the bound.  Graphs have
+        up to five edges, or 22 to exceed the bound."""
+        rng = random.Random(f"diff-{kind}")
+        outcomes = set()
+        for _ in range(150):
+            if rng.random() < 0.2:
+                full = PolicyGraph.of(HOSTS6[:5]).allow_all()
+                manual = full.delete_edges(rng.sample(full.sorted_edges(), 3))
+            else:
+                manual = random_graph(rng, 5)
+            invs = random_library_invariants(rng, manual.sorted_nodes(), kind)
+            maximum = manual.allow_all()
+            try:
+                expected = definitional_policy_diff(manual, invs, maximum)
+            except TooLargeForBruteForce:
+                for report in (None, all_hold(invs, manual)):
+                    with pytest.raises(TooLargeForBruteForce):
+                        policy_diff(manual, invs, maximum, report)
+                outcomes.add("raised")
+                continue
+            for report in (None, all_hold(invs, manual)):
+                diff = policy_diff(manual, invs, maximum, report)
+                assert (diff.kept, diff.violating, diff.absent) == expected
+            outcomes.add("violating" if expected[1] else "clean")
+        assert outcomes >= {"violating", "clean"}
+        assert ("raised" in outcomes) == (kind != "phi")
+
     def test_factory_absent_flows(self):
         manual = sc.factory_policy()
         diff = policy_diff(manual, sc.factory_invariants())

@@ -90,6 +90,12 @@ class CallCycle(UnfoldBoundExceeded):
     never reaches a fixpoint, and the kernel rejects such a ruleset."""
 
 
+class CallsTooDeep(UnfoldBoundExceeded):
+    """Calls or gotos nested deeper than semantics.MAX_CALL_DEPTH: the
+    unfolded matches nest as deep, and the recursive match helpers would
+    exhaust Python's recursion limit on them."""
+
+
 class GotoUnsupported(IllformedRuleset):
     pass
 

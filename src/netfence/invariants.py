@@ -11,8 +11,15 @@ and the stateful filters check each candidate backflow on the edges it
 adds alone (phi_failing_edges over those edges).  set_offending_flows
 and all_hold take a Phi invariant's verdict from its phi-failing edges
 without a separate `holds` pass, and synthesis.maximum_policy checks
-every phi in one pass over the host pairs.  Non-Phi invariants are
-always evaluated on whole graphs.
+every phi in one pass over the host pairs.
+
+The non-Phi library templates (CommWith, NotCommWith, Dependability,
+DependabilityNonRefl, NonInterference) carry an incremental state
+instead: a transitive closure or union-find over a node set that starts
+with no edges, which tests "does the invariant still hold with these
+edges added?" in O(V) per edge.  generate_valid_topology3 and filter_ifs
+grow their graphs on it edge by edge.  Verdicts on a given graph (holds,
+all_hold, set_offending_flows) still evaluate the whole graph.
 """
 
 from __future__ import annotations
@@ -35,7 +42,10 @@ class ConfiguredInvariant:
     eval_fn decides whether a graph satisfies the invariant.  If `phi` is
     set, the invariant is Phi-structured: phi(attr_s, s, attr_r, r) is
     evaluated per edge (skipping reflexive edges when `norefl`), and
-    eval_fn must agree with the conjunction over all edges.
+    eval_fn must agree with the conjunction over all edges.  If
+    `incremental` is set, incremental(nodes) is a fresh state over
+    `nodes` with no edges (see GraphState for the interface), which must
+    agree with eval_fn on every graph it has grown.
     """
 
     template_id: str
@@ -45,12 +55,40 @@ class ConfiguredInvariant:
     phi: Optional[Callable] = None
     norefl: bool = False
     brute_force_bound: int = DEFAULT_BRUTE_FORCE_BOUND
+    incremental: Optional[Callable] = None
 
     def holds(self, graph: PolicyGraph) -> bool:
         return self.eval_fn(graph)
 
+    def state(self, nodes):
+        """A fresh incremental state over `nodes` with no edges: the
+        template's own when it has one, GraphState otherwise."""
+        if self.incremental is not None:
+            return self.incremental(nodes)
+        return GraphState(self, nodes)
+
     def __repr__(self):
         return f"<{self.template_id} {self.strategy.value}>"
+
+
+class GraphState:
+    """The definitional incremental state of any invariant: it keeps the
+    edges added so far and evaluates the invariant on the whole graph.
+
+    holds_with(edges) tells, without changing the state, whether the
+    invariant holds on the edges added so far plus `edges`; add(edges)
+    commits them."""
+
+    def __init__(self, inv: ConfiguredInvariant, nodes):
+        self.inv = inv
+        self.nodes = frozenset(nodes)
+        self.edges = frozenset()
+
+    def holds_with(self, edges) -> bool:
+        return self.inv.holds(PolicyGraph(self.nodes, self.edges | frozenset(edges)))
+
+    def add(self, edges):
+        self.edges |= frozenset(edges)
 
 
 def phi_failing_edges(inv: ConfiguredInvariant, edges) -> set:

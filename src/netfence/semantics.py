@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import ruleset as rs
-from .errors import CallCycle, GotoUnsupported, IllformedRuleset
+from .errors import CallCycle, CallsTooDeep, GotoUnsupported, IllformedRuleset
 from .ruleset import (
     MAnd,
     MNot,
@@ -79,29 +79,49 @@ def bool_matcher(oracle=None):
 
 # -- big-step evaluation ------------------------------------------------------
 
+# Calls may nest this deep.  The unfolded matches nest about as deep, and
+# the recursive match helpers (opt_match, normalize_nnf, conjuncts) take
+# one frame per level; 500 leaves half of Python's default recursion limit
+# to the caller and the rest of the pipeline.
+MAX_CALL_DEPTH = 500
+
 
 def _check_calls(table: Table, start_chain: str):
-    """Static sanity: all targets defined, call graph (calls and gotos)
-    acyclic from the start chain; a cycle raises CallCycle naming a chain
-    on it."""
+    """Static sanity: all targets defined, and the call graph (calls and
+    gotos) from the start chain acyclic and at most MAX_CALL_DEPTH calls
+    deep.  A cycle raises CallCycle naming a chain on it; deeper nesting
+    raises CallsTooDeep naming the first chain past the bound on a
+    deepest call path.  Iterative, so any nesting gets this far."""
     table.validate()
     if start_chain not in table.chains:
         raise IllformedRuleset(f"start chain {start_chain!r} does not exist")
-    visiting, done = set(), set()
+    callees = {}  # chain -> its distinct call and goto targets, in rule order
+    depth = {}  # finished chain -> calls on the longest call path from it
+    on_path, stack = set(), []  # the chains being visited, with their pending targets
 
-    def visit(chain):
-        if chain in done:
-            return
-        if chain in visiting:
-            raise CallCycle(f"calling loop through chain {chain!r}")
-        visiting.add(chain)
-        for rule in table.chains[chain]:
-            if rule.action.kind in ("call", "goto"):
-                visit(rule.action.chain)
-        visiting.remove(chain)
-        done.add(chain)
+    def enter(chain):
+        callees[chain] = list(dict.fromkeys(
+            r.action.chain for r in table.chains[chain] if r.action.kind in ("call", "goto")))
+        on_path.add(chain)
+        stack.append((chain, iter(callees[chain])))
 
-    visit(start_chain)
+    enter(start_chain)
+    while stack:
+        chain, pending = stack[-1]
+        target = next(pending, None)
+        if target is None:
+            stack.pop()
+            on_path.remove(chain)
+            depth[chain] = max((depth[c] + 1 for c in callees[chain]), default=0)
+        elif target in on_path:
+            raise CallCycle(f"calling loop through chain {target!r}")
+        elif target not in depth:
+            enter(target)
+    if depth[start_chain] > MAX_CALL_DEPTH:
+        chain = start_chain
+        for _ in range(MAX_CALL_DEPTH + 1):
+            chain = max(callees[chain], key=depth.get)
+        raise CallsTooDeep(f"chain {chain!r} is nested more than {MAX_CALL_DEPTH} calls deep")
 
 
 def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):

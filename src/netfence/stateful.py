@@ -106,13 +106,18 @@ def filter_ifs(graph: PolicyGraph, invariants, order) -> list:
     """Greedily accumulate the edges whose backflows keep every IFS
     invariant satisfied.  Edges listed first in `order` are preferred.
 
-    Every accepted candidate satisfied the Phi-structured invariants, so
-    the next candidate is checked on the edges alpha adds (e and its
-    backflow) alone.  The other invariants are evaluated on the whole
-    candidate policy once those checks pass."""
+    Each candidate e adds two edges to the policy accepted so far: e and
+    its backflow.  Every accepted candidate satisfied the Phi-structured
+    invariants, so those are checked on the two edges alone.  Each other
+    invariant keeps an incremental state (ConfiguredInvariant.state)
+    seeded with the graph's edges; the two edges are tested on it and
+    committed when the candidate is accepted."""
     phi, other = _split_phi(get_ifs(invariants))
     if any(phi_failing_edges(m, graph.edges) for m in phi):
         return []  # every candidate contains the failing base edges
+    states = [m.state(graph.nodes) for m in other]
+    for state in states:
+        state.add(graph.edges)
     acc = []
     seen = set()
     for e in order:
@@ -120,12 +125,13 @@ def filter_ifs(graph: PolicyGraph, invariants, order) -> list:
             continue  # only the first occurrence of an edge counts
         seen.add(e)
         s, r = e
-        if any(phi_failing_edges(m, (e, (r, s))) for m in phi):
+        added = (e, (r, s))
+        if any(phi_failing_edges(m, added) for m in phi):
             continue
-        if other:
-            candidate = alpha(StatefulPolicy(graph.nodes, graph.edges, frozenset(acc) | {e}))
-            if not all(m.holds(candidate) for m in other):
-                continue
+        if not all(state.holds_with(added) for state in states):
+            continue
+        for state in states:
+            state.add(added)
         acc.append(e)
     return acc
 
@@ -174,9 +180,12 @@ def generate_stateful(graph: PolicyGraph, invariants, order=None, mode="chain") 
     "intersect" intersects both filters (empirically these agree).
 
     Both filters check Phi-structured invariants incrementally, on the two
-    edges each candidate adds, in time linear in the graph plus the order;
-    only non-Phi invariants (CommWith, NotCommWith, Dependability,
-    NonInterference) are evaluated on every candidate's whole policy."""
+    edges each candidate adds, in time linear in the graph plus the order.
+    filter_ifs checks the non-Phi IFS invariant NonInterference on a
+    union-find of the accepted policy, so it is incremental too.  Only
+    the non-Phi ACS invariants (CommWith, NotCommWith, Dependability) are
+    evaluated on every candidate's whole policy, through their brute-force
+    offending flows in filter_acs."""
     if order is None:
         order = graph.sorted_edges()
     if mode == "chain":

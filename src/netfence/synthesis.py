@@ -13,9 +13,13 @@ def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
     """Remove every offending flow of every invariant, computed on the
     starting graph.  Sound for monotonic invariants; started from the
     allow-all graph with Phi-structured invariants the result is the
-    unique maximum policy."""
+    unique maximum policy.
+
+    Non-Phi invariants go first, in their given order, so one past its
+    brute-force bound raises TooLargeForBruteForce before any Phi work;
+    the removed set is a union, so the order does not change it."""
     removed = set()
-    for inv in invariants:
+    for inv in sorted(invariants, key=lambda m: m.phi is not None):
         for flow_set in set_offending_flows(inv, graph):
             removed |= flow_set
     return graph.delete_edges(removed)
@@ -75,23 +79,48 @@ def minimalize_offending_overapprox(
     return keeps
 
 
+def insertion_member(inv: ConfiguredInvariant, graph: PolicyGraph) -> list:
+    """minimalize_offending_overapprox(inv, graph.sorted_edges(), [], graph),
+    by greedy insertion.
+
+    With every edge in `fs` and no keeps, minimalize's step i tests the
+    edges it has dropped so far plus f_i, so f_i is kept exactly when
+    adding it to that growing graph breaks the invariant.  The graph grows
+    on the invariant's incremental state, one holds_with per edge.  Like
+    minimalize, this expects the invariant to fail on `graph` and raises
+    PreconditionViolated when it fails on the graph without edges."""
+    state = inv.state(graph.nodes)
+    if not state.holds_with(()):
+        raise PreconditionViolated("removing fs and keeps must repair the invariant")
+    keeps = []
+    for f in graph.sorted_edges():
+        if state.holds_with((f,)):
+            state.add((f,))
+        else:
+            keeps.append(f)
+    keeps.reverse()  # minimalize lists the last kept edge first
+    return keeps
+
+
 def generate_valid_topology3(invariants, graph: PolicyGraph) -> PolicyGraph:
     """Epsilon-choice construction: per violated invariant, remove only one
-    member of its offending-flow set (found by minimalize).  Never brute
-    forces, so it also handles non-Phi-structured invariants; the result is
-    a superset of generate_valid_topology's.
+    member of its offending-flow set, the one minimalize finds from the
+    sorted edges.  Never brute forces, so it also handles
+    non-Phi-structured invariants; the result is a superset of
+    generate_valid_topology's.
 
     A Phi-structured invariant's offending-flow set has one member, its
     phi-failing edges, and minimalize provably returns exactly those; they
-    are taken directly, in one pass over the edges."""
+    are taken directly, in one pass over the edges.  Any other violated
+    invariant's member comes from insertion_member: for the library
+    templates O(V) bitset or union-find work per edge, after one `holds`
+    on the whole graph."""
     removed = set()
     for inv in invariants:
         if inv.phi is not None:
             removed |= phi_failing_edges(inv, graph.edges)
         elif not inv.holds(graph):
-            removed |= set(
-                minimalize_offending_overapprox(inv, graph.sorted_edges(), [], graph)
-            )
+            removed |= set(insertion_member(inv, graph))
     return graph.delete_edges(removed)
 
 

@@ -123,6 +123,109 @@ class TaintsSpec:
         return cls(t | u, u)
 
 
+# -- incremental states -----------------------------------------------------
+#
+# Each keeps a graph that grows by edges over a fixed node set, with the
+# interface of invariants.GraphState.  holds_with only inspects what the
+# new edges change, so it assumes the invariant holds on the edges added
+# so far; an add that breaks it marks the state broken, which every later
+# holds_with reports (these templates are monotone: more edges never
+# repair them).
+
+
+def _bits(m):
+    """The indices of the set bits of the int m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+class ReachClosure:
+    """Transitive closure of a growing edge set, as int bitsets over hosts
+    (Italiano, TCS 1986), checked against per-host reach bounds:
+    bounds[v] = (counted, limit) lets v reach at most `limit` hosts of the
+    host set `counted`.
+
+    Each host keeps the hosts it reaches and the hosts that reach it.
+    Adding (u, x) lets u and every host that reaches u reach x and
+    everything x reaches: at most O(V) bitset operations per edge, and as
+    many as there are hosts on either side."""
+
+    def __init__(self, nodes, bounds):
+        order = sorted(nodes)
+        self.index = {v: i for i, v in enumerate(order)}
+        self.reach = [0] * len(order)
+        self.reached_by = [0] * len(order)
+        self.counted = [sum(1 << i for i, a in enumerate(order) if a in bounds[v][0])
+                        for v in order]
+        self.limit = [bounds[v][1] for v in order]
+        self.broken = False
+
+    def _grow(self, reach, reached_by, edges) -> bool:
+        """Add `edges` to the closure rows `reach` and `reached_by` in
+        place; whether every row of `reach` that grew stays within its
+        bound."""
+        ok = True
+        counted, limit = self.counted, self.limit
+        for u, x in edges:
+            u, x = self.index[u], self.index[x]
+            sources, grow = reached_by[u] | 1 << u, 1 << x | reach[x]
+            for w in _bits(sources):
+                row = reach[w]
+                if grow & ~row:
+                    row |= grow
+                    reach[w] = row
+                    ok = ok and (row & counted[w]).bit_count() <= limit[w]
+            for y in _bits(grow):
+                reached_by[y] |= sources
+        return ok
+
+    def holds_with(self, edges) -> bool:
+        return not self.broken and self._grow(list(self.reach), list(self.reached_by), edges)
+
+    def add(self, edges):
+        if not self._grow(self.reach, self.reached_by, edges):
+            self.broken = True
+
+
+def _root(parent, v):
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]  # path halving
+        v = parent[v]
+    return v
+
+
+class Components:
+    """Undirected components of a growing edge set (union-find), where no
+    component may hold two of the `marked` hosts."""
+
+    def __init__(self, nodes, marked):
+        self.parent = {v: v for v in nodes}
+        self.marked = set(marked)  # roots whose component holds a marked host
+        self.broken = False
+
+    @staticmethod
+    def _merge(parent, marked, edges) -> bool:
+        ok = True
+        for s, r in edges:
+            a, b = _root(parent, s), _root(parent, r)
+            if a == b:
+                continue
+            if a in marked:
+                ok = ok and b not in marked
+                marked.add(b)
+            parent[a] = b
+        return ok
+
+    def holds_with(self, edges) -> bool:
+        return not self.broken and self._merge(dict(self.parent), set(self.marked), edges)
+
+    def add(self, edges):
+        if not self._merge(self.parent, self.marked, edges):
+            self.broken = True
+
+
 # -- template definitions ----------------------------------------------------
 
 
@@ -161,6 +264,11 @@ class Template:
 
         return eval_fn
 
+    def make_incremental(self, attr_map):
+        """The factory of ConfiguredInvariant.incremental, or None when
+        the template has no incremental state."""
+        return None
+
     def instantiate(self, attrs) -> ConfiguredInvariant:
         partial = dict(attrs.partial) if isinstance(attrs, AttrMap) else dict(attrs)
         for host, value in partial.items():
@@ -173,7 +281,23 @@ class Template:
             attr_map=amap,
             phi=self.phi if self.phi_structured else None,
             norefl=self.norefl,
+            incremental=self.make_incremental(amap),
         )
+
+
+class ReachBound(Template):
+    """A template that bounds, per host v, how many hosts of a set v may
+    reach; reach_bound(attr, v) gives (that HostSet, the bound).  Its
+    incremental state is a ReachClosure."""
+
+    def reach_bound(self, attr, v):
+        raise NotImplementedError
+
+    def make_incremental(self, attr_map):
+        def state(nodes):
+            return ReachClosure(nodes, {v: self.reach_bound(attr_map(v), v) for v in nodes})
+
+        return state
 
 
 class BLPBasic(Template):
@@ -251,7 +375,7 @@ class CommPartners(Template):
         return True
 
 
-class CommWith(Template):
+class CommWith(ReachBound):
     template_id = "CommWith"
     strategy = Strategy.ACS
 
@@ -272,6 +396,9 @@ class CommWith(Template):
         pool.append(tuple(hosts))
         return pool
 
+    def reach_bound(self, attr, v):
+        return HostSet(frozenset(attr), complemented=True), 0
+
     def make_eval(self, attr_map):
         def eval_fn(graph):
             adj = adjacency(graph.edges)
@@ -284,7 +411,7 @@ class CommWith(Template):
         return eval_fn
 
 
-class NotCommWith(Template):
+class NotCommWith(ReachBound):
     template_id = "NotCommWith"
     strategy = Strategy.ACS
 
@@ -307,6 +434,9 @@ class NotCommWith(Template):
         pool += [HostSet(frozenset({h}), complemented=True) for h in hosts]
         return pool
 
+    def reach_bound(self, attr, v):
+        return attr, 0
+
     def make_eval(self, attr_map):
         def eval_fn(graph):
             adj = adjacency(graph.edges)
@@ -319,7 +449,7 @@ class NotCommWith(Template):
         return eval_fn
 
 
-class Dependability(Template):
+class Dependability(ReachBound):
     template_id = "Dependability"
     strategy = Strategy.ACS
     count_self = True
@@ -333,6 +463,9 @@ class Dependability(Template):
 
     def attr_pool(self, hosts):
         return [0, 1, 2, 3]
+
+    def reach_bound(self, attr, v):
+        return HostSet(frozenset() if self.count_self else frozenset({v}), True), attr
 
     def _reach(self, adj, v):
         reach = reachable(adj, v)
@@ -421,6 +554,12 @@ class NonInterference(Template):
             return True
 
         return eval_fn
+
+    def make_incremental(self, attr_map):
+        def state(nodes):
+            return Components(nodes, [v for v in nodes if attr_map(v) == "Interfering"])
+
+        return state
 
 
 _PEP_ROLES = (

@@ -173,7 +173,47 @@ def random_order(rng, graph, foreign):
     return order
 
 
+def comm_with_spec(rng, hosts):
+    """The benchmark's synth-b specification shape: a Phi-structured mix
+    (BLPTrusted, SubnetsInGW, Sink, NoRefl, DomainHierarchy) plus CommWith,
+    where two thirds of the hosts may each reach a seeded half of the hosts
+    and the rest reach nobody.  Returns the JSON-ready list."""
+    hosts = list(hosts)
+    names = ["Core", "Ops", "Lab", "Plant", "Office"]
+    blp = {h: {"level": rng.randrange(3), "trust": rng.random() < 0.1}
+           for h in hosts if rng.random() < 0.5}
+    gw = {h: "Member" for h in rng.sample(hosts, len(hosts) // 3)}
+    gw.update({h: "InboundGateway" for h in rng.sample([h for h in hosts if h not in gw], 2)})
+    dom = {h: {"level": ".".join(rng.choice(names) + str(i)
+                                 for i in range(rng.randrange(1, 4), 0, -1)),
+               "trust": rng.randrange(2)}
+           for h in rng.sample(hosts, len(hosts) // 2)}
+    reach = {h: sorted(rng.sample(hosts, len(hosts) // 2))
+             for h in rng.sample(hosts, len(hosts) * 2 // 3)}
+    return [
+        {"template": "BLPTrusted", "attrs": blp},
+        {"template": "SubnetsInGW", "attrs": gw},
+        {"template": "Sink", "attrs": {h: rng.choice(("Sink", "SinkPool"))
+                                       for h in rng.sample(hosts, len(hosts) // 6)}},
+        {"template": "NoRefl", "attrs": {h: "Refl" for h in rng.sample(hosts, len(hosts) // 2)}},
+        {"template": "DomainHierarchy", "attrs": dom},
+        {"template": "CommWith", "attrs": reach},
+    ]
+
+
 # -- analysis pipeline -------------------------------------------------------
+
+
+def nested_chains(depth):
+    """A FORWARD ruleset whose calls nest `depth` deep: FORWARD calls C1 and
+    each Ci calls C(i+1) on a source match; the last chain accepts one
+    destination, everything else is dropped."""
+    lines = ["*filter", ":FORWARD DROP [0:0]"]
+    lines += [f":C{i} - [0:0]" for i in range(1, depth + 1)]
+    lines.append("-A FORWARD -j C1")
+    lines += [f"-A C{i} -s 10.0.0.0/8 -j C{i + 1}" for i in range(1, depth)]
+    lines += [f"-A C{depth} -d 10.1.0.0/16 -j ACCEPT", "COMMIT"]
+    return "\n".join(lines) + "\n"
 
 
 def return_ladder(k):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import scenarios as sc
-from checkers import return_ladder, staged_simple_rules
+from checkers import nested_chains, return_ladder, staged_simple_rules
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import invariants, parser, semantics, simplefw, spoofing
 from netfence.cli import analyze_pipeline, main
@@ -319,6 +319,20 @@ class TestOneAnalysisRun:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert "calling loop through chain 'A'" in err
+
+    def test_over_deep_nesting_exits_one_naming_a_chain(self, tmp_path, capsys):
+        bound = semantics.MAX_CALL_DEPTH
+        ruleset = tmp_path / "deep.iptables"
+        ruleset.write_text(nested_chains(bound))
+        assert run(["analyze", "--input", ruleset, "--closure", "both",
+                    "--out-dir", tmp_path / "out"]) == 0
+        capsys.readouterr()
+        ruleset.write_text(nested_chains(2 * bound))
+        code = run(["analyze", "--input", ruleset, "--closure", "both",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert f"chain 'C{bound + 1}' is nested more than {bound} calls deep" in err
 
 
 class TestSynthesize:

@@ -3,10 +3,17 @@ from itertools import product
 
 import pytest
 
+from checkers import nested_chains
 from conftest import load_ruleset
 from netfence import ruleset as rs
 from netfence import semantics
-from netfence.errors import CallCycle, GotoUnsupported, IllformedRuleset, UnfoldBoundExceeded
+from netfence.errors import (
+    CallCycle,
+    CallsTooDeep,
+    GotoUnsupported,
+    IllformedRuleset,
+    UnfoldBoundExceeded,
+)
 from netfence.parser import parse_save
 from netfence.ruleset import (
     MAnd,
@@ -390,6 +397,47 @@ class TestUnfold:
         text = ("*filter\n:FORWARD DROP [0:0]\n:A - [0:0]\n"
                 "-A FORWARD -j ACCEPT\n-A A -j A\nCOMMIT\n")
         assert unfold(parse_save(text), "FORWARD") == [Rule(MTrue, rs.ACCEPT)]
+
+    def test_nesting_at_the_depth_bound_unfolds(self):
+        table = parse_save(nested_chains(semantics.MAX_CALL_DEPTH))
+        unfolded = unfold(table, "FORWARD")
+        evaluate = bigstep_evaluator(table, "FORWARD")
+        for src, dst, want in (("10.0.0.1", "10.1.0.1", ALLOW), ("11.0.0.1", "10.1.0.1", DENY),
+                               ("10.0.0.1", "10.2.0.1", DENY)):
+            p = Packet(src=ip_parse(src), dst=ip_parse(dst))
+            assert simple_list_eval(unfolded, p) == want
+            assert evaluate(p) == want
+
+    @pytest.mark.parametrize("extra", [1, 2, 5000])
+    def test_nesting_past_the_bound_fails_naming_a_chain(self, monkeypatch, extra):
+        bound = semantics.MAX_CALL_DEPTH
+        table = parse_save(nested_chains(bound + extra))
+
+        def no_step(*args):
+            raise AssertionError("unfolding started on an over-deep ruleset")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        with pytest.raises(CallsTooDeep, match=f"chain 'C{bound + 1}'") as exc:
+            unfold(table, "FORWARD")
+        assert isinstance(exc.value, UnfoldBoundExceeded)
+        with pytest.raises(CallsTooDeep, match=f"chain 'C{bound + 1}'"):
+            bigstep_evaluator(table, "FORWARD")
+
+    def test_depth_counts_the_longest_path_through_a_shared_chain(self):
+        """D1 is first reached one call from FORWARD, then again at the end
+        of the longer L path; the depth is that of the L path."""
+        bound = semantics.MAX_CALL_DEPTH
+
+        def ruleset(k):
+            chains = [f"L{i}" for i in range(1, 11)] + [f"D{j}" for j in range(1, k + 1)]
+            lines = ["*filter", ":FORWARD DROP [0:0]"] + [f":{c} - [0:0]" for c in chains]
+            lines += ["-A FORWARD -i eth0 -j D1", "-A FORWARD -i eth1 -j L1"]
+            lines += [f"-A {a} -j {b}" for a, b in zip(chains, chains[1:])]
+            return "\n".join(lines + ["COMMIT"]) + "\n"
+
+        assert unfold(parse_save(ruleset(bound - 10)), "FORWARD") == [Rule(MTrue, rs.DROP)]
+        with pytest.raises(CallsTooDeep, match=f"chain 'D{bound - 9}'"):
+            unfold(parse_save(ruleset(bound - 9)), "FORWARD")
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_unfolding_preserves_semantics(self, name, chain):

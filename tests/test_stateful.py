@@ -300,6 +300,28 @@ class TestIncrementalFilters:
                 nonempty += bool(expected)
         assert compared >= 250 and nonempty >= 50
 
+    def test_filter_ifs_equals_definitional_on_noninterference(self):
+        """NonInterference, the non-Phi IFS template, is checked on a
+        union-find of the accepted policy; alone and next to other
+        invariants, on graphs up to the allow-all graph."""
+        rng = random.Random("filter-ifs-noninterference")
+        nonempty = shorter = 0
+        for case in range(300):
+            graph = random_graph(rng, 36)
+            hosts = graph.sorted_nodes()
+            invs = [instantiate("NonInterference", {h: rng.choice(["Interfering", "Unrelated"])
+                                                    for h in hosts if rng.random() < 0.8})]
+            if case % 3:
+                invs += random_library_invariants(rng, hosts, "mixed")
+            if case % 2:
+                graph = generate_valid_topology3(invs, graph)  # a valid policy
+            order = random_order(rng, graph, 4)
+            expected = definitional_filter_ifs(graph, invs, order)
+            assert filter_ifs(graph, invs, order) == expected, (graph, invs, order)
+            nonempty += bool(expected)
+            shorter += 0 < len(expected) < len(set(order))
+        assert nonempty >= 100 and shorter >= 30
+
     def test_added_edge_is_tolerated_only_as_a_backflow(self):
         """A candidate edge that fails a Phi ACS invariant is kept only when
         it is the backflow of an edge selected before it."""

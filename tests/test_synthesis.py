@@ -1,20 +1,37 @@
+import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import scenarios as sc
-from checkers import HOSTS6, random_graph, random_library_invariants
+from checkers import (
+    HOSTS6,
+    NON_PHI_IDS,
+    comm_with_spec,
+    random_graph,
+    random_library_invariants,
+    random_order,
+)
 from netfence.errors import PreconditionViolated, TooLargeForBruteForce
-from netfence.invariants import all_hold, phi_failing_edges, set_offending_flows
-from netfence.policy import PolicyGraph
+from netfence.invariants import (
+    ConfiguredInvariant,
+    GraphState,
+    all_hold,
+    phi_failing_edges,
+    set_offending_flows,
+)
+from netfence.policy import AttrMap, PolicyGraph, Strategy
 from netfence.synthesis import (
     generate_valid_topology,
     generate_valid_topology3,
+    insertion_member,
     maximum_policy,
     minimalize_offending_overapprox,
     policy_diff,
 )
-from netfence.templates import instantiate
+from netfence.templates import TEMPLATES, instantiate, load_invariants
 
 
 def definitional_generate_valid_topology3(invariants, graph):
@@ -243,6 +260,108 @@ class TestPhiShortcut:
             )
 
 
+def random_template_invariant(rng, template_id, graph):
+    template = TEMPLATES[template_id]
+    hosts = graph.sorted_nodes()
+    pool = template.attr_pool(hosts)
+    return template.instantiate({h: rng.choice(pool) for h in hosts if rng.random() < 0.7})
+
+
+class TestInsertionMember:
+    """insertion_member grows the graph edge by edge on the invariant's
+    incremental state and must find minimalize's member from the sorted
+    edges.  Checked per non-Phi template on random graphs of up to six
+    nodes (self-loops and allow-all graphs included), and on the
+    benchmark's CommWith specification shape past the brute-force bound."""
+
+    @pytest.mark.parametrize("template_id", NON_PHI_IDS)
+    def test_equals_minimalize(self, template_id):
+        rng = random.Random(f"insertion-{template_id}")
+        violated = 0
+        for case in range(300):
+            graph = random_graph(rng, 36)
+            if case % 4 == 0:
+                graph = graph.allow_all()
+            inv = random_template_invariant(rng, template_id, graph)
+            if inv.holds(graph):
+                assert insertion_member(inv, graph) == []  # minimalize refuses these
+                continue
+            expected = minimalize_offending_overapprox(inv, graph.sorted_edges(), [], graph)
+            assert insertion_member(inv, graph) == expected, (graph, inv)
+            violated += 1
+        assert violated >= 100
+
+    @pytest.mark.parametrize("template_id", NON_PHI_IDS)
+    def test_state_agrees_with_whole_graph_evaluation(self, template_id):
+        """holds_with on single edges and on edge-backflow pairs, with and
+        without committing, including after an add broke the invariant."""
+        rng = random.Random(f"state-{template_id}")
+        broken = 0
+        for _ in range(150):
+            graph = random_graph(rng, 0)
+            inv = random_template_invariant(rng, template_id, graph)
+            state, definitional = inv.state(graph.nodes), GraphState(inv, graph.nodes)
+            assert type(state) is not GraphState
+            for e in random_order(rng, graph.allow_all(), 0):
+                added = (e, e[::-1]) if rng.random() < 0.5 else (e,)
+                assert state.holds_with(added) == definitional.holds_with(added), (inv, added)
+                if rng.random() < 0.7:
+                    state.add(added)
+                    definitional.add(added)
+            broken += not definitional.holds_with(())
+        assert broken >= 30
+
+    def test_invariant_without_a_state_is_evaluated_on_whole_graphs(self):
+        from test_invariants import transitive_ban
+
+        g = PolicyGraph.of({"v1", "v2", "v3"}, {("v1", "v2"), ("v2", "v3"), ("v1", "v3")})
+        inv = transitive_ban("v1", "v3", g.nodes)
+        assert type(inv.state(g.nodes)) is GraphState
+        assert insertion_member(inv, g) == minimalize_offending_overapprox(
+            inv, g.sorted_edges(), [], g)
+        never = ConfiguredInvariant("never", Strategy.ACS, lambda graph: False, AttrMap({}, None))
+        with pytest.raises(PreconditionViolated):
+            minimalize_offending_overapprox(never, g.sorted_edges(), [], g)
+        with pytest.raises(PreconditionViolated):
+            insertion_member(never, g)
+
+    @pytest.mark.parametrize("hosts", [25, 40])
+    def test_comm_with_specs_past_the_bound(self, hosts):
+        """The whole construction against its definition at 25 hosts; at 40
+        hosts the definition's Phi members alone take seconds, so the
+        CommWith member is compared by itself (TestPhiShortcut covers the
+        Phi members)."""
+        names = [f"n{i:03d}" for i in range(hosts)]
+        invs = load_invariants(json.dumps(comm_with_spec(random.Random(hosts), names)))
+        full = PolicyGraph.of(names).allow_all()
+        if hosts > 25:
+            invs = [inv for inv in invs if inv.template_id == "CommWith"]
+        constructed = generate_valid_topology3(invs, full)
+        assert constructed == definitional_generate_valid_topology3(invs, full)
+        assert constructed.edges and len(full.edges) - len(constructed.edges) > 16
+
+    def test_at_most_one_holds_call_per_non_phi_invariant(self, monkeypatch):
+        calls = Counter()
+        holds = ConfiguredInvariant.holds
+
+        def counted(inv, graph):
+            calls[id(inv)] += 1
+            return holds(inv, graph)
+
+        monkeypatch.setattr(ConfiguredInvariant, "holds", counted)
+        rng = random.Random("holds-calls")
+        names = [f"n{i:03d}" for i in range(25)]
+        specs = [(load_invariants(json.dumps(comm_with_spec(rng, names))),
+                  PolicyGraph.of(names).allow_all())]
+        for _ in range(50):
+            graph = random_graph(rng, 36)
+            specs.append((random_library_invariants(rng, graph.sorted_nodes(), "mixed"), graph))
+        for invs, graph in specs:
+            calls.clear()
+            generate_valid_topology3(invs, graph)
+            assert all(calls[id(inv)] <= (inv.phi is None) for inv in invs), calls
+
+
 class TestMaximumPolicy:
     """maximum_policy equals its definition, generate_valid_topology on
     the allow-all graph, on random invariant sets over up to six nodes,
@@ -268,6 +387,22 @@ class TestMaximumPolicy:
             assert maximum_policy(invs, nodes) == expected
             outcomes.add("equal")
         assert outcomes == ({"equal"} if kind == "phi" else {"equal", "raised"})
+
+    def test_non_phi_past_the_bound_raises_before_any_phi_work(self):
+        phi_calls = Counter()
+        blp_inv = blp({"a": 1, "b": 2})
+
+        def counted_phi(*args):
+            phi_calls["phi"] += 1
+            return blp_inv.phi(*args)
+
+        counted = replace(blp_inv, phi=counted_phi)
+        comm = instantiate("CommWith", {"a": ("b",)})
+        with pytest.raises(TooLargeForBruteForce, match="CommWith: 25 edges"):
+            maximum_policy([counted, comm], HOSTS6[:5])
+        assert not phi_calls
+        assert maximum_policy([counted, comm], HOSTS6[:3]) == generate_valid_topology(
+            [blp_inv, comm], PolicyGraph.of(HOSTS6[:3]).allow_all())
 
 
 def definitional_policy_diff(manual, invariants, maximum):

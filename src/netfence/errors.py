@@ -96,10 +96,6 @@ class CallsTooDeep(UnfoldBoundExceeded):
     exhaust Python's recursion limit on them."""
 
 
-class GotoUnsupported(IllformedRuleset):
-    pass
-
-
 class IllformedSpec(NetfenceError):
     """A JSON input (invariants, policy, host binding) that is not valid
     JSON or not of the documented shape."""

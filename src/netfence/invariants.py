@@ -32,7 +32,9 @@ from typing import Callable, Optional
 from .errors import TooLargeForBruteForce
 from .policy import AttrMap, PolicyGraph, Strategy
 
-DEFAULT_BRUTE_FORCE_BOUND = 16
+# set_offending_flows enumerates the edge subsets of a non-Phi invariant's
+# graph only up to this many edges
+BRUTE_FORCE_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class ConfiguredInvariant:
     attr_map: AttrMap
     phi: Optional[Callable] = None
     norefl: bool = False
-    brute_force_bound: int = DEFAULT_BRUTE_FORCE_BOUND
     incremental: Optional[Callable] = None
 
     def holds(self, graph: PolicyGraph) -> bool:
@@ -131,10 +132,10 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     if inv.holds(graph):
         return frozenset()
     edges = graph.sorted_edges()
-    if len(edges) > inv.brute_force_bound:
+    if len(edges) > BRUTE_FORCE_BOUND:
         raise TooLargeForBruteForce(
-            f"{inv.template_id}: {len(edges)} edges exceed bound {inv.brute_force_bound};"
-            " use minimalize_offending_overapprox"
+            f"{inv.template_id}: {len(edges)} edges exceed bound {BRUTE_FORCE_BOUND}"
+            " of the offending-flow enumeration"
         )
     out = []
     for subset in _powerset(edges):

@@ -5,6 +5,11 @@ unfolding flattens Call/Return/Goto control flow into a plain rule list,
 the ternary embedding abstracts match conditions the caller does not
 understand, and the closure step resolves those Unknowns toward accept
 (upper closure) or deny (lower closure).
+
+Unfolding treats a goto as a call followed by a Return on the same
+match: a packet the goto takes never comes back to the rest of its
+chain, whether the target decides, returns or falls through, which is
+exactly what the Return says.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import ruleset as rs
-from .errors import CallCycle, CallsTooDeep, GotoUnsupported, IllformedRuleset
+from .errors import CallCycle, CallsTooDeep, IllformedRuleset
 from .ruleset import (
     MAnd,
     MNot,
@@ -220,45 +225,6 @@ def process_call(rules, chains):
     return out
 
 
-def _chain_decides_unconditionally(rules) -> bool:
-    """Sufficient condition for the Goto rewrite: the chain never falls
-    through or returns (no Return/Call/Goto, final rule is an
-    unconditional decision)."""
-    for r in rules:
-        if r.action.kind in ("return", "call", "goto"):
-            return False
-    if not rules:
-        return False
-    last = rules[-1]
-    return last.match == MTrue and last.action.kind in ("accept", "drop", "reject")
-
-
-def rewrite_goto(table: Table) -> Table:
-    """(m, Goto c) :: rest becomes (m, Call c) :: add-match(not m, rest);
-    only accepted when the rewrite is provably behavior-preserving."""
-    new_chains = {}
-    for name, rules in table.chains.items():
-        out = []
-        for i, r in enumerate(rules):
-            if r.action.kind != "goto":
-                out.append(r)
-                continue
-            rest = rules[i + 1:]
-            if rest and not _chain_decides_unconditionally(table.chains[r.action.chain]):
-                raise GotoUnsupported(
-                    f"goto {r.action.chain!r} in chain {name!r} is followed by rules and"
-                    " the target chain may fall through"
-                )
-            out.append(Rule(r.match, rs.call(r.action.chain), r.raw))
-            out.extend(add_match(MNot(r.match), rest))
-            break  # the rest was already appended (rewritten)
-        new_chains[name] = out
-    table2 = Table(new_chains, dict(table.policies), table.family)
-    if any(r.action.kind == "goto" for rules in new_chains.values() for r in rules):
-        return rewrite_goto(table2)
-    return table2
-
-
 def _truncate_after_final(rules):
     out = []
     for r in rules:
@@ -285,22 +251,37 @@ def optimize_rules(rules):
     return _truncate_after_final(out)
 
 
+def _goto_as_call_return(rules):
+    """(m, Goto c) becomes (m, Call c) followed by (m, Return): whatever
+    returns or falls through from c then ends the goto's chain, and the
+    chain's later rules get the goto's negated match from process_return."""
+    out = []
+    for r in rules:
+        if r.action.kind == "goto":
+            out += [Rule(r.match, rs.call(r.action.chain), r.raw), Rule(r.match, rs.RETURN, r.raw)]
+        else:
+            out.append(r)
+    return out
+
+
 def unfold(table: Table, start_chain: str) -> list:
     """Flatten a chain into an equivalent Accept/Drop rule list.
 
     The evaluation wrapper [(True, Call start), (True, default-policy)] is
-    materialized, calls are unfolded to a fixpoint, Rejects become Drops,
-    Log/Empty disappear.  A call cycle, which the kernel rejects and which
-    has no fixpoint, raises CallCycle before the first unfolding step.
+    materialized, each goto becomes a call followed by a Return on the
+    same match (exact for any target chain), calls are unfolded to a
+    fixpoint, Rejects become Drops, Log/Empty disappear.  A call cycle,
+    which the kernel rejects and which has no fixpoint, raises CallCycle
+    before the first unfolding step.
     """
     _check_calls(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None or policy.kind not in ("accept", "drop"):
         raise IllformedRuleset(f"chain {start_chain!r} has no Accept/Drop default policy")
-    table = rewrite_goto(table)
+    chains = {name: _goto_as_call_return(rules) for name, rules in table.chains.items()}
     rules = [Rule(MTrue, rs.call(start_chain)), Rule(MTrue, policy)]
     while any(r.action.kind == "call" for r in rules):
-        rules = process_call(rules, table.chains)
+        rules = process_call(rules, chains)
     rules = optimize_rules(rules)
     for r in rules:
         if r.action.kind not in ("accept", "drop"):
@@ -431,50 +412,41 @@ def normalize_nnf(m: MatchExpr) -> list:
     """Split a match expression into a list of NNF conjunctions whose
     disjunction is equivalent to the input.
 
-    Negated port primitives expand protocol-aware: not (proto ports)
-    becomes [not proto, proto and complement-ports].
+    Each conjunction is a tuple of literals (a primitive or a negated
+    primitive); True is the empty tuple.  Repeated conjunctions are
+    dropped, keeping the first.  Negated port primitives expand
+    protocol-aware: not (proto ports) becomes [not proto, proto and
+    complement-ports].
     """
     if m == MTrue:
-        return [MTrue]
+        return [()]
     if isinstance(m, MPrim):
-        return [m]
+        return [(m,)]
     if isinstance(m, MAnd):
-        out = []
-        for x in normalize_nnf(m.left):
-            for y in normalize_nnf(m.right):
-                out.append(mand(x, y))
-        return _dedup(out)
+        right = normalize_nnf(m.right)
+        return list(dict.fromkeys(x + y for x in normalize_nnf(m.left) for y in right))
     inner = m.inner
     if inner == MTrue:
         return []
     if isinstance(inner, MNot):
         return normalize_nnf(inner.inner)
     if isinstance(inner, MAnd):
-        return _dedup(normalize_nnf(MNot(inner.left)) + normalize_nnf(MNot(inner.right)))
+        return list(dict.fromkeys(normalize_nnf(MNot(inner.left))
+                                  + normalize_nnf(MNot(inner.right))))
     # negated primitive
     prim = inner.prim
     if isinstance(prim, rs.PORT_PRIMITIVES):
-        return [
-            MNot(MPrim(rs.Protocol(prim.proto))),
-            mand(MPrim(rs.Protocol(prim.proto)), MPrim(_complement_ports(prim))),
-        ]
-    return [m]
-
-
-def _dedup(items):
-    seen = []
-    for x in items:
-        if x not in seen:
-            seen.append(x)
-    return seen
+        proto = MPrim(rs.Protocol(prim.proto))
+        return [(MNot(proto),), (proto, MPrim(_complement_ports(prim)))]
+    return [(m,)]
 
 
 def normalize_rules(rules) -> list:
     """NNF-normalize a rule list; one input rule may become several."""
     out = []
     for r in rules:
-        for m in normalize_nnf(r.match):
-            out.append(Rule(m, r.action, r.raw))
+        for lits in normalize_nnf(r.match):
+            out.append(Rule(mand(*lits), r.action, r.raw))
     return optimize_rules(out)
 
 

@@ -214,14 +214,14 @@ def prepare_for_simple(rules, width=32) -> list:
 def translate_to_simple(rules, width=32) -> list:
     """Turn a prepared, closed rule list into simple firewall rules.
 
-    The closed rules are prepared again, as the closure can leave negated
-    conjunctions.  Address sets are rebuilt as word intervals and
-    re-split into CIDRs, one output rule per CIDR/port-part combination.
-    Anything left that the simple model cannot express raises
-    UnsupportedResidue.
+    The input is prepare_for_simple's output after a closure, which
+    leaves flat conjunctions of positive primitives.  Address sets are
+    rebuilt as word intervals and re-split into CIDRs, one output rule
+    per CIDR/port-part combination.  Anything left that the simple model
+    cannot express raises UnsupportedResidue.
     """
     out = []
-    for r in prepare_for_simple(rules, width):
+    for r in rules:
         if r.action.kind not in ("accept", "drop"):
             raise IllformedRuleset("translation needs an Accept/Drop list")
         out.extend(

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import ruleset as rs
 from .errors import IfaceNotInIpassmt, MissingFinalRule
-from .ruleset import MNot, MPrim, MTrue, conjuncts, match_iface
+from .ruleset import MNot, MTrue, match_iface
 from .semantics import normalize_nnf
 from .wordinterval import WordInterval, format_interval
 
@@ -48,8 +48,7 @@ def _sources(disjuncts, iface, width, field, guaranteed):
         srcs = WordInterval.universe(width)
         for leaf in leaves:
             negated = isinstance(leaf, MNot)
-            node = leaf.inner if negated else leaf
-            prim = node.prim if isinstance(node, MPrim) else None
+            prim = (leaf.inner if negated else leaf).prim
             if isinstance(prim, rs.Src):
                 srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
             elif isinstance(prim, iface_type) and negated and not guaranteed:
@@ -112,7 +111,6 @@ def sp_certify_all(rules, ipassmt, field="in") -> dict:
         return {}
     if not rules or rules[-1].match != MTrue or rules[-1].action.kind not in ("accept", "drop"):
         raise MissingFinalRule("ruleset must end with an explicit allow-all or deny-all rule")
-    rule_disjuncts = [[[l for l in conjuncts(d) if l != MTrue] for d in normalize_nnf(r.match)]
-                      for r in rules]
+    rule_disjuncts = [normalize_nnf(r.match) for r in rules]
     return {iface: _certify(rules, rule_disjuncts, iface, ipassmt[iface], field)
             for iface in sorted(ipassmt)}

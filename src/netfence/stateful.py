@@ -174,10 +174,9 @@ def filter_acs(graph: PolicyGraph, invariants, order) -> list:
     return acc
 
 
-def generate_stateful(graph: PolicyGraph, invariants, order=None, mode="chain") -> StatefulPolicy:
+def generate_stateful(graph: PolicyGraph, invariants, order=None) -> StatefulPolicy:
     """Compute a maximal compliant stateful policy from a valid directed
-    policy.  mode "chain" runs filter_acs on filter_ifs's output; mode
-    "intersect" intersects both filters (empirically these agree).
+    policy: filter_acs over filter_ifs's output.
 
     Both filters check Phi-structured invariants incrementally, on the two
     edges each candidate adds, in time linear in the graph plus the order.
@@ -188,11 +187,5 @@ def generate_stateful(graph: PolicyGraph, invariants, order=None, mode="chain") 
     offending flows in filter_acs."""
     if order is None:
         order = graph.sorted_edges()
-    if mode == "chain":
-        selected = filter_acs(graph, invariants, filter_ifs(graph, invariants, order))
-    elif mode == "intersect":
-        acs_sel = set(filter_acs(graph, invariants, order))
-        selected = [e for e in filter_ifs(graph, invariants, order) if e in acs_sel]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    selected = filter_acs(graph, invariants, filter_ifs(graph, invariants, order))
     return StatefulPolicy(graph.nodes, graph.edges, frozenset(selected))

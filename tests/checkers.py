@@ -5,14 +5,18 @@ The template checks are shared between the per-template tests and the
 acceptance suite: the same checks run in both places, once parametrized
 for readability and once as a single gate."""
 
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 from netfence import cli
 from netfence.errors import IllformedRuleset
 from netfence.invariants import offenders, set_offending_flows
 from netfence.parser import parse_save
+from netfence import ruleset as rs
 from netfence.policy import PolicyGraph
+from netfence.ruleset import MAnd, MNot, MPrim, MTrue, mand
 from netfence.semantics import closure, ctstate_specialize, normalize_rules, unfold
 from netfence.simplefw import (
     SimpleRule,
@@ -235,6 +239,59 @@ def return_ladder(k):
               "-A USER -i eth1 -s 192.168.0.0/24 -j ACCEPT", "COMMIT"]
     ipassmt = {f"eth{i}": parse_address_set(f"10.{i}.0.0/16") for i in range(3)}
     return "\n".join(lines) + "\n", ipassmt
+
+
+def seeded_return_ladder(seed, k):
+    """The benchmark's Docker-style ruleset (bench/gen.py) with a ladder of
+    k RETURN rules, addresses drawn at `seed`: (save text, ipassmt text)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    text, ipassmt, _ = gen.return_ruleset(random.Random(seed), random.Random("return-0"), k)
+    return text, ipassmt
+
+
+def definitional_normalize_nnf(m):
+    """The NNF split as a list of conjunction trees, repeated trees dropped
+    by a list scan: the oracle of semantics.normalize_nnf, whose flat
+    literal tuples must equal these trees' leaves.  (Two trees that differ
+    only in how their conjunctions nest would flatten to one tuple, which
+    normalize_nnf keeps once; the rules the tests draw have no such pair.)"""
+    if m == MTrue:
+        return [MTrue]
+    if isinstance(m, MPrim):
+        return [m]
+    if isinstance(m, MAnd):
+        out = []
+        for x in definitional_normalize_nnf(m.left):
+            for y in definitional_normalize_nnf(m.right):
+                out.append(mand(x, y))
+        return _dedup(out)
+    inner = m.inner
+    if inner == MTrue:
+        return []
+    if isinstance(inner, MNot):
+        return definitional_normalize_nnf(inner.inner)
+    if isinstance(inner, MAnd):
+        return _dedup(definitional_normalize_nnf(MNot(inner.left))
+                      + definitional_normalize_nnf(MNot(inner.right)))
+    prim = inner.prim
+    if isinstance(prim, rs.PORT_PRIMITIVES):
+        return [
+            MNot(MPrim(rs.Protocol(prim.proto))),
+            mand(MPrim(rs.Protocol(prim.proto)),
+                 MPrim(type(prim)(prim.proto, prim.ports.complement()))),
+        ]
+    return [m]
+
+
+def _dedup(items):
+    seen = []
+    for x in items:
+        if x not in seen:
+            seen.append(x)
+    return seen
 
 
 def staged_simple_rules(save_text, tactic, chain="FORWARD", ipassmt=None, routing=None,

@@ -299,10 +299,9 @@ class TestOneAnalysisRun:
         code = run(["analyze", *write_ladder(tmp_path, 4), "--closure", "both", "--spoofing",
                     "--out-dir", tmp_path / "out"])
         assert code == 2
-        # prepare_for_simple runs once as a stage and once inside each
-        # translation, whose NNF of the closed rules it is
+        # translation reads the prepared rules as the closure leaves them
         assert calls == {"parse_save": 1, "unfold": 1, "ctstate_specialize": 1,
-                         "iface_rewrite": 2, "prepare_for_simple": 3, "normalize_rules": 3,
+                         "iface_rewrite": 2, "prepare_for_simple": 1, "normalize_rules": 1,
                          "closure": 2, "translate_to_simple": 2, "sp_certify_all": 1}
 
     def test_call_cycle_exits_one_naming_the_chain(self, tmp_path, capsys, monkeypatch):
@@ -438,6 +437,21 @@ class TestSynthesize:
                if inv.phi is not None]
         assert len(checked) == len(phi) > 0
         assert "color=red" in (tmp_path / "out" / "diff.dot").read_text()
+
+    def test_verify_past_the_brute_force_bound_exit_one(self, tmp_path, capsys):
+        """CommWith over 5 hosts: the maximum policy's offending flows would
+        be enumerated over the 25 edges of the allow-all graph."""
+        spec = tmp_path / "inv.json"
+        spec.write_text(json.dumps([{"template": "CommWith",
+                                     "attrs": {"a": ["b", "c"], "b": ["c"]}}]))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"nodes": ["a", "b", "c", "d", "e"],
+                                      "edges": [["a", "b"], ["b", "c"]]}))
+        code = run(["synthesize", "--invariants", spec, "--policy", policy, "--verify",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "exceed bound" in err and "minimalize" not in err
 
     @pytest.mark.parametrize("option", ["--invariants", "--policy", "--emit-iptables"])
     def test_missing_input_file_exit_one(self, tmp_path, capsys, option):

@@ -6,6 +6,7 @@ import pytest
 from checkers import random_graph, random_library_invariants, random_order
 from netfence.errors import TooLargeForBruteForce
 from netfence.invariants import (
+    BRUTE_FORCE_BOUND,
     ConfiguredInvariant,
     all_hold,
     offenders,
@@ -125,7 +126,7 @@ class TestOffendingFlows:
         edges = {(a, b) for a in nodes for b in nodes if a != b}
         g = PolicyGraph.of(nodes, edges)
         inv = transitive_ban("n0", "n1", nodes)
-        assert len(edges) > inv.brute_force_bound
+        assert len(edges) > BRUTE_FORCE_BOUND
         with pytest.raises(TooLargeForBruteForce):
             set_offending_flows(inv, g)
 

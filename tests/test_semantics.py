@@ -1,16 +1,16 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from checkers import nested_chains
+from checkers import definitional_normalize_nnf, nested_chains, seeded_return_ladder
 from conftest import load_ruleset
 from netfence import ruleset as rs
 from netfence import semantics
 from netfence.errors import (
     CallCycle,
     CallsTooDeep,
-    GotoUnsupported,
     IllformedRuleset,
     UnfoldBoundExceeded,
 )
@@ -23,6 +23,7 @@ from netfence.ruleset import (
     MNotTrue,
     Rule,
     Table,
+    conjuncts,
     mand,
 )
 from netfence.semantics import (
@@ -330,15 +331,25 @@ class TestUnfold:
         assert simple_list_eval(unfolded, p_in) == ALLOW
         assert simple_list_eval(unfolded, p_out) == DENY
 
-    def test_goto_with_fallthrough_target_rejected(self):
+    def test_goto_with_fallthrough_target_is_exact(self):
+        # g falls through for 10/8 sources outside 10.2/16: the goto ends
+        # INPUT's chain for them, so the default policy drops them
         text = (
             "*filter\n:INPUT DROP [0:0]\n:g - [0:0]\n"
             "-A INPUT -s 10.0.0.0/8 -g g\n"
             "-A INPUT -j ACCEPT\n"
             "-A g -s 10.2.0.0/16 -j ACCEPT\nCOMMIT\n"
         )
-        with pytest.raises(GotoUnsupported):
-            unfold(parse_save(text), "INPUT")
+        t = parse_save(text)
+        unfolded = unfold(t, "INPUT")
+        cases = [
+            (Packet(src=ip_parse("10.2.0.1")), ALLOW),
+            (Packet(src=ip_parse("10.3.0.1")), DENY),  # goto taken, g falls through
+            (Packet(src=ip_parse("11.0.0.1")), ALLOW),  # goto not taken
+        ]
+        for p, want in cases:
+            assert bigstep_eval(t, "INPUT", p) == want
+            assert simple_list_eval(unfolded, p) == want
 
     def test_goto_semantics_skips_rest_of_chain(self):
         # target chain always decides, so the goto rewrite is accepted even
@@ -360,6 +371,37 @@ class TestUnfold:
         for p, want in cases:
             assert bigstep_eval(t, "INPUT", p) == want
             assert simple_list_eval(unfolded, p) == want
+
+    def test_gotos_unfold_exactly_on_random_tables(self):
+        """Random acyclic tables with calls, Returns and gotos anywhere,
+        also in the start chain and several per chain, into targets that
+        decide, return or fall through: the unfolded list decides every
+        packet as the big-step semantics does."""
+        rng = random.Random(8)
+        seen = Counter()
+        for _ in range(400):
+            table = _random_jump_table(rng)
+            for name, rules in table.chains.items():
+                gotos = [i for i, r in enumerate(rules) if r.action.kind == "goto"]
+                seen["start chain gotos"] += name == "FORWARD" and len(gotos)
+                seen["gotos followed by rules"] += sum(i < len(rules) - 1 for i in gotos)
+                seen["chains with several gotos"] += len(gotos) > 1
+                seen["gotos into returning chains"] += sum(
+                    any(r.action.kind == "return" for r in table.chains[rules[i].action.chain])
+                    for i in gotos)
+                seen["gotos into chains that may fall through"] += sum(
+                    not any(r.match == MTrue and r.action.kind in ("accept", "drop")
+                            for r in table.chains[rules[i].action.chain])
+                    for i in gotos)
+            unfolded = unfold(table, "FORWARD")
+            evaluate = bigstep_evaluator(table, "FORWARD")
+            for _ in range(30):
+                p = Packet(iiface=rng.choice(["eth0", "eth1"]),
+                           src=ip_parse(rng.choice(["10.1.0.1", "10.2.0.1", "11.0.0.1"])),
+                           dst=ip_parse(rng.choice(["10.1.0.1", "192.168.0.1"])),
+                           protocol=rng.choice([1, 6, 17]))
+                assert simple_list_eval(unfolded, p) == evaluate(p)
+        assert min(seen.values()) > 50, seen
 
     def test_unfold_bound_exceeded_on_loop(self):
         t = Table(
@@ -385,8 +427,8 @@ class TestUnfold:
         def no_step(*args):
             raise AssertionError("unfolding started on a cyclic ruleset")
 
+        monkeypatch.setattr(semantics, "_goto_as_call_return", no_step)
         monkeypatch.setattr(semantics, "process_call", no_step)
-        monkeypatch.setattr(semantics, "rewrite_goto", no_step)
         with pytest.raises(CallCycle, match=f"chain '{chain}'") as exc:
             unfold(table, "FORWARD")
         assert isinstance(exc.value, UnfoldBoundExceeded)
@@ -555,7 +597,8 @@ class TestClosure:
 class TestNormalizeNnf:
     def test_de_morgan_example(self):
         m = MNot(MAnd(src("10.0.0.0/8"), proto("tcp")))
-        assert normalize_nnf(m) == [MNot(src("10.0.0.0/8")), MNot(proto("tcp"))]
+        assert [mand(*lits) for lits in normalize_nnf(m)] == [MNot(src("10.0.0.0/8")),
+                                                               MNot(proto("tcp"))]
 
     def test_not_true_vanishes(self):
         assert normalize_nnf(MNotTrue) == []
@@ -563,7 +606,7 @@ class TestNormalizeNnf:
     def test_negated_port_expands_protocol_aware(self):
         udp = rs.PROTO_NUMBERS["udp"]
         m = MNot(MPrim(rs.DstPorts(udp, WordInterval.single(80, 16))))
-        got = normalize_nnf(m)
+        got = [mand(*lits) for lits in normalize_nnf(m)]
         assert got[0] == MNot(MPrim(rs.Protocol(udp)))
         rest = got[1]
         assert isinstance(rest, MAnd) and rest.left == MPrim(rs.Protocol(udp))
@@ -579,8 +622,8 @@ class TestNormalizeNnf:
 
         rng = random.Random(5)
         for m in _random_matches(rng, 200):
-            for res in normalize_nnf(m):
-                assert is_nnf(res)
+            for lits in normalize_nnf(m):
+                assert is_nnf(mand(*lits))
 
     def test_meta_disjunction_equivalence(self):
         """The disjunction of the split results equals the original match,
@@ -588,7 +631,7 @@ class TestNormalizeNnf:
         rng = random.Random(6)
         for m in _random_matches(rng, 150):
             prims = sorted({p.text for p in rs.primitives_in(m)})
-            results = normalize_nnf(m)
+            results = [mand(*lits) for lits in normalize_nnf(m)]
             for bits in product([False, True], repeat=len(prims)):
                 assign = dict(zip(prims, bits))
 
@@ -602,6 +645,33 @@ class TestNormalizeNnf:
                     return ev(x.left) and ev(x.right)
 
                 assert ev(m) == any(ev(r) for r in results)
+
+
+    @staticmethod
+    def assert_tuples_equal_definitional_trees(matches):
+        for m in matches:
+            want = [tuple(conjuncts(d)) for d in definitional_normalize_nnf(m)]
+            assert normalize_nnf(m) == want, m
+
+    def test_tuples_equal_definitional_trees_on_the_corpus(self, data_dir):
+        for path in sorted(data_dir.glob("*.iptables")):
+            family = "v6" if "ipv6" in path.name else "v4"
+            table = parse_save(path.read_text(), family)
+            for chain in table.policies:
+                unfolded = unfold(table, chain)
+                rules = unfolded + ctstate_specialize(unfolded)
+                self.assert_tuples_equal_definitional_trees(r.match for r in rules)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tuples_equal_definitional_trees_on_return_ladders(self, seed):
+        for k in range(9):
+            text, _ = seeded_return_ladder(seed, k)
+            unfolded = unfold(parse_save(text), "FORWARD")
+            rules = unfolded + ctstate_specialize(unfolded)
+            self.assert_tuples_equal_definitional_trees(r.match for r in rules)
+
+    def test_tuples_equal_definitional_trees_on_random_matches(self):
+        self.assert_tuples_equal_definitional_trees(_random_matches(random.Random(7), 2000))
 
 
 def _random_matches(rng, n, max_prims=4):
@@ -618,6 +688,32 @@ def _random_matches(rng, n, max_prims=4):
         return MAnd(build(depth - 1), build(depth - 1))
 
     return [build(4) for _ in range(n)]
+
+
+def _random_jump_table(rng, n_chains=5):
+    """A random acyclic FORWARD table: each chain calls and jumps only to
+    chains defined after it, and any rule may be a Return."""
+    names = ["FORWARD"] + [f"c{i}" for i in range(1, n_chains)]
+    conds = [src("10.0.0.0/8"), src("10.1.0.0/16"), MPrim(rs.Dst(parse_address_set("10.0.0.0/8"))),
+             proto("tcp"), proto("udp"), MPrim(rs.IIface("eth1"))]
+    chains = {}
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        rules = []
+        for _ in range(rng.randrange(6)):
+            m = rng.choice(conds + [MTrue])
+            if m != MTrue and rng.random() < 0.3:
+                m = MNot(m)
+            if rng.random() < 0.3:
+                m = mand(m, rng.choice(conds))
+            kind = rng.choice(["accept", "drop", "return"] + ["call", "goto", "goto"] * bool(later))
+            if kind in ("call", "goto"):
+                action = rs.Action(kind, rng.choice(later))
+            else:
+                action = rs.Action(kind)
+            rules.append(Rule(m, action))
+        chains[name] = rules
+    return Table(chains, {"FORWARD": rng.choice([rs.ACCEPT, rs.DROP])})
 
 
 class TestCtStateSpecialize:

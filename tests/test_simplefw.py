@@ -198,15 +198,15 @@ class TestTranslation:
 
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
-        assert translate_to_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT)]) == []
-        assert translate_to_simple([Rule(mand(tcp, udp), rs.ACCEPT)]) == []
+        for m in (mand(tcp, MNot(tcp)), mand(tcp, udp)):
+            assert translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)])) == []
 
     def test_compatible_negated_protocol_is_absorbed(self):
         from netfence.ruleset import MNot
 
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
-        out = translate_to_simple([Rule(mand(udp, MNot(tcp)), rs.ACCEPT)])
+        out = translate_to_simple(prepare_for_simple([Rule(mand(udp, MNot(tcp)), rs.ACCEPT)]))
         assert len(out) == 1 and out[0].match.proto == 17
 
     def test_wellformedness_of_output(self):

@@ -6,25 +6,31 @@ iptables-save grammar subset (line oriented):
     save      ::= line*
     line      ::= comment | '*' tablename | ':' chain policy counters
                 | '-A' chain rulespec | '-I' chain [index] rulespec
-                | '-P' chain policy | 'COMMIT'
-    rulespec  ::= (['!'] primitive)* target
-    target    ::= '-j' name | '-g' name
+                | '-N' chain | '-P' chain policy | 'COMMIT'
+    rulespec  ::= (['!'] option)*
+    option    ::= '-m' module | '-j' target | '-g' chain | name value*
 
-Recognized primitives: -s/-d (with the `a,b` multi-address sugar), -i/-o,
--p, -m tcp/udp/sctp port and flag options, -m multiport, -m state /
--m conntrack state lists, -m iprange.  Anything else is folded verbatim
-into one Extra primitive per option group, which the ternary layer later
-treats as Unknown.  Only the filter table is interpreted; other tables are
-skipped with a warning.
+`!` may precede any option, inside a `-m` group or not.  The recognized
+options are the keys of `_OPTIONS`: -s/-d (with the `a,b` multi-address
+sugar), -i/-o, -p, the tcp/udp/sctp port and flag options (also bare,
+after -p), multiport port lists, state/conntrack state lists, iprange
+ranges and comments.  A typed value (address, interface, protocol, port,
+flags, states, module or target name) that looks like an option is a
+syntax error.  Every other option of a group, and every option of an
+unknown module, is folded verbatim into that group's one Extra primitive;
+an unknown option outside a group becomes its own Extra.  The ternary
+layer later treats Extras as Unknown.  Only the filter table is
+interpreted; other tables are skipped with a warning.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import shlex
 
 from . import ruleset as rs
-from .errors import SyntaxError_, UnknownAction
+from .errors import ParseError, SyntaxError_, UnknownAction
 from .wordinterval import (
     WordInterval,
     family_width,
@@ -43,7 +49,10 @@ _EXTENSION_TARGETS = {
     "SYNPROXY", "TCPMSS", "TCPOPTSTRIP", "TEE", "TPROXY", "ULOG",
 }
 
-_TOP_LEVEL_FLAGS = {"-m", "-j", "-g", "-i", "-o", "-s", "-d", "-p", "!"}
+_TARGETS = {"ACCEPT": rs.ACCEPT, "DROP": rs.DROP, "REJECT": rs.REJECT,
+            "RETURN": rs.RETURN, "LOG": rs.LOG, "NFLOG": rs.LOG}
+# options of a built-in target, swallowed with their values
+_TARGET_OPTIONS = {"REJECT": "--reject-with", "LOG": "--log", "NFLOG": "--log"}
 
 _TCP_FLAG_ALIASES = {"ALL": frozenset(rs.TCP_FLAG_ORDER), "NONE": frozenset()}
 
@@ -97,8 +106,124 @@ def _parse_protocol(text, lineno):
     return num
 
 
+def _at_line(parse, text, family, lineno):
+    """parse(text, family) for an address parser; its ParseError gets the
+    line number."""
+    try:
+        return parse(text, family)
+    except ParseError as exc:
+        raise SyntaxError_(str(exc), lineno) from None
+
+
+# -- option builders: each reads its option's values and returns the
+# primitive, or None when the option adds no term to the rule
+
+def _address(rp, option, cls, negated):
+    entries = rp.value(option).split(",")
+    if len(entries) == 1:
+        return cls(rp.addresses(entries[0]))
+    rp.alternatives[cls] = [rp.addresses(e) for e in entries]  # one rule each
+
+
+def _range(rp, option, cls, negated):
+    return cls(rp.addresses(rp.value(option)))
+
+
+def _iface(rp, option, cls, negated):
+    return cls(rp.value(option))
+
+
+def _protocol(rp, option, cls, negated):
+    value = rp.value(option)
+    if value == "all":
+        return None
+    number = _parse_protocol(value, rp.lineno)
+    if not negated:
+        rp.proto = number
+    return cls(number)
+
+
+def _ports(rp, option, cls, negated):
+    return cls(rp.port_proto(), _parse_port_spec(rp.value(option), rp.lineno))
+
+
+def _multiport(rp, option, cls, negated):
+    return cls(rp.port_proto(), _parse_multiport_list(rp.value(option), rp.lineno))
+
+
+def _tcp_flags(rp, option, cls, negated):
+    rp.port_proto()
+    if option == "--syn":
+        return cls(frozenset({"FIN", "SYN", "RST", "ACK"}), frozenset({"SYN"}))
+    mask = _parse_flagset(rp.value(option), rp.lineno)
+    return cls(mask, _parse_flagset(rp.value(option), rp.lineno))
+
+
+def _states(rp, option, cls, negated):
+    states = frozenset(rp.value(option).split(","))
+    unknown = states - set(rs.CT_STATES)
+    if unknown:
+        rp.error(f"unknown conntrack states {sorted(unknown)}")
+    return cls(states)
+
+
+def _comment(rp, option, cls, negated):
+    rp.next()  # comments carry no match semantics
+
+
+def _module(rp, option, cls, negated):
+    rp.module = rp.value(option)
+
+
+def _target(rp, option, cls, negated):
+    name = rp.value(option)
+    if option == "-g":
+        rp.action = rs.goto(name)
+    elif name in _TARGETS:
+        rp.action = _TARGETS[name]
+        prefix = _TARGET_OPTIONS.get(name)
+        while prefix and (p := rp.peek()) is not None and p.startswith(prefix):
+            rp.next(), rp.next()
+    elif name in _EXTENSION_TARGETS:
+        raise UnknownAction(f"target {name} is not supported in the filter table", rp.lineno)
+    else:
+        rp.action = rs.call(name)
+
+
+_PORT_GROUPS = frozenset({"tcp", "udp", "sctp", None})
+
+# option spelling -> (modules, builder, class).  `modules` is None for a
+# top-level option, which is valid anywhere and ends the current -m group;
+# otherwise it holds the -m groups the option belongs to, None meaning no
+# group (a port option after -p).
+_OPTIONS = {
+    spelling: (modules, build, cls)
+    for spellings, modules, build, cls in [
+        (("-s", "--source", "--src"), None, _address, rs.Src),
+        (("-d", "--destination", "--dst"), None, _address, rs.Dst),
+        (("-i", "--in-interface"), None, _iface, rs.IIface),
+        (("-o", "--out-interface"), None, _iface, rs.OIface),
+        (("-p", "--protocol"), None, _protocol, rs.Protocol),
+        (("-m",), None, _module, None),
+        (("-j", "-g"), None, _target, None),
+        (("--sport", "--source-port"), _PORT_GROUPS, _ports, rs.SrcPorts),
+        (("--dport", "--destination-port"), _PORT_GROUPS, _ports, rs.DstPorts),
+        (("--tcp-flags", "--syn"), _PORT_GROUPS, _tcp_flags, rs.TcpFlags),
+        (("--sports", "--source-ports"), {"multiport"}, _multiport, rs.MultiportSrc),
+        (("--dports", "--destination-ports"), {"multiport"}, _multiport, rs.MultiportDst),
+        (("--state", "--ctstate"), {"state", "conntrack"}, _states, rs.CtState),
+        (("--src-range",), {"iprange"}, _range, rs.Src),
+        (("--dst-range",), {"iprange"}, _range, rs.Dst),
+        (("--comment",), {"comment"}, _comment, None),
+    ]
+    for spelling in spellings
+}
+# a group of one of these modules with only known options adds no Extra
+_KNOWN_MODULES = {m for modules, _, _ in _OPTIONS.values() for m in modules or ()} - {None}
+
+
 class _RuleParser:
-    """Parses one rulespec token list into (match expr, action, extra_rules).
+    """Parses one rulespec token list into [(match expr, action)].
 
     The `-s a,b` sugar produces one parsed rule per address; the caller
     receives a list of complete rules.
@@ -110,10 +235,11 @@ class _RuleParser:
         self.lineno = lineno
         self.pos = 0
         self.terms = []          # list of (negated, primitive)
-        self.action = None
-        self.src_alternatives = None
-        self.dst_alternatives = None
+        self.action = rs.EMPTY
+        self.alternatives = {}   # Src/Dst -> address sets of the `a,b` sugar
         self.proto = None        # last positively matched protocol
+        self.module = None       # the current -m group
+        self.group = []          # its options folded into one Extra
 
     def error(self, message):
         raise SyntaxError_(message, self.lineno)
@@ -124,212 +250,76 @@ class _RuleParser:
     def next(self):
         if self.pos >= len(self.tokens):
             self.error("unexpected end of rule")
-        tok = self.tokens[self.pos]
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def value(self, option):
+        """The typed value of `option`; '!' and option-like tokens are not."""
+        tok = self.peek()
+        if tok is None or tok == "!" or tok.startswith("-"):
+            self.error(f"{option} needs a value" + (f", not {tok!r}" if tok else ""))
         self.pos += 1
         return tok
 
-    def add(self, negated, prim):
-        self.terms.append((negated, prim))
+    def addresses(self, text):
+        return _at_line(parse_address_set, text, self.family, self.lineno)
 
-    # -- module option handlers -------------------------------------------
-
-    def port_proto(self, module):
-        if module in ("tcp", "udp", "sctp"):
-            return rs.PROTO_NUMBERS[module]
+    def port_proto(self):
+        if self.module in ("tcp", "udp", "sctp"):
+            return rs.PROTO_NUMBERS[self.module]
         if self.proto in (6, 17, 132):
             return self.proto
         self.error("port match requires a tcp/udp/sctp protocol context")
 
-    def parse_module(self, module):
-        """Consume options of one -m group; unknown options become Extra."""
-        extra_tokens = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok in _TOP_LEVEL_FLAGS:
-                break
-            if tok == "!":
-                break
-            if module in ("tcp", "udp", "sctp") and tok in (
-                "--sport", "--source-port", "--dport", "--destination-port",
-                "--tcp-flags", "--syn",
-            ):
-                self.next()
-                self.parse_port_option(module, tok, negated=False)
-                continue
-            if module == "multiport" and tok in ("--sports", "--source-ports",
-                                                 "--dports", "--destination-ports"):
-                self.next()
-                ports = _parse_multiport_list(self.next(), self.lineno)
-                proto = self.port_proto(module)
-                cls = rs.MultiportSrc if tok in ("--sports", "--source-ports") else rs.MultiportDst
-                self.add(False, cls(proto, ports))
-                continue
-            if module in ("state", "conntrack") and tok in ("--state", "--ctstate"):
-                self.next()
-                states = frozenset(self.next().split(","))
-                unknown = states - set(rs.CT_STATES)
-                if unknown:
-                    self.error(f"unknown conntrack states {sorted(unknown)}")
-                self.add(False, rs.CtState(states))
-                continue
-            if module == "iprange" and tok in ("--src-range", "--dst-range"):
-                self.next()
-                wi = parse_address_set(self.next(), self.family)
-                prim = rs.Src(wi) if tok == "--src-range" else rs.Dst(wi)
-                self.add(False, prim)
-                continue
-            if module == "comment" and tok == "--comment":
-                self.next()
-                self.next()  # comments carry no match semantics
-                continue
-            # unknown option (possibly with values): swallow greedily
-            self.next()
-            extra_tokens.append(tok)
-            while (p := self.peek()) is not None and not p.startswith(("-", "!")):
-                extra_tokens.append(self.next())
-        if extra_tokens or module not in (
-            "tcp", "udp", "sctp", "multiport", "state", "conntrack", "iprange", "comment",
-        ):
-            self.add(False, rs.Extra(" ".join([f"-m {module}"] + extra_tokens)))
-
-    def parse_port_option(self, module, option, negated):
-        proto = self.port_proto(module)
-        if option == "--syn":
-            self.add(negated, rs.TcpFlags(frozenset({"FIN", "SYN", "RST", "ACK"}),
-                                          frozenset({"SYN"})))
-            return
-        if option == "--tcp-flags":
-            mask = _parse_flagset(self.next(), self.lineno)
-            comp = _parse_flagset(self.next(), self.lineno)
-            self.add(negated, rs.TcpFlags(mask, comp))
-            return
-        ports = _parse_port_spec(self.next(), self.lineno)
-        if option in ("--sport", "--source-port"):
-            self.add(negated, rs.SrcPorts(proto, ports))
-        else:
-            self.add(negated, rs.DstPorts(proto, ports))
-
-    def parse_address(self, option, negated):
-        value = self.next()
-        entries = value.split(",")
-        if len(entries) > 1:
-            if negated:
-                self.error("negation is not allowed with multiple addresses")
-            sets = [parse_address_set(e, self.family) for e in entries]
-            if option in ("-s", "--source", "--src"):
-                self.src_alternatives = sets
-            else:
-                self.dst_alternatives = sets
-            return
-        wi = parse_address_set(value, self.family)
-        prim = rs.Src(wi) if option in ("-s", "--source", "--src") else rs.Dst(wi)
-        self.add(negated, prim)
-
-    def parse_target(self, option):
-        name = self.next()
-        if option == "-g":
-            self.action = rs.goto(name)
-            return
-        if name == "ACCEPT":
-            self.action = rs.ACCEPT
-        elif name == "DROP":
-            self.action = rs.DROP
-        elif name == "REJECT":
-            self.action = rs.REJECT
-            if self.peek() == "--reject-with":
-                self.next(), self.next()
-        elif name == "RETURN":
-            self.action = rs.RETURN
-        elif name in ("LOG", "NFLOG"):
-            self.action = rs.LOG
-            while (p := self.peek()) is not None and p.startswith("--log"):
-                self.next(), self.next()
-        elif name in _EXTENSION_TARGETS:
-            raise UnknownAction(f"target {name} is not supported in the filter table",
-                                self.lineno)
-        else:
-            self.action = rs.call(name)
+    def end_group(self):
+        if self.module is not None and (self.group or self.module not in _KNOWN_MODULES):
+            self.terms.append((False, rs.Extra(" ".join(["-m", self.module, *self.group]))))
+        self.module, self.group = None, []
 
     def parse(self):
         while (tok := self.peek()) is not None:
-            negated = False
-            if tok == "!":
-                self.next()
-                negated = True
-                tok = self.peek()
-                if tok is None:
+            negated = tok == "!"
+            if negated:
+                self.pos += 1
+                if self.peek() in (None, "!"):
                     self.error("dangling '!'")
-            if tok in ("-j", "-g"):
-                if negated:
-                    self.error("cannot negate a jump")
-                self.next()
-                self.parse_target(tok)
-            elif tok in ("-s", "--source", "--src", "-d", "--destination", "--dst"):
-                self.next()
-                self.parse_address(tok, negated)
-            elif tok in ("-i", "--in-interface"):
-                self.next()
-                self.add(negated, rs.IIface(self.next()))
-            elif tok in ("-o", "--out-interface"):
-                self.next()
-                self.add(negated, rs.OIface(self.next()))
-            elif tok in ("-p", "--protocol"):
-                self.next()
-                value = self.next()
-                if value == "all":
-                    if negated:
-                        self.error("'! -p all' matches nothing")
-                    continue
-                number = _parse_protocol(value, self.lineno)
-                if not negated:
-                    self.proto = number
-                self.add(negated, rs.Protocol(number))
-            elif tok == "-m":
-                self.next()
-                if negated:
-                    self.error("cannot negate a module load")
-                self.parse_module(self.next())
-            elif tok in ("--sport", "--source-port", "--dport", "--destination-port",
-                         "--tcp-flags", "--syn"):
-                # plain iptables syntax without the explicit -m module
-                self.next()
-                module = rs.PROTO_NAMES.get(self.proto, "")
-                self.parse_port_option(module, tok, negated)
-            elif tok == "-f":
-                self.next()
-                self.add(negated, rs.Extra("-f"))
+            start = self.pos
+            option = self.next()
+            modules, build, cls = _OPTIONS.get(option, ((), None, None))
+            if modules is None or self.module in modules:
+                if modules is None:
+                    self.end_group()
+                prim = build(self, option, cls, negated)
+                if prim is not None:
+                    self.terms.append((negated, prim))
+                elif negated:
+                    self.error(f"cannot negate {' '.join(self.tokens[start:self.pos])!r}")
+                continue
+            # an option the table does not know, with its values
+            words = [option]
+            while (p := self.peek()) is not None and p != "!" and not p.startswith("-"):
+                words.append(self.next())
+            if self.module is None:
+                self.terms.append((negated, rs.Extra(" ".join(words))))
             else:
-                # unrecognized top-level option group -> one Extra primitive
-                self.next()
-                group = [tok]
-                while (p := self.peek()) is not None and p not in _TOP_LEVEL_FLAGS \
-                        and not p.startswith("--"):
-                    group.append(self.next())
-                self.add(negated, rs.Extra(" ".join(group)))
-        if self.action is None:
-            self.action = rs.EMPTY
+                self.group += ["!", *words] if negated else words
+        self.end_group()
         return self.build_rules()
 
     def build_rules(self):
-        base = [
-            rs.MNot(rs.MPrim(p)) if negated else rs.MPrim(p) for negated, p in self.terms
-        ]
+        base = [rs.MNot(rs.MPrim(p)) if negated else rs.MPrim(p) for negated, p in self.terms]
+        choices = [[rs.MPrim(cls(wi)) for wi in self.alternatives[cls]]
+                   for cls in (rs.Src, rs.Dst) if cls in self.alternatives]
+        return [(rs.mand(*prefix, *base), self.action)
+                for prefix in itertools.product(*choices)]
 
-        def rule_for(src_wi, dst_wi):
-            prefix = []
-            if src_wi is not None:
-                prefix.append(rs.MPrim(rs.Src(src_wi)))
-            if dst_wi is not None:
-                prefix.append(rs.MPrim(rs.Dst(dst_wi)))
-            return rs.mand(*(prefix + base)), self.action
 
-        if self.src_alternatives is None and self.dst_alternatives is None:
-            return [rule_for(None, None)]
-        out = []
-        for src_wi in self.src_alternatives or [None]:
-            for dst_wi in self.dst_alternatives or [None]:
-                out.append(rule_for(src_wi, dst_wi))
-        return out
+def _lines(text):
+    """(line number, stripped line) of each line not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def _tokenize(line, lineno):
@@ -345,10 +335,7 @@ def parse_save(text, family="v4") -> rs.Table:
     policies: dict = {}
     current_table = None
     saw_filter = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("*"):
             current_table = line[1:].strip()
             if current_table != "filter":
@@ -384,27 +371,21 @@ def parse_save(text, family="v4") -> rs.Table:
             chains.setdefault(tokens[1], [])
             policies[tokens[1]] = rs.ACCEPT if tokens[2] == "ACCEPT" else rs.DROP
             continue
-        if head in ("-A", "-I"):
+        if head in ("-A", "-I", "-N", "--new-chain"):
             if len(tokens) < 2:
                 raise SyntaxError_(f"{head} needs a chain name", lineno)
-            chain = tokens[1]
-            rest = tokens[2:]
-            index = 0
-            if head == "-I":
-                index = 1
-                if rest and rest[0].isdigit():
-                    index = int(rest[0])
-                    rest = rest[1:]
-            parsed = _RuleParser(rest, family, lineno).parse()
+            chain, rest = tokens[1], tokens[2:]
             rules = chains.setdefault(chain, [])
-            new = [rs.Rule(m, a, raw=line) for m, a in parsed]
-            if head == "-A":
-                rules.extend(new)
-            else:
-                rules[index - 1:index - 1] = new
-            continue
-        if head in ("-N", "--new-chain"):
-            chains.setdefault(tokens[1], [])
+            if head in ("-N", "--new-chain"):
+                continue
+            index = len(rules) + 1 if head == "-A" else 1
+            if head == "-I" and rest and rest[0].isdecimal():
+                index, rest = int(rest[0]), rest[1:]
+                if not 1 <= index <= len(rules) + 1:
+                    raise SyntaxError_(f"-I {chain} {index}: rule number must be in "
+                                       f"1..{len(rules) + 1}", lineno)
+            parsed = _RuleParser(rest, family, lineno).parse()
+            rules[index - 1:index - 1] = [rs.Rule(m, a, raw=line) for m, a in parsed]
             continue
         raise SyntaxError_(f"unsupported directive {head!r}", lineno)
     if not saw_filter and not chains:
@@ -419,14 +400,11 @@ def parse_ipassmt(text, family="v4") -> dict:
     `all_but_those_ips` before the list complements the union."""
     width = family_width(family)
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         name, eq, rhs = line.partition("=")
-        if not eq:
-            raise SyntaxError_("expected 'iface = [ranges]'", lineno)
         name = name.strip()
+        if not (eq and name):
+            raise SyntaxError_("expected 'iface = [ranges]'", lineno)
         rhs = rhs.strip()
         complement = False
         if rhs.startswith("all_but_those_ips"):
@@ -438,7 +416,7 @@ def parse_ipassmt(text, family="v4") -> dict:
         wi = WordInterval.empty(width)
         if body:
             for entry in body.split(","):
-                wi = wi.union(parse_address_set(entry, family))
+                wi = wi.union(_at_line(parse_address_set, entry, family, lineno))
         if complement:
             wi = wi.complement()
         out[name] = wi
@@ -450,17 +428,12 @@ def parse_routing(text, family="v4") -> list:
     'default [via ip] dev <iface>'.  Returns [(Cidr, iface)] in file order;
     longest-prefix-match semantics are applied by the consumer."""
     routes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         tokens = line.split()
         if tokens[0] == "default":
-            cidr = parse_cidr("::/0" if family == "v6" else "0.0.0.0/0", family)
-        else:
-            cidr = parse_cidr(tokens[0], family)
-        if "dev" not in tokens:
+            tokens[0] = "::/0" if family == "v6" else "0.0.0.0/0"
+        cidr = _at_line(parse_cidr, tokens[0], family, lineno)
+        if "dev" not in tokens[:-1]:
             raise SyntaxError_("route line is missing 'dev <iface>'", lineno)
-        iface = tokens[tokens.index("dev") + 1]
-        routes.append((cidr, iface))
+        routes.append((cidr, tokens[tokens.index("dev") + 1]))
     return routes

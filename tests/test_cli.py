@@ -134,6 +134,27 @@ class TestAnalyze:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option,text", [
+        ("--input", "*filter\n:INPUT ACCEPT [0:0]\n-N\nCOMMIT\n"),
+        ("--input", "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -i -j DROP\nCOMMIT\n"),
+        ("--input", "*filter\n-A INPUT -j DROP\n-I INPUT 0 -j ACCEPT\nCOMMIT\n"),
+        ("--input", "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/33 -j DROP\n"),
+        ("--ipassmt", "eth0 = [10.0.0.0/8]\n\n= [192.168.0.0/16]\n"),
+        ("--ipassmt", "eth0 = [10.0.0.0/8]\n\neth1 = [10.0.0.0/33]\n"),
+        ("--routing", "default dev eth0\n\n10.0.0.0/8 dev\n"),
+        ("--routing", "default dev eth0\n\n10.0.0.0/33 dev eth1\n"),
+    ])
+    def test_malformed_line_exit_one_naming_it(self, tmp_path, capsys, option, text):
+        (tmp_path / "routes").write_text("default dev eth0\n")
+        argv = {"--input": DATA / "fwbuilder.iptables", "--ipassmt": DATA / "fwbuilder.ipassmt",
+                "--routing": tmp_path / "routes"}
+        argv[option] = tmp_path / "bad"
+        argv[option].write_text(text)
+        code = run(["analyze", "--chain", "INPUT", *(x for kv in argv.items() for x in kv),
+                    "--spoofing", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "(line 3)" in assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("service", ["foo", "bogus:22", "tcp:abc", "tcp:70000"])
     def test_malformed_service_exit_one(self, tmp_path, capsys, service):
         code = run(

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 
 from conftest import load_ruleset
 from netfence import ruleset as rs
-from netfence.errors import SyntaxError_, UndefinedChainTarget, UnknownAction
-from netfence.parser import parse_ipassmt, parse_routing, parse_save
+from netfence.errors import NetfenceError, SyntaxError_, UndefinedChainTarget, UnknownAction
+from netfence.parser import _OPTIONS, parse_ipassmt, parse_routing, parse_save
 from netfence.ruleset import (
     MNot,
     MPrim,
@@ -11,7 +13,30 @@ from netfence.ruleset import (
     conjuncts,
     table_to_save,
 )
-from netfence.wordinterval import ip_parse, parse_address_set
+from netfence.wordinterval import WordInterval, ip_parse, parse_address_set
+
+
+def _ports(lo, hi):
+    return WordInterval.range(lo, hi, 16)
+
+
+# one of each primitive type, after the protocol match it needs
+PRIMITIVES = [
+    ([], rs.Src(parse_address_set("10.0.0.0/8"))),
+    ([], rs.Src(parse_address_set("10.0.0.1-10.0.0.5"))),
+    ([], rs.Dst(parse_address_set("192.168.1.1"))),
+    ([], rs.Dst(parse_address_set("10.0.1.0-10.0.1.9"))),
+    ([], rs.IIface("eth0")),
+    ([], rs.OIface("br+")),
+    ([], rs.Protocol(6)),
+    ([MPrim(rs.Protocol(6))], rs.SrcPorts(6, _ports(1024, 65535))),
+    ([MPrim(rs.Protocol(17))], rs.DstPorts(17, _ports(53, 53))),
+    ([MPrim(rs.Protocol(6))], rs.MultiportSrc(6, _ports(80, 80).union(_ports(443, 444)))),
+    ([MPrim(rs.Protocol(132))], rs.MultiportDst(132, _ports(22, 22).union(_ports(80, 80)))),
+    ([], rs.CtState(frozenset({"NEW", "ESTABLISHED"}))),
+    ([MPrim(rs.Protocol(6))], rs.TcpFlags(frozenset({"SYN", "ACK"}), frozenset({"SYN"}))),
+    ([], rs.Extra("-f")),
+]
 
 
 class TestParseSave:
@@ -135,6 +160,71 @@ class TestParseSave:
             parse_save(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("spec,expected", [
+        ("-m conntrack ! --ctstate INVALID", [MNot(MPrim(rs.CtState(frozenset({"INVALID"}))))]),
+        ("-m state ! --state NEW,RELATED",
+         [MNot(MPrim(rs.CtState(frozenset({"NEW", "RELATED"}))))]),
+        ("-p udp -m multiport ! --dports 53,67:68 -m multiport --sports 1000",
+         [MPrim(rs.Protocol(17)),
+          MNot(MPrim(rs.MultiportDst(17, _ports(53, 53).union(_ports(67, 68))))),
+          MPrim(rs.MultiportSrc(17, _ports(1000, 1000)))]),
+        ("-m iprange ! --src-range 10.0.0.1-10.0.0.5 --dst-range 10.0.1.0-10.0.1.9",
+         [MNot(MPrim(rs.Src(parse_address_set("10.0.0.1-10.0.0.5")))),
+          MPrim(rs.Dst(parse_address_set("10.0.1.0-10.0.1.9")))]),
+        ("-m tcp ! --dport 22 ! --syn",
+         [MNot(MPrim(rs.DstPorts(6, _ports(22, 22)))),
+          MNot(MPrim(rs.TcpFlags(frozenset({"FIN", "SYN", "RST", "ACK"}), frozenset({"SYN"}))))]),
+        ("! -f -m recent ! --rcheck --seconds 60 -m comment --comment x",
+         [MNot(MPrim(rs.Extra("-f"))), MPrim(rs.Extra("-m recent ! --rcheck --seconds 60"))]),
+    ])
+    def test_negated_options_in_and_out_of_groups(self, spec, expected):
+        text = f"*filter\n:INPUT ACCEPT [0:0]\n-A INPUT {spec} -j DROP\nCOMMIT\n"
+        rule = parse_save(text).chains["INPUT"][0]
+        assert conjuncts(rule.match) == expected and rule.action == rs.DROP
+
+    @pytest.mark.parametrize("spec", [
+        "-i -j DROP",
+        "-s ! 10.0.0.1 -j DROP",
+        "-p tcp --dport -j DROP",
+        "-m -j DROP",
+        "-m tcp ! ! --dport 22 -j DROP",
+        "! -p all -j DROP",
+        "! -m tcp --dport 22 -j DROP",
+        "-j",
+    ])
+    def test_malformed_option_is_a_syntax_error(self, spec):
+        text = f"*filter\n:INPUT ACCEPT [0:0]\n-A INPUT {spec}\nCOMMIT\n"
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(text)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("index,ok", [(0, False), (1, True), (3, True), (4, False)])
+    def test_insert_index_is_checked(self, index, ok):
+        text = (
+            "*filter\n:FORWARD DROP [0:0]\n"
+            "-A FORWARD -s 10.0.0.1 -j ACCEPT\n-A FORWARD -s 10.0.0.2 -j ACCEPT\n"
+            f"-I FORWARD {index} -s 10.0.0.3 -j DROP\nCOMMIT\n"
+        )
+        if not ok:
+            with pytest.raises(SyntaxError_) as exc:
+                parse_save(text)
+            assert exc.value.line == 5
+            return
+        rules = parse_save(text).chains["FORWARD"]
+        assert rules[index - 1].action == rs.DROP and len(rules) == 3
+
+    @pytest.mark.parametrize("directive", ["-N", "-A", "-I"])
+    def test_directive_without_chain_name(self, directive):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(f"*filter\n:INPUT ACCEPT [0:0]\n{directive}\nCOMMIT\n")
+        assert exc.value.line == 3
+
+    def test_address_error_names_its_line(self):
+        text = "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/33 -j DROP\nCOMMIT\n"
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(text)
+        assert exc.value.line == 3 and "/33" in str(exc.value)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
@@ -156,6 +246,32 @@ class TestRoundTrip:
         again = parse_save(table_to_save(t))
         assert again.chains == t.chains
         assert again.policies == t.policies
+
+    @pytest.mark.parametrize("context,prim", PRIMITIVES, ids=[repr(p) for _, p in PRIMITIVES])
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_every_primitive_roundtrips(self, context, prim, negated):
+        leaf = MNot(MPrim(prim)) if negated else MPrim(prim)
+        t = rs.Table({"FORWARD": [rs.Rule(rs.mand(*context, leaf), rs.DROP)]},
+                     {"FORWARD": rs.ACCEPT})
+        assert parse_save(table_to_save(t)).chains == t.chains
+
+    def test_random_tokens_parse_or_raise_a_typed_error(self):
+        rng = random.Random(7)
+        words = [*_OPTIONS, "!", "!", "-f", "--limit", "--reject-with", "--log-prefix",
+                 "10.0.0.0/8", "10.0.0.1-10.0.0.9", "10.0.0.1,10.0.0.2", "10.0.0.0/40",
+                 "::1", "eth0", "eth+", "tcp", "udp", "icmp", "all", "300", "22", "1:1024",
+                 "80,443", "9:1", "SYN,ACK", "ALL", "NONE", "NEW,ESTABLISHED", "BOGUS",
+                 "multiport", "state", "conntrack", "iprange", "comment", "limit",
+                 "ACCEPT", "DROP", "LOG", "REJECT", "RETURN", "FORWARD", "MASQUERADE",
+                 "0", "1", "'a b'", '"-j DROP"', "'", "''"]
+        for _ in range(3000):
+            head = rng.choice(["-A FORWARD", "-I FORWARD", "-I FORWARD 1", "-N", "-P FORWARD"])
+            line = " ".join([head, *rng.choices(words, k=rng.randint(0, 8))])
+            text = f"*filter\n:FORWARD ACCEPT [0:0]\n{line}\nCOMMIT\n"
+            try:
+                assert isinstance(parse_save(text), rs.Table)
+            except NetfenceError:
+                pass
 
 
 class TestParseIpassmt:
@@ -188,6 +304,12 @@ class TestParseIpassmt:
         with pytest.raises(SyntaxError_):
             parse_ipassmt("eth0 10.0.0.0/8")
 
+    @pytest.mark.parametrize("line", ["= [192.168.0.0/16]", "eth1 = [10.0.0.0/33]"])
+    def test_bad_line_names_its_number(self, line):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_ipassmt(f"eth0 = [10.0.0.1]\n{line}\n")
+        assert exc.value.line == 2
+
 
 class TestParseRouting:
     def test_default_route(self):
@@ -206,3 +328,9 @@ class TestParseRouting:
     def test_missing_dev(self):
         with pytest.raises(SyntaxError_):
             parse_routing("10.0.0.0/8 via 10.0.0.254")
+
+    @pytest.mark.parametrize("line", ["10.0.0.0/8 dev", "10.0.0.0/33 dev eth1", "bogus dev eth1"])
+    def test_bad_line_names_its_number(self, line):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_routing(f"default dev eth0\n{line}\n")
+        assert exc.value.line == 2

@@ -128,13 +128,13 @@ def _cmd_analyze(args):
               f"{len(result['simple'])} simple rules, "
               f"{len(result['partition'])} partition blocks, "
               f"{len(result['matrix'].classes)} matrix classes")
-        if args.emit == "dot":
-            (out_dir / f"matrix-{label}.dot").write_text(result["matrix"].to_dot())
-        elif args.emit == "json":
-            (out_dir / f"matrix-{label}.json").write_text(result["matrix"].to_json())
-        else:
+        if args.emit == "table":
             (out_dir / f"rules-{label}.txt").write_text(
                 simplefw.simple_rules_table(result["simple"])
+            )
+        else:
+            (out_dir / f"matrix-{label}.{args.emit}").write_text(
+                analysis.export_matrix(result["matrix"], args.emit)
             )
 
     if not args.spoofing:

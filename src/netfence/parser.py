@@ -51,8 +51,15 @@ _EXTENSION_TARGETS = {
 
 _TARGETS = {"ACCEPT": rs.ACCEPT, "DROP": rs.DROP, "REJECT": rs.REJECT,
             "RETURN": rs.RETURN, "LOG": rs.LOG, "NFLOG": rs.LOG}
-# options of a built-in target, swallowed with their values
-_TARGET_OPTIONS = {"REJECT": "--reject-with", "LOG": "--log", "NFLOG": "--log"}
+# options of a built-in target and how many values each takes; they are
+# read and dropped, since no target option changes the verdict
+_TARGET_OPTIONS = {
+    "REJECT": {"--reject-with": 1},
+    "LOG": {"--log-level": 1, "--log-prefix": 1, "--log-tcp-sequence": 0,
+            "--log-tcp-options": 0, "--log-ip-options": 0, "--log-uid": 0,
+            "--log-macdecode": 0},
+    "NFLOG": {f"--nflog-{name}": 1 for name in ("group", "prefix", "range", "size", "threshold")},
+}
 
 _TCP_FLAG_ALIASES = {"ALL": frozenset(rs.TCP_FLAG_ORDER), "NONE": frozenset()}
 
@@ -181,9 +188,10 @@ def _target(rp, option, cls, negated):
         rp.action = rs.goto(name)
     elif name in _TARGETS:
         rp.action = _TARGETS[name]
-        prefix = _TARGET_OPTIONS.get(name)
-        while prefix and (p := rp.peek()) is not None and p.startswith(prefix):
-            rp.next(), rp.next()
+        arity = _TARGET_OPTIONS.get(name, {})
+        while rp.peek() in arity:
+            for _ in range(arity[rp.next()]):
+                rp.next()
     elif name in _EXTENSION_TARGETS:
         raise UnknownAction(f"target {name} is not supported in the filter table", rp.lineno)
     else:

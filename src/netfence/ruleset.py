@@ -330,51 +330,38 @@ def _ports_text(wi: WordInterval) -> str:
     return ",".join(chunks)
 
 
-def _addr_text(wi: WordInterval, family):
-    """Render an address set as ('cidr', text) or ('range', lo-hi)."""
-    if len(wi.parts) != 1:
-        raise ValueError("cannot print a fragmented address set in one rule")
-    cidrs = wi.to_cidrs()
-    if len(cidrs) == 1:
-        return "cidr", str(cidrs[0])
-    lo, hi = wi.parts[0]
-    return "range", f"{ip_format(lo, family)}-{ip_format(hi, family)}"
-
-
 def _flags_text(flags: frozenset) -> str:
     if not flags:
         return "NONE"
     return ",".join(f for f in TCP_FLAG_ORDER if f in flags)
 
 
+# port primitive -> (module, or None for the protocol's own, option)
+_PORT_OPTIONS = {SrcPorts: (None, "--sport"), DstPorts: (None, "--dport"),
+                 MultiportSrc: ("multiport", "--sports"), MultiportDst: ("multiport", "--dports")}
+
+
 def prim_to_args(prim, negated=False, family="v4") -> str:
     bang = "! " if negated else ""
-    if isinstance(prim, Src):
-        kind, text = _addr_text(prim.addrs, family)
-        if kind == "range":
-            return f"-m iprange {bang}--src-range {text}"
-        return f"{bang}-s {text}"
-    if isinstance(prim, Dst):
-        kind, text = _addr_text(prim.addrs, family)
-        if kind == "range":
-            return f"-m iprange {bang}--dst-range {text}"
-        return f"{bang}-d {text}"
+    if isinstance(prim, (Src, Dst)):
+        if len(prim.addrs.parts) != 1:
+            raise ValueError("cannot print a fragmented address set in one rule")
+        cidrs = prim.addrs.to_cidrs()
+        flag, end = ("-s", "src") if isinstance(prim, Src) else ("-d", "dst")
+        if len(cidrs) == 1:
+            return f"{bang}{flag} {cidrs[0]}"
+        (lo, hi), = prim.addrs.parts
+        return f"-m iprange {bang}--{end}-range {ip_format(lo, family)}-{ip_format(hi, family)}"
     if isinstance(prim, IIface):
         return f"{bang}-i {prim.name}"
     if isinstance(prim, OIface):
         return f"{bang}-o {prim.name}"
     if isinstance(prim, Protocol):
         return f"{bang}-p {PROTO_NAMES.get(prim.number, str(prim.number))}"
-    if isinstance(prim, SrcPorts):
-        mod = PROTO_NAMES.get(prim.proto, str(prim.proto))
-        return f"-m {mod} {bang}--sport {_ports_text(prim.ports)}"
-    if isinstance(prim, DstPorts):
-        mod = PROTO_NAMES.get(prim.proto, str(prim.proto))
-        return f"-m {mod} {bang}--dport {_ports_text(prim.ports)}"
-    if isinstance(prim, MultiportSrc):
-        return f"-m multiport {bang}--sports {_ports_text(prim.ports)}"
-    if isinstance(prim, MultiportDst):
-        return f"-m multiport {bang}--dports {_ports_text(prim.ports)}"
+    if isinstance(prim, PORT_PRIMITIVES):
+        module, option = _PORT_OPTIONS[type(prim)]
+        module = module or PROTO_NAMES.get(prim.proto, str(prim.proto))
+        return f"-m {module} {bang}{option} {_ports_text(prim.ports)}"
     if isinstance(prim, CtState):
         states = ",".join(s for s in CT_STATES if s in prim.states)
         return f"-m state {bang}--state {states}"

@@ -365,34 +365,26 @@ def routing_to_ipassmt(routes, width=32) -> dict:
 # -- emission -------------------------------------------------------------------
 
 
-def simple_rules_to_save(rules, chain="FORWARD", family="v4", policy_accept=False) -> str:
-    """Emit simple rules as loadable iptables-save text."""
-    lines = ["*filter", f":{chain} {'ACCEPT' if policy_accept else 'DROP'} [0:0]"]
-    for r in rules:
-        m = r.match
-        parts = [f"-A {chain}"]
-        if m.iiface != "+":
-            parts.append(f"-i {m.iiface}")
-        if m.oiface != "+":
-            parts.append(f"-o {m.oiface}")
-        if m.src.prefix != 0:
-            parts.append(f"-s {m.src}")
-        if m.dst.prefix != 0:
-            parts.append(f"-d {m.dst}")
-        proto_name = None
-        if m.proto is not None:
-            proto_name = rs.PROTO_NAMES.get(m.proto, str(m.proto))
-            parts.append(f"-p {proto_name}")
-        if m.sports != PORT_UNIV or m.dports != PORT_UNIV:
-            parts.append(f"-m {proto_name}")
-            if m.sports != PORT_UNIV:
-                parts.append(f"--sport {m.sports[0]}:{m.sports[1]}")
-            if m.dports != PORT_UNIV:
-                parts.append(f"--dport {m.dports[0]}:{m.dports[1]}")
-        parts.append("-j " + ("ACCEPT" if r.accept else "DROP"))
-        lines.append(" ".join(parts))
-    lines.append("COMMIT")
-    return "\n".join(lines) + "\n"
+def simple_rules_to_save(rules, chain="FORWARD") -> str:
+    """Emit simple rules as loadable iptables-save text, default policy DROP."""
+    family = "v6" if rules and rules[0].match.width == 128 else "v4"
+    table = rs.Table({chain: [_as_rule(r) for r in rules]}, {chain: rs.DROP}, family)
+    return rs.table_to_save(table)
+
+
+def _as_rule(r: SimpleRule) -> Rule:
+    """A simple rule as the conjunction of its non-wildcard primitives."""
+    m = r.match
+    prims = [
+        m.iiface != "+" and rs.IIface(m.iiface),
+        m.oiface != "+" and rs.OIface(m.oiface),
+        m.src.prefix and rs.Src(m.src.interval()),
+        m.dst.prefix and rs.Dst(m.dst.interval()),
+        m.proto is not None and rs.Protocol(m.proto),
+        m.sports != PORT_UNIV and rs.SrcPorts(m.proto, WordInterval.range(*m.sports, 16)),
+        m.dports != PORT_UNIV and rs.DstPorts(m.proto, WordInterval.range(*m.dports, 16)),
+    ]
+    return Rule(mand(*(MPrim(p) for p in prims if p)), rs.ACCEPT if r.accept else rs.DROP)
 
 
 def simple_rules_table(rules) -> str:

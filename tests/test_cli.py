@@ -501,6 +501,9 @@ class TestSynthesize:
         ("--policy", "[1, 2]"),
         ("--emit-iptables", '{"Robot1": {"ips": ["10.0.0.1"]}}'),
         ("--emit-iptables", '{"Robot1": {"iface": "eth0", "ips": [7]}}'),
+        ("--emit-iptables", '{"Robot1": {"iface": "-j DROP", "ips": ["10.0.0.1"]}}'),
+        ("--emit-iptables", '{"Robot1": {"iface": "eth0", "ips": []}}'),
+        ("--emit-iptables", '{"Robot1": {"iface": "eth0", "ips": ["10.0.0.300"]}}'),
         ("--emit-iptables", "{,}"),
     ])
     def test_malformed_spec_exit_one(self, tmp_path, capsys, option, text):

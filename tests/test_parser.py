@@ -198,6 +198,25 @@ class TestParseSave:
             parse_save(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("target,action", [
+        ("LOG --log-tcp-options", rs.LOG),
+        ("LOG --log-uid --log-prefix x", rs.LOG),
+        ("LOG --log-prefix 'IN: ' --log-level 4 --log-tcp-sequence --log-ip-options", rs.LOG),
+        ("LOG --log-macdecode", rs.LOG),
+        ("NFLOG --nflog-group 5", rs.LOG),
+        ("NFLOG --nflog-prefix x --nflog-range 64 --nflog-size 64 --nflog-threshold 2", rs.LOG),
+        ("REJECT --reject-with icmp-port-unreachable", rs.REJECT),
+    ])
+    def test_target_options_are_read_by_arity(self, target, action):
+        text = f"*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -p tcp -j {target}\nCOMMIT\n"
+        rule = parse_save(text).chains["INPUT"][0]
+        assert rule.match == MPrim(rs.Protocol(6)) and rule.action == action
+
+    def test_unknown_target_option_stays_a_match(self):
+        text = "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -j LOG --log-foo 1\nCOMMIT\n"
+        rule = parse_save(text).chains["INPUT"][0]
+        assert rule.match == MPrim(rs.Extra("--log-foo 1")) and rule.action == rs.LOG
+
     @pytest.mark.parametrize("index,ok", [(0, False), (1, True), (3, True), (4, False)])
     def test_insert_index_is_checked(self, index, ok):
         text = (

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,14 @@ from netfence.simplefw import (
     simple_rules_to_save,
     translate_to_simple,
 )
-from netfence.wordinterval import Cidr, WordInterval, ip_parse, parse_cidr, parse_address_set
+from netfence.wordinterval import (
+    Cidr,
+    WordInterval,
+    family_width,
+    ip_parse,
+    parse_address_set,
+    parse_cidr,
+)
 
 
 def cidr(text):
@@ -39,11 +47,12 @@ def cidr(text):
 
 
 def full_pipeline(save_text, chain, tactic="in_doubt_allow", family="v4"):
+    width = family_width(family)
     t = parse_save(save_text, family)
     unfolded = unfold(t, chain)
     specialized = ctstate_specialize(unfolded, "NEW")
-    prepared = prepare_for_simple(specialized)
-    return translate_to_simple(closure(prepared, tactic))
+    prepared = prepare_for_simple(specialized, width)
+    return translate_to_simple(closure(prepared, tactic), width)
 
 
 class TestEval:
@@ -261,16 +270,18 @@ class TestTranslation:
                 assert exact == ALLOW
 
     def test_emitted_ruleset_parses_back_identically(self):
-        for name, chain in [
-            ("forward_foo.iptables", "FORWARD"),
-            ("return_ports.iptables", "FORWARD"),
-            ("synology.iptables", "INPUT"),
-        ]:
-            simple = full_pipeline(load_ruleset(name), chain)
+        for (name, chain, family), tactic in itertools.product([
+            ("forward_foo.iptables", "FORWARD", "v4"),
+            ("return_ports.iptables", "FORWARD", "v4"),
+            ("synology.iptables", "INPUT", "v4"),
+            ("ipv6_host.iptables", "INPUT", "v6"),
+        ], ["in_doubt_allow", "in_doubt_deny"]):
+            simple = full_pipeline(load_ruleset(name), chain, tactic, family)
+            assert simple
             text = simple_rules_to_save(simple, chain=chain)
-            reparsed = parse_save(text)
+            reparsed = parse_save(text, family)
             unfolded = unfold(reparsed, chain)
-            again = translate_to_simple(unfolded)
+            again = translate_to_simple(unfolded, family_width(family))
             assert again == simple
 
 

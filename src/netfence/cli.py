@@ -1,10 +1,10 @@
 """Command line interface: `netfence analyze` and `netfence synthesize`.
 
 analyze runs the ruleset pipeline over an iptables-save dump.  Parsing,
-unfolding, state specialization, preparation (NNF plus abstraction of
-what the simple model cannot express) and interface constraining run
-once; closure, translation, partition and service matrix run once per
-in-doubt tactic; spoofing certification reads the same unfolded rules.
+unfolding, state specialization, preparation (each NNF disjunct read
+into a 7-tuple box) and interface constraining run once; the closure
+with translation, partition and service matrix run once per in-doubt
+tactic; spoofing certification reads the same unfolded rules.
 synthesize goes the other way: verify or construct policies from an
 invariant specification and serialize them as iptables rules.
 
@@ -57,11 +57,11 @@ def analyze_pipeline(
     tactic="in_doubt_allow",
     assumed_state="NEW",
 ):
-    """parse -> unfold -> ctstate -> prepare -> interface constraining
-    (in, then out from the routing table), which no tactic changes, then
-    the tactic's closure -> translate -> partition -> matrix.  Returns a
-    result namespace dict; its `prepared` list is what closure_results
-    reads for another tactic."""
+    """parse -> unfold -> ctstate -> prepare boxes -> interface
+    constraining (in, then out from the routing table), which no tactic
+    changes, then the tactic's closure and translation -> partition ->
+    matrix.  Returns a result namespace dict; its `prepared` box list is
+    what closure_results reads for another tactic."""
     width = family_width(family)
     svc = analysis.ServiceTemplate.preset(service)
     table = parser.parse_save(save_text, family)
@@ -70,10 +70,10 @@ def analyze_pipeline(
         semantics.ctstate_specialize(unfolded, assumed_state), width
     )
     assignment = {**_default_ipassmt(family), **(ipassmt or {})}
-    prepared = simplefw.iface_rewrite(prepared, assignment, mode="constrain", field="in")
+    prepared = simplefw.iface_rewrite(prepared, assignment, field="in")
     if routing:
         prepared = simplefw.iface_rewrite(prepared, simplefw.routing_to_ipassmt(routing, width),
-                                          mode="constrain", field="out")
+                                          field="out")
     return {
         "table": table,
         "unfolded": unfolded,
@@ -83,10 +83,10 @@ def analyze_pipeline(
 
 
 def closure_results(prepared, tactic, svc, width):
-    """The tactic-dependent tail of analyze_pipeline: closure ->
-    translate -> partition -> matrix over a prepared rule list, for the
+    """The tactic-dependent tail of analyze_pipeline: closure and
+    translation -> partition -> matrix over a prepared box list, for the
     service template `svc`."""
-    simple = simplefw.translate_to_simple(semantics.closure(prepared, tactic), width)
+    simple = simplefw.translate_to_simple(prepared, tactic, width)
     no_ifaces = [
         simplefw.SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
         for r in simple

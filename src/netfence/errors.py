@@ -118,14 +118,8 @@ class ConsistencyError(NetfenceError):
 
 
 class UnsupportedResidue(NetfenceError):
-    """A primitive survived to simple-firewall translation that the simple
-    model cannot express; the abstraction step should have removed it."""
-
-
-class ZoneSpanningInterfaces(NetfenceError):
-    def __init__(self, pairs):
-        self.pairs = pairs
-        super().__init__(f"overlapping interface ranges: {pairs}")
+    """A primitive reached simple-firewall preparation that an earlier
+    stage must remove: conntrack state before ctstate_specialize."""
 
 
 class MissingFinalRule(NetfenceError):

@@ -405,7 +405,8 @@ def parse_save(text, family="v4") -> rs.Table:
 
 def parse_ipassmt(text, family="v4") -> dict:
     """Interface/IP assignment file: one `name = [entries]` per line, where
-    `all_but_those_ips` before the list complements the union."""
+    `all_but_those_ips` before the list complements the union.  A name is
+    one exact interface; a `+` wildcard is rejected."""
     width = family_width(family)
     out = {}
     for lineno, line in _lines(text):
@@ -413,6 +414,8 @@ def parse_ipassmt(text, family="v4") -> dict:
         name = name.strip()
         if not (eq and name):
             raise SyntaxError_("expected 'iface = [ranges]'", lineno)
+        if name.endswith("+"):
+            raise SyntaxError_(f"interface names are exact, not patterns: {name!r}", lineno)
         rhs = rhs.strip()
         complement = False
         if rhs.startswith("all_but_those_ips"):

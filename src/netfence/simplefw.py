@@ -4,30 +4,24 @@ A simple match is (in, out, src, dst, protocol, src ports, dst ports)
 with Accept/Drop rules and first-match semantics.  Negations are gone;
 the conjunction of two simple matches is again one simple match, which
 is what makes all later analyses tractable.
+
+Translation reads every NNF disjunct of an unfolded rule once, into a
+Box: the same 7 fields with word-interval address and port sets, plus a
+flag for the literals the model cannot express.  Interface constraining
+narrows the boxes, and translate_to_simple closes them under an in-doubt
+tactic and splits them into CIDRs.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import ruleset as rs
-from .errors import (
-    ConsistencyError,
-    IllformedRuleset,
-    UnsupportedResidue,
-    ZoneSpanningInterfaces,
-)
-from .ruleset import (
-    MNot,
-    MPrim,
-    Rule,
-    conjuncts,
-    iface_conj,
-    mand,
-    match_iface,
-)
+from .errors import ConsistencyError, IllformedRuleset, UnsupportedResidue
+from .ruleset import MNot, MPrim, Rule, conjuncts, iface_conj, mand, match_iface
 from .semantics import ALLOW, DENY, UNDECIDED, Packet, normalize_rules
 from .wordinterval import Cidr, WordInterval
 
@@ -138,212 +132,142 @@ def simple_match_conj(a: SimpleMatch, b: SimpleMatch) -> Optional[SimpleMatch]:
     return SimpleMatch(a.width, iif, oif, src_c[0], dst_c[0], proto, sports, dports)
 
 
-# -- preparing real-world rules for translation -------------------------------
+# -- prepared rules as 7-tuple boxes ---------------------------------------------
 
 
-_NEG_PROTO_MARK = "~unrepresentable-negated-protocols"
-_NEG_IFACE_MARK = "~unrepresentable-negated-interface"
-_FLAGS_MARK = "~tcp-flags"
+@dataclass(frozen=True)
+class Box:
+    """One NNF disjunct of an unfolded rule, read as a 7-tuple wildcard box.
 
-
-def _compress_rule(m, width):
-    """Exact per-rule rewrites plus abstraction of the inexpressible.
-
-    Negated address sets become complements (exact).  Protocol conjuncts
-    are merged: several distinct positive protocols kill the rule, one
-    positive protocol absorbs compatible negative ones, only-negative
-    protocols are inexpressible and become an Unknown marker.  Negated
-    interfaces and surviving TCP flag matches also become Unknown markers.
-    Returns the rewritten match or None when unsatisfiable.
+    iiface/oiface are the conjoined positive interface patterns; src, dst
+    and the port sets are word intervals, so a box splits into CIDRs only
+    when it is translated.  `unknown` marks a disjunct with a literal the
+    box cannot express (an Extra, TCP flags, a negated interface, negated
+    protocols with no positive one); the closure keeps or drops such a box
+    whole.  `known` marks a disjunct with at least one literal the box does
+    express: a box without one is a catch-all once its unknowns are gone.
     """
-    pos_protos = set()
-    neg_protos = set()
-    leaves = []
-    for leaf in conjuncts(m):
-        negated = isinstance(leaf, MNot)
-        node = leaf.inner if negated else leaf
-        if not isinstance(node, MPrim):
-            raise UnsupportedResidue(f"match is not a flat NNF conjunction: {leaf!r}")
-        prim = node.prim
-        if isinstance(prim, rs.Protocol):
-            (neg_protos if negated else pos_protos).add(prim.number)
-            continue
-        if isinstance(prim, (rs.SrcPorts, rs.DstPorts, rs.MultiportSrc, rs.MultiportDst)):
-            if negated:
-                raise UnsupportedResidue("negated ports must be expanded by NNF first")
-            pos_protos.add(prim.proto)
-            leaves.append(leaf)
-            continue
-        if isinstance(prim, (rs.Src, rs.Dst)) and negated:
-            leaves.append(MPrim(type(prim)(prim.addrs.complement())))
-            continue
-        if isinstance(prim, (rs.IIface, rs.OIface)) and negated:
-            leaves.append(MPrim(rs.Extra(f"{_NEG_IFACE_MARK} {prim.name}")))
-            continue
-        if isinstance(prim, rs.TcpFlags):
-            # flag matches always ride along a -p tcp conjunct in parsed
-            # rules; the flags themselves become Unknown for the closure
-            leaves.append(MPrim(rs.Extra(_FLAGS_MARK)))
-            continue
-        if isinstance(prim, rs.CtState):
-            raise UnsupportedResidue("conntrack state must be specialized before translation")
-        leaves.append(leaf)
-    if len(pos_protos) > 1 or (pos_protos & neg_protos):
-        return None
-    if pos_protos:
-        leaves.insert(0, MPrim(rs.Protocol(next(iter(pos_protos)))))
-    elif neg_protos:
-        names = ",".join(str(n) for n in sorted(neg_protos))
-        leaves.insert(0, MPrim(rs.Extra(f"{_NEG_PROTO_MARK} {names}")))
-    return mand(*leaves)
+
+    iiface: str
+    oiface: str
+    src: WordInterval
+    dst: WordInterval
+    proto: Optional[int]
+    sports: WordInterval
+    dports: WordInterval
+    accept: bool
+    unknown: bool
+    known: bool
+    raw: Optional[str] = dataclasses.field(default=None, compare=False)
 
 
-def prepare_for_simple(rules, width=32) -> list:
-    """NNF-normalize and rewrite an unfolded rule list so that everything
-    the simple model cannot express is marked Unknown; run a closure over
-    the result before calling translate_to_simple."""
-    out = []
-    for r in normalize_rules(rules):
-        m = _compress_rule(r.match, width)
-        if m is None:
-            continue
-        out.append(Rule(m, r.action, r.raw))
-    return out
+def _read_box(lits, accept, raw, width) -> Optional[Box]:
+    """The box of one NNF literal tuple, or None when it matches no packet.
 
-
-def translate_to_simple(rules, width=32) -> list:
-    """Turn a prepared, closed rule list into simple firewall rules.
-
-    The input is prepare_for_simple's output after a closure, which
-    leaves flat conjunctions of positive primitives.  Address sets are
-    rebuilt as word intervals and re-split into CIDRs, one output rule
-    per CIDR/port-part combination.  Anything left that the simple model
-    cannot express raises UnsupportedResidue.
+    Negated address sets become complements (exact).  Several distinct
+    positive protocols, or a positive one that is also negated, empty the
+    box; a positive protocol absorbs the other negated ones.
     """
-    out = []
-    for r in rules:
-        if r.action.kind not in ("accept", "drop"):
-            raise IllformedRuleset("translation needs an Accept/Drop list")
-        out.extend(
-            SimpleRule(sm, r.action.kind == "accept") for sm in _collect_simple(r.match, width)
-        )
-    log.info("translated %d rules into %d simple rules", len(rules), len(out))
-    return out
-
-
-def _collect_simple(m, width):
-    iif, oif = "+", "+"
-    src = WordInterval.universe(width)
-    dst = WordInterval.universe(width)
-    proto = None
-    sports = WordInterval.universe(16)
-    dports = WordInterval.universe(16)
-    for leaf in conjuncts(m):
-        if not isinstance(leaf, MPrim):
-            raise UnsupportedResidue(f"negation survived to translation: {leaf!r}")
-        prim = leaf.prim
-        if isinstance(prim, rs.Src):
-            src = src.intersect(prim.addrs)
-        elif isinstance(prim, rs.Dst):
-            dst = dst.intersect(prim.addrs)
+    iif = oif = "+"  # None once two interface names conflict
+    src, dst = WordInterval.universe(width), WordInterval.universe(width)
+    sports = dports = WordInterval.universe(16)
+    pos_protos, neg_protos = set(), set()
+    unknown = known = False
+    for lit in lits:
+        negated = isinstance(lit, MNot)
+        prim = (lit.inner if negated else lit).prim
+        if isinstance(prim, (rs.Extra, rs.TcpFlags)) or (
+                negated and isinstance(prim, (rs.IIface, rs.OIface))):
+            unknown = True
+            continue
+        # every other literal outlives the closure, but a negated protocol
+        # only inside a positive one
+        known = known or not (negated and isinstance(prim, rs.Protocol))
+        if isinstance(prim, (rs.Src, rs.Dst)):
+            addrs = prim.addrs.complement() if negated else prim.addrs
+            if isinstance(prim, rs.Src):
+                src = src.intersect(addrs)
+            else:
+                dst = dst.intersect(addrs)
         elif isinstance(prim, rs.IIface):
-            iif = iface_conj(iif, prim.name)
+            iif = iif and iface_conj(iif, prim.name)
         elif isinstance(prim, rs.OIface):
-            oif = iface_conj(oif, prim.name)
+            oif = oif and iface_conj(oif, prim.name)
         elif isinstance(prim, rs.Protocol):
-            if proto is not None and proto != prim.number:
-                return
-            proto = prim.number
-        elif isinstance(prim, rs.PORT_PRIMITIVES):
-            if proto is not None and proto != prim.proto:
-                return
-            proto = prim.proto
+            (neg_protos if negated else pos_protos).add(prim.number)
+        elif isinstance(prim, rs.PORT_PRIMITIVES):  # normalize_nnf leaves them positive
+            pos_protos.add(prim.proto)
             if isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)):
                 sports = sports.intersect(prim.ports)
             else:
                 dports = dports.intersect(prim.ports)
         else:
-            raise UnsupportedResidue(f"cannot express {prim!r} in the simple model")
-        if iif is None or oif is None:
-            return
-    if src.is_empty() or dst.is_empty() or sports.is_empty() or dports.is_empty():
-        return
-    for src_cidr in src.to_cidrs():
-        for dst_cidr in dst.to_cidrs():
-            for sp in sports.parts:
-                for dp in dports.parts:
-                    yield SimpleMatch(width, iif, oif, src_cidr, dst_cidr, proto, sp, dp)
+            raise UnsupportedResidue(f"{prim!r} must be specialized before translation")
+    if (iif is None or oif is None or len(pos_protos) > 1 or pos_protos & neg_protos
+            or any(wi.is_empty() for wi in (src, dst, sports, dports))):
+        return None
+    proto = next(iter(pos_protos), None)
+    return Box(iif, oif, src, dst, proto, sports, dports, accept,
+               unknown or (proto is None and bool(neg_protos)), known, raw)
+
+
+def prepare_for_simple(rules, width=32) -> list:
+    """Read an unfolded Accept/Drop rule list into boxes, one per NNF
+    disjunct that matches some packet, in rule order."""
+    out = []
+    for r in normalize_rules(rules):
+        if r.action.kind not in ("accept", "drop"):
+            raise IllformedRuleset("translation needs an Accept/Drop list")
+        box = _read_box(conjuncts(r.match), r.action.kind == "accept", r.raw, width)
+        if box is not None:
+            out.append(box)
+    return out
+
+
+def translate_to_simple(boxes, tactic="in_doubt_allow", width=32) -> list:
+    """The closure of a box list under an in-doubt tactic, as simple rules.
+
+    A box with an unknown literal is kept whole when the tactic lets its
+    unknowns match (Accepts under in_doubt_allow, Drops under
+    in_doubt_deny) and dropped otherwise; the list ends after the first
+    kept box without a known literal, which matches every packet.  Each
+    kept box becomes one simple rule per CIDR/port-part combination.
+    """
+    if tactic not in ("in_doubt_allow", "in_doubt_deny"):
+        raise ValueError(f"unknown tactic {tactic!r}")
+    allow = tactic == "in_doubt_allow"
+    out = []
+    for b in boxes:
+        if b.unknown and b.accept != allow:
+            continue
+        out.extend(
+            SimpleRule(SimpleMatch(width, b.iiface, b.oiface, s, d, b.proto, sp, dp), b.accept)
+            for s in b.src.to_cidrs() for d in b.dst.to_cidrs()
+            for sp in b.sports.parts for dp in b.dports.parts
+        )
+        if not b.known:
+            break
+    log.info("translated %d boxes into %d simple rules", len(boxes), len(out))
+    return out
 
 
 # -- interface / IP correlation ------------------------------------------------
 
 
-def check_ipassmt_disjoint(ipassmt):
-    overlapping = []
-    names = sorted(ipassmt)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if not ipassmt[a].isdisjoint(ipassmt[b]):
-                overlapping.append((a, b))
-    return overlapping
-
-
-def _ipassmt_range_for(pattern, ipassmt):
-    """Union of ranges of all assignment entries the pattern can match."""
-    matching = [wi for name, wi in ipassmt.items() if match_iface(pattern, name)]
-    if not matching:
-        return None
-    out = matching[0]
-    for wi in matching[1:]:
-        out = out.union(wi)
-    return out
-
-
-def iface_rewrite(rules, ipassmt, mode="constrain", field="in") -> list:
-    """Replace or constrain interface matches by their assigned IP ranges.
-
-    replace: every interface match becomes the corresponding address
-    constraint; requires pairwise-disjoint ranges (no zone-spanning
-    interfaces) and a mapping for every interface that occurs.
-    constrain: the address constraint is conjoined and the interface match
-    kept; a partial ipassmt is fine.  `field` selects whether input or
-    output interfaces are rewritten (output rewriting uses an assignment
-    derived from the routing table).
-    """
-    if mode not in ("replace", "constrain"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "replace":
-        overlapping = check_ipassmt_disjoint(ipassmt)
-        if overlapping:
-            raise ZoneSpanningInterfaces(overlapping)
-    iface_type = rs.IIface if field == "in" else rs.OIface
-    addr_type = rs.Src if field == "in" else rs.Dst
-
+def iface_rewrite(boxes, ipassmt, field="in") -> list:
+    """Narrow each box's source (field "in") or destination ("out") to the
+    range assigned to its interface pattern.  Names are exact: only a box
+    whose pattern is an assigned name is narrowed, so `eth+` is not.
+    Output assignments come from routing_to_ipassmt."""
     out = []
-    for r in rules:
-        new_leaves = []
-        for leaf in conjuncts(r.match):
-            negated = isinstance(leaf, MNot)
-            node = leaf.inner if negated else leaf
-            if not (isinstance(node, MPrim) and isinstance(node.prim, iface_type)):
-                new_leaves.append(leaf)
-                continue
-            pattern = node.prim.name
-            assigned = _ipassmt_range_for(pattern, ipassmt)
-            if mode == "constrain":
-                new_leaves.append(leaf)
-                if assigned is not None and not negated:
-                    new_leaves.append(MPrim(addr_type(assigned)))
-                continue
-            if assigned is None:
-                raise IllformedRuleset(
-                    f"replace mode needs an ipassmt entry covering {pattern!r}"
-                )
-            if negated:
-                new_leaves.append(MPrim(addr_type(assigned.complement())))
-            else:
-                new_leaves.append(MPrim(addr_type(assigned)))
-        out.append(Rule(mand(*new_leaves), r.action, r.raw))
+    for b in boxes:
+        assigned = ipassmt.get(b.iiface if field == "in" else b.oiface)
+        if assigned is None:
+            out.append(b)
+        elif field == "in":
+            out.append(replace(b, src=b.src.intersect(assigned)))
+        else:
+            out.append(replace(b, dst=b.dst.intersect(assigned)))
     return out
 
 

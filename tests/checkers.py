@@ -10,24 +10,12 @@ import random
 from itertools import product
 from pathlib import Path
 
-from netfence import cli
-from netfence.errors import IllformedRuleset
 from netfence.invariants import offenders, set_offending_flows
-from netfence.parser import parse_save
 from netfence import ruleset as rs
 from netfence.policy import PolicyGraph
 from netfence.ruleset import MAnd, MNot, MPrim, MTrue, mand
-from netfence.semantics import closure, ctstate_specialize, normalize_rules, unfold
-from netfence.simplefw import (
-    SimpleRule,
-    _collect_simple,
-    _compress_rule,
-    iface_rewrite,
-    prepare_for_simple,
-    routing_to_ipassmt,
-)
 from netfence.templates import LIBRARY_IDS, TEMPLATES
-from netfence.wordinterval import family_width, parse_address_set
+from netfence.wordinterval import parse_address_set
 
 HOSTS2 = ("a", "b")
 HOSTS3 = ("a", "b", "c")
@@ -292,28 +280,3 @@ def _dedup(items):
         if x not in seen:
             seen.append(x)
     return seen
-
-
-def staged_simple_rules(save_text, tactic, chain="FORWARD", ipassmt=None, routing=None,
-                        family="v4"):
-    """The simple rules of the analysis stage order that ran once per
-    tactic: NNF, interface constraining (in, then out from the routing
-    table), then preparation with a second NNF, closure, and a translation
-    with its own NNF and per-rule compression."""
-    width = family_width(family)
-    specialized = ctstate_specialize(unfold(parse_save(save_text, family), chain), "NEW")
-    assignment = cli._default_ipassmt(family)
-    assignment.update(ipassmt or {})
-    constrained = iface_rewrite(normalize_rules(specialized), assignment, "constrain", "in")
-    if routing:
-        constrained = iface_rewrite(constrained, routing_to_ipassmt(routing, width),
-                                    "constrain", "out")
-    out = []
-    for r in normalize_rules(closure(prepare_for_simple(constrained, width), tactic)):
-        if r.action.kind not in ("accept", "drop"):
-            raise IllformedRuleset("translation needs an Accept/Drop list")
-        m = _compress_rule(r.match, width)
-        if m is not None:
-            out.extend(SimpleRule(sm, r.action.kind == "accept")
-                       for sm in _collect_simple(m, width))
-    return out

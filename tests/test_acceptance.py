@@ -116,7 +116,7 @@ def test_criterion_3_translation_examples():
     def translate(name):
         unfolded = unfold(parse_save(load_ruleset(name)), "FORWARD")
         prepared = prepare_for_simple(ctstate_specialize(unfolded, "NEW"))
-        return translate_to_simple(closure(prepared, "in_doubt_allow"))
+        return translate_to_simple(prepared, "in_doubt_allow")
 
     foo = simple_rules_table(translate("forward_foo.iptables")).splitlines()
     assert foo == [

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
 import scenarios as sc
-from checkers import nested_chains, return_ladder, staged_simple_rules
+from checkers import nested_chains, return_ladder
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import invariants, parser, semantics, simplefw, spoofing
 from netfence.cli import analyze_pipeline, main
@@ -116,6 +117,18 @@ class TestAnalyze:
              "--spoofing", "--out-dir", tmp_path / "out"]
         )
         assert code == 0
+
+    def test_wildcard_ipassmt_name_exits_one(self, tmp_path, capsys):
+        """eth+ would certify an interface that -i eth0 rules never name
+        (match_iface("eth0", "eth+") is False); names are exact instead."""
+        ruleset, ipassmt = tmp_path / "rules", tmp_path / "assmt"
+        ruleset.write_text("*filter\n:INPUT DROP [0:0]\n-A INPUT -i eth0 -j ACCEPT\nCOMMIT\n")
+        ipassmt.write_text("eth+ = [10.0.0.0/8]\n")
+        code = run(["analyze", "--input", ruleset, "--chain", "INPUT", "--ipassmt", ipassmt,
+                    "--spoofing", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "'eth+'" in err and "line 1" in err
 
     def test_spoofing_failure_exit_two(self, tmp_path):
         ipassmt = tmp_path / "assmt"
@@ -242,12 +255,19 @@ def write_ladder(tmp_path, k):
             "--routing", tmp_path / "routes"]
 
 
+def simple_digest(rules):
+    table = simplefw.simple_rules_table(rules)
+    return {"sha256": hashlib.sha256(table.encode()).hexdigest(), "rules": len(rules)}
+
+
 class TestOneAnalysisRun:
-    """The tactic-independent stages run once per `netfence analyze`; the
-    old stage order, which normalized before constraining interfaces and
-    ran everything per tactic, stays in checkers as the oracle."""
+    """The tactic-independent stages run once per `netfence analyze`.  The
+    simple rules equal, by digest, those of the stage order that ran
+    everything per tactic over rebuilt match trees; DIGESTS recorded them
+    from that code."""
 
     TACTICS = ("in_doubt_allow", "in_doubt_deny")
+    DIGESTS = json.loads((DATA / "simple_rule_digests.json").read_text())
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_simple_rules_match_the_staged_order_on_the_corpus(self, name, chain):
@@ -255,18 +275,20 @@ class TestOneAnalysisRun:
         ipassmt = parse_ipassmt((DATA / "fwbuilder.ipassmt").read_text())
         routing = parse_routing(ROUTING)
         for tactic in self.TACTICS:
-            for kwargs in ({}, {"ipassmt": ipassmt}, {"ipassmt": ipassmt, "routing": routing}):
+            for label, kwargs in (("none", {}), ("ipassmt", {"ipassmt": ipassmt}),
+                                  ("routing", {"ipassmt": ipassmt, "routing": routing})):
                 got = analyze_pipeline(text, chain=chain, tactic=tactic, **kwargs)["simple"]
-                assert got == staged_simple_rules(text, tactic, chain, **kwargs), (tactic, kwargs)
+                assert simple_digest(got) == self.DIGESTS[f"{name} {tactic} {label}"]
 
     def test_simple_rules_match_the_staged_order_on_return_ladders(self):
         routing = parse_routing(ROUTING)
         for k in range(7):
             text, ipassmt = return_ladder(k)
             for tactic in self.TACTICS:
-                for kwargs in ({"ipassmt": ipassmt}, {"ipassmt": ipassmt, "routing": routing}):
+                for label, kwargs in (("ipassmt", {"ipassmt": ipassmt}),
+                                      ("routing", {"ipassmt": ipassmt, "routing": routing})):
                     got = analyze_pipeline(text, tactic=tactic, **kwargs)["simple"]
-                    assert got == staged_simple_rules(text, tactic, **kwargs), (k, tactic)
+                    assert simple_digest(got) == self.DIGESTS[f"ladder{k} {tactic} {label}"]
 
     @pytest.mark.parametrize("emit", ["dot", "json", "table"])
     @pytest.mark.parametrize("case", ["fwbuilder", "ladder"])
@@ -320,10 +342,10 @@ class TestOneAnalysisRun:
         code = run(["analyze", *write_ladder(tmp_path, 4), "--closure", "both", "--spoofing",
                     "--out-dir", tmp_path / "out"])
         assert code == 2
-        # translation reads the prepared rules as the closure leaves them
+        # translation closes the prepared boxes itself: the tree closure never runs
         assert calls == {"parse_save": 1, "unfold": 1, "ctstate_specialize": 1,
                          "iface_rewrite": 2, "prepare_for_simple": 1, "normalize_rules": 1,
-                         "closure": 2, "translate_to_simple": 2, "sp_certify_all": 1}
+                         "translate_to_simple": 2, "sp_certify_all": 1}
 
     def test_call_cycle_exits_one_naming_the_chain(self, tmp_path, capsys, monkeypatch):
         ruleset = tmp_path / "cycle.iptables"

@@ -1,13 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import load_ruleset
+from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
-from netfence.errors import IllformedRuleset, UnsupportedResidue, ZoneSpanningInterfaces
+from netfence.cli import analyze_pipeline
+from netfence.errors import IllformedRuleset, UnsupportedResidue
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
-from netfence.ruleset import MPrim, MTrue, Rule, conjuncts, mand
+from netfence.ruleset import MNot, MPrim, MTrue, Rule, Table, mand
 from netfence.semantics import (
     ALLOW,
     DENY,
@@ -15,7 +18,6 @@ from netfence.semantics import (
     Packet,
     bigstep_evaluator,
     bool_matcher,
-    closure,
     ctstate_specialize,
     unfold,
 )
@@ -51,8 +53,7 @@ def full_pipeline(save_text, chain, tactic="in_doubt_allow", family="v4"):
     t = parse_save(save_text, family)
     unfolded = unfold(t, chain)
     specialized = ctstate_specialize(unfolded, "NEW")
-    prepared = prepare_for_simple(specialized, width)
-    return translate_to_simple(closure(prepared, tactic), width)
+    return translate_to_simple(prepare_for_simple(specialized, width), tactic, width)
 
 
 class TestEval:
@@ -200,19 +201,38 @@ class TestTranslation:
 
     def test_unsupported_residue(self):
         with pytest.raises(UnsupportedResidue):
-            translate_to_simple([Rule(MPrim(rs.Extra("-m limit")), rs.ACCEPT)])
+            prepare_for_simple([Rule(MPrim(rs.CtState(frozenset({"NEW"}))), rs.ACCEPT)])
+
+    def test_unknown_box_is_kept_or_dropped_whole(self):
+        """An accept box with an unknown literal matches under
+        in_doubt_allow and is dropped under in_doubt_deny; kept, it ends
+        the list when nothing known is left of it."""
+        limit = MPrim(rs.Extra("-m limit"))
+        tcp = MPrim(rs.Protocol(6))
+        boxes = prepare_for_simple([Rule(mand(limit, tcp), rs.ACCEPT), Rule(limit, rs.ACCEPT),
+                                    Rule(MTrue, rs.DROP)])
+        assert [b.unknown for b in boxes] == [True, True, False]
+        assert [b.known for b in boxes] == [True, False, False]
+        upper = simple_rules_table(translate_to_simple(boxes, "in_doubt_allow"))
+        lower = simple_rules_table(translate_to_simple(boxes, "in_doubt_deny"))
+        assert upper.splitlines() == ["(+, +, *, *, tcp, *, *) ACCEPT", "(+, +, *, *, *, *, *) ACCEPT"]
+        assert lower.splitlines() == ["(+, +, *, *, *, *, *) DROP"]
+
+    def test_address_catch_all_is_known(self):
+        """-s 0.0.0.0/0 is a literal the box expresses, so a rule made of it
+        and an unknown does not end the list."""
+        anywhere = MPrim(rs.Src(WordInterval.universe(32)))
+        rules = [Rule(mand(anywhere, MPrim(rs.Extra("-m limit"))), rs.ACCEPT), Rule(MTrue, rs.DROP)]
+        out = translate_to_simple(prepare_for_simple(rules), "in_doubt_allow")
+        assert [r.accept for r in out] == [True, False]
 
     def test_contradicting_protocol_conjunction_drops_rule(self):
-        from netfence.ruleset import MNot
-
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
         for m in (mand(tcp, MNot(tcp)), mand(tcp, udp)):
             assert translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)])) == []
 
     def test_compatible_negated_protocol_is_absorbed(self):
-        from netfence.ruleset import MNot
-
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
         out = translate_to_simple(prepare_for_simple([Rule(mand(udp, MNot(tcp)), rs.ACCEPT)]))
@@ -280,47 +300,45 @@ class TestTranslation:
             assert simple
             text = simple_rules_to_save(simple, chain=chain)
             reparsed = parse_save(text, family)
-            unfolded = unfold(reparsed, chain)
-            again = translate_to_simple(unfolded, family_width(family))
+            width = family_width(family)
+            again = translate_to_simple(prepare_for_simple(unfold(reparsed, chain), width),
+                                        tactic, width)
             assert again == simple
 
 
 class TestIfaceRewrite:
     def setup_method(self):
-        self.rules = [
+        self.boxes = prepare_for_simple([
             Rule(mand(MPrim(rs.IIface("eth0")), MPrim(rs.Protocol(6))), rs.ACCEPT),
             Rule(MPrim(rs.IIface("weird")), rs.ACCEPT),
             Rule(MTrue, rs.DROP),
-        ]
+        ])
         self.ipassmt = parse_ipassmt("eth0 = [192.168.0.0/24]")
 
-    def test_replace_mode(self):
-        out = iface_rewrite(self.rules[:1] + self.rules[2:], self.ipassmt, "replace")
-        leaves = conjuncts(out[0].match)
-        assert leaves[0] == MPrim(rs.Src(parse_address_set("192.168.0.0/24")))
-
-    def test_replace_needs_covering_assignment(self):
-        with pytest.raises(IllformedRuleset):
-            iface_rewrite(self.rules, self.ipassmt, "replace")
-
-    def test_replace_rejects_zone_spanning(self):
-        overlapping = parse_ipassmt("eth0 = [10.0.0.0/8]\neth1 = [10.0.0.0/24]")
-        with pytest.raises(ZoneSpanningInterfaces):
-            iface_rewrite(self.rules, overlapping, "replace")
-
     def test_constrain_keeps_iface_and_unmapped_rules(self):
-        out = iface_rewrite(self.rules, self.ipassmt, "constrain")
-        first = conjuncts(out[0].match)
-        assert first[0] == MPrim(rs.IIface("eth0"))
-        assert first[1] == MPrim(rs.Src(parse_address_set("192.168.0.0/24")))
-        assert out[1] == self.rules[1]
+        out = iface_rewrite(self.boxes, self.ipassmt)
+        assert out[0].iiface == "eth0"
+        assert out[0].src == parse_address_set("192.168.0.0/24")
+        assert out[1:] == self.boxes[1:]
 
     def test_constrain_out_field(self):
-        rules = [Rule(MPrim(rs.OIface("eth0")), rs.ACCEPT)]
-        out = iface_rewrite(rules, self.ipassmt, "constrain", field="out")
-        assert conjuncts(out[0].match)[1] == MPrim(
-            rs.Dst(parse_address_set("192.168.0.0/24"))
-        )
+        boxes = prepare_for_simple([Rule(MPrim(rs.OIface("eth0")), rs.ACCEPT)])
+        out = iface_rewrite(boxes, self.ipassmt, field="out")
+        assert out[0].dst == parse_address_set("192.168.0.0/24")
+        assert out[0].src == WordInterval.universe(32)
+
+    def test_wildcard_pattern_is_not_narrowed_by_a_name_it_matches(self):
+        """-i eth+ also matches eth1, whose sources eth0's range says
+        nothing about: the upper closure must let 8.8.8.8 in on eth1, as
+        the exact semantics does."""
+        text = "*filter\n:FORWARD DROP [0:0]\n-A FORWARD -i eth+ -j ACCEPT\nCOMMIT\n"
+        ipassmt = parse_ipassmt("eth0 = [10.0.0.0/8]")
+        upper = analyze_pipeline(text, ipassmt=ipassmt)["simple"]
+        boxes = prepare_for_simple(unfold(parse_save(text), "FORWARD"))
+        assert iface_rewrite(boxes, ipassmt) == boxes
+        p = Packet(iiface="eth1", src=ip_parse("8.8.8.8"))
+        assert simple_fw_eval(upper, p) == ALLOW
+        assert bigstep_evaluator(parse_save(text), "FORWARD")(p) == ALLOW
 
 
 class TestRoutingInversion:
@@ -346,3 +364,61 @@ class TestRoutingInversion:
         m = routing_to_ipassmt(routes)
         assert parse_address_set("10.0.0.0/16").issubset(m["fine"])
         assert m["coarse"].isdisjoint(m["fine"])
+
+
+def _random_table(rng, n_chains=4):
+    """A random acyclic FORWARD table shaped like test_semantics'
+    _random_jump_table, whose rules conjoin up to two random primitives,
+    some of them negated."""
+    names = ["FORWARD"] + [f"c{i}" for i in range(1, n_chains)]
+    chains = {}
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        rules = []
+        for _ in range(rng.randrange(5)):
+            lits = [MPrim(_random_primitive(rng)) for _ in range(rng.randint(0, 2))]
+            m = mand(*(MNot(lit) if rng.random() < 0.3 else lit for lit in lits))
+            kind = rng.choice(["accept", "drop", "return"] + ["call", "goto"] * bool(later))
+            rules.append(Rule(m, rs.Action(kind, rng.choice(later) if kind in ("call", "goto")
+                                           else None)))
+        chains[name] = rules
+    return Table(chains, {"FORWARD": rng.choice([rs.ACCEPT, rs.DROP])})
+
+
+class TestWholePathSandwich:
+    """unfold -> ctstate -> prepare -> iface_rewrite -> translate on random
+    tables: whatever the lower closure allows the exact semantics allows,
+    and whatever the exact semantics allows the upper closure allows, for
+    NEW SYN packets whose source lies in their input interface's range."""
+
+    IPASSMT = {"eth0": parse_address_set("0.0.0.0/16"), "lo": parse_address_set("127.0.0.0/8")}
+
+    def packet(self, rng, m):
+        p = _near_packet(rng, m).with_(ctstate="NEW", tcp_flags=frozenset({"SYN"}))
+        assigned = self.IPASSMT.get(p.iiface)
+        if assigned is not None and p.src not in assigned:
+            (lo, hi), = assigned.parts
+            p = p.with_(src=lo + p.src % (hi - lo + 1))
+        return p
+
+    def test_lower_allows_imply_exact_allows_imply_upper_allows(self):
+        rng = random.Random(5)
+        checked = Counter()
+        for seed in range(150):
+            table = _random_table(rng)
+            boxes = iface_rewrite(
+                prepare_for_simple(ctstate_specialize(unfold(table, "FORWARD"), "NEW")),
+                self.IPASSMT)
+            upper = translate_to_simple(boxes, "in_doubt_allow")
+            lower = translate_to_simple(boxes, "in_doubt_deny")
+            evaluate = bigstep_evaluator(table, "FORWARD", bool_matcher(hash_oracle(seed)))
+            every_match = mand(*(r.match for rules in table.chains.values() for r in rules))
+            for _ in range(60):
+                p = self.packet(rng, every_match)
+                exact = evaluate(p)
+                if simple_fw_eval(lower, p) == ALLOW:
+                    assert exact == ALLOW, (seed, p)
+                if exact == ALLOW:
+                    assert simple_fw_eval(upper, p) == ALLOW, (seed, p)
+                checked[exact] += 1
+        assert checked[ALLOW] > 1000 and checked[DENY] > 1000

@@ -198,7 +198,7 @@ class ComplianceReport:
                         "holds": v.holds,
                         "offending": None
                         if v.offending is None
-                        else [sorted(list(e) for e in f) for f in sorted(v.offending, key=sorted)],
+                        else sorted(sorted(list(e) for e in f) for f in v.offending),
                     }
                     for v in self.verdicts
                 ],

@@ -85,9 +85,9 @@ def bool_matcher(oracle=None):
 # -- big-step evaluation ------------------------------------------------------
 
 # Calls may nest this deep.  The unfolded matches nest about as deep, and
-# the recursive match helpers (opt_match, normalize_nnf, conjuncts) take
-# one frame per level; 500 leaves half of Python's default recursion limit
-# to the caller and the rest of the pipeline.
+# the analysis's recursive match helpers (opt_match, _rewrite_positive,
+# normalize_nnf) take one frame per level; 500 leaves half of Python's
+# default recursion limit to the caller and the rest of the pipeline.
 MAX_CALL_DEPTH = 500
 
 
@@ -442,12 +442,9 @@ def normalize_nnf(m: MatchExpr) -> list:
 
 
 def normalize_rules(rules) -> list:
-    """NNF-normalize a rule list; one input rule may become several."""
-    out = []
-    for r in rules:
-        for lits in normalize_nnf(r.match):
-            out.append(Rule(mand(*lits), r.action, r.raw))
-    return optimize_rules(out)
+    """NNF-normalize a rule list: one (literal tuple, rule) pair per
+    disjunct of each rule's match, in rule order."""
+    return [(lits, r) for r in rules for lits in normalize_nnf(r.match)]
 
 
 # -- conntrack state specialization --------------------------------------------

@@ -5,11 +5,11 @@ with Accept/Drop rules and first-match semantics.  Negations are gone;
 the conjunction of two simple matches is again one simple match, which
 is what makes all later analyses tractable.
 
-Translation reads every NNF disjunct of an unfolded rule once, into a
-Box: the same 7 fields with word-interval address and port sets, plus a
-flag for the literals the model cannot express.  Interface constraining
-narrows the boxes, and translate_to_simple closes them under an in-doubt
-tactic and splits them into CIDRs.
+Translation reads each NNF literal tuple of an unfolded rule straight
+into a Box: the same 7 fields with word-interval address and port sets,
+plus a flag for the literals the model cannot express.  Interface
+constraining narrows the boxes, and translate_to_simple closes them
+under an in-doubt tactic and splits them into CIDRs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import ruleset as rs
 from .errors import ConsistencyError, IllformedRuleset, UnsupportedResidue
-from .ruleset import MNot, MPrim, Rule, conjuncts, iface_conj, mand, match_iface
+from .ruleset import MNot, MPrim, Rule, iface_conj, mand, match_iface
 from .semantics import ALLOW, DENY, UNDECIDED, Packet, normalize_rules
 from .wordinterval import Cidr, WordInterval
 
@@ -213,12 +213,13 @@ def _read_box(lits, accept, raw, width) -> Optional[Box]:
 
 def prepare_for_simple(rules, width=32) -> list:
     """Read an unfolded Accept/Drop rule list into boxes, one per NNF
-    disjunct that matches some packet, in rule order."""
+    literal tuple that matches some packet, in rule order; any other
+    action (Reject, Log, ...) raises IllformedRuleset."""
     out = []
-    for r in normalize_rules(rules):
+    for lits, r in normalize_rules(rules):
         if r.action.kind not in ("accept", "drop"):
             raise IllformedRuleset("translation needs an Accept/Drop list")
-        box = _read_box(conjuncts(r.match), r.action.kind == "accept", r.raw, width)
+        box = _read_box(lits, r.action.kind == "accept", r.raw, width)
         if box is not None:
             out.append(box)
     return out

@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 import scenarios as sc
-from checkers import nested_chains, return_ladder
+from checkers import nested_chains, return_ladder, seeded_return_ladder
 from conftest import CORPUS, DATA, load_ruleset
-from netfence import invariants, parser, semantics, simplefw, spoofing
-from netfence.cli import analyze_pipeline, main
+from netfence import analysis, invariants, parser, semantics, simplefw, spoofing
+from netfence.cli import analyze_pipeline, closure_results, main
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
 from netfence.policy import PolicyGraph
 from netfence.semantics import unfold
@@ -289,6 +289,16 @@ class TestOneAnalysisRun:
                                       ("routing", {"ipassmt": ipassmt, "routing": routing})):
                     got = analyze_pipeline(text, tactic=tactic, **kwargs)["simple"]
                     assert simple_digest(got) == self.DIGESTS[f"ladder{k} {tactic} {label}"]
+
+    def test_simple_rules_match_the_staged_order_on_the_benchmark_ladder(self):
+        """The k=10 ladder of bench/gen.py at seed 1: 1,047 prepared boxes,
+        14,602 lower-closure simple rules."""
+        text, ipassmt = seeded_return_ladder(1, 10)
+        result = analyze_pipeline(text, ipassmt=parse_ipassmt(ipassmt), tactic=self.TACTICS[0])
+        lower = closure_results(result["prepared"], self.TACTICS[1],
+                                analysis.ServiceTemplate.preset("ssh"), 32)
+        for tactic, got in zip(self.TACTICS, (result["simple"], lower["simple"])):
+            assert simple_digest(got) == self.DIGESTS[f"seed1 ladder10 {tactic} ipassmt"]
 
     @pytest.mark.parametrize("emit", ["dot", "json", "table"])
     @pytest.mark.parametrize("case", ["fwbuilder", "ladder"])

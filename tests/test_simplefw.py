@@ -203,6 +203,14 @@ class TestTranslation:
         with pytest.raises(UnsupportedResidue):
             prepare_for_simple([Rule(MPrim(rs.CtState(frozenset({"NEW"}))), rs.ACCEPT)])
 
+    @pytest.mark.parametrize("action", [rs.REJECT, rs.LOG])
+    def test_only_accept_and_drop_rules_are_read(self, action):
+        """unfold emits only Accept and Drop; a Reject is not read as a
+        Drop, nor a Log skipped."""
+        tcp = MPrim(rs.Protocol(6))
+        with pytest.raises(IllformedRuleset, match="Accept/Drop"):
+            prepare_for_simple([Rule(tcp, action), Rule(MTrue, rs.DROP)])
+
     def test_unknown_box_is_kept_or_dropped_whole(self):
         """An accept box with an unknown literal matches under
         in_doubt_allow and is dropped under in_doubt_deny; kept, it ends

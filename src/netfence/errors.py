@@ -91,9 +91,9 @@ class CallCycle(UnfoldBoundExceeded):
 
 
 class CallsTooDeep(UnfoldBoundExceeded):
-    """Calls or gotos nested deeper than semantics.MAX_CALL_DEPTH: the
-    unfolded matches nest as deep, and the recursive match helpers would
-    exhaust Python's recursion limit on them."""
+    """Calls, gotos and RETURNs before rules nested deeper than
+    semantics.MAX_CALL_DEPTH: the unfolded matches nest as deep, and the
+    recursive match helpers would exhaust Python's recursion limit."""
 
 
 class IllformedSpec(NetfenceError):

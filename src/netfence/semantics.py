@@ -15,7 +15,7 @@ exactly what the Return says.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from . import ruleset as rs
 from .errors import CallCycle, CallsTooDeep, IllformedRuleset
@@ -68,47 +68,52 @@ def default_known(prim) -> bool:
     return not isinstance(prim, rs.Extra)
 
 
-def constant_oracle(value: bool) -> Callable:
-    def oracle(extra_text, packet):
-        return value
-
-    return oracle
-
-
 def bool_matcher(oracle=None):
     """Exact Boolean matcher; Extra primitives are resolved by the given
     oracle (default: never match), making the 'magic oracle' concrete."""
-    oracle = oracle or constant_oracle(False)
+    oracle = oracle or (lambda extra_text, packet: False)
     return lambda m, p: m.holds(p, oracle)
 
 
 # -- big-step evaluation ------------------------------------------------------
 
-# Calls may nest this deep.  The unfolded matches nest about as deep, and
-# the analysis's recursive match helpers (opt_match, _rewrite_positive,
-# normalize_nnf) take one frame per level; 500 leaves half of Python's
-# default recursion limit to the caller and the rest of the pipeline.
+# Calls may nest this deep, each RETURN before a rule (a goto is a call and
+# a RETURN) counting as a call: the rule's unfolded match nests one level
+# per call and per such RETURN, and the recursive match helpers (opt_match,
+# _rewrite_positive, normalize_nnf, spoofing._bounds) take one frame per
+# level; 500 leaves half of Python's default recursion limit to the rest.
 MAX_CALL_DEPTH = 500
 
 
 def _check_calls(table: Table, start_chain: str):
     """Static sanity: all targets defined, and the call graph (calls and
-    gotos) from the start chain acyclic and at most MAX_CALL_DEPTH calls
-    deep.  A cycle raises CallCycle naming a chain on it; deeper nesting
-    raises CallsTooDeep naming the first chain past the bound on a
-    deepest call path.  Iterative, so any nesting gets this far."""
+    gotos) from the start chain acyclic and at most MAX_CALL_DEPTH levels
+    deep, counting the RETURNs before each rule.  A cycle raises
+    CallCycle naming a chain on it; deeper nesting raises CallsTooDeep
+    naming the first chain past the bound on a deepest path.  Iterative,
+    so any nesting gets this far."""
     table.validate()
     if start_chain not in table.chains:
         raise IllformedRuleset(f"start chain {start_chain!r} does not exist")
-    callees = {}  # chain -> its distinct call and goto targets, in rule order
-    depth = {}  # finished chain -> calls on the longest call path from it
+    below = {}  # chain -> {callee: RETURNs before its last call}; None: before its last rule
+    depth = {None: -1}  # finished chain -> levels on the deepest path from it
     on_path, stack = set(), []  # the chains being visited, with their pending targets
 
     def enter(chain):
-        callees[chain] = list(dict.fromkeys(
-            r.action.chain for r in table.chains[chain] if r.action.kind in ("call", "goto")))
+        returns, below[chain] = 0, {}
+        for r in table.chains[chain]:
+            if r.action.kind == "return":
+                returns += 1
+                continue
+            below[chain][None] = returns  # the first key, so that ties name the chain itself
+            if r.action.kind in ("call", "goto"):
+                below[chain][r.action.chain] = returns
+                returns += r.action.kind == "goto"
         on_path.add(chain)
-        stack.append((chain, iter(callees[chain])))
+        stack.append((chain, filter(None, below[chain])))
+
+    def deepest(chain):  # the callee on a deepest path from chain; None for its own rules
+        return max(below[chain], key=lambda c: below[chain][c] + 1 + depth[c], default=None)
 
     enter(start_chain)
     while stack:
@@ -117,16 +122,18 @@ def _check_calls(table: Table, start_chain: str):
         if target is None:
             stack.pop()
             on_path.remove(chain)
-            depth[chain] = max((depth[c] + 1 for c in callees[chain]), default=0)
+            depth[chain] = max((n + 1 + depth[c] for c, n in below[chain].items()), default=0)
         elif target in on_path:
             raise CallCycle(f"calling loop through chain {target!r}")
         elif target not in depth:
             enter(target)
     if depth[start_chain] > MAX_CALL_DEPTH:
-        chain = start_chain
-        for _ in range(MAX_CALL_DEPTH + 1):
-            chain = max(callees[chain], key=depth.get)
-        raise CallsTooDeep(f"chain {chain!r} is nested more than {MAX_CALL_DEPTH} calls deep")
+        chain, level = start_chain, 0  # follow a deepest path to the chain that passes the bound
+        while (level <= MAX_CALL_DEPTH and (target := deepest(chain)) is not None
+               and level + below[chain][target] <= MAX_CALL_DEPTH):
+            chain, level = target, level + below[chain][target] + 1
+        raise CallsTooDeep(f"chain {chain!r} is nested more than {MAX_CALL_DEPTH} calls deep, "
+                           "counting each RETURN before a rule as one")
 
 
 def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
@@ -197,11 +204,6 @@ def bigstep_eval(
 # -- custom chain unfolding ---------------------------------------------------
 
 
-def add_match(m: MatchExpr, rules):
-    """Conjoin m in front of every rule's match."""
-    return [Rule(mand(m, r.match), r.action, r.raw) for r in rules]
-
-
 def process_return(rules):
     """pr: Return rules vanish; later rules require the Return not to match."""
     out = []
@@ -215,22 +217,15 @@ def process_return(rules):
 
 
 def process_call(rules, chains):
-    """pc: unfold one level of Call."""
+    """pc: unfold one level of Call, conjoining the call's match in front
+    of each rule of the called chain."""
     out = []
     for r in rules:
         if r.action.kind == "call":
-            out.extend(add_match(r.match, process_return(chains[r.action.chain])))
+            out += [Rule(mand(r.match, c.match), c.action, c.raw)
+                    for c in process_return(chains[r.action.chain])]
         else:
             out.append(r)
-    return out
-
-
-def _truncate_after_final(rules):
-    out = []
-    for r in rules:
-        out.append(r)
-        if r.match == MTrue and r.action.kind in ("accept", "drop"):
-            break
     return out
 
 
@@ -248,7 +243,9 @@ def optimize_rules(rules):
         if action.kind in ("log", "empty"):
             continue
         out.append(Rule(m, action, r.raw))
-    return _truncate_after_final(out)
+        if m == MTrue and action.kind in ("accept", "drop"):
+            break
+    return out
 
 
 def _goto_as_call_return(rules):

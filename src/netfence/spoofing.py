@@ -1,10 +1,13 @@
 """Certify spoofing protection of an unfolded ruleset, per interface.
 
-The certifier walks the rule list once, accumulating an over-approximation
-A of the source addresses an interface's packets may be accepted with and
-an under-approximation D of the sources that are definitely dropped.  The
-interface is certified when A minus D stays inside its assigned range.
-Sound but deliberately incomplete in the presence of unknown matches.
+One walk over each rule's match bounds the sources with which some packet
+on the interface may match it (over) and with which all do (under); a
+conjunction intersects both bounds, a negation complements and swaps
+them, and the certified side's interface literals are decided exactly.
+The certifier folds the rule list once into A, the Accepts' over, and D,
+the Drops' under outside A: the interface is certified when A minus D
+stays inside its assigned range.  Sound but deliberately incomplete in
+the presence of unknown matches.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from typing import Optional
 
 from . import ruleset as rs
 from .errors import IfaceNotInIpassmt, MissingFinalRule
-from .ruleset import MNot, MTrue, match_iface
-from .semantics import normalize_nnf
+from .ruleset import MAnd, MNot, MTrue, match_iface
 from .wordinterval import WordInterval, format_interval
 
 
@@ -36,58 +38,50 @@ class SpoofVerdict:
         return f"{self.iface}: FAIL{where}{extra}"
 
 
-def _sources(disjuncts, iface, width, field, guaranteed):
-    """Union over the NNF disjuncts of the source IPs with which some packet
-    on `iface` can match (an over-approximation, for accept rules) or, when
-    `guaranteed`, with which every packet on `iface` matches (an
-    under-approximation, for drop rules: only interface and source
-    constraints may remain)."""
-    iface_type = rs.IIface if field == "in" else rs.OIface
-    total = WordInterval.empty(width)
-    for leaves in disjuncts:
-        srcs = WordInterval.universe(width)
-        for leaf in leaves:
-            negated = isinstance(leaf, MNot)
-            prim = (leaf.inner if negated else leaf).prim
-            if isinstance(prim, rs.Src):
-                srcs = srcs.intersect(prim.addrs.complement() if negated else prim.addrs)
-            elif isinstance(prim, iface_type) and negated and not guaranteed:
-                # cannot bound what other interfaces may carry: stay safe
-                srcs = WordInterval.universe(width)
-                break
-            elif isinstance(prim, iface_type):
-                if negated or not match_iface(prim.name, iface):
-                    srcs = None  # no packet on `iface` matches
-                    break
-            elif guaranteed:
-                srcs = None  # the residual match might not hold for every packet
-                break
-        if srcs is not None:
-            total = total.union(srcs)
-    return total
+def _bounds(m, iface, side, width, memo):
+    """(over, under) of match m on `iface`, whose interface literals are
+    those of type `side`.  memo maps id(node) to its pair, so a subtree
+    that unfolding shares among rules is bounded once."""
+    got = memo.get(id(m))
+    if got is not None:
+        return got
+    everything, nothing = WordInterval.universe(width), WordInterval.empty(width)
+    if isinstance(m, MAnd):
+        (over, under), (over_r, under_r) = (_bounds(m.left, iface, side, width, memo),
+                                            _bounds(m.right, iface, side, width, memo))
+        got = over.intersect(over_r), under.intersect(under_r)
+    elif isinstance(m, MNot):
+        over, under = _bounds(m.inner, iface, side, width, memo)
+        got = under.complement(), over.complement()
+    elif m == MTrue:
+        got = everything, everything
+    elif isinstance(m.prim, rs.Src):
+        got = m.prim.addrs, m.prim.addrs
+    elif isinstance(m.prim, side):
+        got = (everything, everything) if match_iface(m.prim.name, iface) else (nothing, nothing)
+    else:  # holds for some packets, as far as the source tells
+        got = everything, nothing
+    memo[id(m)] = got
+    return got
 
 
-def _certify(rules, rule_disjuncts, iface, allowed_range, field) -> SpoofVerdict:
+def _certify(rules, iface, allowed_range, field) -> SpoofVerdict:
     width = allowed_range.width
-    acc = WordInterval.empty(width)
-    deny = WordInterval.empty(width)
+    side = rs.IIface if field == "in" else rs.OIface
+    memo = {}
+    acc = deny = WordInterval.empty(width)
     failing = None
-    for idx, (rule, disjuncts) in enumerate(zip(rules, rule_disjuncts)):
+    for idx, rule in enumerate(rules):
+        over, under = _bounds(rule.match, iface, side, width, memo)
         if rule.action.kind == "accept":
-            acc = acc.union(_sources(disjuncts, iface, width, field, guaranteed=False))
+            acc = acc.union(over)
         else:
-            newly = _sources(disjuncts, iface, width, field, guaranteed=True).difference(acc)
-            deny = deny.union(newly)
+            deny = deny.union(under.difference(acc))
         if failing is None and not acc.difference(deny).issubset(allowed_range):
             failing = idx
-    residual = acc.difference(deny)
-    certified = residual.issubset(allowed_range)
-    return SpoofVerdict(
-        iface,
-        certified,
-        None if certified else failing,
-        None if certified else residual.difference(allowed_range),
-    )
+    residual = acc.difference(deny).difference(allowed_range)
+    return SpoofVerdict(iface, True) if residual.is_empty() else \
+        SpoofVerdict(iface, False, failing, residual)
 
 
 def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
@@ -105,12 +99,9 @@ def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
 def sp_certify_all(rules, ipassmt, field="in") -> dict:
     """Pointwise certification for every interface in the assignment; the
     overall verdict is the conjunction.  An empty assignment certifies
-    vacuously (with a warning left to the caller).  Each rule is
-    normalized once for all interfaces."""
+    vacuously (with a warning left to the caller)."""
     if not ipassmt:
         return {}
     if not rules or rules[-1].match != MTrue or rules[-1].action.kind not in ("accept", "drop"):
         raise MissingFinalRule("ruleset must end with an explicit allow-all or deny-all rule")
-    rule_disjuncts = [normalize_nnf(r.match) for r in rules]
-    return {iface: _certify(rules, rule_disjuncts, iface, ipassmt[iface], field)
-            for iface in sorted(ipassmt)}
+    return {iface: _certify(rules, iface, ipassmt[iface], field) for iface in sorted(ipassmt)}

@@ -11,6 +11,7 @@ non-overlapping and non-adjacent, so structural equality is set equality.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -44,11 +45,14 @@ class WordInterval:
 
     # -- constructors ------------------------------------------------------
 
+    # values are immutable, so each width shares one empty set and one universe
     @classmethod
+    @functools.cache
     def empty(cls, width):
         return cls((), width)
 
     @classmethod
+    @functools.cache
     def universe(cls, width):
         return cls(((0, (1 << width) - 1),), width)
 

@@ -208,6 +208,18 @@ def nested_chains(depth):
     return "\n".join(lines) + "\n"
 
 
+def return_chain(n, jump="-j RETURN"):
+    """A FORWARD ruleset that calls one user chain of n rules jumping on
+    /24s inside 10.0.0.0/8 (RETURNs, or gotos to an empty chain) before
+    its eth0 anti-spoofing DROP, whose unfolded match then nests n
+    levels deep; eth0 = 10.0.0.0/8 is certified."""
+    lines = ["*filter", ":FORWARD DROP [0:0]", ":USER - [0:0]", ":SINK - [0:0]",
+             "-A FORWARD -j USER", "-A FORWARD -i eth0 -j ACCEPT"]
+    lines += [f"-A USER -s 10.{i // 256}.{i % 256}.0/24 {jump}" for i in range(n)]
+    lines += ["-A USER -i eth0 ! -s 10.0.0.0/8 -j DROP", "COMMIT"]
+    return "\n".join(lines) + "\n"
+
+
 def return_ladder(k):
     """A Docker-style FORWARD ruleset: eth0 drops spoofed sources up front,
     eth1 only after a user chain whose k RETURN rules give every later

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 import scenarios as sc
-from checkers import nested_chains, return_ladder, seeded_return_ladder
+from checkers import nested_chains, return_chain, return_ladder, seeded_return_ladder
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import analysis, invariants, parser, semantics, simplefw, spoofing
 from netfence.cli import analyze_pipeline, closure_results, main
@@ -385,6 +385,21 @@ class TestOneAnalysisRun:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert f"chain 'C{bound + 1}' is nested more than {bound} calls deep" in err
+
+    def test_return_nesting_is_bounded_like_call_nesting(self, tmp_path, capsys):
+        """A chain of RETURNs at the nesting bound certifies through every
+        stage; 1,200 of them used to end in a RecursionError traceback."""
+        ruleset, ipassmt = tmp_path / "returns.iptables", tmp_path / "returns.ipassmt"
+        ipassmt.write_text("eth0 = [10.0.0.0/8]\n")
+        ruleset.write_text(return_chain(semantics.MAX_CALL_DEPTH - 1))
+        assert run(["analyze", "--input", ruleset, "--closure", "both", "--ipassmt", ipassmt,
+                    "--spoofing", "--out-dir", tmp_path / "out"]) == 0
+        assert "eth0: CERTIFIED" in capsys.readouterr().out
+        ruleset.write_text(return_chain(1200))
+        code = run(["analyze", "--input", ruleset, "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "chain 'USER' is nested more than" in err
 
 
 class TestSynthesize:

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from checkers import definitional_normalize_nnf, nested_chains, seeded_return_ladder
+from checkers import (definitional_normalize_nnf, nested_chains, return_chain,
+                      seeded_return_ladder)
 from conftest import load_ruleset
 from netfence import ruleset as rs
 from netfence import semantics
@@ -480,6 +481,30 @@ class TestUnfold:
         assert unfold(parse_save(ruleset(bound - 10)), "FORWARD") == [Rule(MTrue, rs.DROP)]
         with pytest.raises(CallsTooDeep, match=f"chain 'D{bound - 9}'"):
             unfold(parse_save(ruleset(bound - 9)), "FORWARD")
+
+    @pytest.mark.parametrize("jump", ["-j RETURN", "-g SINK"])
+    def test_each_return_before_a_rule_counts_as_a_level(self, monkeypatch, jump):
+        """process_return conjoins a RETURN's negated match onto every later
+        rule of its chain, and a goto unfolds to a call and a RETURN; the
+        call into USER is the first level."""
+        bound = semantics.MAX_CALL_DEPTH
+        table = parse_save(return_chain(bound - 1, jump))
+        unfolded = unfold(table, "FORWARD")
+        for iface, src, want in (("eth0", "10.0.0.1", ALLOW), ("eth0", "10.2.0.1", ALLOW),
+                                 ("eth0", "11.0.0.1", DENY), ("eth1", "10.0.0.1", DENY)):
+            p = Packet(iiface=iface, src=ip_parse(src))
+            assert simple_list_eval(unfolded, p) == want
+            assert bigstep_evaluator(table, "FORWARD")(p) == want
+
+        def no_step(*args):
+            raise AssertionError("unfolding started on an over-deep ruleset")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        table = parse_save(return_chain(bound, jump))
+        with pytest.raises(CallsTooDeep, match="chain 'USER' is nested more than"):
+            unfold(table, "FORWARD")
+        with pytest.raises(CallsTooDeep, match="chain 'USER'"):
+            bigstep_evaluator(table, "FORWARD")
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_unfolding_preserves_semantics(self, name, chain):

@@ -34,6 +34,7 @@ from netfence.simplefw import (
     simple_rules_to_save,
     translate_to_simple,
 )
+from netfence.spoofing import sp_certify_all
 from netfence.wordinterval import (
     Cidr,
     WordInterval,
@@ -430,3 +431,23 @@ class TestWholePathSandwich:
                     assert simple_fw_eval(upper, p) == ALLOW, (seed, p)
                 checked[exact] += 1
         assert checked[ALLOW] > 1000 and checked[DENY] > 1000
+
+    def test_spoofed_accepts_lie_in_the_residual(self):
+        """Every packet the exact semantics accepts on eth0 or lo with a source
+        outside the interface's range lies in the residual that spoofing
+        certification reports for it; a CERTIFIED interface accepts none."""
+        rng = random.Random(5)
+        spoofed, certified = Counter(), Counter()
+        for seed in range(150):
+            table = _random_table(rng)
+            verdicts = sp_certify_all(unfold(table, "FORWARD"), self.IPASSMT)
+            evaluate = bigstep_evaluator(table, "FORWARD", bool_matcher(hash_oracle(seed)))
+            every_match = mand(*(r.match for rules in table.chains.values() for r in rules))
+            for _ in range(60):
+                p = _near_packet(rng, every_match).with_(iiface=rng.choice(sorted(self.IPASSMT)))
+                verdict = verdicts[p.iiface]
+                certified[verdict.certified] += 1
+                if p.src not in self.IPASSMT[p.iiface] and evaluate(p) == ALLOW:
+                    assert not verdict.certified and p.src in verdict.residual, (seed, p)
+                    spoofed[p.iiface] += 1
+        assert min(spoofed["eth0"], spoofed["lo"], certified[True], certified[False]) > 500

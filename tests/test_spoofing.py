@@ -8,9 +8,10 @@ from conftest import CORPUS, load_ruleset
 from netfence import ruleset as rs
 from netfence.errors import IfaceNotInIpassmt, MissingFinalRule
 from netfence.parser import parse_ipassmt, parse_save
-from netfence.ruleset import MNot, MPrim, MTrue, Rule, mand
-from netfence.semantics import ALLOW, Packet, bigstep_evaluator, bool_matcher, unfold
-from netfence.spoofing import _sources, sp_certify, sp_certify_all
+from netfence.ruleset import MAnd, MNot, MPrim, MTrue, Rule, mand
+from netfence.semantics import (ALLOW, Packet, bigstep_evaluator, bool_matcher,
+                                normalize_nnf, unfold)
+from netfence.spoofing import _bounds, sp_certify, sp_certify_all
 from netfence.wordinterval import WordInterval, parse_address_set
 
 FWBUILDER_IPASSMT = parse_ipassmt(
@@ -191,7 +192,7 @@ class TestSharedNormalization:
         assert sp_certify_all([Rule(MNot(MTrue), rs.DROP)], {}) == {}
 
 
-# The mirror pair that `_sources` merged, kept as its definitional oracle.
+# The certifier's former NNF-based bounds, kept as the precision floor of `_bounds`.
 def definitional_accept_sources(disjuncts, iface, width, field):
     iface_type = rs.IIface if field == "in" else rs.OIface
     total = WordInterval.empty(width)
@@ -240,24 +241,104 @@ def definitional_deny_sources(disjuncts, iface, width, field):
     return total
 
 
-def test_sources_equals_the_accept_and_deny_pair():
-    rng = random.Random(15)
+class TestBounds:
+    """`_bounds` against brute force at width 8: every source, every other-side
+    interface, both protocols and both answers of the one Extra.  Sources
+    are taken in runs on which every Src literal of the match is constant."""
 
-    def leaf():
-        prim = rng.choice([
-            lambda: rs.IIface(rng.choice(["eth0", "eth1", "eth+", "lo"])),
-            lambda: rs.OIface(rng.choice(["eth0", "eth+"])),
-            lambda: rs.Src(WordInterval.range(lo := rng.randrange(256),
-                                              min(255, lo + rng.randrange(64)), 8)),
-            lambda: rs.Protocol(6),
-            lambda: rs.Extra("-m limit"),
-        ])()
-        return MNot(MPrim(prim)) if rng.random() < 0.4 else MPrim(prim)
+    IFACES = ("eth0", "eth1", "lo")
+    OTHERS = ("eth0", "eth1", "lo", "wlan0")
 
-    for _ in range(3000):
-        disjuncts = [[leaf() for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(0, 3))]
-        for iface, field in product(("eth0", "eth1", "lo"), ("in", "out")):
-            assert _sources(disjuncts, iface, 8, field, guaranteed=False) == \
-                definitional_accept_sources(disjuncts, iface, 8, field)
-            assert _sources(disjuncts, iface, 8, field, guaranteed=True) == \
-                definitional_deny_sources(disjuncts, iface, 8, field)
+    @staticmethod
+    def random_match(rng, depth):
+        r = rng.random()
+        if depth == 0 or r < 0.3:
+            prim = rng.choice([
+                lambda: rs.IIface(rng.choice(["eth0", "eth1", "eth+", "lo"])),
+                lambda: rs.OIface(rng.choice(["eth0", "eth+"])),
+                lambda: rs.Src(WordInterval.range(lo := rng.randrange(256),
+                                                  min(255, lo + rng.randrange(64)), 8)),
+                lambda: rs.Protocol(6),
+                lambda: rs.Extra("-m limit"),
+            ])()
+            return MPrim(prim)
+        if r < 0.35:
+            return MTrue
+        if r < 0.6:
+            return MNot(TestBounds.random_match(rng, depth - 1))
+        return MAnd(TestBounds.random_match(rng, depth - 1), TestBounds.random_match(rng, depth - 1))
+
+    def brute_force(self, m, iface, field):
+        """(sources some packet on iface matches with under some oracle,
+        sources every packet there matches with under every oracle)."""
+        cuts = sorted({0, 256} | {b for p in rs.primitives_in(m) if isinstance(p, rs.Src)
+                                  for lo, hi in p.addrs.parts for b in (lo, hi + 1)})
+        some, every = set(), set(range(256))
+        for other, protocol, extra in product(self.OTHERS, (6, 17), (False, True)):
+            ifaces = {"iiface": iface, "oiface": other} if field == "in" else \
+                {"iiface": other, "oiface": iface}
+            matching = {s for lo, hi in zip(cuts, cuts[1:])
+                        if m.holds(Packet(src=lo, protocol=protocol, **ifaces), lambda t, p: extra)
+                        for s in range(lo, hi)}
+            some |= matching
+            every &= matching
+        return some, every
+
+    def test_bounds_against_brute_force_and_the_nnf_floor(self):
+        rng = random.Random(15)
+        exact = floor_differs = 0
+        for _ in range(300):
+            m = self.random_match(rng, 4)
+            prims = list(rs.primitives_in(m))
+            disjuncts = normalize_nnf(m)
+            for iface, field in product(self.IFACES, ("in", "out")):
+                side = rs.IIface if field == "in" else rs.OIface
+                over, under = _bounds(m, iface, side, 8, {})
+                over_set = {s for s in range(256) if s in over}
+                under_set = {s for s in range(256) if s in under}
+                some, every = self.brute_force(m, iface, field)
+                assert some <= over_set and under_set <= every
+                if all(isinstance(p, (rs.Src, side)) for p in prims):
+                    assert (over_set, under_set) == (some, every)
+                    exact += 1
+                nnf_over = definitional_accept_sources(disjuncts, iface, 8, field)
+                nnf_under = definitional_deny_sources(disjuncts, iface, 8, field)
+                assert over.issubset(nnf_over) and nnf_under.issubset(under)
+                if not any(isinstance(lit, MNot) and isinstance(lit.inner.prim, side)
+                           for lits in disjuncts for lit in lits):
+                    assert (over, under) == (nnf_over, nnf_under)
+                else:
+                    floor_differs += (over, under) != (nnf_over, nnf_under)
+        assert exact > 100 and floor_differs > 10
+
+    def test_a_shared_subtree_is_bounded_once(self, monkeypatch):
+        shared = MNot(mand(iif("eth0"), src("10.0.0.0/8")))
+        calls = []
+        original = WordInterval.complement
+        monkeypatch.setattr(WordInterval, "complement",
+                            lambda wi: calls.append(wi) or original(wi))
+        memo = {}
+        for m in (mand(shared, src("10.0.0.0/8")), mand(shared, src("11.0.0.0/8"))):
+            _bounds(m, "eth0", rs.IIface, 32, memo)
+        assert len(calls) == 2  # the one negation, over and under
+
+
+class TestRegressions:
+    def test_a_negated_interface_literal_is_decided_exactly(self):
+        """Only `-i eth1 -s 192.168.0.0/24 -j ACCEPT` accepts eth1 packets
+        before eth1's anti-spoofing DROP.  The RETURN's negated `-i eth0`
+        used to make rule #1, an `-i eth2` ACCEPT, accept eth1 packets from
+        every source."""
+        text, ipassmt = return_ladder(1)
+        verdicts = sp_certify_all(unfold(parse_save(text), "FORWARD"), ipassmt)
+        assert verdicts["eth1"].report_line() == \
+            "eth1: FAIL at rule #2 (residual range {192.168.0.0 .. 192.168.0.255})"
+
+    def test_certification_takes_no_normal_form(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the certifier normalized a match")
+
+        monkeypatch.setattr("netfence.semantics.normalize_nnf", refuse)
+        monkeypatch.setattr("netfence.spoofing.normalize_nnf", refuse, raising=False)
+        text, ipassmt = return_ladder(6)
+        assert sp_certify_all(unfold(parse_save(text), "FORWARD"), ipassmt)["eth0"].certified

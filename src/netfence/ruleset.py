@@ -3,10 +3,16 @@
 Match expressions form a tiny algebra (primitive, negation, conjunction,
 True); rules pair a match expression with an action; a table maps chain
 names to rule lists plus the built-in chains' default policies.
+
+Each primitive decides a packet two ways: `matches` is its definition, and
+`source` writes the same test as a Python expression for compile_match,
+which turns a whole match expression into one predicate.
 """
 
 from __future__ import annotations
 
+import types
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,6 +45,9 @@ class Src:
     def matches(self, p, oracle) -> bool:
         return p.src in self.addrs
 
+    def source(self, c) -> str:
+        return in_set("p.src", self.addrs, c)
+
 
 @dataclass(frozen=True)
 class Dst:
@@ -46,6 +55,9 @@ class Dst:
 
     def matches(self, p, oracle) -> bool:
         return p.dst in self.addrs
+
+    def source(self, c) -> str:
+        return in_set("p.dst", self.addrs, c)
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,9 @@ class IIface:
     def matches(self, p, oracle) -> bool:
         return match_iface(self.name, p.iiface)
 
+    def source(self, c) -> str:
+        return iface_source("p.iiface", self.name, c)
+
 
 @dataclass(frozen=True)
 class OIface:
@@ -63,6 +78,9 @@ class OIface:
     def matches(self, p, oracle) -> bool:
         return match_iface(self.name, p.oiface)
 
+    def source(self, c) -> str:
+        return iface_source("p.oiface", self.name, c)
+
 
 @dataclass(frozen=True)
 class Protocol:
@@ -70,6 +88,9 @@ class Protocol:
 
     def matches(self, p, oracle) -> bool:
         return p.protocol == self.number
+
+    def source(self, c) -> str:
+        return f"p.protocol == {c(self.number)}"
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,9 @@ class SrcPorts:
     def matches(self, p, oracle) -> bool:
         return p.protocol == self.proto and p.sport in self.ports
 
+    def source(self, c) -> str:
+        return f"p.protocol == {c(self.proto)} and {in_set('p.sport', self.ports, c)}"
+
 
 @dataclass(frozen=True)
 class DstPorts:
@@ -89,6 +113,9 @@ class DstPorts:
     def matches(self, p, oracle) -> bool:
         return p.protocol == self.proto and p.dport in self.ports
 
+    def source(self, c) -> str:
+        return f"p.protocol == {c(self.proto)} and {in_set('p.dport', self.ports, c)}"
+
 
 # multiport differs from -m tcp/udp ports only in how it prints
 @dataclass(frozen=True)
@@ -97,6 +124,7 @@ class MultiportSrc:
     ports: WordInterval
 
     matches = SrcPorts.matches
+    source = SrcPorts.source
 
 
 @dataclass(frozen=True)
@@ -105,6 +133,7 @@ class MultiportDst:
     ports: WordInterval
 
     matches = DstPorts.matches
+    source = DstPorts.source
 
 
 @dataclass(frozen=True)
@@ -113,6 +142,9 @@ class CtState:
 
     def matches(self, p, oracle) -> bool:
         return p.ctstate in self.states
+
+    def source(self, c) -> str:
+        return f"p.ctstate in {c(self.states)}"
 
 
 @dataclass(frozen=True)
@@ -123,6 +155,9 @@ class TcpFlags:
     def matches(self, p, oracle) -> bool:
         return (p.tcp_flags & self.mask) == self.comp
 
+    def source(self, c) -> str:
+        return f"p.tcp_flags & {c(self.mask)} == {c(self.comp)}"
+
 
 @dataclass(frozen=True)
 class Extra:
@@ -132,6 +167,9 @@ class Extra:
 
     def matches(self, p, oracle) -> bool:
         return bool(oracle(self.text, p))
+
+    def source(self, c) -> str:
+        return f"not not o({c(self.text)}, p)"
 
 
 PORT_PRIMITIVES = (SrcPorts, DstPorts, MultiportSrc, MultiportDst)
@@ -167,15 +205,24 @@ def iface_conj(a: str, b: str) -> Optional[str]:
 
 class MatchExpr:
     """A match expression; `holds(packet, oracle)` is its exact Boolean
-    semantics, with Extra primitives decided by the oracle."""
+    semantics, with Extra primitives decided by the oracle.
+    `compiled(packet, oracle)` decides the same by the node's compiled
+    predicate: the first call compiles it and caches it on the node, where
+    it shadows this method."""
 
     __slots__ = ()
+
+    def compiled(self, p, oracle=None) -> bool:
+        return compile_match(self)(p, oracle)
 
 
 class _MTrue(MatchExpr):
     __slots__ = ()
 
     def holds(self, p, oracle) -> bool:
+        return True
+
+    def compiled(self, p, oracle=None) -> bool:
         return True
 
     def __repr__(self):
@@ -232,16 +279,22 @@ def mand(*exprs) -> MatchExpr:
 
 
 def conjuncts(m: MatchExpr):
-    """Flatten a conjunction tree into its leaves (drops True)."""
-    if m == MTrue:
-        return []
-    if isinstance(m, MAnd):
-        return conjuncts(m.left) + conjuncts(m.right)
-    return [m]
+    """Flatten a conjunction tree into its leaves (drops True), left to
+    right; iterative, so a conjunction of any depth flattens."""
+    out, stack = [], [m]
+    while stack:
+        m = stack.pop()
+        if isinstance(m, MAnd):
+            stack += (m.right, m.left)
+        elif not isinstance(m, _MTrue):
+            out.append(m)
+    return out
 
 
 def opt_match(m: MatchExpr) -> MatchExpr:
-    """Simplify away True and not-True subterms."""
+    """Simplify away True and not-True subterms.  A subterm with nothing
+    to simplify is returned as it is, so that an unfolded rule shares its
+    nodes (and their compiled predicates) with the table."""
     if isinstance(m, MAnd):
         left, right = opt_match(m.left), opt_match(m.right)
         if left == MNotTrue or right == MNotTrue:
@@ -250,13 +303,105 @@ def opt_match(m: MatchExpr) -> MatchExpr:
             return right
         if right == MTrue:
             return left
-        return MAnd(left, right)
+        return m if left is m.left and right is m.right else MAnd(left, right)
     if isinstance(m, MNot):
         inner = opt_match(m.inner)
         if isinstance(inner, MNot):
             return inner.inner
-        return MNot(inner)
+        return m if inner is m.inner else MNot(inner)
     return m
+
+
+# -- compiled matching ---------------------------------------------------------
+
+# A predicate is `def match(p, o, c0, c1, ...): return <expression>` over the
+# packet p and the oracle o.  Every value taken from a match is a constant
+# c<i>, passed as the parameter's default, so the source depends only on the
+# match's shape and one code object serves every match of that shape.
+# Equal matches of one shape (rules repeated by unfolding and closure) share
+# one function while any of them lives.
+
+_SHAPES = {}  # predicate source -> (its code, {defaults: function}, weakly)
+_GLOBALS = {"__builtins__": {}}
+
+# `not (...)` levels written into one predicate; a deeper negation is called
+# as its own compiled predicate, which keeps the source far inside every
+# CPython compiler's nesting limits (200 parentheses in the tokenizer).
+_INLINE_NEGATIONS = 32
+
+
+class Params(list):
+    """The constants of one predicate: calling it with a value appends the
+    value and returns the parameter name that stands for it."""
+
+    def __call__(self, value) -> str:
+        self.append(value)
+        return f"c{len(self) - 1}"
+
+
+def predicate(terms, params):
+    """The compiled conjunction of the expressions `terms` (True when there
+    are none), as a function (packet, oracle=None) -> bool."""
+    names = "".join(f", c{i}" for i in range(len(params)))
+    source = f"def match(p, o{names}):\n    return {' and '.join(terms) or 'True'}\n"
+    shape = _SHAPES.get(source)
+    if shape is None:
+        namespace = {}
+        exec(source, _GLOBALS, namespace)
+        shape = _SHAPES[source] = (namespace["match"].__code__, weakref.WeakValueDictionary())
+    code, made = shape
+    defaults = (None, *params)
+    fn = made.get(defaults)
+    if fn is None:
+        fn = made[defaults] = types.FunctionType(code, _GLOBALS, None, defaults)
+    return fn
+
+
+def in_set(field: str, wi: WordInterval, c) -> str:
+    """The test `field in wi`: a range comparison when wi is one range."""
+    if len(wi.parts) == 1:
+        (lo, hi), = wi.parts
+        return f"{c(lo)} <= {field} <= {c(hi)}"
+    return f"{field} in {c(wi)}"
+
+
+def iface_source(field: str, pattern: str, c) -> str:
+    """match_iface(pattern, field) as an expression."""
+    if pattern.endswith("+"):
+        return f"{field}.startswith({c(pattern[:-1])})"
+    return f"{field} == {c(pattern)}"
+
+
+def _terms(m: MatchExpr, c, nested, depth):
+    """One expression per conjunct of m; a negation past the inline depth
+    becomes a call of a parameter, recorded in `nested` with its node."""
+    out = []
+    for leaf in conjuncts(m):
+        if isinstance(leaf, MPrim):
+            out.append(leaf.prim.source(c))
+        elif depth == _INLINE_NEGATIONS:
+            nested.append((len(c), leaf))
+            out.append(f"{c(None)}(p, o)")
+        else:
+            inner = " and ".join(_terms(leaf.inner, c, nested, depth + 1)) or "True"
+            out.append(f"not ({inner})")
+    return out
+
+
+def compile_match(m: MatchExpr):
+    """The predicate (packet, oracle=None) -> bool that decides m.holds,
+    compiled once and cached on the node as its `compiled` attribute.
+    Subtrees past the inline depth are compiled after m's source is
+    written, so the stack grows by one frame per 32 levels of negation."""
+    fn = m.compiled
+    if isinstance(fn, types.MethodType) and not isinstance(m, _MTrue):  # not compiled yet
+        c, nested = Params(), []
+        terms = _terms(m, c, nested, 0)
+        for i, node in nested:
+            c[i] = compile_match(node)
+        fn = predicate(terms, c)
+        object.__setattr__(m, "compiled", fn)  # frozen; leaves the node's dict unbuilt
+    return fn
 
 
 def primitives_in(m: MatchExpr):

@@ -68,11 +68,23 @@ def default_known(prim) -> bool:
     return not isinstance(prim, rs.Extra)
 
 
+def _no_oracle(extra_text, packet):
+    return False
+
+
+def _default_matcher(m, p):
+    return m.compiled(p, _no_oracle)
+
+
 def bool_matcher(oracle=None):
     """Exact Boolean matcher; Extra primitives are resolved by the given
-    oracle (default: never match), making the 'magic oracle' concrete."""
-    oracle = oracle or (lambda extra_text, packet: False)
-    return lambda m, p: m.holds(p, oracle)
+    oracle (default: never match), making the 'magic oracle' concrete.
+    Each match is decided by its compiled predicate (ruleset.compile_match),
+    which the first packet compiles and every later one reuses; without an
+    oracle, every caller shares one matcher."""
+    if oracle is None:
+        return _default_matcher
+    return lambda m, p: m.compiled(p, oracle)
 
 
 # -- big-step evaluation ------------------------------------------------------
@@ -143,7 +155,7 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
     policy = table.policies.get(start_chain)
     if policy is None:
         raise IllformedRuleset(f"chain {start_chain!r} has no default policy")
-    matcher = matcher or bool_matcher()
+    matcher = matcher or _default_matcher
     default_state = ALLOW if policy == rs.ACCEPT else DENY
 
     def run_chain(name, rules, packet):
@@ -288,7 +300,7 @@ def unfold(table: Table, start_chain: str) -> list:
 
 def simple_list_eval(rules, packet: Packet, matcher=None) -> str:
     """First-match evaluation of an unfolded rule list (with default None)."""
-    matcher = matcher or bool_matcher()
+    matcher = matcher or _default_matcher
     for r in rules:
         if matcher(r.match, packet):
             if r.action.kind == "accept":

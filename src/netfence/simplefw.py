@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import ruleset as rs
 from .errors import ConsistencyError, IllformedRuleset, UnsupportedResidue
-from .ruleset import MNot, MPrim, Rule, iface_conj, mand, match_iface
+from .ruleset import MNot, MPrim, Rule, iface_conj, mand
 from .semantics import ALLOW, DENY, UNDECIDED, Packet, normalize_rules
 from .wordinterval import Cidr, WordInterval
 
@@ -58,21 +58,23 @@ class SimpleMatch:
         return self.sports[0] > self.sports[1] or self.dports[0] > self.dports[1]
 
     def matches(self, p: Packet) -> bool:
-        if self.iiface != "+" and not match_iface(self.iiface, p.iiface):
-            return False
-        if self.oiface != "+" and not match_iface(self.oiface, p.oiface):
-            return False
-        # in the block iff no bit above the host bits differs from the base
-        src, dst = self.src, self.dst
-        if (p.src ^ src.base) >> (src.width - src.prefix):
-            return False
-        if (p.dst ^ dst.base) >> (dst.width - dst.prefix):
-            return False
-        if self.proto is not None and p.protocol != self.proto:
-            return False
-        if not self.sports[0] <= p.sport <= self.sports[1]:
-            return False
-        return self.dports[0] <= p.dport <= self.dports[1]
+        """Whether p lies in the 7-tuple.  The first call compiles the test
+        (ruleset.predicate) and caches it on the match, where it shadows
+        this method.  The address and port tests are kept for wildcards
+        too, so that integers outside the word width never match."""
+        c = rs.Params()
+        terms = [rs.iface_source(f"p.{name}", pattern, c)
+                 for name, pattern in (("iiface", self.iiface), ("oiface", self.oiface))
+                 if pattern != "+"]
+        terms += [rs.in_set("p.src", self.src.interval(), c),
+                  rs.in_set("p.dst", self.dst.interval(), c)]
+        if self.proto is not None:
+            terms.append(f"p.protocol == {c(self.proto)}")
+        terms += [f"{c(lo)} <= p.{name} <= {c(hi)}"
+                  for name, (lo, hi) in (("sport", self.sports), ("dport", self.dports))]
+        fn = rs.predicate(terms, c)
+        object.__setattr__(self, "matches", fn)
+        return fn(p)
 
     def __str__(self):
         proto = "*" if self.proto is None else rs.PROTO_NAMES.get(self.proto, str(self.proto))

@@ -1,4 +1,5 @@
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,10 @@ def data_dir():
 
 def load_ruleset(name):
     return (DATA / name).read_text()
+
+
+def stable_hash(*parts):
+    """A hash of the parts' text that, unlike hash() of a str, is the
+    same under every PYTHONHASHSEED, so seeded oracles and packet draws
+    repeat from run to run."""
+    return zlib.crc32("|".join(map(str, parts)).encode())

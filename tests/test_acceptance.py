@@ -10,7 +10,7 @@ from itertools import combinations
 
 import checkers
 import scenarios as sc
-from conftest import CORPUS, load_ruleset
+from conftest import CORPUS, load_ruleset, stable_hash
 from netfence import ruleset as rs
 from netfence.analysis import ServiceTemplate, access_matrix, ip_partition
 from netfence.cli import analyze_pipeline
@@ -244,7 +244,7 @@ def test_criterion_7b_random_packet_sandwiches():
         lower = closure(unfolded, "in_doubt_deny")
 
         def oracle(text, p):
-            return (hash((text, p.src, p.dst, p.sport)) & 1) == 0
+            return (stable_hash(text, p.src, p.dst, p.sport) & 1) == 0
 
         matcher = bool_matcher(oracle)
         evaluate = bigstep_evaluator(table, chain, matcher)

@@ -6,7 +6,8 @@ import pytest
 
 from checkers import (definitional_normalize_nnf, nested_chains, return_chain,
                       seeded_return_ladder)
-from conftest import load_ruleset
+import conftest
+from conftest import load_ruleset, stable_hash
 from netfence import ruleset as rs
 from netfence import semantics
 from netfence.errors import (
@@ -93,7 +94,7 @@ def random_packet(rng, protocols=(1, 6, 17, 47)):
 
 def hash_oracle(seed):
     def oracle(text, p):
-        return (hash((seed, text, p.src, p.dst, p.sport, p.dport)) & 1) == 0
+        return (stable_hash(seed, text, p.src, p.dst, p.sport, p.dport) & 1) == 0
 
     return oracle
 
@@ -217,6 +218,120 @@ class TestPerPrimitiveMatcher:
             elif v != UNKNOWN:
                 for seed in (1, 2):
                     assert (v == TRUE) is definitional_matcher(hash_oracle(seed))(m, p)
+
+
+class TestCompiledMatch:
+    """The predicates compile_match writes against `holds` and the
+    definitional matcher."""
+
+    @pytest.mark.parametrize("name,chain", conftest.CORPUS)
+    def test_corpus_rules_decide_as_holds(self, name, chain):
+        """Every rule of every chain of the table, and every unfolded rule,
+        on packets at the edges of its sets and on its interface names."""
+        table = parse_save(load_ruleset(name))
+        unfolded = unfold(table, chain)
+        matches = [r.match for rules in table.chains.values() for r in rules]
+        matches += [r.match for r in unfolded]
+        names = sorted({prim.name.rstrip("+") + suffix for m in matches
+                        for prim in rs.primitives_in(m) if isinstance(prim, (rs.IIface, rs.OIface))
+                        for suffix in ("", "0")} | {"eth0", "lo"})
+        rng = random.Random(stable_hash(name, chain))
+        oracle = hash_oracle(3)
+        reference = definitional_matcher(oracle)
+        seen = Counter()
+        for m in matches:
+            for _ in range(30):
+                p = _near_packet(rng, m).with_(iiface=rng.choice(names), oiface=rng.choice(names))
+                expected = reference(m, p)
+                assert m.holds(p, oracle) is expected
+                assert m.compiled(p, oracle) is expected
+                seen[expected] += 1
+        assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_500_levels_of_nesting(self, seed):
+        """A chain of MAX_CALL_DEPTH levels, each a negation, a conjunction
+        or both, compiles (no RecursionError, no parenthesis limit) and
+        decides as the same chain evaluated level by level."""
+        rng = random.Random(seed)
+        oracle = hash_oracle(seed)
+        half = 1 << 31  # primitives that hold for about half of the packets
+        prims = [rs.Extra("-m a"), rs.Extra("-m b"), rs.Src(WordInterval.range(0, half, 32)),
+                 rs.Dst(WordInterval.range(half, 2 * half - 1, 32)), rs.IIface("eth+"),
+                 rs.Protocol(6)]
+        base = rng.choice(prims)
+        m, steps = MPrim(base), []
+        for _ in range(semantics.MAX_CALL_DEPTH):
+            prim, kind = rng.choice(prims), rng.choice(("not-and", "and-not", "not-not"))
+            steps.append((prim, kind))
+            if kind == "not-and":
+                m = MNot(MAnd(MPrim(prim), m))
+            elif kind == "and-not":
+                m = MAnd(MNot(m), MPrim(prim))
+            else:
+                m = MNot(MNot(m))
+        seen = set()
+        for _ in range(200):
+            p = random_packet(rng)
+            v = base.matches(p, oracle)
+            for prim, kind in steps:
+                if kind == "not-and":
+                    v = not (prim.matches(p, oracle) and v)
+                elif kind == "and-not":
+                    v = not v and prim.matches(p, oracle)
+            assert m.compiled(p, oracle) is v
+            seen.add(v)
+        assert seen == {True, False}
+
+    def test_truth_values_and_the_oracle_at_call_time(self):
+        p = Packet()
+        assert MAnd(MTrue, MTrue).compiled(p) is True
+        assert MNot(MAnd(MTrue, MTrue)).compiled(p) is False
+        assert MNotTrue.compiled(p) is False and MTrue.compiled(p) is True
+        m = MAnd(extra("-m limit"), MNot(extra("-m recent")))
+        assert m.compiled(p, lambda text, q: text == "-m limit") is True
+        assert m.compiled(p, lambda text, q: True) is False
+        assert bool_matcher()(m, p) is False
+        assert bool_matcher() is bool_matcher()
+
+    def test_one_predicate_per_node_one_code_per_shape(self):
+        """The predicate is cached on the node without changing its
+        equality, hash or repr; nodes of one shape share the code."""
+        a = MAnd(src("10.0.0.0/8"), MNot(MPrim(rs.IIface("eth0"))))
+        b = MAnd(src("192.168.0.0/16"), MNot(MPrim(rs.IIface("lo"))))
+        twin = MAnd(src("10.0.0.0/8"), MNot(MPrim(rs.IIface("eth0"))))
+        before = (repr(a), hash(a))
+        fa = rs.compile_match(a)
+        assert rs.compile_match(a) is fa and a.compiled is fa
+        assert (repr(a), hash(a)) == before and a == twin and hash(twin) == hash(a)
+        assert rs.compile_match(b).__code__ is fa.__code__
+        assert fa(Packet(src=ip_parse("10.1.2.3"), iiface="eth1")) is True
+        assert fa(Packet(src=ip_parse("10.1.2.3"), iiface="eth0")) is False
+
+    @pytest.mark.parametrize("text", [
+        "'", '"', "\\", "a\nb", "eth0'\n", '"""', "{c0}", "o(c0, p)",
+        "__import__('os').system('false')", "'; raise SystemExit #",
+        "\\' or True or '", "x\\\n) or (True",
+    ])
+    def test_input_text_never_reaches_the_source(self, text):
+        """Interface names and Extra texts holding quotes, backslashes,
+        newlines or code are matched exactly, and every such match
+        compiles to the same code as a plain name."""
+        exact, wild = MPrim(rs.IIface(text)), MPrim(rs.OIface(text + "+"))
+        assert exact.compiled(Packet(iiface=text)) is True
+        assert exact.compiled(Packet(iiface=text + "0")) is False
+        assert exact.compiled(Packet(iiface=text[:-1])) is False
+        assert wild.compiled(Packet(oiface=text)) is True
+        assert wild.compiled(Packet(oiface=text + "\n")) is True
+        assert wild.compiled(Packet(oiface=text[1:])) is False
+        asked = []
+        unknown = MAnd(MPrim(rs.Extra(text)), MNot(MPrim(rs.Extra(text + "!"))))
+        assert unknown.compiled(Packet(), lambda t, p: asked.append(t) or t == text) is True
+        assert asked == [text, text + "!"]
+        assert rs.compile_match(exact).__code__ is rs.compile_match(
+            MPrim(rs.IIface("eth0"))).__code__
+        assert rs.compile_match(unknown).__code__ is rs.compile_match(
+            MAnd(extra("-m limit"), MNot(extra("-m recent")))).__code__
 
 
 class TestBigStep:
@@ -512,7 +627,7 @@ class TestUnfold:
         oracle resolution of unknown primitives."""
         t = parse_save(load_ruleset(name))
         unfolded = unfold(t, chain)
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(stable_hash(name) & 0xFFFF)
         for seed in (1, 2):
             m = bool_matcher(hash_oracle(seed))
             ev = bigstep_evaluator(t, chain, m)
@@ -592,7 +707,7 @@ class TestClosure:
         """Rewriting unknowns away (pu) computes the same verdicts as
         evaluating ternary with the in-doubt tactic applied on the fly."""
         unfolded = unfold(parse_save(load_ruleset(name)), chain)
-        rng = random.Random(hash(name) & 0xFF)
+        rng = random.Random(stable_hash(name) & 0xFF)
         for tactic in ("in_doubt_allow", "in_doubt_deny"):
             closed = closure(unfolded, tactic)
             for _ in range(800):
@@ -607,7 +722,7 @@ class TestClosure:
         unfolded = unfold(parse_save(load_ruleset(name)), chain)
         upper = closure(unfolded, "in_doubt_allow")
         lower = closure(unfolded, "in_doubt_deny")
-        rng = random.Random(hash(name) & 0xFFF)
+        rng = random.Random(stable_hash(name) & 0xFFF)
         for seed in (11, 12):
             m = bool_matcher(hash_oracle(seed))
             for _ in range(2000):

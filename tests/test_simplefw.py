@@ -1,10 +1,11 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from conftest import load_ruleset
+from conftest import load_ruleset, stable_hash
 from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
 from netfence.cli import analyze_pipeline
@@ -22,6 +23,7 @@ from netfence.semantics import (
     unfold,
 )
 from netfence.simplefw import (
+    PORT_UNIV,
     SimpleMatch,
     SimpleRule,
     iface_rewrite,
@@ -84,7 +86,7 @@ class TestEval:
 class TestSimpleMatchMembership:
     @pytest.mark.parametrize("width", [32, 128])
     def test_prefix_test_equals_interval_membership(self, width):
-        """The shift test on addresses agrees with membership in the CIDR's
+        """The compiled address test agrees with membership in the CIDR's
         interval for every prefix length, at the block edges and for
         integers outside the word width."""
         rng = random.Random(width)
@@ -114,6 +116,70 @@ class TestSimpleMatchMembership:
             p = Packet(iiface=rng.choice(names), oiface=rng.choice(names))
             expected = rs.match_iface(iif, p.iiface) and rs.match_iface(oif, p.oiface)
             assert SimpleMatch(iiface=iif, oiface=oif).matches(p) == expected
+
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_compiled_test_equals_the_definition(self, width):
+        """Random 7-tuples with `+` and odd interface names, /0 to /width
+        blocks, any protocol, and empty or full port ranges, on packets at
+        the edges and outside the word and port widths."""
+        rng = random.Random(width + 1)
+        top = 1 << width
+        names = ["eth0", "eth1", "eth", "", "+", "it's", 'a"b\\', "x\n"]
+        patterns = ["+", "eth+", "eth0", "", "it's", 'a"b\\', "x\n+", "'+"]
+
+        def definition(m, p):
+            return (rs.match_iface(m.iiface, p.iiface) and rs.match_iface(m.oiface, p.oiface)
+                    and p.src in m.src.interval() and p.dst in m.dst.interval()
+                    and m.proto in (None, p.protocol)
+                    and m.sports[0] <= p.sport <= m.sports[1]
+                    and m.dports[0] <= p.dport <= m.dports[1])
+
+        def block(prefix):
+            host_bits = width - prefix
+            return Cidr(rng.getrandbits(width) >> host_bits << host_bits, prefix, width)
+
+        def edges(wi):
+            (lo, hi), = wi.parts
+            return [lo - 1, lo, hi, hi + 1, -1, top, rng.getrandbits(width)]
+
+        seen = Counter()
+        for _ in range(300):
+            proto = rng.choice((None, 1, 6, 17))
+            ports = [rng.choice([PORT_UNIV, (80, 80), (1024, 65535), (5, 3), (0, 0)])
+                     if proto in (6, 17) else PORT_UNIV for _ in range(2)]
+            m = SimpleMatch(width, rng.choice(patterns), rng.choice(patterns),
+                            block(rng.choice((0, width, rng.randrange(width + 1)))),
+                            block(rng.choice((0, width, rng.randrange(width + 1)))),
+                            proto, *ports)
+            text, digest = repr(m), hash(m)
+            inside = Packet(iiface=m.iiface.rstrip("+"), oiface=m.oiface.rstrip("+") + "0",
+                            src=m.src.base, dst=m.dst.base | m.dst.hostmask(),
+                            protocol=proto or 47, sport=m.sports[0], dport=m.dports[1])
+            for _ in range(20):
+                # a packet inside the tuple with up to two fields moved to an edge
+                p = inside
+                for _ in range(rng.randrange(3)):
+                    p = p.with_(**rng.choice([
+                        {"iiface": rng.choice(names)}, {"oiface": rng.choice(names)},
+                        {"src": rng.choice(edges(m.src.interval()))},
+                        {"dst": rng.choice(edges(m.dst.interval()))},
+                        {"protocol": rng.choice((1, 6, 17))},
+                        {"sport": rng.choice((-1, 0, 3, 5, 80, 1024, 65535, 65536))},
+                        {"dport": rng.choice((-1, 0, 3, 5, 80, 1024, 65535, 65536))}]))
+                expected = definition(m, p)
+                assert m.matches(p) is expected
+                seen[expected] += 1
+            assert (repr(m), hash(m)) == (text, digest) and m == replace(m)
+        assert seen[True] > 100 and seen[False] > 100
+
+    def test_one_code_per_shape(self):
+        """The test is compiled once per match; interface names are
+        arguments, so odd names share the code of plain ones."""
+        plain, odd = SimpleMatch(iiface="eth0"), SimpleMatch(iiface="'); raise SystemExit #")
+        for m in (plain, odd):
+            assert m.matches(Packet(iiface=m.iiface)) is True
+            assert m.matches(Packet(iiface=m.iiface + "\n")) is False
+        assert vars(plain)["matches"].__code__ is vars(odd)["matches"].__code__
 
 
 class TestConjunction:
@@ -274,10 +340,10 @@ class TestTranslation:
         table = parse_save(load_ruleset(name))
         upper = full_pipeline(load_ruleset(name), chain, "in_doubt_allow")
         lower = full_pipeline(load_ruleset(name), chain, "in_doubt_deny")
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(stable_hash(name) & 0xFFFF)
 
         def oracle(text, p):
-            return (hash((text, p.src, p.dst)) & 3) == 0
+            return (stable_hash(text, p.src, p.dst) & 3) == 0
 
         ev = bigstep_evaluator(table, chain, bool_matcher(oracle))
         for _ in range(3000):

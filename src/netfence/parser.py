@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import re
 import shlex
 
 from . import ruleset as rs
@@ -237,10 +238,11 @@ class _RuleParser:
     receives a list of complete rules.
     """
 
-    def __init__(self, tokens, family, lineno):
+    def __init__(self, tokens, family, lineno, memo):
         self.tokens = tokens
         self.family = family
         self.lineno = lineno
+        self.memo = memo         # address text -> its set, for one parse_save call
         self.pos = 0
         self.terms = []          # list of (negated, primitive)
         self.action = rs.EMPTY
@@ -270,7 +272,10 @@ class _RuleParser:
         return tok
 
     def addresses(self, text):
-        return _at_line(parse_address_set, text, self.family, self.lineno)
+        wi = self.memo.get(text)
+        if wi is None:
+            wi = self.memo[text] = _at_line(parse_address_set, text, self.family, self.lineno)
+        return wi
 
     def port_proto(self):
         if self.module in ("tcp", "udp", "sctp"):
@@ -330,7 +335,16 @@ def _lines(text):
             yield lineno, line
 
 
+# shlex's POSIX whitespace; any other character, NBSP included, is part of a word
+_WORD = re.compile(r"[^ \t\r\n]+")
+
+
 def _tokenize(line, lineno):
+    """shlex.split(line) in POSIX mode, without comments.  A line with no
+    quote or backslash, as iptables-save writes almost every line, is
+    split on whitespace by one regex, which gives the same words."""
+    if '"' not in line and "'" not in line and "\\" not in line:
+        return _WORD.findall(line)
     try:
         return shlex.split(line, comments=False, posix=True)
     except ValueError as exc:
@@ -341,6 +355,7 @@ def parse_save(text, family="v4") -> rs.Table:
     """Parse `iptables-save` output; only the filter table is interpreted."""
     chains: dict = {}
     policies: dict = {}
+    address_memo: dict = {}  # lives as long as this call
     current_table = None
     saw_filter = False
     for lineno, line in _lines(text):
@@ -392,7 +407,7 @@ def parse_save(text, family="v4") -> rs.Table:
                 if not 1 <= index <= len(rules) + 1:
                     raise SyntaxError_(f"-I {chain} {index}: rule number must be in "
                                        f"1..{len(rules) + 1}", lineno)
-            parsed = _RuleParser(rest, family, lineno).parse()
+            parsed = _RuleParser(rest, family, lineno, address_memo).parse()
             rules[index - 1:index - 1] = [rs.Rule(m, a, raw=line) for m, a in parsed]
             continue
         raise SyntaxError_(f"unsupported directive {head!r}", lineno)

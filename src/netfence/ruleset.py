@@ -217,7 +217,23 @@ class MatchExpr:
 
 
 class _MTrue(MatchExpr):
+    """The match every packet satisfies.  There is one instance, which
+    construction, copying and pickling all return, so that `m is MTrue`
+    tests for truth."""
+
     __slots__ = ()
+
+    def __new__(cls):
+        return MTrue
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return "MTrue"
 
     def holds(self, p, oracle) -> bool:
         return True
@@ -228,14 +244,11 @@ class _MTrue(MatchExpr):
     def __repr__(self):
         return "MTrue"
 
-    def __eq__(self, other):
-        return isinstance(other, _MTrue)
-
-    def __hash__(self):
+    def __hash__(self):  # by name, so that it is the same in every run of one hash seed
         return hash("MTrue")
 
 
-MTrue = _MTrue()
+MTrue = object.__new__(_MTrue)
 
 
 @dataclass(frozen=True)
@@ -266,15 +279,19 @@ class MAnd(MatchExpr):
 MNotTrue = MNot(MTrue)
 
 
+def is_false(m: MatchExpr) -> bool:
+    """Whether m is not-True, MNotTrue or another MNot(MTrue) node."""
+    return type(m) is MNot and m.inner is MTrue
+
+
 def mand(*exprs) -> MatchExpr:
     """Right-nested conjunction with True/NotTrue short-circuiting."""
     out = MTrue
     for e in reversed(exprs):
-        if e == MNotTrue or out == MNotTrue:
+        if is_false(e):
             return MNotTrue
-        if e == MTrue:
-            continue
-        out = e if out == MTrue else MAnd(e, out)
+        if e is not MTrue:
+            out = e if out is MTrue else MAnd(e, out)
     return out
 
 
@@ -286,7 +303,7 @@ def conjuncts(m: MatchExpr):
         m = stack.pop()
         if isinstance(m, MAnd):
             stack += (m.right, m.left)
-        elif not isinstance(m, _MTrue):
+        elif m is not MTrue:
             out.append(m)
     return out
 
@@ -297,11 +314,11 @@ def opt_match(m: MatchExpr) -> MatchExpr:
     nodes (and their compiled predicates) with the table."""
     if isinstance(m, MAnd):
         left, right = opt_match(m.left), opt_match(m.right)
-        if left == MNotTrue or right == MNotTrue:
+        if is_false(left) or is_false(right):
             return MNotTrue
-        if left == MTrue:
+        if left is MTrue:
             return right
-        if right == MTrue:
+        if right is MTrue:
             return left
         return m if left is m.left and right is m.right else MAnd(left, right)
     if isinstance(m, MNot):
@@ -394,7 +411,7 @@ def compile_match(m: MatchExpr):
     Subtrees past the inline depth are compiled after m's source is
     written, so the stack grows by one frame per 32 levels of negation."""
     fn = m.compiled
-    if isinstance(fn, types.MethodType) and not isinstance(m, _MTrue):  # not compiled yet
+    if isinstance(fn, types.MethodType) and m is not MTrue:  # not compiled yet
         c, nested = Params(), []
         terms = _terms(m, c, nested, 0)
         for i, node in nested:
@@ -405,7 +422,7 @@ def compile_match(m: MatchExpr):
 
 
 def primitives_in(m: MatchExpr):
-    if m == MTrue:
+    if m is MTrue:
         return
     if isinstance(m, MPrim):
         yield m.prim

@@ -28,6 +28,7 @@ from .ruleset import (
     MatchExpr,
     Rule,
     Table,
+    is_false,
     mand,
     opt_match,
 )
@@ -247,7 +248,7 @@ def optimize_rules(rules):
     out = []
     for r in rules:
         m = opt_match(r.match)
-        if m == MNotTrue:
+        if is_false(m):
             continue
         action = r.action
         if action.kind == "reject":
@@ -255,7 +256,7 @@ def optimize_rules(rules):
         if action.kind in ("log", "empty"):
             continue
         out.append(Rule(m, action, r.raw))
-        if m == MTrue and action.kind in ("accept", "drop"):
+        if m is MTrue and action.kind in ("accept", "drop"):
             break
     return out
 
@@ -331,7 +332,7 @@ def _ternary_and(a, b):
 def ternary_eval(m: MatchExpr, p: Packet, known=default_known) -> str:
     """Kleene three-valued evaluation: primitives the matcher does not
     understand yield Unknown."""
-    if m == MTrue:
+    if m is MTrue:
         return TRUE
     if isinstance(m, MPrim):
         if not known(m.prim):
@@ -366,7 +367,7 @@ def _pu(m: MatchExpr, action_kind: str, tactic: str, known) -> MatchExpr:
         matches = (action_kind == "accept") == (tactic == "in_doubt_allow")
         return MTrue if matches else MNotTrue
 
-    if m == MTrue:
+    if m is MTrue:
         return MTrue
     if isinstance(m, MPrim):
         return m if known(m.prim) else for_unknown()
@@ -375,7 +376,7 @@ def _pu(m: MatchExpr, action_kind: str, tactic: str, known) -> MatchExpr:
                     _pu(m.right, action_kind, tactic, known))
     # m is a negation
     inner = m.inner
-    if inner == MTrue:
+    if inner is MTrue:
         return MNotTrue
     if isinstance(inner, MPrim):
         return m if known(inner.prim) else for_unknown()
@@ -384,11 +385,11 @@ def _pu(m: MatchExpr, action_kind: str, tactic: str, known) -> MatchExpr:
     # negated conjunction: the specialized De Morgan case
     a = _pu(MNot(inner.left), action_kind, tactic, known)
     b = _pu(MNot(inner.right), action_kind, tactic, known)
-    if a == MTrue or b == MTrue:
+    if a is MTrue or b is MTrue:
         return MTrue
-    if a == MNotTrue:
+    if is_false(a):
         return b
-    if b == MNotTrue:
+    if is_false(b):
         return a
     return MNot(MAnd(MNot(a), MNot(b)))
 
@@ -427,7 +428,7 @@ def normalize_nnf(m: MatchExpr) -> list:
     protocol-aware: not (proto ports) becomes [not proto, proto and
     complement-ports].
     """
-    if m == MTrue:
+    if m is MTrue:
         return [()]
     if isinstance(m, MPrim):
         return [(m,)]
@@ -435,7 +436,7 @@ def normalize_nnf(m: MatchExpr) -> list:
         right = normalize_nnf(m.right)
         return list(dict.fromkeys(x + y for x in normalize_nnf(m.left) for y in right))
     inner = m.inner
-    if inner == MTrue:
+    if inner is MTrue:
         return []
     if isinstance(inner, MNot):
         return normalize_nnf(inner.inner)
@@ -476,9 +477,12 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
 
     For NEW, the --syn assumption is applied to TCP flag matches: matches
     equal to --syn vanish, contradictory ones kill their rule, the rest
-    keep the conjunction for later abstraction.
+    keep the conjunction for later abstraction.  A subtree the assumption
+    leaves alone is kept as it is, so that the specialized rules share
+    their nodes (and compiled predicates) with the input.
     """
-    def rewrite(prim):
+    def rewrite(node):
+        prim = node.prim
         if isinstance(prim, rs.CtState):
             return MTrue if assumed in prim.states else MNotTrue
         if assumed == "NEW" and isinstance(prim, rs.TcpFlags):
@@ -487,8 +491,8 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
                 return MNotTrue
             if merged == _SYN:
                 return MTrue
-            return MPrim(merged)
-        return MPrim(prim)
+            return node if merged == prim else MPrim(merged)
+        return node
 
     out = []
     for r in rules:
@@ -498,19 +502,19 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
 
 
 def _rewrite_positive(m: MatchExpr, fn):
-    """Apply fn to primitives in positive position; under a negation only
-    state primitives are rewritten (flag assumptions are not sound there)."""
-    if m == MTrue:
+    """Apply fn to the MPrim nodes in positive position; under a negation
+    only state primitives are rewritten (flag assumptions are not sound
+    there).  An unchanged subtree is returned as it is."""
+    if m is MTrue:
         return m
     if isinstance(m, MPrim):
-        return fn(m.prim)
+        return fn(m)
     if isinstance(m, MAnd):
-        return mand(_rewrite_positive(m.left, fn), _rewrite_positive(m.right, fn))
+        left, right = _rewrite_positive(m.left, fn), _rewrite_positive(m.right, fn)
+        return m if left is m.left and right is m.right else mand(left, right)
     # negation: only constant-fold state lookups
-    def neg_fn(prim):
-        if isinstance(prim, rs.CtState):
-            return fn(prim)
-        return MPrim(prim)
+    def neg_fn(node):
+        return fn(node) if isinstance(node.prim, rs.CtState) else node
 
     inner = _rewrite_positive(m.inner, neg_fn)
-    return opt_match(MNot(inner))
+    return opt_match(m if inner is m.inner else MNot(inner))

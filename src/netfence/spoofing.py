@@ -53,7 +53,7 @@ def _bounds(m, iface, side, width, memo):
     elif isinstance(m, MNot):
         over, under = _bounds(m.inner, iface, side, width, memo)
         got = under.complement(), over.complement()
-    elif m == MTrue:
+    elif m is MTrue:
         got = everything, everything
     elif isinstance(m.prim, rs.Src):
         got = m.prim.addrs, m.prim.addrs
@@ -102,6 +102,6 @@ def sp_certify_all(rules, ipassmt, field="in") -> dict:
     vacuously (with a warning left to the caller)."""
     if not ipassmt:
         return {}
-    if not rules or rules[-1].match != MTrue or rules[-1].action.kind not in ("accept", "drop"):
+    if not rules or rules[-1].match is not MTrue or rules[-1].action.kind not in ("accept", "drop"):
         raise MissingFinalRule("ruleset must end with an explicit allow-all or deny-all rule")
     return {iface: _certify(rules, iface, ipassmt[iface], field) for iface in sorted(ipassmt)}

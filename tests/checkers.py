@@ -13,7 +13,7 @@ from pathlib import Path
 from netfence.invariants import offenders, set_offending_flows
 from netfence import ruleset as rs
 from netfence.policy import PolicyGraph
-from netfence.ruleset import MAnd, MNot, MPrim, MTrue, mand
+from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
 from netfence.templates import LIBRARY_IDS, TEMPLATES
 from netfence.wordinterval import parse_address_set
 
@@ -292,3 +292,69 @@ def _dedup(items):
         if x not in seen:
             seen.append(x)
     return seen
+
+
+# -- match builders by equality ------------------------------------------------
+# The oracles of ruleset.mand, ruleset.opt_match and
+# semantics.ctstate_specialize, which test for True and not-True by
+# identity and keep unchanged nodes: these compare with `==` and rebuild.
+
+
+def equality_mand(*exprs):
+    out = MTrue
+    for e in reversed(exprs):
+        if e == MNotTrue or out == MNotTrue:
+            return MNotTrue
+        if e == MTrue:
+            continue
+        out = e if out == MTrue else MAnd(e, out)
+    return out
+
+
+def equality_opt_match(m):
+    if isinstance(m, MAnd):
+        left, right = equality_opt_match(m.left), equality_opt_match(m.right)
+        if left == MNotTrue or right == MNotTrue:
+            return MNotTrue
+        if left == MTrue:
+            return right
+        if right == MTrue:
+            return left
+        return MAnd(left, right)
+    if isinstance(m, MNot):
+        inner = equality_opt_match(m.inner)
+        return inner.inner if isinstance(inner, MNot) else MNot(inner)
+    return m
+
+
+def rebuilding_ctstate_specialize(rules, assumed="NEW"):
+    syn = rs.TcpFlags(frozenset({"FIN", "SYN", "RST", "ACK"}), frozenset({"SYN"}))
+
+    def rewrite(prim, positive):
+        if isinstance(prim, rs.CtState):
+            return MTrue if assumed in prim.states else MNotTrue
+        if positive and assumed == "NEW" and isinstance(prim, rs.TcpFlags):
+            if not prim.comp <= prim.mask or prim.mask & syn.mask & prim.comp != prim.mask & syn.comp:
+                return MNotTrue
+            merged = rs.TcpFlags(prim.mask | syn.mask, prim.comp | syn.comp)
+            return MTrue if merged == syn else MPrim(merged)
+        return MPrim(prim)
+
+    def walk(m, positive):
+        if m == MTrue:
+            return m
+        if isinstance(m, MPrim):
+            return rewrite(m.prim, positive)
+        if isinstance(m, MAnd):
+            return equality_mand(walk(m.left, positive), walk(m.right, positive))
+        return equality_opt_match(MNot(walk(m.inner, False)))
+
+    out = []
+    for r in rules:
+        m = equality_opt_match(walk(r.match, True))
+        if m == MNotTrue or r.action.kind in ("log", "empty"):
+            continue
+        out.append(Rule(m, rs.DROP if r.action.kind == "reject" else r.action, r.raw))
+        if m == MTrue and out[-1].action.kind in ("accept", "drop"):
+            break
+    return out

@@ -1,12 +1,15 @@
 import dataclasses
 import random
+import shlex
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_ruleset
+from netfence import parser
 from netfence import ruleset as rs
 from netfence.errors import NetfenceError, SyntaxError_, UndefinedChainTarget, UnknownAction
-from netfence.parser import _OPTIONS, parse_ipassmt, parse_routing, parse_save
+from netfence.parser import _OPTIONS, _tokenize, parse_ipassmt, parse_routing, parse_save
 from netfence.ruleset import (
     MNot,
     MPrim,
@@ -256,6 +259,91 @@ class TestParseSave:
         with pytest.raises(SyntaxError_) as exc:
             parse_save(text)
         assert exc.value.line == 3 and "/33" in str(exc.value)
+
+
+class TestTokenize:
+    """_tokenize splits a line as shlex.split does in POSIX mode without
+    comments; lines without quotes or backslashes take a regex instead."""
+
+    @staticmethod
+    def shlex_words(line):
+        """shlex's words, or the tokenizer error that _tokenize raises."""
+        try:
+            return shlex.split(line, comments=False, posix=True)
+        except ValueError as exc:
+            return f"tokenizer: {exc}"
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(st.text(alphabet="ab9-!,/:# \t\r\xa0\"'\\", max_size=30))
+    @example("-A INPUT\t-s 10.0.0.0/8 -j DROP")
+    @example("-m comment --comment \"web tier\" -i a\\ b")
+    def test_equals_shlex(self, line):
+        try:
+            got = _tokenize(line, 5)
+        except SyntaxError_ as exc:
+            got = str(exc)
+            assert exc.line == 5 and got.startswith("tokenizer:")
+            got = got.removesuffix(" (line 5)")
+        assert got == self.shlex_words(line)
+
+    @pytest.mark.parametrize("line,words", [
+        ("-i eth\xa00 -j DROP", ["-i", "eth\xa00", "-j", "DROP"]),
+        ("-A INPUT\t-s 10.0.0.0/8\t\t-j DROP", ["-A", "INPUT", "-s", "10.0.0.0/8", "-j", "DROP"]),
+        ("-A INPUT -m comment --comment #1 -j DROP",
+         ["-A", "INPUT", "-m", "comment", "--comment", "#1", "-j", "DROP"]),
+        ("", []),
+    ])
+    def test_unit_cases(self, line, words):
+        assert _tokenize(line, 1) == words == shlex.split(line, comments=False, posix=True)
+
+
+def _count_address_parses(monkeypatch):
+    """Record the (text, family) of every parse_address_set call the
+    parser makes."""
+    calls = []
+
+    def counting(text, family="v4"):
+        calls.append((text, family))
+        return parse_address_set(text, family)
+
+    monkeypatch.setattr(parser, "parse_address_set", counting)
+    return calls
+
+
+def _save(*rules, chain="INPUT"):
+    return "\n".join(["*filter", f":{chain} ACCEPT [0:0]", *rules, "COMMIT"]) + "\n"
+
+
+class TestAddressMemo:
+    """parse_save reads each address text once per call, through a memo
+    that lives only as long as that call."""
+
+    def test_repeated_address_is_parsed_once_per_call(self, monkeypatch):
+        calls = _count_address_parses(monkeypatch)
+        text = _save(*["-A INPUT -s 10.0.0.0/8 -d 10.0.0.0/8 -j DROP"] * 500)
+        rules = parse_save(text).chains["INPUT"]
+        assert calls == [("10.0.0.0/8", "v4")]
+        assert len(rules) == 500 and all(r.match == rules[0].match for r in rules)
+        parse_save(text)
+        assert calls == [("10.0.0.0/8", "v4")] * 2
+
+    def test_bad_address_is_reported_at_its_first_line(self, monkeypatch):
+        calls = _count_address_parses(monkeypatch)
+        text = _save("-A INPUT -s 10.0.0.0/33 -j DROP", "-A INPUT -j ACCEPT",
+                     "-A INPUT -d 10.0.0.1 -j DROP", "-A INPUT -s 10.0.0.1 -j DROP",
+                     "-A INPUT -d 10.0.0.0/33 -j DROP")
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(text)
+        assert exc.value.line == 3 and calls == [("10.0.0.0/33", "v4")]
+
+    def test_families_do_not_share_entries(self, monkeypatch):
+        calls = _count_address_parses(monkeypatch)
+        text = _save("-A INPUT -s 10.0.0.1 -j DROP", "-A INPUT -d 10.0.0.1 -j DROP")
+        assert parse_save(text, "v4").chains["INPUT"][0].match == \
+            MPrim(rs.Src(parse_address_set("10.0.0.1")))
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(text, "v6")
+        assert exc.value.line == 3 and calls == [("10.0.0.1", "v4"), ("10.0.0.1", "v6")]
 
 
 class TestRoundTrip:

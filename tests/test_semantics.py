@@ -1,10 +1,13 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from checkers import (definitional_normalize_nnf, nested_chains, return_chain,
+from checkers import (definitional_normalize_nnf, equality_mand, equality_opt_match,
+                      nested_chains, rebuilding_ctstate_specialize, return_chain,
                       seeded_return_ladder)
 import conftest
 from conftest import load_ruleset, stable_hash
@@ -26,7 +29,9 @@ from netfence.ruleset import (
     Rule,
     Table,
     conjuncts,
+    is_false,
     mand,
+    opt_match,
 )
 from netfence.semantics import (
     ALLOW,
@@ -830,6 +835,38 @@ def _random_matches(rng, n, max_prims=4):
     return [build(4) for _ in range(n)]
 
 
+class TestMatchBuilders:
+    """mand and opt_match test for True and not-True by identity; they
+    build what the equality-based builders build."""
+
+    def test_mtrue_is_one_object(self):
+        assert type(MTrue)() is MTrue
+        for made in (copy.copy(MTrue), copy.deepcopy(MTrue), pickle.loads(pickle.dumps(MTrue))):
+            assert made is MTrue
+        for made in (copy.deepcopy(MNotTrue), pickle.loads(pickle.dumps(MNot(MTrue)))):
+            assert made is not MNotTrue and made.inner is MTrue and is_false(made)
+        assert not is_false(MTrue) and not is_false(MNot(MNot(MTrue)))
+
+    def test_builders_equal_the_equality_oracle_on_random_matches(self):
+        rng = random.Random(15)
+        ms = _random_matches(rng, 2000)
+        ms += [copy.deepcopy(m) for m in ms[:200]]  # copies of MNot(MTrue) are not MNotTrue
+        assert sum(is_false(m) and m is not MNotTrue for m in ms) > 50
+        for m in ms:
+            assert opt_match(m) == equality_opt_match(m)
+            group = [m, *rng.sample(ms, rng.randrange(3))]
+            assert mand(*group) == equality_mand(*group)
+
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_builders_equal_the_equality_oracle_on_the_corpus(self, name, chain):
+        table = parse_save(load_ruleset(name))
+        for rules in [*table.chains.values(), unfold(table, chain)]:
+            matches = [r.match for r in rules]
+            assert mand(*matches) == equality_mand(*matches)
+            for m in matches:
+                assert opt_match(m) == equality_opt_match(m)
+
+
 def _random_jump_table(rng, n_chains=5):
     """A random acyclic FORWARD table: each chain calls and jumps only to
     chains defined after it, and any rule may be a Return."""
@@ -888,3 +925,33 @@ class TestCtStateSpecialize:
             Rule(MTrue, rs.DROP),
         ]
         assert ctstate_specialize(rules, "ESTABLISHED")[0] == Rule(MTrue, rs.ACCEPT)
+
+    def test_untouched_subtrees_are_shared(self):
+        tcp_src = mand(proto("tcp"), src("10.0.0.0/8"))
+        new = MPrim(rs.CtState(frozenset({"NEW"})))
+        rules = [Rule(tcp_src, rs.ACCEPT), Rule(MAnd(new, tcp_src), rs.DROP),
+                 Rule(MNot(MAnd(MNot(new), tcp_src)), rs.ACCEPT)]
+        out = ctstate_specialize(rules, "NEW")
+        assert [r.match for r in out] == [tcp_src, tcp_src, MTrue]
+        assert out[0].match is tcp_src and out[1].match is tcp_src
+
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_rule_without_state_or_flags_keeps_its_match(self, name, chain):
+        untouched = 0
+        for r in unfold(parse_save(load_ruleset(name)), chain):
+            if not any(isinstance(p, (rs.CtState, rs.TcpFlags)) for p in rs.primitives_in(r.match)):
+                assert ctstate_specialize([r], "NEW")[0].match is r.match
+                untouched += 1
+        assert untouched
+
+    @pytest.mark.parametrize("assumed", ["NEW", "ESTABLISHED"])
+    def test_equals_the_rebuilding_oracle(self, assumed):
+        tables = [(parse_save(load_ruleset(name)), chain) for name, chain in CORPUS]
+        tables += [(parse_save(seeded_return_ladder(1, k)[0]), "FORWARD") for k in range(11)]
+        rule_lists = [unfold(table, chain) for table, chain in tables]
+        rng = random.Random(16)  # random state and flag matches, anywhere in a tree
+        rule_lists += [[Rule(_random_expr(rng, 4), rng.choice((rs.ACCEPT, rs.DROP, rs.LOG)))
+                        for _ in range(8)] for _ in range(300)]
+        for rules in rule_lists:
+            assert ctstate_specialize(rules, assumed) == \
+                rebuilding_ctstate_specialize(rules, assumed)

@@ -3,7 +3,9 @@
 The partition splits the address universe so that all addresses in one
 block are treated identically by a simple-firewall ruleset, as source and
 as destination.  The service matrix then merges behaviorally equal blocks
-for one fixed service and records which classes may reach which.
+for one fixed service and records which classes may reach which.  Both
+ignore interfaces: a rule applies whatever its in and out interface, as
+in a simple firewall without interfaces.
 
 Neither step splits intervals pairwise.  The partition is one sweep over
 the sorted boundary points of the rule address sets, grouping elementary
@@ -16,12 +18,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConsistencyError, IllformedService
-from .ruleset import PROTO_NUMBERS, match_iface
+from .ruleset import PROTO_NUMBERS
 from .semantics import ALLOW, Packet
-from .simplefw import simple_fw_eval
+from .simplefw import SimpleRule, simple_fw_eval
 from .wordinterval import WordInterval, format_interval, ip_format
 
 SERVICE_PRESETS = {
@@ -39,8 +41,6 @@ class ServiceTemplate:
     protocol: int = 6
     dport: int = 22
     sport: int = 10000
-    iiface: str = "in"
-    oiface: str = "out"
 
     @classmethod
     def preset(cls, name):
@@ -57,15 +57,7 @@ class ServiceTemplate:
         return cls(PROTO_NUMBERS[proto_name], int(port))
 
     def packet(self, src, dst):
-        return Packet(
-            iiface=self.iiface,
-            oiface=self.oiface,
-            src=src,
-            dst=dst,
-            protocol=self.protocol,
-            sport=self.sport,
-            dport=self.dport,
-        )
+        return Packet(src=src, dst=dst, protocol=self.protocol, sport=self.sport, dport=self.dport)
 
 
 def ip_partition(rules, width=32) -> list:
@@ -102,12 +94,10 @@ def ip_partition(rules, width=32) -> list:
 
 
 def _service_applies(m, svc: ServiceTemplate):
-    """Does the simple match accept the service's fixed fields (interfaces,
-    protocol, ports), whatever the addresses?"""
+    """Does the simple match accept the service's fixed fields (protocol,
+    ports), whatever the addresses and interfaces?"""
     return (
-        match_iface(m.iiface, svc.iiface)
-        and match_iface(m.oiface, svc.oiface)
-        and m.proto in (None, svc.protocol)
+        m.proto in (None, svc.protocol)
         and m.sports[0] <= svc.sport <= m.sports[1]
         and m.dports[0] <= svc.dport <= m.dports[1]
     )
@@ -246,7 +236,9 @@ def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
 
 def _slow_rows(rules, svc, reps):
     """Rows and columns as in _fast_rows, from simple_fw_eval on every pair
-    of representatives: O(B²·R), for rulesets without a default rule."""
+    of representatives with the rules' interfaces wildcarded: O(B²·R), for
+    rulesets without a default rule."""
+    rules = [SimpleRule(replace(r.match, iiface="+", oiface="+"), r.accept) for r in rules]
     rows, cols = [0] * len(reps), [0] * len(reps)
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):

@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -87,14 +86,10 @@ def closure_results(prepared, tactic, svc, width):
     translation -> partition -> matrix over a prepared box list, for the
     service template `svc`."""
     simple = simplefw.translate_to_simple(prepared, tactic, width)
-    no_ifaces = [
-        simplefw.SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
-        for r in simple
-    ]
     return {
         "simple": simple,
-        "matrix": analysis.access_matrix(no_ifaces, svc, width),
-        "partition": analysis.ip_partition(no_ifaces, width),
+        "matrix": analysis.access_matrix(simple, svc, width),
+        "partition": analysis.ip_partition(simple, width),
     }
 
 

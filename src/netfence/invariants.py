@@ -179,14 +179,6 @@ class ComplianceReport:
     def overall(self) -> bool:
         return all(v.holds for v in self.verdicts)
 
-    def violating_edges(self) -> frozenset:
-        out = frozenset()
-        for v in self.verdicts:
-            if v.offending:
-                for f in v.offending:
-                    out |= f
-        return out
-
     def to_json(self):
         return json.dumps(
             {
@@ -228,10 +220,3 @@ def all_hold(invariants, graph: PolicyGraph) -> ComplianceReport:
                 offending = None
         report.verdicts.append(InvariantVerdict(inv.template_id, inv.strategy, ok, offending))
     return report
-
-
-def violation_dot(graph: PolicyGraph, report: ComplianceReport) -> str:
-    bad = report.violating_edges()
-    return graph.to_dot(
-        edge_attrs={e: "style=dashed, color=red" for e in bad}
-    )

@@ -421,7 +421,7 @@ def parse_save(text, family="v4") -> rs.Table:
 def parse_ipassmt(text, family="v4") -> dict:
     """Interface/IP assignment file: one `name = [entries]` per line, where
     `all_but_those_ips` before the list complements the union.  A name is
-    one exact interface; a `+` wildcard is rejected."""
+    one exact interface, assigned once; a `+` wildcard is rejected."""
     width = family_width(family)
     out = {}
     for lineno, line in _lines(text):
@@ -431,6 +431,8 @@ def parse_ipassmt(text, family="v4") -> dict:
             raise SyntaxError_("expected 'iface = [ranges]'", lineno)
         if name.endswith("+"):
             raise SyntaxError_(f"interface names are exact, not patterns: {name!r}", lineno)
+        if name in out:
+            raise SyntaxError_(f"interface {name!r} is assigned twice", lineno)
         rhs = rhs.strip()
         complement = False
         if rhs.startswith("all_but_those_ips"):

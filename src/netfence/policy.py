@@ -91,23 +91,6 @@ class PolicyGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_dot(cls, text):
-        """Parse the digraph dialect emitted by to_dot (quoted names only)."""
-        nodes, edges = [], []
-        for raw in text.splitlines():
-            line = raw.strip().rstrip(";")
-            if not line or line.startswith(("digraph", "}")):
-                continue
-            if "[" in line:
-                line = line[: line.index("[")].strip()
-            if "->" in line:
-                a, _, b = line.partition("->")
-                edges.append((a.strip().strip('"'), b.strip().strip('"')))
-            else:
-                nodes.append(line.strip('"'))
-        return cls.of(set(nodes) | {h for e in edges for h in e}, edges)
-
 
 def adjacency(edges) -> dict:
     """Successor sets of every edge source; build once per graph and share
@@ -159,8 +142,3 @@ class AttrMap:
 
     def __call__(self, host):
         return self.lookup(host)
-
-    def override(self, host, value):
-        new = dict(self.partial)
-        new[host] = value
-        return AttrMap(new, self.default)

@@ -15,7 +15,6 @@ exactly what the Return says.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import ruleset as rs
 from .errors import CallCycle, CallsTooDeep, IllformedRuleset
@@ -150,8 +149,13 @@ def _check_calls(table: Table, start_chain: str):
 
 
 def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
-    """Build a packet -> state evaluator with the static checks done once;
-    use this when evaluating many packets against the same ruleset."""
+    """Build a packet -> state evaluator that runs a packet through a chain
+    of the filter table, with the static checks done once.
+
+    Evaluation is wrapped as [(True, Call start), (True, default-policy)],
+    so a Return on top level of the start chain falls through to the
+    default policy.  Deterministic; always returns ALLOW or DENY.
+    """
     _check_calls(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None:
@@ -196,22 +200,6 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
         return default_state
 
     return evaluate
-
-
-def bigstep_eval(
-    table: Table,
-    start_chain: str,
-    packet: Packet,
-    matcher=None,
-    trace: Optional[list] = None,
-) -> str:
-    """Run a packet through a chain of the filter table.
-
-    Evaluation is wrapped as [(True, Call start), (True, default-policy)],
-    so a Return on top level of the start chain falls through to the
-    default policy.  Deterministic; always returns ALLOW or DENY.
-    """
-    return bigstep_evaluator(table, start_chain, matcher, trace)(packet)
 
 
 # -- custom chain unfolding ---------------------------------------------------

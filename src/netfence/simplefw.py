@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import ruleset as rs
-from .errors import ConsistencyError, IllformedRuleset, UnsupportedResidue
+from .errors import IllformedRuleset, UnsupportedResidue
 from .ruleset import MNot, MPrim, Rule, iface_conj, mand
 from .semantics import ALLOW, DENY, UNDECIDED, Packet, normalize_rules
 from .wordinterval import Cidr, WordInterval
@@ -100,38 +100,6 @@ def simple_fw_eval(rules, p: Packet) -> str:
         if r.match.matches(p):
             return ALLOW if r.accept else DENY
     return UNDECIDED
-
-
-def simple_match_any(width=32) -> SimpleMatch:
-    return SimpleMatch(width=width)
-
-
-def simple_match_conj(a: SimpleMatch, b: SimpleMatch) -> Optional[SimpleMatch]:
-    """Conjunction of two simple matches: one match or None (unsatisfiable)."""
-    iif = iface_conj(a.iiface, b.iiface)
-    oif = iface_conj(a.oiface, b.oiface)
-    if iif is None or oif is None:
-        return None
-    src = a.src.interval().intersect(b.src.interval())
-    dst = a.dst.interval().intersect(b.dst.interval())
-    if src.is_empty() or dst.is_empty():
-        return None
-    src_c = src.to_cidrs()
-    dst_c = dst.to_cidrs()
-    # CIDR intersection is empty or the smaller block of the two
-    if len(src_c) != 1 or len(dst_c) != 1:
-        raise ConsistencyError(f"CIDR intersection split into {src_c} and {dst_c}")
-    if a.proto is None:
-        proto = b.proto
-    elif b.proto is None or a.proto == b.proto:
-        proto = a.proto
-    else:
-        return None
-    sports = (max(a.sports[0], b.sports[0]), min(a.sports[1], b.sports[1]))
-    dports = (max(a.dports[0], b.dports[0]), min(a.dports[1], b.dports[1]))
-    if sports[0] > sports[1] or dports[0] > dports[1]:
-        return None
-    return SimpleMatch(a.width, iif, oif, src_c[0], dst_c[0], proto, sports, dports)
 
 
 # -- prepared rules as 7-tuple boxes ---------------------------------------------

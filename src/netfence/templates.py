@@ -791,10 +791,6 @@ TEMPLATES = {
 LIBRARY_IDS = [t for t in TEMPLATES if t != "SystemBoundary"]
 
 
-def default_attribute(template_id):
-    return TEMPLATES[template_id].default()
-
-
 def instantiate(template_id, attrs) -> ConfiguredInvariant:
     return TEMPLATES[template_id].instantiate(attrs)
 

@@ -16,9 +16,9 @@ from netfence.analysis import (
 )
 from netfence.cli import analyze_pipeline
 from netfence.errors import ConsistencyError, IllformedService
-from netfence.semantics import ALLOW
+from netfence.semantics import ALLOW, bigstep_evaluator
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
-from netfence.wordinterval import Cidr, WordInterval
+from netfence.wordinterval import Cidr, WordInterval, ip_parse
 
 SVC = ServiceTemplate(protocol=6, dport=22, sport=10000)
 SIZE = 256
@@ -136,6 +136,11 @@ def sorted_reps(rules, width):
     return sorted(b.min() for b in ip_partition(rules, width))
 
 
+def wildcard_ifaces(rules):
+    return [SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
+            for r in rules]
+
+
 @pytest.fixture(scope="module")
 def corpus_rules():
     """The simple rules of every IPv4 corpus ruleset under both closures,
@@ -144,12 +149,8 @@ def corpus_rules():
     for name, chain in CORPUS:
         for tactic in ("in_doubt_allow", "in_doubt_deny"):
             simple = analyze_pipeline(load_ruleset(name), chain=chain, tactic=tactic)["simple"]
-            wildcarded = [
-                SimpleRule(dataclasses.replace(r.match, iiface="+", oiface="+"), r.accept)
-                for r in simple
-            ]
             out.append((f"{name} {tactic}", simple))
-            out.append((f"{name} {tactic} without interfaces", wildcarded))
+            out.append((f"{name} {tactic} without interfaces", wildcard_ifaces(simple)))
     return out
 
 
@@ -331,6 +332,63 @@ class TestAccessMatrix:
         m = access_matrix(rules, SVC, width=8)
         assert m.allows(3, 200)
         assert not m.allows(200, 3)
+
+
+class TestInterfaceFreeView:
+    """The matrix ignores interfaces: it equals the matrix of the copy with
+    every interface wildcarded, on the fast and on the slow path."""
+
+    def test_corpus_matrices_equal_the_wildcarded_copy(self, corpus_rules):
+        rules = dict(corpus_rules)
+        translated = [label for label in rules if not label.endswith(" without interfaces")]
+        assert any(r.match.iiface != "+" or r.match.oiface != "+"
+                   for label in translated for r in rules[label])
+        for label in translated:
+            for svc in map(ServiceTemplate.preset, ("ssh", "http", "udp:53")):
+                got = access_matrix(rules[label], svc)
+                want = access_matrix(rules[f"{label} without interfaces"], svc)
+                assert (got.classes, got.edges) == (want.classes, want.edges), (label, svc)
+
+    def test_slow_path_equals_the_wildcarded_copy(self):
+        """Rulesets with interface names and no default rule take the
+        quadratic fallback; appending an explicit default takes the fast
+        path.  All three matrices agree."""
+        rng = random.Random(58)
+        names = ["+", "eth+", "eth0", "eth1", "lo"]
+        for _ in range(60):
+            rules = [
+                SimpleRule(dataclasses.replace(r.match, iiface=rng.choice(names),
+                                               oiface=rng.choice(names)), r.accept)
+                for r in random_ruleset(rng)[:-1]
+            ]
+            assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
+            slow = access_matrix(rules, SVC, width=8)
+            fast = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
+            want = access_matrix(wildcard_ifaces(rules), SVC, width=8)
+            assert (slow.classes, slow.edges) == (want.classes, want.edges)
+            assert (fast.classes, fast.edges) == (want.classes, want.edges)
+
+    @pytest.mark.xfail(strict=True, reason="an interface without an ipassmt entry is kept as "
+                                           "a name that the matrix then ignores")
+    def test_matrix_is_sound_for_interfaces_without_ipassmt(self):
+        """The upper matrix allows every pair big-step accepts on some
+        interface, and the lower matrix only pairs big-step accepts on
+        every interface."""
+        src, dst = ip_parse("10.0.0.1"), ip_parse("8.8.8.8")
+        packet = ServiceTemplate.preset("ssh").packet(src, dst)
+        cases = [
+            (":FORWARD ACCEPT [0:0]\n-A FORWARD -i eth1 -s 10.0.0.0/8 -p tcp -j DROP",
+             "in_doubt_allow", "eth0"),
+            (":FORWARD DROP [0:0]\n-A FORWARD -i eth0 -s 10.0.0.0/8 -p tcp -j ACCEPT",
+             "in_doubt_deny", "eth1"),
+        ]
+        wrong = []
+        for rules, tactic, iface in cases:
+            result = analyze_pipeline(f"*filter\n{rules}\nCOMMIT\n", tactic=tactic)
+            accepted = bigstep_evaluator(result["table"], "FORWARD")(packet.with_(iiface=iface))
+            if result["matrix"].allows(src, dst) != (accepted == ALLOW):
+                wrong.append((tactic, iface))
+        assert not wrong
 
 
 class TestWebappCentralFirewall:

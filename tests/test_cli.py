@@ -154,6 +154,7 @@ class TestAnalyze:
         ("--input", "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/33 -j DROP\n"),
         ("--ipassmt", "eth0 = [10.0.0.0/8]\n\n= [192.168.0.0/16]\n"),
         ("--ipassmt", "eth0 = [10.0.0.0/8]\n\neth1 = [10.0.0.0/33]\n"),
+        ("--ipassmt", "eth0 = [10.0.0.0/8]\n\neth0 = [0.0.0.0/0]\n"),
         ("--routing", "default dev eth0\n\n10.0.0.0/8 dev\n"),
         ("--routing", "default dev eth0\n\n10.0.0.0/33 dev eth1\n"),
     ])

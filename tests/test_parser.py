@@ -425,7 +425,7 @@ class TestParseIpassmt:
             parse_ipassmt("eth0 10.0.0.0/8")
 
     @pytest.mark.parametrize("line", ["= [192.168.0.0/16]", "eth1 = [10.0.0.0/33]",
-                                      "eth+ = [10.0.0.0/8]"])
+                                      "eth+ = [10.0.0.0/8]", "eth0 = [0.0.0.0/0]"])
     def test_bad_line_names_its_number(self, line):
         with pytest.raises(SyntaxError_) as exc:
             parse_ipassmt(f"eth0 = [10.0.0.1]\n{line}\n")

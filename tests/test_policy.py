@@ -38,11 +38,6 @@ class TestAttrMap:
         m = AttrMap({}, "x")
         assert m("anyhost") == "x"
 
-    def test_override_makes_a_copy(self):
-        m = AttrMap({"a": 1}, 0)
-        m2 = m.override("a", 7)
-        assert m("a") == 1 and m2("a") == 7
-
 
 class TestReachability:
     def test_chain(self):
@@ -76,10 +71,6 @@ class TestSerialization:
     def test_json_roundtrip(self):
         g = PolicyGraph.of({"a", "b", "c"}, {("a", "b"), ("c", "a")})
         assert PolicyGraph.from_json(g.to_json()) == g
-
-    def test_dot_roundtrip(self):
-        g = PolicyGraph.of({"a", "b", "node with space"}, {("a", "b")})
-        assert PolicyGraph.from_dot(g.to_dot()) == g
 
     def test_dot_edge_attrs(self):
         g = PolicyGraph.of({"a", "b"}, {("a", "b")})

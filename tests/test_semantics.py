@@ -40,7 +40,6 @@ from netfence.semantics import (
     TRUE,
     UNKNOWN,
     Packet,
-    bigstep_eval,
     bigstep_evaluator,
     bool_matcher,
     closure,
@@ -342,11 +341,11 @@ class TestCompiledMatch:
 class TestBigStep:
     def test_accept_rule(self):
         t = Table({"INPUT": [Rule(MTrue, rs.ACCEPT)]}, {"INPUT": rs.DROP})
-        assert bigstep_eval(t, "INPUT", Packet()) == ALLOW
+        assert bigstep_evaluator(t, "INPUT")(Packet()) == ALLOW
 
     def test_default_policy_applies(self):
         t = Table({"INPUT": []}, {"INPUT": rs.DROP})
-        assert bigstep_eval(t, "INPUT", Packet()) == DENY
+        assert bigstep_evaluator(t, "INPUT")(Packet()) == DENY
 
     def test_blacklist_vs_whitelist_complement(self):
         """A drop-if-blacklisted ruleset filters exactly like a chain that
@@ -371,15 +370,15 @@ class TestBigStep:
         m = bool_matcher(oracle)
         for _ in range(500):
             p = random_packet(rng)
-            assert bigstep_eval(direct, "INPUT", p, m) == bigstep_eval(
-                indirect, "INPUT", p, m
-            )
+            assert bigstep_evaluator(direct, "INPUT", m)(p) == bigstep_evaluator(
+                indirect, "INPUT", m
+            )(p)
 
     def test_fwbuilder_denies_lan_spoof(self):
         t = parse_save(load_ruleset("fwbuilder.iptables"))
         p = Packet(iiface="eth0", src=ip_parse("192.168.1.5"))
         trace = []
-        assert bigstep_eval(t, "INPUT", p, trace=trace) == DENY
+        assert bigstep_evaluator(t, "INPUT", trace=trace)(p) == DENY
         assert any("In_RULE_0" in line for line in trace)
 
     def test_determinism(self):
@@ -398,7 +397,7 @@ class TestBigStep:
             {"INPUT": rs.ACCEPT},
         )
         with pytest.raises(IllformedRuleset):
-            bigstep_eval(t, "INPUT", Packet())
+            bigstep_evaluator(t, "INPUT")(Packet())
 
 
 class TestUnfold:
@@ -469,7 +468,7 @@ class TestUnfold:
             (Packet(src=ip_parse("11.0.0.1")), ALLOW),  # goto not taken
         ]
         for p, want in cases:
-            assert bigstep_eval(t, "INPUT", p) == want
+            assert bigstep_evaluator(t, "INPUT")(p) == want
             assert simple_list_eval(unfolded, p) == want
 
     def test_goto_semantics_skips_rest_of_chain(self):
@@ -490,7 +489,7 @@ class TestUnfold:
             (Packet(src=ip_parse("11.0.0.1")), ALLOW),  # goto not taken
         ]
         for p, want in cases:
-            assert bigstep_eval(t, "INPUT", p) == want
+            assert bigstep_evaluator(t, "INPUT")(p) == want
             assert simple_list_eval(unfolded, p) == want
 
     def test_gotos_unfold_exactly_on_random_tables(self):

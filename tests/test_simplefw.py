@@ -30,8 +30,6 @@ from netfence.simplefw import (
     prepare_for_simple,
     routing_to_ipassmt,
     simple_fw_eval,
-    simple_match_any,
-    simple_match_conj,
     simple_rules_table,
     simple_rules_to_save,
     translate_to_simple,
@@ -64,12 +62,12 @@ class TestEval:
         assert simple_fw_eval([], Packet()) == UNDECIDED
 
     def test_catch_all_drop(self):
-        assert simple_fw_eval([SimpleRule(simple_match_any(), False)], Packet()) == DENY
+        assert simple_fw_eval([SimpleRule(SimpleMatch(), False)], Packet()) == DENY
 
     def test_first_match_wins(self):
         rules = [
             SimpleRule(SimpleMatch(src=cidr("10.0.0.0/8")), True),
-            SimpleRule(simple_match_any(), False),
+            SimpleRule(SimpleMatch(), False),
         ]
         assert simple_fw_eval(rules, Packet(src=ip_parse("10.1.1.1"))) == ALLOW
         assert simple_fw_eval(rules, Packet(src=ip_parse("11.1.1.1"))) == DENY
@@ -180,62 +178,6 @@ class TestSimpleMatchMembership:
             assert m.matches(Packet(iiface=m.iiface)) is True
             assert m.matches(Packet(iiface=m.iiface + "\n")) is False
         assert vars(plain)["matches"].__code__ is vars(odd)["matches"].__code__
-
-
-class TestConjunction:
-    def test_src_nested_cidrs(self):
-        a = SimpleMatch(src=cidr("10.0.0.0/8"))
-        b = SimpleMatch(src=cidr("10.0.0.0/9"))
-        assert simple_match_conj(a, b).src == cidr("10.0.0.0/9")
-
-    def test_concrete_iface_dominates_wildcard(self):
-        a = SimpleMatch(iiface="eth+")
-        b = SimpleMatch(iiface="eth0")
-        assert simple_match_conj(a, b).iiface == "eth0"
-
-    def test_disjoint_protocols(self):
-        assert simple_match_conj(SimpleMatch(proto=6), SimpleMatch(proto=17)) is None
-
-    def test_conjunction_law_random(self):
-        """match m1 p and match m2 p iff match (conj m1 m2) p."""
-        rng = random.Random(99)
-
-        def rand_match():
-            proto = rng.choice([None, None, 6, 17])
-            kw = {}
-            if proto in (6, 17) and rng.random() < 0.6:
-                lo = rng.randrange(0, 65535)
-                kw["dports"] = (lo, min(65535, lo + rng.randrange(2000)))
-            plen = rng.choice([0, 8, 16, 24, 32])
-            base = rng.getrandbits(32) & ~((1 << (32 - plen)) - 1) & 0xFFFFFFFF
-            return SimpleMatch(
-                iiface=rng.choice(["+", "eth+", "eth0", "lo"]),
-                src=parse_cidr(f"{base >> 24 & 255}.{base >> 16 & 255}.{base >> 8 & 255}.{base & 255}/{plen}"),
-                proto=proto,
-                **kw,
-            )
-
-        checked = 0
-        for _ in range(3000):
-            m1, m2 = rand_match(), rand_match()
-            both = simple_match_conj(m1, m2)
-            p = Packet(
-                iiface=rng.choice(["eth0", "eth1", "lo"]),
-                src=rng.getrandbits(32),
-                protocol=rng.choice([1, 6, 17]),
-                dport=rng.getrandbits(16),
-            )
-            lhs = m1.matches(p) and m2.matches(p)
-            rhs = both is not None and both.matches(p)
-            assert lhs == rhs
-            checked += 1
-        assert checked == 3000
-
-    def test_conj_of_wellformed_is_wellformed(self):
-        a = SimpleMatch(proto=6, dports=(22, 22))
-        b = SimpleMatch(proto=6, sports=(1024, 65535))
-        c = simple_match_conj(a, b)
-        assert c.proto == 6 and c.dports == (22, 22) and c.sports == (1024, 65535)
 
 
 class TestTranslation:

@@ -21,7 +21,6 @@ from netfence.templates import (
     Master,
     TEMPLATES,
     TaintsSpec,
-    default_attribute,
     dependability_autolevels,
     dom_below,
     dom_chop,
@@ -54,17 +53,17 @@ class TestGenericRequirements:
 
 class TestDefaults:
     def test_blp_default_is_zero(self):
-        assert default_attribute("BLPBasic") == 0
+        assert TEMPLATES["BLPBasic"].default() == 0
 
     def test_comm_partners_default(self):
-        assert default_attribute("CommPartners") == "DontCare"
+        assert TEMPLATES["CommPartners"].default() == "DontCare"
 
     def test_noninterference_default(self):
-        assert default_attribute("NonInterference") == "Interfering"
+        assert TEMPLATES["NonInterference"].default() == "Interfering"
 
     def test_meta_template_has_no_default(self):
         with pytest.raises(NoDefault):
-            default_attribute("SystemBoundary")
+            TEMPLATES["SystemBoundary"].default()
 
 
 class TestInstantiation:

@@ -14,6 +14,7 @@ from netfence.invariants import (
     set_offending_flows,
 )
 from netfence.policy import AttrMap, PolicyGraph, Strategy, succ_tran
+from netfence.synthesis import policy_diff
 from netfence.templates import TEMPLATES
 
 
@@ -233,7 +234,10 @@ class TestReports:
         assert report.overall
         assert all(v.holds for v in report.verdicts)
 
-    def test_json_output(self):
+    def test_json_and_dot_outputs(self):
         g = PolicyGraph.of({"db1", "web"}, {("db1", "web")})
-        report = all_hold([blp({"db1": 1})], g)
+        invariants = [blp({"db1": 1})]
+        report = all_hold(invariants, g)
         assert '"holds": false' in report.to_json()
+        dot = policy_diff(g, invariants, report=report).to_dot(g)
+        assert '"db1" -> "web" [style=dashed, color=red]' in dot

@@ -26,6 +26,7 @@ from netfence.simplefw import (
     PORT_UNIV,
     SimpleMatch,
     SimpleRule,
+    _as_rule,
     iface_rewrite,
     prepare_for_simple,
     routing_to_ipassmt,
@@ -178,6 +179,73 @@ class TestSimpleMatchMembership:
             assert m.matches(Packet(iiface=m.iiface)) is True
             assert m.matches(Packet(iiface=m.iiface + "\n")) is False
         assert vars(plain)["matches"].__code__ is vars(odd)["matches"].__code__
+
+
+class TestConjunction:
+    """The box reader conjoins the literals of one rule: the rule that
+    matches both simple matches translates back to their conjunction."""
+
+    @staticmethod
+    def conj(a, b):
+        rule = Rule(mand(_as_rule(SimpleRule(a, True)).match,
+                         _as_rule(SimpleRule(b, True)).match), rs.ACCEPT)
+        simple = translate_to_simple(prepare_for_simple([rule]))
+        assert len(simple) <= 1
+        return simple[0].match if simple else None
+
+    def test_src_nested_cidrs(self):
+        a = SimpleMatch(src=cidr("10.0.0.0/8"))
+        b = SimpleMatch(src=cidr("10.0.0.0/9"))
+        assert self.conj(a, b).src == cidr("10.0.0.0/9")
+
+    def test_concrete_iface_dominates_wildcard(self):
+        a = SimpleMatch(iiface="eth+")
+        b = SimpleMatch(iiface="eth0")
+        assert self.conj(a, b).iiface == "eth0"
+
+    def test_disjoint_protocols(self):
+        assert self.conj(SimpleMatch(proto=6), SimpleMatch(proto=17)) is None
+
+    def test_conjunction_law_random(self):
+        """match m1 p and match m2 p iff match (conj m1 m2) p."""
+        rng = random.Random(99)
+
+        def rand_match():
+            proto = rng.choice([None, None, 6, 17])
+            kw = {}
+            if proto in (6, 17) and rng.random() < 0.6:
+                lo = rng.randrange(0, 65535)
+                kw["dports"] = (lo, min(65535, lo + rng.randrange(2000)))
+            plen = rng.choice([0, 8, 16, 24, 32])
+            base = rng.getrandbits(32) & ~((1 << (32 - plen)) - 1) & 0xFFFFFFFF
+            return SimpleMatch(
+                iiface=rng.choice(["+", "eth+", "eth0", "lo"]),
+                src=parse_cidr(f"{base >> 24 & 255}.{base >> 16 & 255}.{base >> 8 & 255}.{base & 255}/{plen}"),
+                proto=proto,
+                **kw,
+            )
+
+        checked = 0
+        for _ in range(3000):
+            m1, m2 = rand_match(), rand_match()
+            both = self.conj(m1, m2)
+            p = Packet(
+                iiface=rng.choice(["eth0", "eth1", "lo"]),
+                src=rng.getrandbits(32),
+                protocol=rng.choice([1, 6, 17]),
+                dport=rng.getrandbits(16),
+            )
+            lhs = m1.matches(p) and m2.matches(p)
+            rhs = both is not None and both.matches(p)
+            assert lhs == rhs
+            checked += 1
+        assert checked == 3000
+
+    def test_conj_of_wellformed_is_wellformed(self):
+        a = SimpleMatch(proto=6, dports=(22, 22))
+        b = SimpleMatch(proto=6, sports=(1024, 65535))
+        c = self.conj(a, b)
+        assert c.proto == 6 and c.dports == (22, 22) and c.sports == (1024, 65535)
 
 
 class TestTranslation:

@@ -1,10 +1,10 @@
 """Command line interface: `netfence analyze` and `netfence synthesize`.
 
 analyze runs the ruleset pipeline over an iptables-save dump.  Parsing,
-unfolding, state specialization, preparation (each NNF disjunct read
-into a 7-tuple box) and interface constraining run once; the closure
-with translation, partition and service matrix run once per in-doubt
-tactic; spoofing certification reads the same unfolded rules.
+unfolding, state specialization, preparation (one walk over each match
+into its distinct 7-tuple boxes) and interface constraining run once;
+the closure with translation, partition and service matrix run once per
+in-doubt tactic; spoofing certification reads the same unfolded rules.
 synthesize goes the other way: verify or construct policies from an
 invariant specification and serialize them as iptables rules.
 

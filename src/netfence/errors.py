@@ -96,6 +96,12 @@ class CallsTooDeep(UnfoldBoundExceeded):
     recursive match helpers would exhaust Python's recursion limit."""
 
 
+class TooManyBoxes(UnfoldBoundExceeded):
+    """A rule whose unfolded match splits into more than simplefw.MAX_BOXES
+    distinct boxes, as RETURNs that cut different fields before it can
+    make it: each such RETURN may double the boxes of the rules after it."""
+
+
 class IllformedSpec(NetfenceError):
     """A JSON input (invariants, policy, host binding) that is not valid
     JSON or not of the documented shape."""

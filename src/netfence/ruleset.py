@@ -185,6 +185,8 @@ def match_iface(pattern: str, name: str) -> bool:
 def iface_conj(a: str, b: str) -> Optional[str]:
     """Conjunction of two interface patterns; None when unsatisfiable.
     Non-wildcard names dominate wildcard patterns."""
+    if "+" in (a, b) or a == b:  # the catch-all pattern, or the same one twice
+        return b if a == "+" else a
     a_wild, b_wild = a.endswith("+"), b.endswith("+")
     if not a_wild and not b_wild:
         return a if a == b else None

@@ -92,7 +92,7 @@ def bool_matcher(oracle=None):
 # Calls may nest this deep, each RETURN before a rule (a goto is a call and
 # a RETURN) counting as a call: the rule's unfolded match nests one level
 # per call and per such RETURN, and the recursive match helpers (opt_match,
-# _rewrite_positive, normalize_nnf, spoofing._bounds) take one frame per
+# _rewrite_positive, simplefw._preboxes, spoofing._bounds) take one frame per
 # level; 500 leaves half of Python's default recursion limit to the rest.
 MAX_CALL_DEPTH = 500
 
@@ -401,11 +401,6 @@ def closure(rules, tactic="in_doubt_allow", known=default_known) -> list:
 # -- NNF normalization ---------------------------------------------------------
 
 
-def _complement_ports(prim):
-    comp = prim.ports.complement()
-    return type(prim)(prim.proto, comp)
-
-
 def normalize_nnf(m: MatchExpr) -> list:
     """Split a match expression into a list of NNF conjunctions whose
     disjunction is equivalent to the input.
@@ -414,7 +409,8 @@ def normalize_nnf(m: MatchExpr) -> list:
     primitive); True is the empty tuple.  Repeated conjunctions are
     dropped, keeping the first.  Negated port primitives expand
     protocol-aware: not (proto ports) becomes [not proto, proto and
-    complement-ports].
+    complement-ports].  The definitional oracle of simplefw's box walk,
+    which the analysis runs instead.
     """
     if m is MTrue:
         return [()]
@@ -435,7 +431,7 @@ def normalize_nnf(m: MatchExpr) -> list:
     prim = inner.prim
     if isinstance(prim, rs.PORT_PRIMITIVES):
         proto = MPrim(rs.Protocol(prim.proto))
-        return [(MNot(proto),), (proto, MPrim(_complement_ports(prim)))]
+        return [(MNot(proto),), (proto, MPrim(type(prim)(prim.proto, prim.ports.complement())))]
     return [(m,)]
 
 

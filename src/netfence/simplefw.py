@@ -5,30 +5,33 @@ with Accept/Drop rules and first-match semantics.  Negations are gone;
 the conjunction of two simple matches is again one simple match, which
 is what makes all later analyses tractable.
 
-Translation reads each NNF literal tuple of an unfolded rule straight
-into a Box: the same 7 fields with word-interval address and port sets,
-plus a flag for the literals the model cannot express.  Interface
-constraining narrows the boxes, and translate_to_simple closes them
-under an in-doubt tactic and splits them into CIDRs.
+Preparation walks each unfolded rule's match once into its distinct
+Boxes (7 fields with word-interval sets, plus flags for what the model
+cannot express), meeting them as Header Space Analysis meets wildcard
+cubes.  Interface constraining narrows the boxes; translate_to_simple
+closes them under an in-doubt tactic and splits them into CIDRs.
 """
 
 from __future__ import annotations
 
 import logging
 import dataclasses
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import ruleset as rs
-from .errors import IllformedRuleset, UnsupportedResidue
-from .ruleset import MNot, MPrim, Rule, iface_conj, mand
-from .semantics import ALLOW, DENY, UNDECIDED, Packet, normalize_rules
+from .errors import IllformedRuleset, TooManyBoxes, UnsupportedResidue
+from .ruleset import MNot, MPrim, MTrue, Rule, iface_conj, mand
+from .semantics import ALLOW, DENY, UNDECIDED, Packet
 from .wordinterval import Cidr, WordInterval
 
 log = logging.getLogger(__name__)
 
 PORT_UNIV = (0, 65535)
 PORT_PROTOCOLS = (6, 17, 132)  # tcp, udp, sctp
+# the distinct boxes one rule may split into; past it preparation fails fast
+MAX_BOXES = 1024
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,6 @@ class SimpleMatch:
             raise IllformedRuleset(
                 f"port intervals require a tcp/udp/sctp protocol, got {self.proto!r}"
             )
-
-    def is_empty(self):
-        return self.sports[0] > self.sports[1] or self.dports[0] > self.dports[1]
 
     def matches(self, p: Packet) -> bool:
         """Whether p lies in the 7-tuple.  The first call compiles the test
@@ -107,15 +107,15 @@ def simple_fw_eval(rules, p: Packet) -> str:
 
 @dataclass(frozen=True)
 class Box:
-    """One NNF disjunct of an unfolded rule, read as a 7-tuple wildcard box.
+    """One part of an unfolded rule's match, a 7-tuple wildcard box.
 
     iiface/oiface are the conjoined positive interface patterns; src, dst
     and the port sets are word intervals, so a box splits into CIDRs only
-    when it is translated.  `unknown` marks a disjunct with a literal the
-    box cannot express (an Extra, TCP flags, a negated interface, negated
-    protocols with no positive one); the closure keeps or drops such a box
-    whole.  `known` marks a disjunct with at least one literal the box does
-    express: a box without one is a catch-all once its unknowns are gone.
+    when it is translated.  `unknown` marks a box with a literal it cannot
+    express (an Extra, TCP flags, a negated interface, negated protocols
+    with no positive one); the closure keeps or drops such a box whole.
+    `known` marks a box with at least one literal it does express: a box
+    without one is a catch-all once its unknowns are gone.
     """
 
     iiface: str
@@ -131,67 +131,91 @@ class Box:
     raw: Optional[str] = dataclasses.field(default=None, compare=False)
 
 
-def _read_box(lits, accept, raw, width) -> Optional[Box]:
-    """The box of one NNF literal tuple, or None when it matches no packet.
+# A Box's fields during the walk: None for an unconstrained set, and the
+# protocols as an 8-bit set, so that `! -p tcp` and `! -p udp` stay apart.
+_PreBox = namedtuple("_PreBox", "iiface oiface src dst protos sports dports unknown known")
+_TOP = _PreBox("+", "+", None, None, None, None, None, False, False)
+_KNOWN = _TOP._replace(known=True)
+_PROTOCOLS = [WordInterval.single(n, 8) for n in range(256)]
 
-    Negated address sets become complements (exact).  Several distinct
-    positive protocols, or a positive one that is also negated, empty the
-    box; a positive protocol absorbs the other negated ones.
-    """
-    iif = oif = "+"  # None once two interface names conflict
-    src, dst = WordInterval.universe(width), WordInterval.universe(width)
-    sports = dports = WordInterval.universe(16)
-    pos_protos, neg_protos = set(), set()
-    unknown = known = False
-    for lit in lits:
-        negated = isinstance(lit, MNot)
-        prim = (lit.inner if negated else lit).prim
-        if isinstance(prim, (rs.Extra, rs.TcpFlags)) or (
-                negated and isinstance(prim, (rs.IIface, rs.OIface))):
-            unknown = True
-            continue
-        # every other literal outlives the closure, but a negated protocol
-        # only inside a positive one
-        known = known or not (negated and isinstance(prim, rs.Protocol))
-        if isinstance(prim, (rs.Src, rs.Dst)):
-            addrs = prim.addrs.complement() if negated else prim.addrs
-            if isinstance(prim, rs.Src):
-                src = src.intersect(addrs)
-            else:
-                dst = dst.intersect(addrs)
-        elif isinstance(prim, rs.IIface):
-            iif = iif and iface_conj(iif, prim.name)
-        elif isinstance(prim, rs.OIface):
-            oif = oif and iface_conj(oif, prim.name)
-        elif isinstance(prim, rs.Protocol):
-            (neg_protos if negated else pos_protos).add(prim.number)
-        elif isinstance(prim, rs.PORT_PRIMITIVES):  # normalize_nnf leaves them positive
-            pos_protos.add(prim.proto)
-            if isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)):
-                sports = sports.intersect(prim.ports)
-            else:
-                dports = dports.intersect(prim.ports)
-        else:
-            raise UnsupportedResidue(f"{prim!r} must be specialized before translation")
-    if (iif is None or oif is None or len(pos_protos) > 1 or pos_protos & neg_protos
-            or any(wi.is_empty() for wi in (src, dst, sports, dports))):
+
+def _meet(a, b) -> Optional[_PreBox]:
+    iif, oif = iface_conj(a.iiface, b.iiface), iface_conj(a.oiface, b.oiface)
+    sets = [y if x is None or x is y else x if y is None else x.intersect(y)
+            for x, y in zip(a[2:7], b[2:7])]
+    if iif is None or oif is None or not all(s is None or s.parts for s in sets):
         return None
-    proto = next(iter(pos_protos), None)
-    return Box(iif, oif, src, dst, proto, sports, dports, accept,
-               unknown or (proto is None and bool(neg_protos)), known, raw)
+    return _PreBox(iif, oif, *sets, a.unknown or b.unknown, a.known or b.known)
+
+
+def _literal(prim, negated) -> list:
+    """The non-empty pre-boxes of one literal; a negated port match is
+    `! proto` or proto with the complemented ports."""
+    if isinstance(prim, (rs.Extra, rs.TcpFlags)) or (
+            negated and isinstance(prim, (rs.IIface, rs.OIface))):
+        return [_TOP._replace(unknown=True)]
+    if isinstance(prim, (rs.IIface, rs.OIface)):
+        return [_KNOWN._replace(**{"iiface" if isinstance(prim, rs.IIface) else "oiface": prim.name})]
+    if isinstance(prim, (rs.Src, rs.Dst)):
+        boxes = [_KNOWN._replace(**{"src" if isinstance(prim, rs.Src) else "dst":
+                                    prim.addrs.complement() if negated else prim.addrs})]
+    elif isinstance(prim, rs.Protocol):
+        proto = _PROTOCOLS[prim.number]
+        boxes = [_TOP._replace(protos=proto.complement()) if negated
+                 else _KNOWN._replace(protos=proto)]
+    elif isinstance(prim, rs.PORT_PRIMITIVES):
+        proto = _PROTOCOLS[prim.proto]
+        boxes = [_TOP._replace(protos=proto.complement())] if negated else []
+        boxes.append(_KNOWN._replace(protos=proto, **{
+            "sports" if isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)) else "dports":
+            prim.ports.complement() if negated else prim.ports}))
+    else:
+        raise UnsupportedResidue(f"{prim!r} must be specialized before translation")
+    return [b for b in boxes if all(s is None or s.parts for s in b[2:7])]
+
+
+def _preboxes(m, negated, memo) -> list:
+    """The distinct non-empty pre-boxes of m (of its negation when
+    `negated`) in NNF order.  memo maps each literal's (primitive,
+    negated) and each conjunction's (id(node), negated) to them."""
+    if isinstance(m, MNot):
+        return _preboxes(m.inner, not negated, memo)
+    if m is MTrue:
+        return [] if negated else [_TOP]
+    key = (m.prim if isinstance(m, MPrim) else id(m), negated)
+    got = memo.get(key)
+    if got is None and isinstance(m, MPrim):
+        got = memo[key] = _literal(m.prim, negated)
+    elif got is None:
+        left, right = _preboxes(m.left, negated, memo), _preboxes(m.right, negated, memo)
+        if negated:  # either operand fails
+            got = list(dict.fromkeys(left + right))
+        elif len(left) == len(right) == 1:
+            got = [c] if (c := _meet(left[0], right[0])) else []
+        else:
+            got = list(dict.fromkeys(filter(None, (_meet(a, b) for a in left for b in right))))
+        if len(got) > MAX_BOXES:
+            raise TooManyBoxes(f"more than {MAX_BOXES} distinct boxes")
+        memo[key] = got
+    return got
 
 
 def prepare_for_simple(rules, width=32) -> list:
-    """Read an unfolded Accept/Drop rule list into boxes, one per NNF
-    literal tuple that matches some packet, in rule order; any other
-    action (Reject, Log, ...) raises IllformedRuleset."""
-    out = []
-    for lits, r in normalize_rules(rules):
+    """Read an unfolded Accept/Drop rule list into boxes, each rule's
+    distinct ones in rule order; any other action raises IllformedRuleset."""
+    out, memo, u = [], {}, WordInterval.universe
+    for r in rules:
         if r.action.kind not in ("accept", "drop"):
             raise IllformedRuleset("translation needs an Accept/Drop list")
-        box = _read_box(lits, r.action.kind == "accept", r.raw, width)
-        if box is not None:
-            out.append(box)
+        try:
+            preboxes = _preboxes(r.match, False, memo)
+        except TooManyBoxes as exc:
+            raise TooManyBoxes(f"rule {r.raw!r} splits into {exc}") from None
+        for iif, oif, src, dst, protos, sports, dports, unknown, known in preboxes:
+            proto = protos.min() if protos and protos.size() == 1 else None
+            out.append(Box(iif, oif, src or u(width), dst or u(width), proto, sports or u(16),
+                           dports or u(16), r.action.kind == "accept",
+                           unknown or (proto is None and protos is not None), known, r.raw))
     return out
 
 

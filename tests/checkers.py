@@ -241,6 +241,16 @@ def return_ladder(k):
     return "\n".join(lines) + "\n", ipassmt
 
 
+def doubling_returns(k):
+    """A FORWARD ruleset whose user chain RETURNs tcp from 10.0.0.<i> for
+    i < k before one ACCEPT: each RETURN's negation is `! -s` or `! -p
+    tcp`, so the ACCEPT's match splits into 2^k distinct boxes."""
+    lines = ["*filter", ":FORWARD DROP [0:0]", ":USER - [0:0]", "-A FORWARD -j USER"]
+    lines += [f"-A USER -s 10.0.0.{i} -p tcp -j RETURN" for i in range(k)]
+    lines += ["-A USER -j ACCEPT", "COMMIT"]
+    return "\n".join(lines) + "\n"
+
+
 def seeded_return_ladder(seed, k):
     """The benchmark's Docker-style ruleset (bench/gen.py) with a ladder of
     k RETURN rules, addresses drawn at `seed`: (save text, ipassmt text)."""

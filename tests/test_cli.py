@@ -5,7 +5,8 @@ from collections import Counter
 import pytest
 
 import scenarios as sc
-from checkers import nested_chains, return_chain, return_ladder, seeded_return_ladder
+from checkers import (doubling_returns, nested_chains, return_chain, return_ladder,
+                      seeded_return_ladder)
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import analysis, invariants, parser, semantics, simplefw, spoofing
 from netfence.cli import analyze_pipeline, closure_results, main
@@ -262,10 +263,13 @@ def simple_digest(rules):
 
 
 class TestOneAnalysisRun:
-    """The tactic-independent stages run once per `netfence analyze`.  The
-    simple rules equal, by digest, those of the stage order that ran
-    everything per tactic over rebuilt match trees; DIGESTS recorded them
-    from that code."""
+    """The tactic-independent stages run once per `netfence analyze`.
+    DIGESTS recorded the simple rules of the stage order that ran
+    everything per tactic over rebuilt match trees.  The entries that the
+    walk over each match shortens, because it keeps one of equal boxes per
+    input rule (synology INPUT's and example_ruleset's lower closures, the
+    RETURN ladders), were re-recorded once they were checked to equal the
+    old lists with the repeats within each input rule removed."""
 
     TACTICS = ("in_doubt_allow", "in_doubt_deny")
     DIGESTS = json.loads((DATA / "simple_rule_digests.json").read_text())
@@ -292,8 +296,9 @@ class TestOneAnalysisRun:
                     assert simple_digest(got) == self.DIGESTS[f"ladder{k} {tactic} {label}"]
 
     def test_simple_rules_match_the_staged_order_on_the_benchmark_ladder(self):
-        """The k=10 ladder of bench/gen.py at seed 1: 1,047 prepared boxes,
-        14,602 lower-closure simple rules."""
+        """The k=10 ladder of bench/gen.py at seed 1: 27 prepared boxes and
+        67 lower-closure simple rules, which were 1,047 and 14,602 when
+        each NNF disjunct was read into its own box."""
         text, ipassmt = seeded_return_ladder(1, 10)
         result = analyze_pipeline(text, ipassmt=parse_ipassmt(ipassmt), tactic=self.TACTICS[0])
         lower = closure_results(result["prepared"], self.TACTICS[1],
@@ -347,16 +352,17 @@ class TestOneAnalysisRun:
                              (simplefw, "prepare_for_simple"), (simplefw, "iface_rewrite"),
                              (simplefw, "translate_to_simple"), (spoofing, "sp_certify_all")]:
             count(module, name)
-        # prepare_for_simple reaches normalize_rules through its own import
+        # preparation walks each match itself: the NNF oracle never runs
         count(semantics, "normalize_rules")
-        count(simplefw, "normalize_rules")
+        count(semantics, "normalize_nnf")
         code = run(["analyze", *write_ladder(tmp_path, 4), "--closure", "both", "--spoofing",
                     "--out-dir", tmp_path / "out"])
         assert code == 2
         # translation closes the prepared boxes itself: the tree closure never runs
-        assert calls == {"parse_save": 1, "unfold": 1, "ctstate_specialize": 1,
-                         "iface_rewrite": 2, "prepare_for_simple": 1, "normalize_rules": 1,
-                         "translate_to_simple": 2, "sp_certify_all": 1}
+        assert calls == Counter({"parse_save": 1, "unfold": 1, "ctstate_specialize": 1,
+                                 "iface_rewrite": 2, "prepare_for_simple": 1, "normalize_rules": 0,
+                                 "normalize_nnf": 0, "translate_to_simple": 2,
+                                 "sp_certify_all": 1})
 
     def test_call_cycle_exits_one_naming_the_chain(self, tmp_path, capsys, monkeypatch):
         ruleset = tmp_path / "cycle.iptables"
@@ -401,6 +407,18 @@ class TestOneAnalysisRun:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert "chain 'USER' is nested more than" in err
+
+    def test_box_blowup_exits_one_naming_the_rule(self, tmp_path, capsys):
+        """RETURNs that cut two fields double the boxes of the rule after
+        them: past simplefw.MAX_BOXES the run fails before translating."""
+        ruleset = tmp_path / "doubling.iptables"
+        ruleset.write_text(doubling_returns(simplefw.MAX_BOXES.bit_length()))
+        code = run(["analyze", "--input", ruleset, "--closure", "both",
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert (f"rule '-A USER -j ACCEPT' splits into more than {simplefw.MAX_BOXES} "
+                "distinct boxes") in err
 
 
 class TestSynthesize:

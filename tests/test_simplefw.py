@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import load_ruleset, stable_hash
+from checkers import doubling_returns, return_ladder, seeded_return_ladder
+from conftest import CORPUS, load_ruleset, stable_hash
 from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
 from netfence.cli import analyze_pipeline
-from netfence.errors import IllformedRuleset, UnsupportedResidue
+from netfence.errors import IllformedRuleset, TooManyBoxes, UnsupportedResidue
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
 from netfence.ruleset import MNot, MPrim, MTrue, Rule, Table, mand
 from netfence.semantics import (
@@ -20,9 +21,11 @@ from netfence.semantics import (
     bigstep_evaluator,
     bool_matcher,
     ctstate_specialize,
+    normalize_nnf,
     unfold,
 )
 from netfence.simplefw import (
+    MAX_BOXES,
     PORT_UNIV,
     SimpleMatch,
     SimpleRule,
@@ -76,10 +79,6 @@ class TestEval:
     def test_ports_require_port_protocol(self):
         with pytest.raises(IllformedRuleset):
             SimpleMatch(proto=1, dports=(80, 80))
-
-    def test_empty_match(self):
-        m = SimpleMatch(proto=6, sports=(10, 5))
-        assert m.is_empty()
 
 
 class TestSimpleMatchMembership:
@@ -527,3 +526,104 @@ class TestWholePathSandwich:
                     assert not verdict.certified and p.src in verdict.residual, (seed, p)
                     spoofed[p.iiface] += 1
         assert min(spoofed["eth0"], spoofed["lo"], certified[True], certified[False]) > 500
+
+
+def _walked_rule_lists():
+    """(label, rules) for the box walk's differential tests: the corpus at
+    each built-in chain, the RETURN ladders, and random tables drawn as
+    TestWholePathSandwich draws them, each unfolded and specialized."""
+    def prepared(table, chain="FORWARD"):
+        return ctstate_specialize(unfold(table, chain), "NEW")
+
+    for name, _ in CORPUS:
+        table = parse_save(load_ruleset(name))
+        for chain in ("INPUT", "FORWARD", "OUTPUT"):
+            if chain in table.chains:
+                yield f"{name} {chain}", prepared(table, chain)
+    for k in range(7):
+        yield f"ladder{k}", prepared(parse_save(return_ladder(k)[0]))
+    for k in (4, 10):
+        yield f"seed1 ladder{k}", prepared(parse_save(seeded_return_ladder(1, k)[0]))
+    rng = random.Random(5)
+    for seed in range(150):
+        yield f"random{seed}", prepared(_random_table(rng))
+
+
+def _literal_is_unknown(lit):
+    negated = isinstance(lit, MNot)
+    prim = (lit.inner if negated else lit).prim
+    return isinstance(prim, (rs.Extra, rs.TcpFlags)) or (
+        negated and isinstance(prim, (rs.IIface, rs.OIface)))
+
+
+class TestBoxWalk:
+    """prepare_for_simple's memoized walk over each match against the NNF
+    oracle, semantics.normalize_nnf, read one disjunct at a time."""
+
+    def test_boxes_equal_the_nnf_disjuncts_read_one_at_a_time(self):
+        """Per rule, the walk over the whole list (whose memo the rules
+        share) gives the boxes of the rule's NNF literal tuples, each read
+        as a conjunction, in order, with repeats removed."""
+        rules_read = 0
+        for label, rules in _walked_rule_lists():
+            rules = [replace(r, raw=i) for i, r in enumerate(rules)]
+            walked = {}
+            for box in prepare_for_simple(rules):
+                walked.setdefault(box.raw, []).append(box)
+            for i, r in enumerate(rules):
+                oracle = [b for lits in normalize_nnf(r.match)
+                          for b in prepare_for_simple([Rule(mand(*lits), r.action, i)])]
+                assert list(dict.fromkeys(walked.get(i, []))) == list(dict.fromkeys(oracle)), \
+                    (label, i)
+                rules_read += 1
+        assert rules_read > 500
+
+    def test_boxes_of_known_rules_match_exactly_the_matching_packets(self):
+        """For a rule with no Extra, TCP flags or negated interface, its
+        boxes translate into simple rules that match a packet exactly when
+        the rule's match holds.  A box of negated protocols alone is
+        flagged unknown: kept, it matches more, and dropped, less."""
+        rng = random.Random(17)
+        exact = 0
+        for label, rules in _walked_rule_lists():
+            for r in rules:
+                if any(_literal_is_unknown(lit) for lits in normalize_nnf(r.match)
+                       for lit in lits):
+                    continue
+                boxes = [replace(b, accept=True) for b in prepare_for_simple([r])]
+                over = translate_to_simple(boxes, "in_doubt_allow")
+                under = translate_to_simple(boxes, "in_doubt_deny")
+                exact += over == under
+                names = [(type(p), p.name.replace("+", "7")) for p in rs.primitives_in(r.match)
+                         if isinstance(p, (rs.IIface, rs.OIface))]
+                for _ in range(20):
+                    p = _near_packet(rng, r.match)
+                    if names and rng.random() < 0.7:
+                        kind, name = rng.choice(names)
+                        p = p.with_(**{"iiface" if kind is rs.IIface else "oiface": name})
+                    holds = r.match.holds(p, None)
+                    assert (simple_fw_eval(under, p) == ALLOW) <= holds, (label, r.raw, p)
+                    assert holds <= (simple_fw_eval(over, p) == ALLOW), (label, r.raw, p)
+        assert exact > 300
+
+    def test_negated_protocols_stay_apart_under_a_conjunction(self):
+        """`! -p tcp` and `! -p udp` read into equal boxes, yet `-p tcp`
+        conjoined with the first matches nothing and with the second tcp."""
+        tcp, udp = MPrim(rs.Protocol(6)), MPrim(rs.Protocol(17))
+        assert prepare_for_simple([Rule(MNot(tcp), rs.ACCEPT)]) == \
+            prepare_for_simple([Rule(MNot(udp), rs.ACCEPT)])
+        assert prepare_for_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT)]) == []
+        boxes = prepare_for_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT),
+                                    Rule(mand(tcp, MNot(udp)), rs.ACCEPT)])
+        assert [(b.proto, b.unknown, b.known) for b in boxes] == [(6, False, True)]
+
+    def test_boxes_past_the_bound_fail_fast(self):
+        """Each RETURN of doubling_returns doubles the ACCEPT's boxes: at
+        MAX_BOXES they are all read, one RETURN more fails with TooManyBoxes
+        naming the rule."""
+        k = MAX_BOXES.bit_length() - 1
+        assert 1 << k == MAX_BOXES
+        boxes = prepare_for_simple(unfold(parse_save(doubling_returns(k)), "FORWARD"))
+        assert len(boxes) == MAX_BOXES + 1 and len(set(boxes)) == len(boxes)
+        with pytest.raises(TooManyBoxes, match="'-A USER -j ACCEPT' splits into more than"):
+            prepare_for_simple(unfold(parse_save(doubling_returns(k + 1)), "FORWARD"))

@@ -10,8 +10,9 @@ takes the phi-failing edges as the offending set without minimalizing,
 and the stateful filters check each candidate backflow on the edges it
 adds alone (phi_failing_edges over those edges).  set_offending_flows
 and all_hold take a Phi invariant's verdict from its phi-failing edges
-without a separate `holds` pass, and synthesis.maximum_policy checks
-every phi in one pass over the host pairs.
+without a separate `holds` pass.  synthesis.maximum_policy groups the
+hosts into classes of equal attributes and checks every phi once per
+ordered pair of classes, plus once per host for the reflexive edge.
 
 The non-Phi library templates (CommWith, NotCommWith, Dependability,
 DependabilityNonRefl, NonInterference) carry an incremental state
@@ -44,7 +45,10 @@ class ConfiguredInvariant:
     eval_fn decides whether a graph satisfies the invariant.  If `phi` is
     set, the invariant is Phi-structured: phi(attr_s, s, attr_r, r) is
     evaluated per edge (skipping reflexive edges when `norefl`), and
-    eval_fn must agree with the conjunction over all edges.  If
+    eval_fn must agree with the conjunction over all edges.  Unless
+    `phi_reads_names` is set, phi(attr_s, s, attr_r, r) for s != r must
+    depend on the two attributes only, not on the host names; the
+    default, True, makes no such promise.  If
     `incremental` is set, incremental(nodes) is a fresh state over
     `nodes` with no edges (see GraphState for the interface), which must
     agree with eval_fn on every graph it has grown.
@@ -57,6 +61,7 @@ class ConfiguredInvariant:
     phi: Optional[Callable] = None
     norefl: bool = False
     incremental: Optional[Callable] = None
+    phi_reads_names: bool = True
 
     def holds(self, graph: PolicyGraph) -> bool:
         return self.eval_fn(graph)

@@ -75,19 +75,28 @@ class PolicyGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise IllformedSpec(f"policy: expected nodes and [src, dst] edges ({exc!r})") from None
 
-    def to_dot(self, edge_attrs=None):
-        """Graphviz digraph; `edge_attrs` may map an edge to an attribute
-        string such as 'style=dashed, color=red'."""
+    def to_dot(self, styles=()):
+        """Graphviz digraph of the graph's edges, plus the edges of each
+        (edges, attribute) pair in `styles` drawn with that attribute
+        string, such as 'style=dashed, color=red'; a later pair's
+        attribute wins.  Every edge must join two of the graph's nodes.
+
+        Edges are written in sorted order, row by row: each source's
+        sorted receivers.  Node names are quoted DOT IDs, with `\\` and
+        `"` escaped."""
+        nodes = self.sorted_nodes()
+        quoted = {n: '"' + str(n).replace("\\", "\\\\").replace('"', '\\"') + '"'
+                  for n in nodes}
+        rows = {n: {} for n in nodes}
+        for edges, attr in ((self.edges, None), *styles):
+            end = f" [{attr}];" if attr else ";"
+            for s, r in edges:
+                rows[s][r] = end
         lines = ["digraph policy {"]
-        for n in self.sorted_nodes():
-            lines.append(f'  "{n}";')
-        for s, r in self.sorted_edges():
-            extra = ""
-            if edge_attrs:
-                a = edge_attrs.get((s, r))
-                if a:
-                    extra = f" [{a}]"
-            lines.append(f'  "{s}" -> "{r}"{extra};')
+        lines += [f"  {quoted[n]};" for n in nodes]
+        for s in nodes:
+            row, arrow = rows[s], f"  {quoted[s]} -> "
+            lines += [arrow + quoted[r] + row[r] for r in sorted(row)]
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -54,8 +54,7 @@ class StatefulPolicy:
         )
 
     def to_dot(self):
-        g = PolicyGraph(self.nodes, self.flows)
-        return g.to_dot(edge_attrs={e: "style=dashed" for e in sorted(self.stateful)})
+        return PolicyGraph(self.nodes, self.flows).to_dot([(self.stateful, "style=dashed")])
 
 
 def alpha(t: StatefulPolicy) -> PolicyGraph:

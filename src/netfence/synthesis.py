@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, permutations, product
 
 from .errors import PreconditionViolated
 from .invariants import ConfiguredInvariant, all_hold, phi_failing_edges, set_offending_flows
@@ -31,23 +32,45 @@ def maximum_policy(invariants, nodes) -> PolicyGraph:
     generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all()).
 
     When every invariant is Phi-structured that is the set of host pairs
-    on which every phi holds: one pass over the pairs, reading each host's
-    attribute once per invariant, without building the allow-all graph.
+    on which every phi holds, computed over classes of hosts without
+    building the allow-all graph.  Hosts are in one class when they have
+    equal attributes in every invariant, and also the same name where an
+    invariant's phi reads names (ConfiguredInvariant.phi_reads_names), so
+    every phi gives one verdict on all pairs of distinct hosts drawn from
+    two classes.  Each phi is called at most once per ordered pair of
+    classes, on distinct representatives (the first members in sorted
+    order, or the first two for a class paired with itself), and once
+    per host for its reflexive edge unless the invariant is `norefl`.
     Otherwise the definition is evaluated, and a non-Phi invariant past
     its brute-force bound raises TooLargeForBruteForce."""
     if any(inv.phi is None for inv in invariants):
         return generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all())
     nodes = frozenset(nodes)
-    checks = [(inv.phi, inv.norefl, {h: inv.attr_map(h) for h in nodes}) for inv in invariants]
-    edges = []
-    for s in nodes:
-        for r in nodes:
-            for phi, norefl, attr in checks:
-                if not (norefl and s == r) and not phi(attr[s], s, attr[r], r):
-                    break
-            else:
-                edges.append((s, r))
-    return PolicyGraph(nodes, frozenset(edges))
+    members = {}
+    for h in sorted(nodes):
+        key = tuple(h if inv.phi_reads_names else inv.attr_map(h) for inv in invariants)
+        members.setdefault(key, []).append(h)
+    classes = [(hosts, hosts[0], [inv.attr_map(hosts[0]) for inv in invariants])
+               for hosts in members.values()]
+    blocks = []  # iterables of edges
+    for cs, s, attrs_s in classes:
+        # the classes that s may reach, narrowed phi by phi, as (members,
+        # representative, attributes); cs itself is represented by its
+        # second member
+        targets = [c for c in classes if c[0] is not cs]
+        if len(cs) > 1:
+            targets.append((cs, cs[1], attrs_s))
+        for i, inv in enumerate(invariants):
+            phi, a_s = inv.phi, attrs_s[i]
+            targets = [t for t in targets if phi(a_s, s, t[2][i], t[1])]
+        if targets and targets[-1][0] is cs:
+            blocks.append(permutations(cs, 2))
+            targets.pop()
+        blocks.append(product(cs, [r for cr, _, _ in targets for r in cr]))
+    refl = [(i, inv.phi) for i, inv in enumerate(invariants) if not inv.norefl]
+    blocks.append([(h, h) for hosts, _, attrs in classes for h in hosts
+                   if all(phi(attrs[i], h, attrs[i], h) for i, phi in refl)])
+    return PolicyGraph(nodes, frozenset(chain.from_iterable(blocks)))
 
 
 def minimalize_offending_overapprox(
@@ -133,14 +156,12 @@ class DiffReport:
     absent: frozenset     # allowed by the maximum policy but not specified
 
     def to_dot(self, graph: PolicyGraph) -> str:
-        nodes = graph.nodes
-        full = PolicyGraph(nodes, self.kept | self.violating | self.absent)
-        attrs = {}
-        for e in self.violating:
-            attrs[e] = "style=dashed, color=red"
-        for e in self.absent:
-            attrs[e] = "style=dashed, color=gray"
-        return full.to_dot(edge_attrs=attrs)
+        """The diff over the manual policy `graph`'s nodes: every kept,
+        violating (dashed red) and absent (dashed gray) edge."""
+        return PolicyGraph(graph.nodes, self.kept).to_dot([
+            (self.violating, "style=dashed, color=red"),
+            (self.absent, "style=dashed, color=gray"),
+        ])
 
 
 def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> DiffReport:

@@ -230,9 +230,18 @@ class Components:
 
 
 class Template:
+    """An invariant template.  A Phi-structured one (`phi_structured`)
+    decides each edge by phi(attr_s, s, attr_r, r), skipping reflexive
+    edges when `norefl`.  Its phi must not read the host names s and r
+    beyond testing s == r, so that for s != r it depends on the two
+    attributes only; a template whose phi reads them sets
+    `phi_reads_names`, and synthesis.maximum_policy then decides its
+    edges host by host instead of per class of equal attributes."""
+
     template_id: str
     strategy: Strategy
     phi_structured = False
+    phi_reads_names = False
     norefl = False
     has_default = True
 
@@ -282,6 +291,7 @@ class Template:
             phi=self.phi if self.phi_structured else None,
             norefl=self.norefl,
             incremental=self.make_incremental(amap),
+            phi_reads_names=self.phi_reads_names,
         )
 
 
@@ -345,6 +355,7 @@ class CommPartners(Template):
     template_id = "CommPartners"
     strategy = Strategy.ACS
     phi_structured = True
+    phi_reads_names = True  # s in attr_r.acl
     norefl = True
 
     def default(self):

@@ -165,6 +165,25 @@ def random_order(rng, graph, foreign):
     return order
 
 
+def sorting_dot(nodes, edges, edge_attrs=None):
+    """The DOT writer by sorting every (source, receiver) tuple, names
+    quoted without escaping: the oracle of PolicyGraph.to_dot, which
+    writes rows, for names without `"` or `\\`.  `edge_attrs` maps an
+    edge to its attribute string."""
+    lines = ["digraph policy {"]
+    for n in sorted(nodes):
+        lines.append(f'  "{n}";')
+    for s, r in sorted(edges):
+        extra = ""
+        if edge_attrs:
+            a = edge_attrs.get((s, r))
+            if a:
+                extra = f" [{a}]"
+        lines.append(f'  "{s}" -> "{r}"{extra};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def comm_with_spec(rng, hosts):
     """The benchmark's synth-b specification shape: a Phi-structured mix
     (BLPTrusted, SubnetsInGW, Sink, NoRefl, DomainHierarchy) plus CommWith,

@@ -9,6 +9,7 @@ import scenarios as sc
 from checkers import (
     HOSTS6,
     NON_PHI_IDS,
+    PHI_IDS,
     comm_with_spec,
     random_graph,
     random_library_invariants,
@@ -403,6 +404,74 @@ class TestMaximumPolicy:
         assert not phi_calls
         assert maximum_policy([counted, comm], HOSTS6[:3]) == generate_valid_topology(
             [blp_inv, comm], PolicyGraph.of(HOSTS6[:3]).allow_all())
+
+
+def class_spec(rng, template_id, hosts):
+    """`template_id`'s invariant over `hosts` plus up to two other random
+    Phi templates', attributes drawn from each pool.  In the first one,
+    hosts[0] alone has an attribute that is not the default, and the last
+    two hosts are left out of every attribute map."""
+    ids = [template_id] + [rng.choice(PHI_IDS) for _ in range(rng.randrange(3))]
+    mapped = hosts[:-2]
+    invs = []
+    for i, tid in enumerate(ids):
+        template = TEMPLATES[tid]
+        pool = template.attr_pool(hosts)
+        attrs = {h: rng.choice(pool) for h in mapped if rng.random() < 0.8}
+        if i == 0:
+            solo = rng.choice([a for a in pool if a != template.default()])
+            attrs = {h: a for h, a in attrs.items() if a != solo}
+            attrs[hosts[0]] = solo
+        invs.append(template.instantiate(attrs))
+    return invs
+
+
+def names_phi_invariant(hosts):
+    """A hand-built Phi invariant whose phi reads the host names: s may
+    reach r when s sorts before r or their attributes are equal.  It keeps
+    the default phi_reads_names."""
+    amap = AttrMap({h: i % 2 for i, h in enumerate(hosts)}, 0)
+
+    def phi(attr_s, s, attr_r, r):
+        return s < r or attr_s == attr_r
+
+    def eval_fn(graph):
+        return not phi_failing_edges(inv, graph.edges)
+
+    inv = ConfiguredInvariant("names", Strategy.ACS, eval_fn, amap, phi=phi)
+    return inv
+
+
+class TestMaximumPolicyOnClasses:
+    """maximum_policy decides each phi at most once per pair of classes
+    of hosts with equal attributes; against its definition on 20 to 40
+    hosts whose attributes come from the templates' small pools, so that
+    most classes have many members, one host is alone in its class, and
+    two hosts have only default attributes."""
+
+    @pytest.mark.parametrize("template_id", PHI_IDS)
+    def test_equals_definition(self, template_id):
+        rng = random.Random(f"classes-{template_id}")
+        sizes = Counter()
+        for _ in range(12):
+            hosts = [f"h{i:02d}" for i in range(rng.randint(20, 40))]
+            rng.shuffle(hosts)
+            invs = class_spec(rng, template_id, hosts)
+            expected = generate_valid_topology(invs, PolicyGraph.of(hosts).allow_all())
+            assert maximum_policy(invs, hosts) == expected
+            keys = Counter(tuple(inv.attr_map(h) for inv in invs) for h in hosts)
+            sizes.update(min(n, 3) for n in keys.values())
+        assert sizes[1] and sizes[3], sizes
+
+    def test_invariant_whose_phi_reads_names(self):
+        rng = random.Random("classes-names")
+        for _ in range(10):
+            hosts = [f"h{i:02d}" for i in range(rng.randint(20, 40))]
+            inv = names_phi_invariant(hosts)
+            assert inv.phi_reads_names
+            for invs in ([inv], [inv] + class_spec(rng, rng.choice(PHI_IDS), hosts)):
+                expected = generate_valid_topology(invs, PolicyGraph.of(hosts).allow_all())
+                assert maximum_policy(invs, hosts) == expected
 
 
 def definitional_policy_diff(manual, invariants, maximum):

@@ -103,6 +103,23 @@ class TestInstantiation:
         assert ts.untaints == {"location"}
 
 
+@pytest.mark.parametrize("template", [t for t in LIBRARY if t.phi_structured],
+                         ids=lambda t: t.template_id)
+def test_phi_reads_names_only_when_declared(template):
+    """For s != r a Phi template's verdict depends on the two attributes
+    alone unless it declares phi_reads_names: over every pair of pool
+    attributes, all twelve ordered pairs of distinct hosts among a, b, c
+    and the unmapped d agree.  A template that declares it (CommPartners)
+    has a witness pair of attributes where they differ."""
+    hosts = HOSTS3 + ("d",)
+    pairs = [(s, r) for s in hosts for r in hosts if s != r]
+    pool = template.attr_pool(HOSTS3)
+    witnesses = [(a_s, a_r) for a_s, a_r in product(pool, repeat=2)
+                 if len({template.phi(a_s, s, a_r, r) for s, r in pairs}) > 1]
+    assert bool(witnesses) == template.phi_reads_names, witnesses[:3]
+    assert template.instantiate({}).phi_reads_names == template.phi_reads_names
+
+
 class TestDomainHierarchy:
     def test_chop_examples(self):
         assert dom_chop(parse_domain("br.e.cc"), 1) == ("e", "cc")

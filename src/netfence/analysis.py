@@ -17,14 +17,13 @@ few big-int operations per block.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import ConsistencyError, IllformedService
 from .ruleset import PROTO_NUMBERS
 from .semantics import ALLOW, Packet
 from .simplefw import SimpleRule, simple_fw_eval
-from .wordinterval import WordInterval, format_interval, ip_format
+from .wordinterval import WordInterval, block_mask, format_interval, ip_format
 
 SERVICE_PRESETS = {
     # protocol, destination port, representative client source port
@@ -128,10 +127,7 @@ def _fast_rows(rules, svc, reps):
 
     def mask(cidr):
         if cidr not in masks:
-            masks[cidr] = sum(
-                (1 << bisect_right(reps, hi)) - (1 << bisect_left(reps, lo))
-                for lo, hi in cidr.interval().parts
-            )
+            masks[cidr] = block_mask(cidr.interval(), reps)
         return masks[cidr]
 
     applicable = [

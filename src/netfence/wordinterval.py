@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import IllformedCidr, ParseError, WidthMismatch
@@ -44,6 +45,14 @@ class WordInterval:
         self.parts = _normalize(parts)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, parts, width):
+        """Wrap parts that are already canonical and in range, unchecked."""
+        wi = object.__new__(cls)
+        wi.width = width
+        wi.parts = tuple(parts)
+        return wi
 
     # values are immutable, so each width shares one empty set and one universe
     @classmethod
@@ -88,7 +97,9 @@ class WordInterval:
                 i += 1
             else:
                 j += 1
-        return WordInterval(out, self.width)
+        # parts of a canonical list that overlap one part of the other are
+        # disjoint and non-adjacent already, so the meet stays canonical
+        return WordInterval._canonical(out, self.width)
 
     def difference(self, other):
         self._check(other)
@@ -104,7 +115,8 @@ class WordInterval:
         maxval = (1 << self.width) - 1
         if cursor <= maxval:
             out.append((cursor, maxval))
-        return WordInterval(out, self.width)
+        # the gaps between canonical parts are sorted, non-empty and apart
+        return WordInterval._canonical(out, self.width)
 
     def issubset(self, other):
         return self.difference(other).is_empty()
@@ -192,6 +204,36 @@ class Cidr:
         return f"{self.base}/{self.prefix}"
 
 
+# -- elementary blocks -------------------------------------------------------
+
+
+def block_minima(sets, width):
+    """The sorted minima of the blocks into which the boundary points of
+    `sets` cut the width-bit space.  Every set is a union of these blocks,
+    and there are at most 2 * (parts of all sets) + 1 of them."""
+    points = {0}
+    for wi in sets:
+        for lo, hi in wi.parts:
+            points.add(lo)
+            points.add(hi + 1)
+    points.discard(1 << width)
+    return sorted(points)
+
+
+def block_mask(wi, reps):
+    """wi as an int bitset over the blocks with sorted minima reps, of which
+    wi must be a union: bit i is set iff block i lies in wi."""
+    return sum((1 << bisect_right(reps, hi)) - (1 << bisect_left(reps, lo)) for lo, hi in wi.parts)
+
+
+def mask_interval(mask, reps, width):
+    """The union of the blocks in `mask`, the inverse of block_mask."""
+    reps = reps + [1 << width]
+    runs = re.finditer("1+", format(mask, "b")[::-1])
+    return WordInterval._canonical(
+        [(reps[run.start()], reps[run.end()] - 1) for run in runs], width)
+
+
 # -- address text formats ---------------------------------------------------
 
 _FAMILY_WIDTH = {"v4": 32, "v6": 128}
@@ -207,7 +249,9 @@ def family_width(family):
 def ip_format(value, family="v4"):
     """Render an address word as text; v6 follows RFC 5952."""
     if family == "v4":
-        return str(ipaddress.IPv4Address(value))
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ipaddress.AddressValueError(f"{value} is not a 32-bit address")
+        return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
     if family == "v6":
         return str(ipaddress.IPv6Address(value))
     raise ValueError(f"unknown address family {family!r}")

@@ -14,8 +14,9 @@ from netfence.invariants import offenders, set_offending_flows
 from netfence import ruleset as rs
 from netfence.policy import PolicyGraph
 from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
+from netfence.spoofing import SpoofVerdict
 from netfence.templates import LIBRARY_IDS, TEMPLATES
-from netfence.wordinterval import parse_address_set
+from netfence.wordinterval import WordInterval, parse_address_set
 
 HOSTS2 = ("a", "b")
 HOSTS3 = ("a", "b", "c")
@@ -279,6 +280,59 @@ def seeded_return_ladder(seed, k):
     spec.loader.exec_module(gen)
     text, ipassmt, _ = gen.return_ruleset(random.Random(seed), random.Random("return-0"), k)
     return text, ipassmt
+
+
+def _interval_bounds(m, iface, side, width, memo):
+    """(over, under) of match m on `iface` as interval sets: the sources
+    with which some packet there may match m, and with which every one
+    does.  Conjunctions intersect, negations complement and swap, and the
+    interface literals of type `side` are decided exactly."""
+    got = memo.get(id(m))
+    if got is not None:
+        return got
+    everything, nothing = WordInterval.universe(width), WordInterval.empty(width)
+    if isinstance(m, MAnd):
+        (over, under), (over_r, under_r) = (_interval_bounds(m.left, iface, side, width, memo),
+                                            _interval_bounds(m.right, iface, side, width, memo))
+        got = over.intersect(over_r), under.intersect(under_r)
+    elif isinstance(m, MNot):
+        over, under = _interval_bounds(m.inner, iface, side, width, memo)
+        got = under.complement(), over.complement()
+    elif m is MTrue:
+        got = everything, everything
+    elif isinstance(m.prim, rs.Src):
+        got = m.prim.addrs, m.prim.addrs
+    elif isinstance(m.prim, side):
+        got = (everything, everything) if rs.match_iface(m.prim.name, iface) else (nothing, nothing)
+    else:
+        got = everything, nothing
+    memo[id(m)] = got
+    return got
+
+
+def definitional_certify(rules, ipassmt, field="in"):
+    """spoofing.sp_certify_all's oracle: the same fold of A (the Accepts'
+    over) and D (the Drops' under outside A), in interval algebra, with
+    the escape of A minus D tested after every rule."""
+    side = rs.IIface if field == "in" else rs.OIface
+    verdicts = {}
+    for iface in sorted(ipassmt):
+        allowed = ipassmt[iface]
+        memo = {}
+        acc = deny = WordInterval.empty(allowed.width)
+        failing = None
+        for idx, rule in enumerate(rules):
+            over, under = _interval_bounds(rule.match, iface, side, allowed.width, memo)
+            if rule.action.kind == "accept":
+                acc = acc.union(over)
+            else:
+                deny = deny.union(under.difference(acc))
+            if failing is None and not acc.difference(deny).issubset(allowed):
+                failing = idx
+        residual = acc.difference(deny).difference(allowed)
+        verdicts[iface] = SpoofVerdict(iface, True) if residual.is_empty() else \
+            SpoofVerdict(iface, False, failing, residual)
+    return verdicts
 
 
 def definitional_normalize_nnf(m):

@@ -3,16 +3,19 @@ from itertools import product
 
 import pytest
 
-from checkers import return_ladder
+from checkers import definitional_certify, doubling_returns, return_ladder, seeded_return_ladder
 from conftest import CORPUS, load_ruleset, stable_hash
+from test_semantics import _random_set
+from test_simplefw import _random_table
 from netfence import ruleset as rs
-from netfence.errors import IfaceNotInIpassmt, MissingFinalRule
+from netfence import spoofing
+from netfence.errors import IfaceNotInIpassmt, MissingFinalRule, WidthMismatch
 from netfence.parser import parse_ipassmt, parse_save
 from netfence.ruleset import MAnd, MNot, MPrim, MTrue, Rule, mand
 from netfence.semantics import (ALLOW, Packet, bigstep_evaluator, bool_matcher,
                                 normalize_nnf, unfold)
-from netfence.spoofing import _bounds, sp_certify, sp_certify_all
-from netfence.wordinterval import WordInterval, parse_address_set
+from netfence.spoofing import _blocks, _bounds, sp_certify, sp_certify_all
+from netfence.wordinterval import WordInterval, mask_interval, parse_address_set
 
 FWBUILDER_IPASSMT = parse_ipassmt(
     "eth0 = all_but_those_ips [192.168.1.1, 192.0.2.1, 192.168.1.0/24]"
@@ -154,6 +157,18 @@ class TestSoundness:
         assert not verdict.certified
         assert verdict.residual == parse_address_set("1.2.3.4/32")
 
+    def test_an_accept_behind_a_drop_of_its_sources_does_not_escape(self):
+        """1.2.3.4 is dropped on eth0 before it is accepted, so the first
+        rule where A minus D leaves 10/8 is the second ACCEPT."""
+        rules = [
+            Rule(mand(iif("eth0"), src("1.2.3.4/32")), rs.DROP),
+            Rule(src("1.2.3.4/32"), rs.ACCEPT),
+            Rule(src("5.6.7.8/32"), rs.ACCEPT),
+            Rule(MTrue, rs.DROP),
+        ]
+        verdict = sp_certify(rules, "eth0", {"eth0": parse_address_set("10.0.0.0/8")})
+        assert verdict.report_line() == "eth0: FAIL at rule #2 (residual range {5.6.7.8})"
+
 
 def corpus_ipassmt(rules):
     """One /16 per named interface of the ruleset, plus loopback."""
@@ -241,6 +256,14 @@ def definitional_deny_sources(disjuncts, iface, width, field):
     return total
 
 
+def interval_bounds(m, iface, side, width):
+    """`_bounds` of m on the blocks of its own source sets, read back as
+    interval sets."""
+    reps, masks = _blocks([m], [], width)
+    over, under = _bounds(m, iface, side, masks, (1 << len(reps)) - 1, {})
+    return mask_interval(over, reps, width), mask_interval(under, reps, width)
+
+
 class TestBounds:
     """`_bounds` against brute force at width 8: every source, every other-side
     interface, both protocols and both answers of the one Extra.  Sources
@@ -293,7 +316,7 @@ class TestBounds:
             disjuncts = normalize_nnf(m)
             for iface, field in product(self.IFACES, ("in", "out")):
                 side = rs.IIface if field == "in" else rs.OIface
-                over, under = _bounds(m, iface, side, 8, {})
+                over, under = interval_bounds(m, iface, side, 8)
                 over_set = {s for s in range(256) if s in over}
                 under_set = {s for s in range(256) if s in under}
                 some, every = self.brute_force(m, iface, field)
@@ -313,14 +336,17 @@ class TestBounds:
 
     def test_a_shared_subtree_is_bounded_once(self, monkeypatch):
         shared = MNot(mand(iif("eth0"), src("10.0.0.0/8")))
+        matches = (mand(shared, src("10.0.0.0/8")), mand(shared, src("11.0.0.0/8")))
+        reps, masks = _blocks(matches, [], 32)
+        literals = {id(shared.inner.left), id(shared.inner.right)}
         calls = []
-        original = WordInterval.complement
-        monkeypatch.setattr(WordInterval, "complement",
-                            lambda wi: calls.append(wi) or original(wi))
+        original = spoofing._bounds
+        monkeypatch.setattr(spoofing, "_bounds", lambda m, *rest: (
+            id(m) in literals and calls.append(m)) or original(m, *rest))
         memo = {}
-        for m in (mand(shared, src("10.0.0.0/8")), mand(shared, src("11.0.0.0/8"))):
-            _bounds(m, "eth0", rs.IIface, 32, memo)
-        assert len(calls) == 2  # the one negation, over and under
+        for m in matches:
+            spoofing._bounds(m, "eth0", rs.IIface, masks, (1 << len(reps)) - 1, memo)
+        assert len(calls) == 2  # the negated conjunction's two literals, once each
 
 
 class TestRegressions:
@@ -342,3 +368,83 @@ class TestRegressions:
         monkeypatch.setattr("netfence.spoofing.normalize_nnf", refuse, raising=False)
         text, ipassmt = return_ladder(6)
         assert sp_certify_all(unfold(parse_save(text), "FORWARD"), ipassmt)["eth0"].certified
+
+
+def fragmented_sources(n):
+    """A FORWARD ruleset of n `/32` DROPs, each inside its interface's
+    range, cycling over four interfaces, with a `/24` ACCEPT on the next
+    interface after every 16th and a final ACCEPT of 10/8; and its
+    four-interface assignment."""
+    lines = ["*filter", ":FORWARD DROP [0:0]"]
+    for i in range(n):
+        lines.append(f"-A FORWARD -i eth{i % 4} -s 10.{i % 4}.{i // 256}.{i % 256}/32 -j DROP")
+        if i % 16 == 0:
+            lines.append(f"-A FORWARD -i eth{(i + 1) % 4} -s 10.{i % 4}.{i // 256}.0/24 -j ACCEPT")
+    lines += ["-A FORWARD -s 10.0.0.0/8 -j ACCEPT", "COMMIT"]
+    ipassmt = {f"eth{i}": parse_address_set(f"10.{i}.0.0/16") for i in range(4)}
+    return "\n".join(lines) + "\n", ipassmt
+
+
+class TestAgainstTheIntervalWalk:
+    """sp_certify_all on block masks gives the verdicts, failing rules and
+    residuals of checkers.definitional_certify, the same fold in interval
+    algebra."""
+
+    @staticmethod
+    def check(rules, ipassmt, field="in"):
+        got = sp_certify_all(rules, ipassmt, field)
+        assert got == definitional_certify(rules, ipassmt, field)
+        return got
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in CORPUS}))
+    def test_corpus(self, name):
+        table = parse_save(load_ruleset(name))
+        for chain in ("INPUT", "FORWARD", "OUTPUT"):
+            if chain in table.chains:
+                rules = unfold(table, chain)
+                field = "out" if chain == "OUTPUT" else "in"
+                self.check(rules, corpus_ipassmt(rules), field)
+                if name == "fwbuilder.iptables":
+                    self.check(rules, FWBUILDER_IPASSMT, field)
+
+    def test_ladders(self):
+        failing = set()
+        for k in range(7):
+            text, ipassmt = return_ladder(k)
+            self.check(unfold(parse_save(text), "FORWARD"), ipassmt)
+        for seed, k in product((1, 2, 3), range(17)):
+            text, ipassmt = seeded_return_ladder(seed, k)
+            got = self.check(unfold(parse_save(text), "FORWARD"), parse_ipassmt(ipassmt))
+            failing |= {v.failing_rule for v in got.values() if not v.certified}
+        ipassmt = {"eth0": parse_address_set("10.0.0.0/30"), "eth1": WordInterval.universe(32)}
+        for k in range(9):
+            self.check(unfold(parse_save(doubling_returns(k)), "FORWARD"), ipassmt)
+        assert len(failing) > 1
+
+    def test_random_tables(self):
+        """Random ipassmts over the names that the tables' `+` patterns and
+        (negated) interface literals may or may not match."""
+        rng = random.Random(19)
+        names = ("eth0", "eth1", "eth10", "lo", "internal", "wild0", "e")
+        verdicts = set()
+        for _ in range(150):
+            table = _random_table(rng)
+            ipassmt = {name: _random_set(rng, 32)
+                       for name in rng.sample(names, rng.randint(1, len(names)))}
+            field = rng.choice(("in", "out"))
+            got = self.check(unfold(table, "FORWARD"), ipassmt, field)
+            verdicts |= {(v.certified, v.failing_rule is not None) for v in got.values()}
+        assert verdicts == {(True, False), (False, True)}
+
+    def test_ipv6(self):
+        table = parse_save(load_ruleset("ipv6_host.iptables"), family="v6")
+        ipassmt = parse_ipassmt("eth0 = [2001:4ca0:2001:13::/64]\nlo = [::1]", family="v6")
+        for chain, field in (("INPUT", "in"), ("OUTPUT", "out")):
+            self.check(unfold(table, chain), ipassmt, field)
+        with pytest.raises(WidthMismatch):
+            sp_certify_all(unfold(table, "INPUT"), {"eth0": parse_address_set("10.0.0.0/8")})
+
+    def test_fragmented_sources(self):
+        text, ipassmt = fragmented_sources(600)
+        got = self.check(unfold(parse_save(text), "FORWARD"), ipassmt)
+        assert {iface for iface, v in got.items() if v.certified} < set(ipassmt)

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -7,10 +8,13 @@ from netfence.errors import IllformedCidr, ParseError, WidthMismatch
 from netfence.wordinterval import (
     Cidr,
     WordInterval,
+    block_mask,
+    block_minima,
     format_interval,
     ip_format,
     ip_parse,
     parse_address_set,
+    mask_interval,
     parse_cidr,
 )
 
@@ -84,6 +88,67 @@ class TestSetOperations:
             assert {v for v in range(256) if v in a} == sa
             assert as_set(a.intersect(b)) == sa & sb
             assert a.isdisjoint(b) == (not sa & sb)
+
+
+def random_parts(rng, width):
+    """Up to five ranges, some adjacent to or touching the one before, some
+    the whole width."""
+    top = (1 << width) - 1
+    parts = []
+    for _ in range(rng.randrange(6)):
+        r = rng.random()
+        if r < 0.1:
+            parts.append((0, top))
+            continue
+        if parts and r < 0.5:  # adjacent to, or sharing an end with, the last range
+            lo = min(top, parts[-1][1] + rng.choice((0, 1)))
+        else:
+            lo = rng.randrange(top + 1)
+        parts.append((lo, min(top, lo + rng.choice((0, 1, rng.randrange(top + 1))))))
+    return parts
+
+
+class TestCanonicalResults:
+    """intersect and complement build their results unnormalized; those
+    must equal the normalized construction."""
+
+    def test_meet_and_complement_against_normalizing_construction(self):
+        rng = random.Random(19)
+        for width in (8, 8, 32):
+            for _ in range(3000):
+                a = WordInterval(random_parts(rng, width), width)
+                b = WordInterval(random_parts(rng, width), width)
+                for got in (a.intersect(b), a.complement(), a.difference(b)):
+                    assert got == WordInterval(list(got.parts), width)
+                    assert got.parts == WordInterval(list(got.parts), width).parts
+                if width == 8:
+                    sa, sb = as_set(a), as_set(b)
+                    assert as_set(a.intersect(b)) == sa & sb
+                    assert as_set(a.complement()) == set(range(256)) - sa
+
+    def test_full_range_and_empty(self):
+        u, e = WordInterval.universe(8), WordInterval.empty(8)
+        assert u.complement() == e and e.complement() == u
+        assert u.intersect(u) == u and u.intersect(e) == e
+        assert wi8((0, 9), (10, 20)).intersect(u).parts == ((0, 20),)
+
+
+class TestBlocks:
+    def test_masks_read_back_as_the_sets(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            sets = [WordInterval(random_parts(rng, 8), 8) for _ in range(rng.randrange(1, 5))]
+            reps = block_minima(sets, 8)
+            assert reps[0] == 0 and reps == sorted(set(reps))
+            assert len(reps) <= 2 * sum(len(wi.parts) for wi in sets) + 1
+            for wi in sets:
+                assert mask_interval(block_mask(wi, reps), reps, 8) == wi
+            mask = rng.getrandbits(len(reps))
+            got = mask_interval(mask, reps, 8)
+            assert got.parts == WordInterval(list(got.parts), 8).parts
+            ends = reps + [256]
+            assert as_set(got) == {v for i in range(len(reps)) if mask >> i & 1
+                                   for v in range(ends[i], ends[i + 1])}
 
 
 class TestCidr:
@@ -178,6 +243,17 @@ class TestAddressText:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             ip_parse("300.1.2.3")
+
+    def test_v4_format_equals_ipaddress(self):
+        rng = random.Random(19)
+        octet_edges = [v << shift for shift in (0, 8, 16, 24) for v in (1, 127, 128, 255)]
+        values = [0, 2**32 - 1, *octet_edges, *(v - 1 for v in octet_edges),
+                  *(rng.getrandbits(32) for _ in range(10_000))]
+        for value in values:
+            assert ip_format(value, "v4") == str(ipaddress.IPv4Address(value)), value
+        for value in (-1, 2**32):
+            with pytest.raises(ValueError):
+                ip_format(value, "v4")
 
     @given(st.integers(0, 2**32 - 1))
     def test_v4_parse_format_identity(self, value):

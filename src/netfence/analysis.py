@@ -10,20 +10,26 @@ in a simple firewall without interfaces.
 Neither step splits intervals pairwise.  The partition is one sweep over
 the sorted boundary points of the rule address sets, grouping elementary
 intervals by membership bitmask.  The matrix keeps every address set, row
-and column as a Python-int bitset over block indices, so one rule costs a
-few big-int operations per block.
+and column as a Python-int bitset over block indices.  One rule-major
+first-match pass walks each rule's blocks on the side whose rules cover
+fewer blocks in all, so a rule costs one big-int operation per block it
+covers there; the other side is the transpose of that pass's result, and
+the edges are the set bits of the classes' rows.
 """
 
 from __future__ import annotations
 
-import json
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from operator import xor
 
 from .errors import ConsistencyError, IllformedService
 from .ruleset import PROTO_NUMBERS
 from .semantics import ALLOW, Packet
 from .simplefw import SimpleRule, simple_fw_eval
-from .wordinterval import WordInterval, block_mask, format_interval, ip_format
+from .wordinterval import WordInterval, format_interval, ip_format
 
 SERVICE_PRESETS = {
     # protocol, destination port, representative client source port
@@ -64,13 +70,13 @@ def ip_partition(rules, width=32) -> list:
 
     Two addresses share a block iff they lie in the same rule address
     sets, so every block is treated uniformly by the ruleset.  One sweep:
-    each distinct set gets one bit, XORed into a toggle map at each part's
-    lo and hi + 1; walking the sorted boundary points keeps the running
-    membership mask and groups the elementary intervals by mask.  For P
-    boundary points and S distinct sets this is O(P log P) plus P mask
-    updates of S bits.  The blocks are those of folding "split every block
-    into its parts inside and outside the set" over all sets, in another
-    order.
+    each distinct CIDR gets one bit, XORed into a toggle map at its base
+    and one past its top; walking the sorted boundary points keeps the
+    running membership mask and groups the elementary intervals by mask.
+    For P boundary points and S distinct sets this is O(P log P) plus P
+    mask updates of S bits.  The blocks are those of folding "split every
+    block into its parts inside and outside the set" over all sets, in
+    another order.
     """
     bits = {}
     toggles = {0: 0}
@@ -79,9 +85,9 @@ def ip_partition(rules, width=32) -> list:
             if cidr in bits:
                 continue
             bit = bits[cidr] = 1 << len(bits)
-            for lo, hi in cidr.interval().parts:
-                toggles[lo] = toggles.get(lo, 0) ^ bit
-                toggles[hi + 1] = toggles.get(hi + 1, 0) ^ bit
+            lo, after = cidr.base, (cidr.base | cidr.hostmask()) + 1
+            toggles[lo] = toggles.get(lo, 0) ^ bit
+            toggles[after] = toggles.get(after, 0) ^ bit
     end = 1 << width
     points = sorted(p for p in toggles if p < end)
     groups = {}
@@ -89,7 +95,9 @@ def ip_partition(rules, width=32) -> list:
     for lo, nxt in zip(points, points[1:] + [end]):
         mask ^= toggles[lo]
         groups.setdefault(mask, []).append((lo, nxt - 1))
-    return [WordInterval(parts, width) for parts in groups.values()]
+    # a group's parts come out sorted, and two neighbouring elementary
+    # intervals differ in mask, so they are apart as well
+    return [WordInterval._canonical(parts, width) for parts in groups.values()]
 
 
 def _service_applies(m, svc: ServiceTemplate):
@@ -102,43 +110,81 @@ def _service_applies(m, svc: ServiceTemplate):
     )
 
 
-def _accepted(masks, i, side, everything):
-    """One first-match pass for block i as source (side 0: the accepted
-    destination blocks) or as destination (side 1: the accepted source
-    blocks).  None when some blocks stay undecided (no default rule)."""
-    accepted, remaining = 0, everything
-    for m in masks:
-        if not remaining:
-            break
-        if m[side] >> i & 1:
-            covered = m[1 - side] & remaining
-            if m[2]:
-                accepted |= covered
-            remaining &= ~covered
-    return None if remaining else accepted
+def _bits(x):
+    """The positions of the set bits of x, in ascending order."""
+    return [m.start() for m in re.finditer("1", format(x, "b")[::-1])]
+
+
+def _first_match(rules, n):
+    """One rule-major first-match pass over n blocks on one side.  rules are
+    (lo, hi, mask, accept): the rule covers the blocks [lo, hi) of this side
+    and the blocks in mask of the other.  Each block keeps the other side's
+    blocks still undecided (rem) and accepted (acc), so a rule costs one
+    step per block it covers.  Returns acc, or None when some pair stays
+    undecided (no default rule)."""
+    rem, acc = [(1 << n) - 1] * n, [0] * n
+    for lo, hi, mask, accept in rules:
+        for i in range(lo, hi):
+            c = mask & rem[i]
+            if c:
+                rem[i] ^= c
+                if accept:
+                    acc[i] |= c
+    return None if any(rem) else acc
+
+
+def _transpose(lines, n):
+    """The columns of the n×n bit matrix with rows `lines`.  The rows are
+    grouped by value; each distinct row XORs its group of row indices into
+    a difference array at the start and at the end of each of its runs of
+    1s, and a prefix XOR adds them up.  The groups are disjoint, so XOR is
+    union, and the cost is O(runs + n) big-int operations."""
+    groups = {}
+    for i, line in enumerate(lines):
+        groups[line] = groups.get(line, 0) | 1 << i
+    diff = [0] * (n + 1)
+    for line, group in groups.items():
+        for p in _bits(line ^ line << 1):
+            diff[p] ^= group
+    return list(accumulate(diff[:n], xor))
 
 
 def _fast_rows(rules, svc, reps):
     """Rows (accepted destinations of each block) and columns (accepted
     sources) as bitsets over block indices, or None without a default
     rule.  reps are the sorted block minima; since the blocks refine every
-    rule address set, a block lies in a set iff its representative does."""
-    masks = {}
+    rule address set, a CIDR covers the index range [bisect_left of its
+    base, bisect_right of its top) of them.
 
-    def mask(cidr):
-        if cidr not in masks:
-            masks[cidr] = block_mask(cidr.interval(), reps)
-        return masks[cidr]
+    The first-match pass runs on the side whose rule ranges are shorter in
+    total, and the other side is the transpose of its result.  For R rules
+    over B blocks this costs the sum, over the rules, of the blocks their
+    source (or destination) covers, plus O(runs + B) for the transpose, in
+    big-int operations on B-bit ints."""
+    spans = {}
+
+    def span(cidr):
+        got = spans.get(cidr)
+        if got is None:
+            lo = bisect_left(reps, cidr.base)
+            hi = bisect_right(reps, cidr.base | cidr.hostmask())
+            got = spans[cidr] = (lo, hi, (1 << hi) - (1 << lo))
+        return got
 
     applicable = [
-        (mask(r.match.src), mask(r.match.dst), r.accept)
+        (span(r.match.src), span(r.match.dst), r.accept)
         for r in rules
         if _service_applies(r.match, svc)
     ]
-    everything = (1 << len(reps)) - 1
-    rows = [_accepted(applicable, i, 0, everything) for i in range(len(reps))]
-    cols = [_accepted(applicable, i, 1, everything) for i in range(len(reps))]
-    return None if None in rows or None in cols else (rows, cols)
+    by_src = sum(s[1] - s[0] for s, _, _ in applicable) <= sum(
+        d[1] - d[0] for _, d, _ in applicable)
+    walked = [(s, d, a) if by_src else (d, s, a) for s, d, a in applicable]
+    lines = _first_match([(lo, hi, mask, a) for (lo, hi, _), (_, _, mask), a in walked],
+                         len(reps))
+    if lines is None:
+        return None
+    other = _transpose(lines, len(reps))
+    return (lines, other) if by_src else (other, lines)
 
 
 @dataclass
@@ -176,40 +222,52 @@ class AccessMatrix:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
+        """The text of json.dumps(..., indent=2) of the service, the classes
+        and the edges, written in one pass.  Its strings are addresses and
+        address ranges, which JSON writes without escapes."""
         fam = self.family()
-        return json.dumps(
-            {
-                "service": {
-                    "protocol": self.service.protocol,
-                    "dport": self.service.dport,
-                    "sport": self.service.sport,
-                },
-                "classes": {
-                    ip_format(rep, fam): [
-                        f"{ip_format(lo, fam)}-{ip_format(hi, fam)}"
-                        for lo, hi in self.classes[rep].parts
-                    ]
-                    for rep in sorted(self.classes)
-                },
-                "edges": [
-                    [ip_format(a, fam), ip_format(b, fam)] for a, b in sorted(self.edges)
-                ],
-            },
-            indent=2,
+        name = {rep: ip_format(rep, fam) for rep in sorted(self.classes)}
+        classes = [
+            f'"{text}": ' + _json_block(
+                [f'"{ip_format(lo, fam)}-{ip_format(hi, fam)}"'
+                 for lo, hi in self.classes[rep].parts], 2)
+            for rep, text in name.items()
+        ]
+        edges = [_json_block([f'"{name[a]}"', f'"{name[b]}"'], 2) for a, b in sorted(self.edges)]
+        svc = self.service
+        return (
+            "{\n"
+            '  "service": {\n'
+            f'    "protocol": {svc.protocol},\n'
+            f'    "dport": {svc.dport},\n'
+            f'    "sport": {svc.sport}\n'
+            "  },\n"
+            f'  "classes": {_json_block(classes, 1, "{}")},\n'
+            f'  "edges": {_json_block(edges, 1)}\n'
+            "}"
         )
+
+
+def _json_block(items, depth, brackets="[]"):
+    """A JSON array (or, with brackets "{}", object) at nesting depth
+    `depth`, as json.dumps(..., indent=2) writes it, of items that are
+    already written for depth + 1."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
     """Build the minimal service matrix.
 
-    The blocks of ip_partition, sorted by minimum, are numbered, and each
-    rule address set becomes an int bitset over block indices (bisect over
-    the minima, once per distinct set).  Each block's row and column is one
-    first-match pass over the rules that match the service's fixed fields,
-    so B blocks and R rules cost O(B·R) operations on B-bit ints.  Without
+    The blocks of ip_partition, sorted by minimum, are numbered, and rows
+    and columns are bitsets over block indices (_fast_rows): the cost is
+    what the rules cover on the cheaper side, not blocks × rules.  Without
     a default rule the rows come from _slow_rows, O(B²·R).  Blocks with
-    equal (row, column) merge into one class, and the edges are read off
-    the rows.
+    equal (row, column) merge into one class, and the edges are the set
+    bits of each class's first row restricted to the classes' first blocks,
+    so K classes and E edges cost K big-int operations plus O(E).
     """
     blocks = sorted(ip_partition(rules, width), key=WordInterval.min)
     reps = [b.min() for b in blocks]
@@ -226,7 +284,8 @@ def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
     if sum(wi.size() for wi in classes.values()) != 1 << width:
         raise ConsistencyError("matrix classes overlap")
     firsts = [members[0] for members in groups.values()]
-    edges = {(reps[a], reps[b]) for a in firsts for b in firsts if rows[a] >> b & 1}
+    first_mask = sum(1 << a for a in firsts)
+    edges = {(reps[a], reps[b]) for a in firsts for b in _bits(rows[a] & first_mask)}
     return AccessMatrix(classes, edges, svc, width)
 
 

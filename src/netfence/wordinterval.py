@@ -194,7 +194,7 @@ class Cidr:
         return (1 << (self.width - self.prefix)) - 1
 
     def interval(self):
-        return WordInterval.range(self.base, self.base | self.hostmask(), self.width)
+        return WordInterval._canonical(((self.base, self.base | self.hostmask()),), self.width)
 
     def __str__(self):
         if self.width == 32:

@@ -7,6 +7,7 @@ import pytest
 from conftest import CORPUS, load_ruleset
 from netfence import analysis
 from netfence.analysis import (
+    AccessMatrix,
     ServiceTemplate,
     _fast_rows,
     _slow_rows,
@@ -18,7 +19,7 @@ from netfence.cli import analyze_pipeline
 from netfence.errors import ConsistencyError, IllformedService
 from netfence.semantics import ALLOW, bigstep_evaluator
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
-from netfence.wordinterval import Cidr, WordInterval, ip_parse
+from netfence.wordinterval import Cidr, WordInterval, ip_format, ip_parse
 
 SVC = ServiceTemplate(protocol=6, dport=22, sport=10000)
 SIZE = 256
@@ -52,6 +53,29 @@ def random_ruleset(rng, max_rules=7):
     ]
     rules.append(toy_rule(accept=rng.random() < 0.5))  # explicit default
     return rules
+
+
+def fragmented_ruleset(rng, side):
+    """Up to 40 rules whose `side` ("src" or "dst") is one address and whose
+    other side is a CIDR of at least 16 addresses, then a default rule.
+    The first rule's wide side is the universe, which its one address
+    splits, so the fragmented side covers strictly fewer blocks in all."""
+    rules = []
+    for k in range(rng.randrange(1, 40)):
+        narrow = Cidr(rng.randrange(SIZE), 8, 8)
+        plen = 0 if k == 0 else rng.randrange(5)
+        wide = Cidr(rng.getrandbits(8) & ~((1 << (8 - plen)) - 1) & 255, plen, 8)
+        src, dst = (narrow, wide) if side == "src" else (wide, narrow)
+        rules.append(SimpleRule(SimpleMatch(width=8, src=src, dst=dst), rng.random() < 0.5))
+    rules.append(toy_rule(accept=rng.random() < 0.5))
+    return rules
+
+
+def covered(rules, side):
+    """The blocks the rules' `side` sets cover, summed over the rules: the
+    fast rows walk the side where this is smaller."""
+    blocks = ip_partition(rules, 8)
+    return sum(b.issubset(getattr(r.match, side).interval()) for r in rules for b in blocks)
 
 
 # -- independent brute-force oracle over plain int bitsets --------------------
@@ -98,6 +122,14 @@ def accept_cols(rules):
             rem &= ~src_m
         cols.append(acc)
     return cols
+
+
+def oracle_block_rows(rules, reps):
+    """Rows and columns over the blocks with minima reps, read off the
+    brute-force address rows and columns at each block's minimum."""
+    rows, cols = accept_rows(rules), accept_cols(rules)
+    over_blocks = lambda mask: sum(1 << j for j, b in enumerate(reps) if mask >> b & 1)
+    return [over_blocks(rows[a]) for a in reps], [over_blocks(cols[a]) for a in reps]
 
 
 def members(wi):
@@ -254,6 +286,35 @@ class TestBitsetRows:
         rules = [SimpleRule(SimpleMatch(width=8, src=Cidr(0, 1, 8)), True)]
         assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
 
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_fragmented_rulesets_on_either_side(self, side):
+        """Rules fragmented in their sources walk the sources and transpose
+        to the columns; fragmented in their destinations, the other way
+        round.  Both equal _slow_rows and the brute-force oracle."""
+        other = {"src": "dst", "dst": "src"}[side]
+        rng = random.Random(f"fragmented-{side}")
+        for _ in range(80):
+            rules = fragmented_ruleset(rng, side)
+            assert covered(rules, side) < covered(rules, other)
+            reps = sorted_reps(rules, 8)
+            fast = _fast_rows(rules, SVC, reps)
+            assert fast == _slow_rows(rules, SVC, reps)
+            assert fast == tuple(oracle_block_rows(rules, reps))
+
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    def test_fragmented_rulesets_without_default_have_no_fast_rows(self, side):
+        """Without the default rule the addresses that no rule's single
+        address names stay undecided, whichever side is walked; the matrix
+        then comes from _slow_rows and equals the one with an explicit
+        default deny."""
+        rng = random.Random(f"no-default-{side}")
+        for _ in range(40):
+            rules = fragmented_ruleset(rng, side)[:-1]
+            assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
+            slow = access_matrix(rules, SVC, width=8)
+            fast = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
+            assert (slow.classes, slow.edges) == (fast.classes, fast.edges)
+
 
 class TestAccessMatrix:
     def test_allow_all_single_class_with_loop(self):
@@ -290,6 +351,28 @@ class TestAccessMatrix:
                 signature = (rows[s], cols[s])
                 assert signature not in seen, "two classes behave identically"
                 seen[signature] = rep
+
+    def test_ring_edges_equal_bruteforce_class_pairs(self):
+        """A ring of /32 -> /32 Accepts over 100 hosts gives a class per
+        host.  Drops from 20 unused addresses to themselves cut the unused
+        addresses into blocks that behave alike, one class of many blocks,
+        and one host also reaches every address, so its row holds all of
+        them.  The edges are exactly the class pairs the brute-force rows
+        accept."""
+        rng = random.Random(59)
+        for _ in range(5):
+            hosts = rng.sample(range(SIZE), 120)
+            hosts, unused = hosts[:100], hosts[100:]
+            rules = [toy_rule(src=Cidr(a, 8, 8), dst=Cidr(b, 8, 8))
+                     for a, b in zip(hosts, hosts[1:] + hosts[:1])]
+            rules += [toy_rule(src=Cidr(u, 8, 8), dst=Cidr(u, 8, 8), accept=False) for u in unused]
+            rules += [toy_rule(src=Cidr(hosts[0], 8, 8)), toy_rule(accept=False)]
+            assert len(ip_partition(rules, 8)) == 121
+            matrix = access_matrix(rules, SVC, width=8)
+            assert len(matrix.classes) == 101
+            rows = accept_rows(rules)
+            assert matrix.edges == {(a, b) for a in matrix.classes for b in matrix.classes
+                                    if rows[a] >> b & 1}
 
     def test_partition_never_coarser_than_matrix(self):
         rng = random.Random(53)
@@ -439,6 +522,39 @@ class TestExports:
         assert len(data["edges"]) == 12
         for a, b in data["edges"]:
             assert a in data["classes"] and b in data["classes"]
+
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_json_equals_json_dumps(self, width):
+        """to_json writes the text of json.dumps(..., indent=2) of the same
+        dict: for one class, for no edges and for random matrices."""
+        fam = "v6" if width == 128 else "v4"
+
+        def dumps(m):
+            return json.dumps({
+                "service": {"protocol": m.service.protocol, "dport": m.service.dport,
+                            "sport": m.service.sport},
+                "classes": {ip_format(rep, fam): [f"{ip_format(lo, fam)}-{ip_format(hi, fam)}"
+                                                  for lo, hi in m.classes[rep].parts]
+                            for rep in sorted(m.classes)},
+                "edges": [[ip_format(a, fam), ip_format(b, fam)] for a, b in sorted(m.edges)],
+            }, indent=2)
+
+        rng = random.Random(f"json-{width}")
+        one = {0: WordInterval.universe(width)}
+        matrices = [AccessMatrix(one, set(), SVC, width), AccessMatrix(one, {(0, 0)}, SVC, width)]
+        for _ in range(30):
+            cuts = sorted({0, *(rng.getrandbits(width) for _ in range(rng.randrange(12)))})
+            spans = [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:] + [1 << width])]
+            groups = {}
+            for span in spans:
+                groups.setdefault(rng.randrange(len(spans)), []).append(span)
+            classes = {parts[0][0]: WordInterval(parts, width) for parts in groups.values()}
+            edges = {(a, b) for a in classes for b in classes if rng.random() < 0.3}
+            svc = ServiceTemplate(rng.choice([6, 17]), rng.randrange(65536), rng.randrange(65536))
+            matrices.append(AccessMatrix(classes, edges, svc, width))
+        assert any(not m.edges for m in matrices[2:])
+        for m in matrices:
+            assert m.to_json() == dumps(m)
 
     def test_export_dispatch(self):
         m = self.matrix()

@@ -120,8 +120,8 @@ def _first_match(rules, n):
     (lo, hi, mask, accept): the rule covers the blocks [lo, hi) of this side
     and the blocks in mask of the other.  Each block keeps the other side's
     blocks still undecided (rem) and accepted (acc), so a rule costs one
-    step per block it covers.  Returns acc, or None when some pair stays
-    undecided (no default rule)."""
+    step per block it covers.  Returns acc: a pair that no rule decides
+    stays denied."""
     rem, acc = [(1 << n) - 1] * n, [0] * n
     for lo, hi, mask, accept in rules:
         for i in range(lo, hi):
@@ -130,7 +130,7 @@ def _first_match(rules, n):
                 rem[i] ^= c
                 if accept:
                     acc[i] |= c
-    return None if any(rem) else acc
+    return acc
 
 
 def _transpose(lines, n):
@@ -151,10 +151,10 @@ def _transpose(lines, n):
 
 def _fast_rows(rules, svc, reps):
     """Rows (accepted destinations of each block) and columns (accepted
-    sources) as bitsets over block indices, or None without a default
-    rule.  reps are the sorted block minima; since the blocks refine every
-    rule address set, a CIDR covers the index range [bisect_left of its
-    base, bisect_right of its top) of them.
+    sources) as bitsets over block indices; a pair that no rule decides
+    is denied.  reps are the sorted block minima; since the blocks refine
+    every rule address set, a CIDR covers the index range [bisect_left of
+    its base, bisect_right of its top) of them.
 
     The first-match pass runs on the side whose rule ranges are shorter in
     total, and the other side is the transpose of its result.  For R rules
@@ -181,8 +181,6 @@ def _fast_rows(rules, svc, reps):
     walked = [(s, d, a) if by_src else (d, s, a) for s, d, a in applicable]
     lines = _first_match([(lo, hi, mask, a) for (lo, hi, _), (_, _, mask), a in walked],
                          len(reps))
-    if lines is None:
-        return None
     other = _transpose(lines, len(reps))
     return (lines, other) if by_src else (other, lines)
 
@@ -263,15 +261,14 @@ def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
 
     The blocks of ip_partition, sorted by minimum, are numbered, and rows
     and columns are bitsets over block indices (_fast_rows): the cost is
-    what the rules cover on the cheaper side, not blocks × rules.  Without
-    a default rule the rows come from _slow_rows, O(B²·R).  Blocks with
-    equal (row, column) merge into one class, and the edges are the set
-    bits of each class's first row restricted to the classes' first blocks,
-    so K classes and E edges cost K big-int operations plus O(E).
+    what the rules cover on the cheaper side, not blocks × rules.  Blocks
+    with equal (row, column) merge into one class, and the edges are the
+    set bits of each class's first row restricted to the classes' first
+    blocks, so K classes and E edges cost K big-int operations plus O(E).
     """
     blocks = sorted(ip_partition(rules, width), key=WordInterval.min)
     reps = [b.min() for b in blocks]
-    rows, cols = _fast_rows(rules, svc, reps) or _slow_rows(rules, svc, reps)
+    rows, cols = _fast_rows(rules, svc, reps)
     groups = {}
     for i, signature in enumerate(zip(rows, cols)):
         groups.setdefault(signature, []).append(i)
@@ -291,8 +288,8 @@ def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
 
 def _slow_rows(rules, svc, reps):
     """Rows and columns as in _fast_rows, from simple_fw_eval on every pair
-    of representatives with the rules' interfaces wildcarded: O(B²·R), for
-    rulesets without a default rule."""
+    of representatives with the rules' interfaces wildcarded: O(B²·R), the
+    definition that _fast_rows is tested against."""
     rules = [SimpleRule(replace(r.match, iiface="+", oiface="+"), r.accept) for r in rules]
     rows, cols = [0] * len(reps), [0] * len(reps)
     for i, a in enumerate(reps):

@@ -9,8 +9,9 @@ Synthesis uses the Phi structure incrementally: generate_valid_topology3
 takes the phi-failing edges as the offending set without minimalizing,
 and the stateful filters check each candidate backflow on the edges it
 adds alone (phi_failing_edges over those edges).  set_offending_flows
-and all_hold take a Phi invariant's verdict from its phi-failing edges
-without a separate `holds` pass.  synthesis.maximum_policy groups the
+takes a Phi invariant's verdict from its phi-failing edges without a
+separate `holds` pass, and all_hold reads every verdict off
+set_offending_flows.  synthesis.maximum_policy groups the
 hosts into classes of equal attributes and checks every phi once per
 ordered pair of classes, plus once per host for the reflexive edge.
 
@@ -113,14 +114,6 @@ def phi_failing_edges(inv: ConfiguredInvariant, edges) -> set:
     return fails
 
 
-def _phi_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozenset:
-    """A Phi-structured invariant's offending-flow set: its phi-failing
-    edges as the one member, or no member when there are none (exactly
-    when the invariant holds)."""
-    fails = phi_failing_edges(inv, graph.edges)
-    return frozenset({frozenset(fails)}) if fails else frozenset()
-
-
 def _powerset(items):
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
@@ -128,12 +121,15 @@ def _powerset(items):
 def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozenset:
     """All minimal edge sets whose removal repairs the invariant.
 
-    Returns a frozenset of frozensets.  Phi-structured invariants have a
-    unique member (all edges failing phi); the general definition
-    enumerates subsets and is refused beyond the brute-force bound.
+    Returns a frozenset of frozensets, empty exactly when the invariant
+    holds (every template holds on a graph without edges).  Phi-structured
+    invariants have a unique member (all edges failing phi); the general
+    definition enumerates subsets and is refused beyond the brute-force
+    bound.
     """
     if inv.phi is not None:
-        return _phi_offending_flows(inv, graph)
+        fails = phi_failing_edges(inv, graph.edges)
+        return frozenset({frozenset(fails)}) if fails else frozenset()
     if inv.holds(graph):
         return frozenset()
     edges = graph.sorted_edges()
@@ -206,22 +202,17 @@ class ComplianceReport:
 
 def all_hold(invariants, graph: PolicyGraph) -> ComplianceReport:
     """Evaluate every invariant; the report's overall verdict is the
-    conjunction.  A Phi-structured invariant's verdict and offending flows
-    both come from one pass over its phi-failing edges."""
+    conjunction.  An invariant holds exactly when set_offending_flows
+    finds no offending flow.  That refuses to enumerate only after `holds`
+    returned False, so past the brute-force bound the verdict is False and
+    the offending flows are not computed (None)."""
     report = ComplianceReport()
     for inv in invariants:
-        if inv.phi is not None:
-            offending = _phi_offending_flows(inv, graph)
-            report.verdicts.append(
-                InvariantVerdict(inv.template_id, inv.strategy, not offending, offending or None)
-            )
-            continue
-        ok = inv.holds(graph)
-        offending = None
-        if not ok:
-            try:
-                offending = set_offending_flows(inv, graph)
-            except TooLargeForBruteForce:
-                offending = None
+        try:
+            offending = set_offending_flows(inv, graph)
+        except TooLargeForBruteForce:
+            ok, offending = False, None
+        else:
+            ok, offending = offending == frozenset(), offending or None
         report.verdicts.append(InvariantVerdict(inv.template_id, inv.strategy, ok, offending))
     return report

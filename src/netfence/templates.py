@@ -3,6 +3,11 @@
 Fifteen templates plus the SystemBoundary meta template.  Each template
 knows its strategy, its unique secure default attribute, how to validate
 and decode attribute values, and how to build a ConfiguredInvariant.
+Each meaning is declared once: an enumerated template lists its attribute
+values in `values`, and a reach-bound template (CommWith, NotCommWith,
+Dependability, DependabilityNonRefl) bounds each host's reachable set in
+`reach_bound`, which both its whole-graph check and its incremental
+ReachClosure read.
 
 Attribute encodings:
   BLPBasic               int security level, bottom = 0
@@ -240,6 +245,7 @@ class Template:
 
     template_id: str
     strategy: Strategy
+    values = ()  # the attribute values of an enumerated template
     phi_structured = False
     phi_reads_names = False
     norefl = False
@@ -249,7 +255,8 @@ class Template:
         raise NotImplementedError
 
     def validate_attr(self, value):
-        raise AttrTypeMismatch(f"{self.template_id}: cannot use attribute {value!r}")
+        if value not in self.values:
+            raise AttrTypeMismatch(f"{self.template_id}: cannot use attribute {value!r}")
 
     def decode_attr(self, value):
         """Decode a JSON-level attribute value."""
@@ -257,7 +264,7 @@ class Template:
 
     def attr_pool(self, hosts):
         """Small, representative attribute values for bounded model checks."""
-        raise NotImplementedError
+        return list(self.values)
 
     def phi(self, attr_s, s, attr_r, r):
         raise NotImplementedError
@@ -297,11 +304,23 @@ class Template:
 
 class ReachBound(Template):
     """A template that bounds, per host v, how many hosts of a set v may
-    reach; reach_bound(attr, v) gives (that HostSet, the bound).  Its
-    incremental state is a ReachClosure."""
+    reach; reach_bound(attr, v) gives (that HostSet, the bound).  It is
+    the template's one definition: both the whole-graph check and the
+    incremental ReachClosure read it."""
 
     def reach_bound(self, attr, v):
         raise NotImplementedError
+
+    def make_eval(self, attr_map):
+        def eval_fn(graph):
+            adj = adjacency(graph.edges)
+            for v in graph.nodes:
+                counted, limit = self.reach_bound(attr_map(v), v)
+                if sum(a in counted for a in reachable(adj, v)) > limit:
+                    return False
+            return True
+
+        return eval_fn
 
     def make_incremental(self, attr_map):
         def state(nodes):
@@ -410,17 +429,6 @@ class CommWith(ReachBound):
     def reach_bound(self, attr, v):
         return HostSet(frozenset(attr), complemented=True), 0
 
-    def make_eval(self, attr_map):
-        def eval_fn(graph):
-            adj = adjacency(graph.edges)
-            for v in graph.nodes:
-                allowed = attr_map(v)
-                if any(a not in allowed for a in reachable(adj, v)):
-                    return False
-            return True
-
-        return eval_fn
-
 
 class NotCommWith(ReachBound):
     template_id = "NotCommWith"
@@ -448,17 +456,6 @@ class NotCommWith(ReachBound):
     def reach_bound(self, attr, v):
         return attr, 0
 
-    def make_eval(self, attr_map):
-        def eval_fn(graph):
-            adj = adjacency(graph.edges)
-            for v in graph.nodes:
-                forbidden = attr_map(v)
-                if any(a in forbidden for a in reachable(adj, v)):
-                    return False
-            return True
-
-        return eval_fn
-
 
 class Dependability(ReachBound):
     template_id = "Dependability"
@@ -477,19 +474,6 @@ class Dependability(ReachBound):
 
     def reach_bound(self, attr, v):
         return HostSet(frozenset() if self.count_self else frozenset({v}), True), attr
-
-    def _reach(self, adj, v):
-        reach = reachable(adj, v)
-        if not self.count_self:
-            reach -= {v}
-        return reach
-
-    def make_eval(self, attr_map):
-        def eval_fn(graph):
-            adj = adjacency(graph.edges)
-            return all(len(self._reach(adj, v)) <= attr_map(v) for v in graph.nodes)
-
-        return eval_fn
 
 
 class DependabilityNonRefl(Dependability):
@@ -522,18 +506,12 @@ class DomainHierarchy(Template):
 
 class NoRefl(Template):
     template_id = "NoRefl"
+    values = ("Refl", "NoRefl")
     strategy = Strategy.ACS  # sender equals receiver here, so either reading works
     phi_structured = True
 
     def default(self):
         return "NoRefl"
-
-    def validate_attr(self, value):
-        if value not in ("Refl", "NoRefl"):
-            raise AttrTypeMismatch(f"NoRefl attribute {value!r}")
-
-    def attr_pool(self, hosts):
-        return ["Refl", "NoRefl"]
 
     def phi(self, attr_s, s, attr_r, r):
         return s != r or attr_s == "Refl"
@@ -541,17 +519,11 @@ class NoRefl(Template):
 
 class NonInterference(Template):
     template_id = "NonInterference"
+    values = ("Interfering", "Unrelated")
     strategy = Strategy.IFS
 
     def default(self):
         return "Interfering"
-
-    def validate_attr(self, value):
-        if value not in ("Interfering", "Unrelated"):
-            raise AttrTypeMismatch(f"NonInterference attribute {value!r}")
-
-    def attr_pool(self, hosts):
-        return ["Interfering", "Unrelated"]
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
@@ -573,30 +545,16 @@ class NonInterference(Template):
         return state
 
 
-_PEP_ROLES = (
-    "PolEnforcePoint",
-    "PolEnforcePointIN",
-    "DomainMember",
-    "AccessibleMember",
-    "Unassigned",
-)
-
-
 class PolEnforcePoint(Template):
     template_id = "PolEnforcePoint"
+    values = ("PolEnforcePoint", "PolEnforcePointIN", "DomainMember", "AccessibleMember",
+              "Unassigned")
     strategy = Strategy.ACS
     phi_structured = True
     norefl = True
 
     def default(self):
         return "Unassigned"
-
-    def validate_attr(self, value):
-        if value not in _PEP_ROLES:
-            raise AttrTypeMismatch(f"PolEnforcePoint role {value!r}")
-
-    def attr_pool(self, hosts):
-        return list(_PEP_ROLES)
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s in ("PolEnforcePoint", "PolEnforcePointIN"):
@@ -611,19 +569,13 @@ class PolEnforcePoint(Template):
 
 class Sink(Template):
     template_id = "Sink"
+    values = ("Sink", "SinkPool", "Unassigned")
     strategy = Strategy.IFS
     phi_structured = True
     norefl = True
 
     def default(self):
         return "Unassigned"
-
-    def validate_attr(self, value):
-        if value not in ("Sink", "SinkPool", "Unassigned"):
-            raise AttrTypeMismatch(f"Sink attribute {value!r}")
-
-    def attr_pool(self, hosts):
-        return ["Sink", "SinkPool", "Unassigned"]
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s == "Sink":
@@ -696,18 +648,12 @@ class Subnets(Template):
 
 class SubnetsInGW(Template):
     template_id = "SubnetsInGW"
+    values = ("Member", "InboundGateway", "Unassigned")
     strategy = Strategy.ACS
     phi_structured = True
 
     def default(self):
         return "Unassigned"
-
-    def validate_attr(self, value):
-        if value not in ("Member", "InboundGateway", "Unassigned"):
-            raise AttrTypeMismatch(f"SubnetsInGW attribute {value!r}")
-
-    def attr_pool(self, hosts):
-        return ["Member", "InboundGateway", "Unassigned"]
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s in ("Member", "InboundGateway"):

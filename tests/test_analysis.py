@@ -17,6 +17,7 @@ from netfence.analysis import (
 )
 from netfence.cli import analyze_pipeline
 from netfence.errors import ConsistencyError, IllformedService
+from netfence.parser import parse_ipassmt
 from netfence.semantics import ALLOW, bigstep_evaluator
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
 from netfence.wordinterval import Cidr, WordInterval, ip_format, ip_parse
@@ -282,9 +283,10 @@ class TestBitsetRows:
                 assert fast is not None, label
                 assert fast == _slow_rows(rules, svc, reps), (label, svc)
 
-    def test_no_default_rule_has_no_fast_rows(self):
+    def test_no_default_rule_denies_undecided_pairs(self):
         rules = [SimpleRule(SimpleMatch(width=8, src=Cidr(0, 1, 8)), True)]
-        assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
+        reps = sorted_reps(rules, 8)
+        assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
 
     @pytest.mark.parametrize("side", ["src", "dst"])
     def test_fragmented_rulesets_on_either_side(self, side):
@@ -302,18 +304,19 @@ class TestBitsetRows:
             assert fast == tuple(oracle_block_rows(rules, reps))
 
     @pytest.mark.parametrize("side", ["src", "dst"])
-    def test_fragmented_rulesets_without_default_have_no_fast_rows(self, side):
+    def test_fragmented_rulesets_without_default_deny_undecided_pairs(self, side):
         """Without the default rule the addresses that no rule's single
-        address names stay undecided, whichever side is walked; the matrix
-        then comes from _slow_rows and equals the one with an explicit
-        default deny."""
+        address names stay undecided, whichever side is walked; they are
+        denied, as in _slow_rows, and the matrix equals the one with an
+        explicit default deny."""
         rng = random.Random(f"no-default-{side}")
         for _ in range(40):
             rules = fragmented_ruleset(rng, side)[:-1]
-            assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
-            slow = access_matrix(rules, SVC, width=8)
-            fast = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
-            assert (slow.classes, slow.edges) == (fast.classes, fast.edges)
+            reps = sorted_reps(rules, 8)
+            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+            implicit = access_matrix(rules, SVC, width=8)
+            explicit = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
+            assert (implicit.classes, implicit.edges) == (explicit.classes, explicit.edges)
 
 
 class TestAccessMatrix:
@@ -382,17 +385,16 @@ class TestAccessMatrix:
                 access_matrix(rules, SVC, width=8).classes
             )
 
-    def test_fast_path_equals_slow_path(self):
-        """Rulesets without a default rule force the quadratic fallback;
-        appending an explicit default must not change the matrix."""
+    def test_no_default_rule_equals_explicit_default_deny(self):
+        """Appending an explicit default deny to a ruleset without a
+        default rule must not change the matrix."""
         rng = random.Random(54)
         for _ in range(60):
             rules = random_ruleset(rng)[:-1]
-            explicit = rules + [toy_rule(accept=False)]
-            slow = access_matrix(rules, SVC, width=8)  # no default: slow path
-            fast = access_matrix(explicit, SVC, width=8)
-            assert slow.classes == fast.classes
-            assert slow.edges == fast.edges
+            implicit = access_matrix(rules, SVC, width=8)
+            explicit = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
+            assert implicit.classes == explicit.classes
+            assert implicit.edges == explicit.edges
 
     @pytest.mark.parametrize(
         "blocks",
@@ -419,7 +421,7 @@ class TestAccessMatrix:
 
 class TestInterfaceFreeView:
     """The matrix ignores interfaces: it equals the matrix of the copy with
-    every interface wildcarded, on the fast and on the slow path."""
+    every interface wildcarded, with and without a default rule."""
 
     def test_corpus_matrices_equal_the_wildcarded_copy(self, corpus_rules):
         rules = dict(corpus_rules)
@@ -432,10 +434,10 @@ class TestInterfaceFreeView:
                 want = access_matrix(rules[f"{label} without interfaces"], svc)
                 assert (got.classes, got.edges) == (want.classes, want.edges), (label, svc)
 
-    def test_slow_path_equals_the_wildcarded_copy(self):
-        """Rulesets with interface names and no default rule take the
-        quadratic fallback; appending an explicit default takes the fast
-        path.  All three matrices agree."""
+    def test_no_default_rule_equals_the_wildcarded_copy(self):
+        """Rulesets with interface names and no default rule, the same with
+        an explicit default deny appended, and the wildcarded copy give
+        the same matrix, and _fast_rows equals _slow_rows on them."""
         rng = random.Random(58)
         names = ["+", "eth+", "eth0", "eth1", "lo"]
         for _ in range(60):
@@ -444,12 +446,13 @@ class TestInterfaceFreeView:
                                                oiface=rng.choice(names)), r.accept)
                 for r in random_ruleset(rng)[:-1]
             ]
-            assert _fast_rows(rules, SVC, sorted_reps(rules, 8)) is None
-            slow = access_matrix(rules, SVC, width=8)
-            fast = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
+            reps = sorted_reps(rules, 8)
+            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+            implicit = access_matrix(rules, SVC, width=8)
+            explicit = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
             want = access_matrix(wildcard_ifaces(rules), SVC, width=8)
-            assert (slow.classes, slow.edges) == (want.classes, want.edges)
-            assert (fast.classes, fast.edges) == (want.classes, want.edges)
+            assert (implicit.classes, implicit.edges) == (want.classes, want.edges)
+            assert (explicit.classes, explicit.edges) == (want.classes, want.edges)
 
     @pytest.mark.xfail(strict=True, reason="an interface without an ipassmt entry is kept as "
                                            "a name that the matrix then ignores")
@@ -472,6 +475,31 @@ class TestInterfaceFreeView:
             if result["matrix"].allows(src, dst) != (accepted == ALLOW):
                 wrong.append((tactic, iface))
         assert not wrong
+
+    # eth0 and eth1 both hold 10.0.0.0/8, so a DROP on -i eth0 does not drop
+    # 10.0.0.1 arriving on eth1
+    OVERLAP_SAVE = "*filter\n:FORWARD ACCEPT [0:0]\n-A FORWARD -i eth0 -p tcp -j DROP\nCOMMIT\n"
+    OVERLAP_IPASSMT = "eth0 = [10.0.0.0/8]\neth1 = [10.0.0.0/8, 192.168.0.0/16]\n"
+
+    def overlap_run(self, tactic):
+        """(the matrix of `tactic` allows 10.0.0.1 -> 8.8.8.8 for ssh,
+        big-step's verdict on that packet arriving on eth1)."""
+        src, dst = ip_parse("10.0.0.1"), ip_parse("8.8.8.8")
+        result = analyze_pipeline(self.OVERLAP_SAVE, ipassmt=parse_ipassmt(self.OVERLAP_IPASSMT),
+                                  tactic=tactic)
+        packet = ServiceTemplate.preset("ssh").packet(src, dst).with_(iiface="eth1")
+        return (result["matrix"].allows(src, dst),
+                bigstep_evaluator(result["table"], "FORWARD")(packet))
+
+    def test_lower_matrix_denies_a_pair_dropped_on_one_interface(self):
+        assert self.overlap_run("in_doubt_deny") == (False, ALLOW)
+
+    @pytest.mark.xfail(strict=True, reason="iface_rewrite narrows -i eth0 by an ipassmt range "
+                                           "that eth1 shares")
+    def test_upper_matrix_is_sound_for_an_overlapping_ipassmt(self):
+        """Big-step accepts the packet on eth1, so the upper matrix must
+        allow the pair."""
+        assert self.overlap_run("in_doubt_allow") == (True, ALLOW)
 
 
 class TestWebappCentralFirewall:

@@ -12,9 +12,9 @@ from itertools import product
 import pytest
 
 import checkers
-from checkers import HOSTS2, HOSTS3, all_graphs
+from checkers import HOSTS2, HOSTS3, all_graphs, sampled_maps
 from netfence.errors import AttrTypeMismatch, IllformedSpec, IllformedTaints, NoDefault
-from netfence.policy import PolicyGraph
+from netfence.policy import PolicyGraph, succ_tran
 from netfence.templates import (
     BlpAttr,
     HostSet,
@@ -92,6 +92,16 @@ class TestInstantiation:
     def test_attr_type_mismatch(self):
         with pytest.raises(AttrTypeMismatch):
             instantiate("BLPBasic", {"a": "high"})
+
+    @pytest.mark.parametrize("template", [t for t in LIBRARY if t.values],
+                             ids=lambda t: t.template_id)
+    def test_enumerated_template_refuses_other_values(self, template):
+        assert template.attr_pool(HOSTS3) == list(template.values)
+        for value in template.values:
+            template.instantiate({"a": value})
+        with pytest.raises(AttrTypeMismatch, match=f"^{template.template_id}: cannot use "
+                                                   "attribute 'Bogus'$"):
+            template.instantiate({"a": "Bogus"})
 
     def test_illformed_taints(self):
         with pytest.raises(IllformedTaints):
@@ -178,6 +188,28 @@ class TestSuccTranTemplates:
                 },
             )
             assert cw.holds(g) == ncw.holds(g)
+
+
+# topoS's definitions of the reach-bound templates, over each host v's
+# succ_tran set, written without reading reach_bound
+TOPOS_REACH_DEFINITIONS = {
+    "CommWith": lambda reach, v, allowed: reach <= set(allowed),
+    "NotCommWith": lambda reach, v, forbidden: not any(a in forbidden for a in reach),
+    "Dependability": lambda reach, v, level: len(reach) <= level,
+    "DependabilityNonRefl": lambda reach, v, level: len(reach - {v}) <= level,
+}
+
+
+@pytest.mark.parametrize("tid", sorted(TOPOS_REACH_DEFINITIONS))
+def test_reach_templates_match_the_topos_definitions(tid):
+    """On every graph over three hosts, holds equals the definition for
+    every host."""
+    template, definition = TEMPLATES[tid], TOPOS_REACH_DEFINITIONS[tid]
+    for attrs in sampled_maps(template, HOSTS3, 10, seed=7):
+        inv = template.instantiate(attrs)
+        for g in all_graphs(HOSTS3):
+            want = all(definition(succ_tran(g, v), v, inv.attr_map(v)) for v in g.nodes)
+            assert inv.holds(g) == want, (attrs, sorted(g.edges))
 
 
 class TestSubnetsCharacterization:

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, parser, semantics, simplefw, spoofing
-from .errors import NetfenceError, UnreadableInput, UsageError, load_json
+from .errors import NetfenceError, TooLargeForBruteForce, UnreadableInput, UsageError, load_json
 from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
@@ -180,7 +180,7 @@ def _cmd_synthesize(args):
         if constructed is None:
             try:
                 constructed = maximum_policy(invariants, nodes)
-            except NetfenceError:
+            except TooLargeForBruteForce:
                 constructed = generate_valid_topology3(invariants,
                                                        PolicyGraph.of(nodes).allow_all())
         if not constructed.edges:

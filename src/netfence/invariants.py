@@ -1,9 +1,11 @@
 """Generic security-invariant machinery.
 
 A configured invariant is a predicate over policy graphs together with a
-strategy tag.  Phi-structured invariants (a per-edge predicate over the
-two endpoint attributes) admit a unique offending-flow set computable in
-linear time; everything else falls back to bounded brute force.
+strategy tag.  A Phi-structured invariant is decided by its per-edge
+predicate phi alone (in holds, phi_failing_edges, set_offending_flows)
+and has a unique offending-flow set computable in linear time; any
+other is decided by its whole-graph check eval_fn and falls back to
+bounded brute force.
 
 Synthesis uses the Phi structure incrementally: generate_valid_topology3
 takes the phi-failing edges as the offending set without minimalizing,
@@ -43,13 +45,13 @@ BRUTE_FORCE_BOUND = 16
 class ConfiguredInvariant:
     """A security invariant with its scenario knowledge already applied.
 
-    eval_fn decides whether a graph satisfies the invariant.  If `phi` is
-    set, the invariant is Phi-structured: phi(attr_s, s, attr_r, r) is
-    evaluated per edge (skipping reflexive edges when `norefl`), and
-    eval_fn must agree with the conjunction over all edges.  Unless
+    If `phi` is set, the invariant is Phi-structured: it holds on a graph
+    exactly when phi(attr_s, s, attr_r, r) holds on every edge (skipping
+    reflexive edges when `norefl`), and eval_fn is not read.  Unless
     `phi_reads_names` is set, phi(attr_s, s, attr_r, r) for s != r must
     depend on the two attributes only, not on the host names; the
-    default, True, makes no such promise.  If
+    default, True, makes no such promise.  Only an invariant without phi
+    needs eval_fn, which decides whether a graph satisfies it.  If
     `incremental` is set, incremental(nodes) is a fresh state over
     `nodes` with no edges (see GraphState for the interface), which must
     agree with eval_fn on every graph it has grown.
@@ -57,7 +59,7 @@ class ConfiguredInvariant:
 
     template_id: str
     strategy: Strategy
-    eval_fn: Callable[[PolicyGraph], bool]
+    eval_fn: Optional[Callable[[PolicyGraph], bool]]
     attr_map: AttrMap
     phi: Optional[Callable] = None
     norefl: bool = False
@@ -65,6 +67,8 @@ class ConfiguredInvariant:
     phi_reads_names: bool = True
 
     def holds(self, graph: PolicyGraph) -> bool:
+        if self.phi is not None:
+            return not phi_failing_edges(self, graph.edges)
         return self.eval_fn(graph)
 
     def state(self, nodes):

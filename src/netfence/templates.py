@@ -1,35 +1,35 @@
 """The ready-to-use invariant template library.
 
 Fifteen templates plus the SystemBoundary meta template.  Each template
-knows its strategy, its unique secure default attribute, how to validate
-and decode attribute values, and how to build a ConfiguredInvariant.
-Each meaning is declared once: an enumerated template lists its attribute
-values in `values`, and a reach-bound template (CommWith, NotCommWith,
-Dependability, DependabilityNonRefl) bounds each host's reachable set in
-`reach_bound`, which both its whole-graph check and its incremental
-ReachClosure read.
+is a declaration: its strategy, its unique secure default attribute
+`bottom`, how to validate and decode attribute values, and, exactly
+when it is Phi-structured, its per-edge predicate `phi`.  Each meaning
+is declared once: an enumerated template lists its attribute values in
+`values`, a reach-bound template (CommWith, NotCommWith, Dependability,
+DependabilityNonRefl) bounds each host's reachable set in `reach_bound`,
+which its whole-graph check and its incremental ReachClosure both read,
+and decode_names decodes every JSON list of host names or labels.
 
-Attribute encodings:
-  BLPBasic               int security level, bottom = 0
-  BLPTrusted             (level, trust) via BlpAttr, bottom = (0, False)
-  CommPartners           "DontCare" | "Care" | Master(acl), bottom = DontCare
-  CommWith               tuple of reachable hosts, bottom = ()
-  NotCommWith            HostSet (supports symbolic UNIV), bottom = UNIV
-  Dependability          int cap on reachable hosts, bottom = 0
+Attribute encodings (each class declares its bottom):
+  BLPBasic               int security level
+  BLPTrusted             (level, trust) via BlpAttr
+  CommPartners           "DontCare" | "Care" | Master(acl)
+  CommWith               tuple of reachable hosts
+  NotCommWith            HostSet (supports symbolic UNIV)
+  Dependability          int cap on reachable hosts
   DependabilityNonRefl   same, self-loops not counted
-  DomainHierarchy        DomAttr(path leaf-first, trust), bottom = below-all
-  NoRefl                 "Refl" | "NoRefl", bottom = NoRefl
-  NonInterference        "Interfering" | "Unrelated", bottom = Interfering
-  PolEnforcePoint        role string, bottom = "Unassigned"
+  DomainHierarchy        DomAttr(path leaf-first, trust), bottom below all
+  NoRefl                 "Refl" | "NoRefl"
+  NonInterference        "Interfering" | "Unrelated"
+  PolEnforcePoint        role string
   Sink                   "Sink" | "SinkPool" | "Unassigned"
   Subnets                ("Subnet", n) | ("BorderRouter", n) |
                          ("BorderRouterPrime", n) | "InboundRouter" |
                          "Unassigned"
   SubnetsInGW            "Member" | "InboundGateway" | "Unassigned"
-  TaintingSimple         frozenset of label strings, bottom = empty
+  TaintingSimple         frozenset of label strings
   Tainting               TaintsSpec(taints, untaints), untaints subseteq taints
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -126,6 +126,15 @@ class TaintsSpec:
         """Normalizing constructor: X -- Y is stored as (X u Y) -- Y."""
         t, u = frozenset(taints), frozenset(untaints)
         return cls(t | u, u)
+
+
+def decode_names(value) -> tuple:
+    """A JSON list of host names or labels, as a tuple.  A string, which
+    tuple() would split into its characters, or anything else that is not
+    a list of strings raises TypeError."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    return tuple(value)
 
 
 # -- incremental states -----------------------------------------------------
@@ -235,24 +244,31 @@ class Components:
 
 
 class Template:
-    """An invariant template.  A Phi-structured one (`phi_structured`)
-    decides each edge by phi(attr_s, s, attr_r, r), skipping reflexive
-    edges when `norefl`.  Its phi must not read the host names s and r
-    beyond testing s == r, so that for s != r it depends on the two
-    attributes only; a template whose phi reads them sets
-    `phi_reads_names`, and synthesis.maximum_policy then decides its
-    edges host by host instead of per class of equal attributes."""
+    """An invariant template: its secure default attribute `bottom` and,
+    if Phi-structured, phi(attr_s, s, attr_r, r), which decides each edge
+    (reflexive ones skipped when `norefl`).  Only a template without phi
+    builds an eval_fn (make_eval) to decide whole graphs.  Phi must not
+    read the host names s and r beyond testing s == r, so that for s != r
+    it depends on the two attributes only; a template whose phi reads
+    them sets `phi_reads_names`, and synthesis.maximum_policy then
+    decides its edges host by host instead of per class of equal
+    attributes."""
 
     template_id: str
     strategy: Strategy
+    bottom: object
     values = ()  # the attribute values of an enumerated template
-    phi_structured = False
+    phi = None
     phi_reads_names = False
     norefl = False
     has_default = True
 
+    @property
+    def phi_structured(self) -> bool:
+        return self.phi is not None
+
     def default(self):
-        raise NotImplementedError
+        return self.bottom
 
     def validate_attr(self, value):
         if value not in self.values:
@@ -266,19 +282,10 @@ class Template:
         """Small, representative attribute values for bounded model checks."""
         return list(self.values)
 
-    def phi(self, attr_s, s, attr_r, r):
-        raise NotImplementedError
-
     def make_eval(self, attr_map):
-        def eval_fn(graph):
-            for s, r in graph.edges:
-                if self.norefl and s == r:
-                    continue
-                if not self.phi(attr_map(s), s, attr_map(r), r):
-                    return False
-            return True
-
-        return eval_fn
+        """The whole-graph check of a template without phi; None for a
+        Phi-structured one, which ConfiguredInvariant decides by phi."""
+        return None
 
     def make_incremental(self, attr_map):
         """The factory of ConfiguredInvariant.incremental, or None when
@@ -295,7 +302,7 @@ class Template:
             strategy=self.strategy,
             eval_fn=self.make_eval(amap),
             attr_map=amap,
-            phi=self.phi if self.phi_structured else None,
+            phi=self.phi,
             norefl=self.norefl,
             incremental=self.make_incremental(amap),
             phi_reads_names=self.phi_reads_names,
@@ -307,9 +314,6 @@ class ReachBound(Template):
     reach; reach_bound(attr, v) gives (that HostSet, the bound).  It is
     the template's one definition: both the whole-graph check and the
     incremental ReachClosure read it."""
-
-    def reach_bound(self, attr, v):
-        raise NotImplementedError
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
@@ -332,10 +336,7 @@ class ReachBound(Template):
 class BLPBasic(Template):
     template_id = "BLPBasic"
     strategy = Strategy.IFS
-    phi_structured = True
-
-    def default(self):
-        return 0
+    bottom = 0
 
     def validate_attr(self, value):
         if not isinstance(value, int) or value < 0:
@@ -351,10 +352,7 @@ class BLPBasic(Template):
 class BLPTrusted(Template):
     template_id = "BLPTrusted"
     strategy = Strategy.IFS
-    phi_structured = True
-
-    def default(self):
-        return BlpAttr(0, False)
+    bottom = BlpAttr(0, False)
 
     def validate_attr(self, value):
         if not isinstance(value, BlpAttr) or value.level < 0:
@@ -373,12 +371,9 @@ class BLPTrusted(Template):
 class CommPartners(Template):
     template_id = "CommPartners"
     strategy = Strategy.ACS
-    phi_structured = True
+    bottom = "DontCare"
     phi_reads_names = True  # s in attr_r.acl
     norefl = True
-
-    def default(self):
-        return "DontCare"
 
     def validate_attr(self, value):
         if value in ("DontCare", "Care") or isinstance(value, Master):
@@ -387,7 +382,7 @@ class CommPartners(Template):
 
     def decode_attr(self, value):
         if isinstance(value, dict) and "master" in value:
-            return Master(value["master"])
+            return Master(decode_names(value["master"]))
         return value
 
     def attr_pool(self, hosts):
@@ -408,16 +403,14 @@ class CommPartners(Template):
 class CommWith(ReachBound):
     template_id = "CommWith"
     strategy = Strategy.ACS
-
-    def default(self):
-        return ()
+    bottom = ()
 
     def validate_attr(self, value):
         if not isinstance(value, (tuple, list)):
             raise AttrTypeMismatch(f"CommWith needs a host list, got {value!r}")
 
     def decode_attr(self, value):
-        return tuple(value)
+        return decode_names(value)
 
     def attr_pool(self, hosts):
         hosts = sorted(hosts)
@@ -433,9 +426,7 @@ class CommWith(ReachBound):
 class NotCommWith(ReachBound):
     template_id = "NotCommWith"
     strategy = Strategy.ACS
-
-    def default(self):
-        return HostSet.univ()
+    bottom = HostSet.univ()
 
     def validate_attr(self, value):
         if not isinstance(value, HostSet):
@@ -443,8 +434,8 @@ class NotCommWith(ReachBound):
 
     def decode_attr(self, value):
         if isinstance(value, dict) and "all_but" in value:
-            return HostSet(frozenset(value["all_but"]), complemented=True)
-        return HostSet(frozenset(value))
+            return HostSet(frozenset(decode_names(value["all_but"])), complemented=True)
+        return HostSet(frozenset(decode_names(value)))
 
     def attr_pool(self, hosts):
         hosts = sorted(hosts)
@@ -460,10 +451,8 @@ class NotCommWith(ReachBound):
 class Dependability(ReachBound):
     template_id = "Dependability"
     strategy = Strategy.ACS
+    bottom = 0
     count_self = True
-
-    def default(self):
-        return 0
 
     def validate_attr(self, value):
         if not isinstance(value, int) or value < 0:
@@ -484,10 +473,7 @@ class DependabilityNonRefl(Dependability):
 class DomainHierarchy(Template):
     template_id = "DomainHierarchy"
     strategy = Strategy.ACS
-    phi_structured = True
-
-    def default(self):
-        return DomAttr(None, 0)
+    bottom = DomAttr(None, 0)
 
     def validate_attr(self, value):
         if not isinstance(value, DomAttr) or value.trust < 0:
@@ -508,10 +494,7 @@ class NoRefl(Template):
     template_id = "NoRefl"
     values = ("Refl", "NoRefl")
     strategy = Strategy.ACS  # sender equals receiver here, so either reading works
-    phi_structured = True
-
-    def default(self):
-        return "NoRefl"
+    bottom = "NoRefl"
 
     def phi(self, attr_s, s, attr_r, r):
         return s != r or attr_s == "Refl"
@@ -521,9 +504,7 @@ class NonInterference(Template):
     template_id = "NonInterference"
     values = ("Interfering", "Unrelated")
     strategy = Strategy.IFS
-
-    def default(self):
-        return "Interfering"
+    bottom = "Interfering"
 
     def make_eval(self, attr_map):
         def eval_fn(graph):
@@ -550,11 +531,8 @@ class PolEnforcePoint(Template):
     values = ("PolEnforcePoint", "PolEnforcePointIN", "DomainMember", "AccessibleMember",
               "Unassigned")
     strategy = Strategy.ACS
-    phi_structured = True
+    bottom = "Unassigned"
     norefl = True
-
-    def default(self):
-        return "Unassigned"
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s in ("PolEnforcePoint", "PolEnforcePointIN"):
@@ -571,11 +549,8 @@ class Sink(Template):
     template_id = "Sink"
     values = ("Sink", "SinkPool", "Unassigned")
     strategy = Strategy.IFS
-    phi_structured = True
+    bottom = "Unassigned"
     norefl = True
-
-    def default(self):
-        return "Unassigned"
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s == "Sink":
@@ -588,10 +563,7 @@ class Sink(Template):
 class Subnets(Template):
     template_id = "Subnets"
     strategy = Strategy.ACS
-    phi_structured = True
-
-    def default(self):
-        return "Unassigned"
+    bottom = "Unassigned"
 
     def validate_attr(self, value):
         if value in ("Unassigned", "InboundRouter"):
@@ -627,7 +599,6 @@ class Subnets(Template):
     def phi(self, attr_s, s, attr_r, r):
         skind = attr_s[0] if isinstance(attr_s, tuple) else attr_s
         rkind = attr_r[0] if isinstance(attr_r, tuple) else attr_r
-        routers = ("BorderRouter", "BorderRouterPrime", "InboundRouter")
         if rkind == "InboundRouter":
             return True
         if skind == "Subnet":
@@ -650,10 +621,7 @@ class SubnetsInGW(Template):
     template_id = "SubnetsInGW"
     values = ("Member", "InboundGateway", "Unassigned")
     strategy = Strategy.ACS
-    phi_structured = True
-
-    def default(self):
-        return "Unassigned"
+    bottom = "Unassigned"
 
     def phi(self, attr_s, s, attr_r, r):
         if attr_s in ("Member", "InboundGateway"):
@@ -664,17 +632,14 @@ class SubnetsInGW(Template):
 class TaintingSimple(Template):
     template_id = "TaintingSimple"
     strategy = Strategy.IFS
-    phi_structured = True
-
-    def default(self):
-        return frozenset()
+    bottom = frozenset()
 
     def validate_attr(self, value):
         if not isinstance(value, frozenset):
             raise AttrTypeMismatch(f"TaintingSimple needs a frozenset of labels, got {value!r}")
 
     def decode_attr(self, value):
-        return frozenset(value)
+        return frozenset(decode_names(value))
 
     def attr_pool(self, hosts):
         return [frozenset(), frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})]
@@ -686,17 +651,15 @@ class TaintingSimple(Template):
 class Tainting(Template):
     template_id = "Tainting"
     strategy = Strategy.IFS
-    phi_structured = True
-
-    def default(self):
-        return TaintsSpec.of((), ())
+    bottom = TaintsSpec.of((), ())
 
     def validate_attr(self, value):
         if not isinstance(value, TaintsSpec):
             raise AttrTypeMismatch(f"Tainting needs a TaintsSpec, got {value!r}")
 
     def decode_attr(self, value):
-        return TaintsSpec.of(value.get("taints", ()), value.get("untaints", ()))
+        return TaintsSpec.of(decode_names(value.get("taints", ())),
+                             decode_names(value.get("untaints", ())))
 
     def attr_pool(self, hosts):
         labels = [frozenset(), frozenset({"x"}), frozenset({"y"}), frozenset({"x", "y"})]
@@ -771,9 +734,8 @@ def system_boundary_expand(spec) -> list:
     spec keys: "internal", "passive", "active" (lists of hosts; boundary
     hosts that are both passive and active may appear in both lists).
     """
-    internal = list(spec.get("internal", ()))
-    passive = list(spec.get("passive", ()))
-    active = list(spec.get("active", ()))
+    internal, passive, active = (decode_names(spec.get(k, ()))
+                                 for k in ("internal", "passive", "active"))
     if not internal and not passive and not active:
         return []
     acs_attrs = {}

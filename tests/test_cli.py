@@ -9,11 +9,15 @@ from checkers import (doubling_returns, nested_chains, return_chain, return_ladd
                       seeded_return_ladder)
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import analysis, invariants, parser, semantics, simplefw, spoofing
+from netfence import cli
 from netfence.cli import analyze_pipeline, closure_results, main
+from netfence.errors import PreconditionViolated, TooLargeForBruteForce
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
 from netfence.policy import PolicyGraph
 from netfence.semantics import unfold
-from netfence.synthesis import policy_diff
+from netfence.serializer import binding_from_json, emit_iptables
+from netfence.stateful import StatefulPolicy
+from netfence.synthesis import generate_valid_topology3, maximum_policy, policy_diff
 from netfence.templates import load_invariants
 
 
@@ -539,6 +543,74 @@ class TestSynthesize:
         assert code == 1
         err = assert_one_error_line(capsys)
         assert "exceed bound" in err and "minimalize" not in err
+
+    def test_construct_past_the_brute_force_bound_falls_back(self, tmp_path, capsys):
+        """CommWith over 5 hosts: maximum_policy refuses to enumerate the
+        offending flows of the 25-edge allow-all graph, so --construct
+        builds the policy with generate_valid_topology3."""
+        text = json.dumps([{"template": "CommWith",
+                            "attrs": {"a": ["b", "c"], "b": ["c"], "c": [], "d": ["a", "b", "c"],
+                                      "e": ["a", "b", "c", "d"]}}])
+        spec = tmp_path / "inv.json"
+        spec.write_text(text)
+        invs = load_invariants(text)
+        hosts = {"a", "b", "c", "d", "e"}
+        with pytest.raises(TooLargeForBruteForce):
+            maximum_policy(invs, hosts)
+        out = tmp_path / "out"
+        assert run(["synthesize", "--invariants", spec, "--construct", "--out-dir", out]) == 0
+        constructed = PolicyGraph.from_json((out / "policy.json").read_text())
+        expected = generate_valid_topology3(invs, PolicyGraph.of(hosts).allow_all())
+        assert (constructed.nodes, constructed.edges) == (expected.nodes, expected.edges)
+        assert ("e", "a") in constructed.edges and ("a", "e") not in constructed.edges
+        assert f"constructed policy with {len(expected.edges)} flows" in capsys.readouterr().out
+
+    def test_construct_falls_back_only_past_the_bound(self, tmp_path, capsys, monkeypatch):
+        """Any other error of maximum_policy exits 1 with its message
+        instead of being masked by the fallback."""
+        def refuse(invariants, nodes):
+            raise PreconditionViolated("refused")
+
+        monkeypatch.setattr(cli, "maximum_policy", refuse)
+        code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
+                    "--construct", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert "refused" in assert_one_error_line(capsys)
+
+    def test_emission_without_stateful(self, tmp_path):
+        """--emit-iptables alone writes the policy without stateful flows:
+        the rules of the --stateful run less its ESTABLISHED rules."""
+        texts = {}
+        for flags in ([], ["--stateful"]):
+            out = tmp_path / "-".join(["out", *flags])
+            code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
+                        "--policy", DATA / "factory_policy.json", *flags,
+                        "--emit-iptables", DATA / "factory_binding.json", "--out-dir", out])
+            assert code == 0
+            assert (out / "stateful.json").exists() == bool(flags)
+            texts[bool(flags)] = (out / "ruleset.iptables").read_text()
+        text = texts[False]
+        assert "ESTABLISHED" not in text and "--state" not in text
+        with_state = texts[True].splitlines()
+        assert text.splitlines() == [x for x in with_state if "ESTABLISHED" not in x]
+        # the --stateful run adds one ESTABLISHED rule for each of its 8 stateful flows
+        assert len(unfold(parse_save(text), "FORWARD")) == 21 - 8
+        stateful = StatefulPolicy(sc.factory_policy().nodes, sc.factory_policy().edges,
+                                  frozenset())
+        binding = binding_from_json(json.loads((DATA / "factory_binding.json").read_text()))
+        assert text == emit_iptables(stateful, binding)
+
+    @pytest.mark.parametrize("entry", [
+        {"template": "CommWith", "attrs": {"a": "db"}},
+        {"template": "SystemBoundary", "internal": "db"},
+    ])
+    def test_string_valued_name_list_exit_one(self, tmp_path, capsys, entry):
+        spec = tmp_path / "inv.json"
+        spec.write_text(json.dumps([entry]))
+        out = tmp_path / "out"
+        assert run(["synthesize", "--invariants", spec, "--construct", "--out-dir", out]) == 1
+        assert "malformed" in assert_one_error_line(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", ["--invariants", "--policy", "--emit-iptables"])
     def test_missing_input_file_exit_one(self, tmp_path, capsys, option):

@@ -375,6 +375,34 @@ class TestRoundTrip:
                      {"FORWARD": rs.ACCEPT})
         assert parse_save(table_to_save(t)).chains == t.chains
 
+    def test_every_action_kind_roundtrips(self):
+        """ACCEPT, DROP, REJECT, LOG, no target, RETURN, a call and a goto,
+        in builtin and user chains, and a --tcp-flags comparison of NONE."""
+        syn_ack = frozenset({"SYN", "ACK"})
+        tcp = MPrim(rs.Protocol(6))
+        t = rs.Table({
+            "FORWARD": [
+                rs.Rule(rs.mand(tcp, MPrim(rs.TcpFlags(syn_ack, frozenset()))), rs.call("sub")),
+                rs.Rule(MPrim(rs.IIface("eth0")), rs.goto("jump")),
+                rs.Rule(MPrim(rs.Protocol(17)), rs.EMPTY),
+                rs.Rule(MPrim(rs.Protocol(1)), rs.LOG),
+                rs.Rule(MTrue, rs.REJECT),
+            ],
+            "INPUT": [rs.Rule(MTrue, rs.ACCEPT)],
+            "jump": [rs.Rule(MPrim(rs.OIface("br+")), rs.DROP), rs.Rule(MTrue, rs.ACCEPT)],
+            "sub": [rs.Rule(MPrim(rs.IIface("lo")), rs.RETURN), rs.Rule(MTrue, rs.EMPTY)],
+        }, {"FORWARD": rs.DROP, "INPUT": rs.ACCEPT})
+        text = table_to_save(t)
+        lines = text.splitlines()
+        for line in ("-A FORWARD -p tcp -m tcp --tcp-flags SYN,ACK NONE -j sub",
+                     "-A FORWARD -i eth0 -g jump", "-A FORWARD -p udp",
+                     "-A FORWARD -p icmp -j LOG", "-A FORWARD -j REJECT",
+                     "-A sub -i lo -j RETURN", "-A sub", ":jump - [0:0]"):
+            assert line in lines, (line, text)
+        again = parse_save(text)
+        assert again.chains == t.chains
+        assert again.policies == t.policies
+
     def test_random_tokens_parse_or_raise_a_typed_error(self):
         rng = random.Random(7)
         words = [*_OPTIONS, "!", "!", "-f", "--limit", "--reject-with", "--log-prefix",

@@ -205,6 +205,27 @@ class TestConjunction:
     def test_disjoint_protocols(self):
         assert self.conj(SimpleMatch(proto=6), SimpleMatch(proto=17)) is None
 
+    def test_two_wildcard_interfaces(self):
+        """`-i eth+` inside a chain called with `-i e+` keeps the longer
+        prefix; two wildcards that share no name conjoin to nothing."""
+        assert self.conj(SimpleMatch(iiface="e+"), SimpleMatch(iiface="eth+")).iiface == "eth+"
+        assert self.conj(SimpleMatch(oiface="eth+"), SimpleMatch(oiface="e+")).oiface == "eth+"
+        assert self.conj(SimpleMatch(iiface="eth+"), SimpleMatch(iiface="lo+")) is None
+
+    def test_iface_conj_equals_both_matches(self):
+        """iface_conj(a, b) matches a name exactly when a and b both
+        match it, and None matches nothing: every pair of patterns, on
+        names that are prefixes, extensions and neighbours of them."""
+        patterns = ["+", "e+", "eth+", "eth0+", "eth1+", "lo+", "eth", "eth0", "eth01", "lo", ""]
+        names = ["", "e", "et", "eth", "eth0", "eth01", "eth1", "eth10", "lo", "lo0", "wlan0",
+                 "+", "eth+"]
+        for a in patterns:
+            for b in patterns:
+                both = rs.iface_conj(a, b)
+                for n in names:
+                    expected = rs.match_iface(a, n) and rs.match_iface(b, n)
+                    assert (both is not None and rs.match_iface(both, n)) == expected, (a, b, n)
+
     def test_conjunction_law_random(self):
         """match m1 p and match m2 p iff match (conj m1 m2) p."""
         rng = random.Random(99)

@@ -6,6 +6,7 @@ requirements (validity on the empty edge set, monotonicity, secure and
 unique default attributes), plus the template-specific characterizations.
 """
 
+import json
 import random
 from itertools import product
 
@@ -382,3 +383,64 @@ class TestSpecFile:
     def test_attribute_type_errors_keep_their_type(self):
         with pytest.raises(AttrTypeMismatch):
             load_invariants('[{"template": "BLPBasic", "attrs": {"a": -1}}]')
+
+
+class TestNameLists:
+    """Every JSON list of host names or labels goes through one decoder,
+    which refuses a string instead of splitting it into characters."""
+
+    @pytest.mark.parametrize("entry", [
+        {"template": "CommWith", "attrs": {"a": "db"}},
+        {"template": "NotCommWith", "attrs": {"a": "db"}},
+        {"template": "NotCommWith", "attrs": {"a": {"all_but": "db"}}},
+        {"template": "CommPartners", "attrs": {"a": {"master": "db"}}},
+        {"template": "TaintingSimple", "attrs": {"a": "x"}},
+        {"template": "Tainting", "attrs": {"a": {"taints": "xy"}}},
+        {"template": "Tainting", "attrs": {"a": {"taints": ["x"], "untaints": "x"}}},
+        {"template": "SystemBoundary", "internal": "db"},
+        {"template": "SystemBoundary", "internal": ["db"], "passive": "gw"},
+        {"template": "SystemBoundary", "active": "gw"},
+        {"template": "CommWith", "attrs": {"a": ["b", 5]}},
+        {"template": "CommWith", "attrs": {"a": {"b": 1}}},
+        {"template": "NotCommWith", "attrs": {"a": 7}},
+    ], ids=lambda e: json.dumps(e, sort_keys=True))
+    def test_non_lists_are_illformed_spec(self, entry):
+        with pytest.raises(IllformedSpec):
+            load_invariants(json.dumps([entry]))
+
+    def test_lists_decode_to_names(self):
+        invs = load_invariants(json.dumps([
+            {"template": "CommWith", "attrs": {"a": ["db", "web"], "b": []}},
+            {"template": "NotCommWith", "attrs": {"a": ["db"], "b": {"all_but": ["db", "web"]},
+                                                  "c": []}},
+            {"template": "CommPartners", "attrs": {"db": {"master": ["app", "web"]}}},
+            {"template": "TaintingSimple", "attrs": {"a": ["x", "y"]}},
+            {"template": "Tainting", "attrs": {"a": {"taints": ["x"], "untaints": ["y"]}}},
+            {"template": "SystemBoundary", "internal": ["db"], "passive": ["gw"],
+             "active": ["ops"]},
+        ]))
+        cw, ncw, cp, ts, t, gw, blp = invs
+        assert cw.attr_map("a") == ("db", "web") and cw.attr_map("b") == ()
+        assert ncw.attr_map("a") == HostSet(frozenset({"db"}))
+        assert ncw.attr_map("b") == HostSet(frozenset({"db", "web"}), complemented=True)
+        assert ncw.attr_map("c") == HostSet(frozenset())
+        assert "db" in ncw.attr_map("a") and "web" not in ncw.attr_map("a")
+        assert "db" not in ncw.attr_map("b") and "app" in ncw.attr_map("b")
+        assert cp.attr_map("db") == Master(("app", "web"))
+        assert ts.attr_map("a") == frozenset({"x", "y"})
+        assert t.attr_map("a") == TaintsSpec.of({"x"}, {"y"})
+        assert dict(gw.attr_map.partial) == {"db": "Member", "ops": "Member",
+                                             "gw": "InboundGateway"}
+        assert dict(blp.attr_map.partial) == {"db": BlpAttr(1), "ops": BlpAttr(0, True),
+                                              "gw": BlpAttr(0, True)}
+
+    def test_not_comm_with_decodes_as_its_definition(self):
+        """A NotCommWith list names the hosts v must not reach; all_but
+        names the only hosts it may reach."""
+        g = PolicyGraph.of({"a", "db", "web"}, {("a", "web")})
+        deny_db, deny_web = ({"template": "NotCommWith", "attrs": {"a": [h]}} for h in ("db", "web"))
+        only_web = {"template": "NotCommWith", "attrs": {"a": {"all_but": ["web"]}}}
+        only_db = {"template": "NotCommWith", "attrs": {"a": {"all_but": ["db"]}}}
+        verdicts = [load_invariants(json.dumps([e]))[0].holds(g)
+                    for e in (deny_db, deny_web, only_web, only_db)]
+        assert verdicts == [True, False, True, False]

@@ -76,7 +76,8 @@ def ip_partition(rules, width=32) -> list:
     For P boundary points and S distinct sets this is O(P log P) plus P
     mask updates of S bits.  The blocks are those of folding "split every
     block into its parts inside and outside the set" over all sets, in
-    another order.
+    ascending order of their minimum: the sweep meets each group first at
+    its lowest interval.
     """
     bits = {}
     toggles = {0: 0}
@@ -259,14 +260,14 @@ def _json_block(items, depth, brackets="[]"):
 def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
     """Build the minimal service matrix.
 
-    The blocks of ip_partition, sorted by minimum, are numbered, and rows
+    The blocks of ip_partition (ascending by minimum) are numbered, and rows
     and columns are bitsets over block indices (_fast_rows): the cost is
     what the rules cover on the cheaper side, not blocks × rules.  Blocks
     with equal (row, column) merge into one class, and the edges are the
     set bits of each class's first row restricted to the classes' first
     blocks, so K classes and E edges cost K big-int operations plus O(E).
     """
-    blocks = sorted(ip_partition(rules, width), key=WordInterval.min)
+    blocks = ip_partition(rules, width)
     reps = [b.min() for b in blocks]
     rows, cols = _fast_rows(rules, svc, reps)
     groups = {}

@@ -108,11 +108,15 @@ class IllformedSpec(NetfenceError):
 
 
 def load_json(text, what):
-    """Decode the JSON text of an input; a syntax error is IllformedSpec."""
+    """Decode the JSON text of an input; a syntax error, an integer past
+    Python's digit limit or nesting past the decoder's recursion limit is
+    IllformedSpec."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or the int digit limit
         raise IllformedSpec(f"{what}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise IllformedSpec(f"{what}: JSON nested too deeply") from None
 
 
 class IllformedService(NetfenceError):

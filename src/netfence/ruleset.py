@@ -6,7 +6,11 @@ names to rule lists plus the built-in chains' default policies.
 
 Each primitive decides a packet two ways: `matches` is its definition, and
 `source` writes the same test as a Python expression for compile_match,
-which turns a whole match expression into one predicate.
+which turns a whole match expression into one predicate.  The address,
+interface and port twins (Src/Dst, IIface/OIface and the four port
+matches) share one base class each and name their packet field and
+iptables spelling once, as class attributes that the printer
+(prim_to_args) and simplefw's box reader read.
 """
 
 from __future__ import annotations
@@ -37,49 +41,49 @@ CT_STATES = ("NEW", "ESTABLISHED", "RELATED", "INVALID", "UNTRACKED")
 
 # -- primitives --------------------------------------------------------------
 
+# The address, interface and port primitives come in twins.  Each family's
+# base class holds the packet test; each twin declares only the Packet
+# attribute it tests (`field`) and its iptables option (`option`, after
+# `-m module` for ports, None being the protocol's own; an address range
+# that is not one CIDR prints as `-m iprange --<field>-range`).
+
 
 @dataclass(frozen=True)
-class Src:
+class Addrs:
     addrs: WordInterval
 
     def matches(self, p, oracle) -> bool:
-        return p.src in self.addrs
+        return getattr(p, self.field) in self.addrs
 
     def source(self, c) -> str:
-        return in_set("p.src", self.addrs, c)
+        return in_set(f"p.{self.field}", self.addrs, c)
+
+
+class Src(Addrs):
+    field, option = "src", "-s"
+
+
+class Dst(Addrs):
+    field, option = "dst", "-d"
 
 
 @dataclass(frozen=True)
-class Dst:
-    addrs: WordInterval
-
-    def matches(self, p, oracle) -> bool:
-        return p.dst in self.addrs
-
-    def source(self, c) -> str:
-        return in_set("p.dst", self.addrs, c)
-
-
-@dataclass(frozen=True)
-class IIface:
+class Iface:
     name: str  # trailing '+' is a prefix wildcard
 
     def matches(self, p, oracle) -> bool:
-        return match_iface(self.name, p.iiface)
+        return match_iface(self.name, getattr(p, self.field))
 
     def source(self, c) -> str:
-        return iface_source("p.iiface", self.name, c)
+        return iface_source(f"p.{self.field}", self.name, c)
 
 
-@dataclass(frozen=True)
-class OIface:
-    name: str
+class IIface(Iface):
+    field, option = "iiface", "-i"
 
-    def matches(self, p, oracle) -> bool:
-        return match_iface(self.name, p.oiface)
 
-    def source(self, c) -> str:
-        return iface_source("p.oiface", self.name, c)
+class OIface(Iface):
+    field, option = "oiface", "-o"
 
 
 @dataclass(frozen=True)
@@ -94,46 +98,31 @@ class Protocol:
 
 
 @dataclass(frozen=True)
-class SrcPorts:
+class Ports:
     proto: int  # ports only exist relative to a concrete protocol
     ports: WordInterval
 
     def matches(self, p, oracle) -> bool:
-        return p.protocol == self.proto and p.sport in self.ports
+        return p.protocol == self.proto and getattr(p, self.field) in self.ports
 
     def source(self, c) -> str:
-        return f"p.protocol == {c(self.proto)} and {in_set('p.sport', self.ports, c)}"
+        return f"p.protocol == {c(self.proto)} and {in_set(f'p.{self.field}', self.ports, c)}"
 
 
-@dataclass(frozen=True)
-class DstPorts:
-    proto: int
-    ports: WordInterval
-
-    def matches(self, p, oracle) -> bool:
-        return p.protocol == self.proto and p.dport in self.ports
-
-    def source(self, c) -> str:
-        return f"p.protocol == {c(self.proto)} and {in_set('p.dport', self.ports, c)}"
+class SrcPorts(Ports):
+    field, module, option = "sport", None, "--sport"
 
 
-# multiport differs from -m tcp/udp ports only in how it prints
-@dataclass(frozen=True)
-class MultiportSrc:
-    proto: int
-    ports: WordInterval
-
-    matches = SrcPorts.matches
-    source = SrcPorts.source
+class DstPorts(Ports):
+    field, module, option = "dport", None, "--dport"
 
 
-@dataclass(frozen=True)
-class MultiportDst:
-    proto: int
-    ports: WordInterval
+class MultiportSrc(Ports):
+    field, module, option = "sport", "multiport", "--sports"
 
-    matches = DstPorts.matches
-    source = DstPorts.source
+
+class MultiportDst(Ports):
+    field, module, option = "dport", "multiport", "--dports"
 
 
 @dataclass(frozen=True)
@@ -172,7 +161,7 @@ class Extra:
         return f"not not o({c(self.text)}, p)"
 
 
-PORT_PRIMITIVES = (SrcPorts, DstPorts, MultiportSrc, MultiportDst)
+PORT_PRIMITIVES = Ports  # the base class of the four port matches
 
 
 def match_iface(pattern: str, name: str) -> bool:
@@ -500,32 +489,23 @@ def _flags_text(flags: frozenset) -> str:
     return ",".join(f for f in TCP_FLAG_ORDER if f in flags)
 
 
-# port primitive -> (module, or None for the protocol's own, option)
-_PORT_OPTIONS = {SrcPorts: (None, "--sport"), DstPorts: (None, "--dport"),
-                 MultiportSrc: ("multiport", "--sports"), MultiportDst: ("multiport", "--dports")}
-
-
 def prim_to_args(prim, negated=False, family="v4") -> str:
     bang = "! " if negated else ""
-    if isinstance(prim, (Src, Dst)):
+    if isinstance(prim, Addrs):
         if len(prim.addrs.parts) != 1:
             raise ValueError("cannot print a fragmented address set in one rule")
         cidrs = prim.addrs.to_cidrs()
-        flag, end = ("-s", "src") if isinstance(prim, Src) else ("-d", "dst")
         if len(cidrs) == 1:
-            return f"{bang}{flag} {cidrs[0]}"
+            return f"{bang}{prim.option} {cidrs[0]}"
         (lo, hi), = prim.addrs.parts
-        return f"-m iprange {bang}--{end}-range {ip_format(lo, family)}-{ip_format(hi, family)}"
-    if isinstance(prim, IIface):
-        return f"{bang}-i {prim.name}"
-    if isinstance(prim, OIface):
-        return f"{bang}-o {prim.name}"
+        return f"-m iprange {bang}--{prim.field}-range {ip_format(lo, family)}-{ip_format(hi, family)}"
+    if isinstance(prim, Iface):
+        return f"{bang}{prim.option} {prim.name}"
     if isinstance(prim, Protocol):
         return f"{bang}-p {PROTO_NAMES.get(prim.number, str(prim.number))}"
-    if isinstance(prim, PORT_PRIMITIVES):
-        module, option = _PORT_OPTIONS[type(prim)]
-        module = module or PROTO_NAMES.get(prim.proto, str(prim.proto))
-        return f"-m {module} {bang}{option} {_ports_text(prim.ports)}"
+    if isinstance(prim, Ports):
+        module = prim.module or PROTO_NAMES.get(prim.proto, str(prim.proto))
+        return f"-m {module} {bang}{prim.option} {_ports_text(prim.ports)}"
     if isinstance(prim, CtState):
         states = ",".join(s for s in CT_STATES if s in prim.states)
         return f"-m state {bang}--state {states}"

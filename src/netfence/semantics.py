@@ -429,7 +429,7 @@ def normalize_nnf(m: MatchExpr) -> list:
                                   + normalize_nnf(MNot(inner.right))))
     # negated primitive
     prim = inner.prim
-    if isinstance(prim, rs.PORT_PRIMITIVES):
+    if isinstance(prim, rs.Ports):
         proto = MPrim(rs.Protocol(prim.proto))
         return [(MNot(proto),), (proto, MPrim(type(prim)(prim.proto, prim.ports.complement())))]
     return [(m,)]

@@ -133,7 +133,8 @@ class Box:
 
 # A Box's fields during the walk: None for an unconstrained set, and the
 # protocols as an 8-bit set, so that `! -p tcp` and `! -p udp` stay apart.
-_PreBox = namedtuple("_PreBox", "iiface oiface src dst protos sports dports unknown known")
+# The field sets are named after the Packet attributes the primitives test.
+_PreBox = namedtuple("_PreBox", "iiface oiface src dst protos sport dport unknown known")
 _TOP = _PreBox("+", "+", None, None, None, None, None, False, False)
 _KNOWN = _TOP._replace(known=True)
 _PROTOCOLS = [WordInterval.single(n, 8) for n in range(256)]
@@ -151,24 +152,21 @@ def _meet(a, b) -> Optional[_PreBox]:
 def _literal(prim, negated) -> list:
     """The non-empty pre-boxes of one literal; a negated port match is
     `! proto` or proto with the complemented ports."""
-    if isinstance(prim, (rs.Extra, rs.TcpFlags)) or (
-            negated and isinstance(prim, (rs.IIface, rs.OIface))):
+    if isinstance(prim, (rs.Extra, rs.TcpFlags)) or (negated and isinstance(prim, rs.Iface)):
         return [_TOP._replace(unknown=True)]
-    if isinstance(prim, (rs.IIface, rs.OIface)):
-        return [_KNOWN._replace(**{"iiface" if isinstance(prim, rs.IIface) else "oiface": prim.name})]
-    if isinstance(prim, (rs.Src, rs.Dst)):
-        boxes = [_KNOWN._replace(**{"src" if isinstance(prim, rs.Src) else "dst":
-                                    prim.addrs.complement() if negated else prim.addrs})]
+    if isinstance(prim, rs.Iface):
+        return [_KNOWN._replace(**{prim.field: prim.name})]
+    if isinstance(prim, rs.Addrs):
+        boxes = [_KNOWN._replace(**{prim.field: prim.addrs.complement() if negated else prim.addrs})]
     elif isinstance(prim, rs.Protocol):
         proto = _PROTOCOLS[prim.number]
         boxes = [_TOP._replace(protos=proto.complement()) if negated
                  else _KNOWN._replace(protos=proto)]
-    elif isinstance(prim, rs.PORT_PRIMITIVES):
+    elif isinstance(prim, rs.Ports):
         proto = _PROTOCOLS[prim.proto]
         boxes = [_TOP._replace(protos=proto.complement())] if negated else []
-        boxes.append(_KNOWN._replace(protos=proto, **{
-            "sports" if isinstance(prim, (rs.SrcPorts, rs.MultiportSrc)) else "dports":
-            prim.ports.complement() if negated else prim.ports}))
+        boxes.append(_KNOWN._replace(
+            protos=proto, **{prim.field: prim.ports.complement() if negated else prim.ports}))
     else:
         raise UnsupportedResidue(f"{prim!r} must be specialized before translation")
     return [b for b in boxes if all(s is None or s.parts for s in b[2:7])]
@@ -254,15 +252,12 @@ def iface_rewrite(boxes, ipassmt, field="in") -> list:
     range assigned to its interface pattern.  Names are exact: only a box
     whose pattern is an assigned name is narrowed, so `eth+` is not.
     Output assignments come from routing_to_ipassmt."""
+    iface, addr = (rs.IIface, rs.Src) if field == "in" else (rs.OIface, rs.Dst)
     out = []
     for b in boxes:
-        assigned = ipassmt.get(b.iiface if field == "in" else b.oiface)
-        if assigned is None:
-            out.append(b)
-        elif field == "in":
-            out.append(replace(b, src=b.src.intersect(assigned)))
-        else:
-            out.append(replace(b, dst=b.dst.intersect(assigned)))
+        assigned = ipassmt.get(getattr(b, iface.field))
+        out.append(b if assigned is None else
+                   replace(b, **{addr.field: getattr(b, addr.field).intersect(assigned)}))
     return out
 
 

@@ -777,7 +777,7 @@ def load_invariants(text) -> list:
                 out.extend(system_boundary_expand(entry))
                 continue
             attrs = {h: template.decode_attr(v) for h, v in entry.get("attrs", {}).items()}
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise IllformedSpec(f"invariant entry {i} ({tid}): malformed ({exc!r})") from None
         out.append(template.instantiate(attrs))
     return out

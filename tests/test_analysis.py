@@ -263,6 +263,20 @@ class TestSweepPartition:
             assert len(set(blocks)) == len(blocks), label
             assert set(blocks) == set(fold_partition(rules, 32)), label
 
+    def test_blocks_ascend_by_minimum_on_random_rulesets(self):
+        """access_matrix numbers the blocks in ip_partition's order, which
+        must be ascending by minimum (as fragmented blocks interleave)."""
+        rng = random.Random(57)
+        for _ in range(300):
+            rules = random_ruleset(rng, max_rules=rng.choice([7, 20]))
+            minima = [b.min() for b in ip_partition(rules, 8)]
+            assert minima == sorted(minima)
+
+    def test_blocks_ascend_by_minimum_on_corpus(self, corpus_rules):
+        for label, rules in corpus_rules:
+            minima = [b.min() for b in ip_partition(rules, 32)]
+            assert minima == sorted(minima), label
+
 
 class TestBitsetRows:
     """The first-match bitset rows against simple_fw_eval on every pair."""

@@ -659,6 +659,41 @@ class TestSynthesize:
         assert "Traceback" not in err
         assert not out.exists()  # inputs are read before any output is written
 
+    @pytest.mark.parametrize("option,text,says", [
+        ("--invariants", "[" * 5000 + "]" * 5000, "nested too deeply"),
+        ("--policy", '{"nodes": ' * 5000 + "1" + "}" * 5000, "nested too deeply"),
+        ("--emit-iptables", "[" * 5000 + "]" * 5000, "nested too deeply"),
+        ("--policy", '{"nodes": ' + "1" * 5000 + ', "edges": []}', "policy: "),
+        ("--invariants", '[{"template": "BLPTrusted", "attrs": {"Robot1": {"level": 1e999}}}]',
+         "OverflowError"),
+        ("--invariants", '[{"template": "BLPTrusted", "attrs": {"Robot1": {"level": -1e999}}}]',
+         "OverflowError"),
+        ("--invariants", '[{"template": "DomainHierarchy", '
+                         '"attrs": {"Robot1": {"level": "a.b", "trust": 1e999}}}]', "OverflowError"),
+        ("--invariants", '[{"template": "DomainHierarchy", '
+                         '"attrs": {"Robot1": {"level": "a.b", "trust": -1e999}}}]', "OverflowError"),
+        ("--invariants", '[{"template": "Subnets", "attrs": {"Robot1": {"subnet": 1e999}}}]',
+         "OverflowError"),
+        ("--invariants", '[{"template": "Subnets", "attrs": {"Robot1": {"subnet": -1e999}}}]',
+         "OverflowError"),
+    ], ids=["deep-invariants", "deep-policy", "deep-binding", "long-int-policy", "blp-inf",
+            "blp-neg-inf", "domain-inf", "domain-neg-inf", "subnets-inf", "subnets-neg-inf"])
+    def test_deep_long_or_infinite_json_exit_one(self, tmp_path, capsys, option, text, says):
+        """JSON nested past the decoder's recursion limit, an integer of
+        more digits than Python converts, and an infinite number where a
+        template reads an integer, are malformed specs."""
+        argv = {"--invariants": DATA / "factory_invariants.json",
+                "--policy": DATA / "factory_policy.json",
+                "--emit-iptables": DATA / "factory_binding.json"}
+        argv[option] = tmp_path / "spec.json"
+        argv[option].write_text(text)
+        out = tmp_path / "out"
+        code = run(["synthesize", *(x for kv in argv.items() for x in kv),
+                    "--stateful", "--out-dir", out])
+        assert code == 1
+        assert says in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_golden_stateful_dot(self, tmp_path):
         out = tmp_path / "out"
         run(

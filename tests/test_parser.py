@@ -422,6 +422,39 @@ class TestRoundTrip:
                 pass
 
 
+# the eight field primitives as prim_to_args prints them, plain and negated;
+# a changed spelling that parses back to the same class escapes TestRoundTrip
+SPELLINGS = [
+    (rs.Src(parse_address_set("10.0.0.0/8")), "-s 10.0.0.0/8", "! -s 10.0.0.0/8"),
+    (rs.Dst(parse_address_set("192.168.1.1")), "-d 192.168.1.1/32", "! -d 192.168.1.1/32"),
+    (rs.Src(parse_address_set("10.0.0.1-10.0.0.5")), "-m iprange --src-range 10.0.0.1-10.0.0.5",
+     "-m iprange ! --src-range 10.0.0.1-10.0.0.5"),
+    (rs.Dst(parse_address_set("10.0.1.0-10.0.1.9")), "-m iprange --dst-range 10.0.1.0-10.0.1.9",
+     "-m iprange ! --dst-range 10.0.1.0-10.0.1.9"),
+    (rs.IIface("eth0"), "-i eth0", "! -i eth0"),
+    (rs.OIface("br+"), "-o br+", "! -o br+"),
+    (rs.SrcPorts(6, _ports(1024, 65535)), "-m tcp --sport 1024:65535",
+     "-m tcp ! --sport 1024:65535"),
+    (rs.DstPorts(17, _ports(53, 53)), "-m udp --dport 53", "-m udp ! --dport 53"),
+    (rs.MultiportSrc(6, _ports(80, 80).union(_ports(443, 444))),
+     "-m multiport --sports 80,443:444", "-m multiport ! --sports 80,443:444"),
+    (rs.MultiportDst(132, _ports(22, 22).union(_ports(80, 80))),
+     "-m multiport --dports 22,80", "-m multiport ! --dports 22,80"),
+]
+
+
+class TestPrintedSpelling:
+    @pytest.mark.parametrize("prim,plain,negated", SPELLINGS,
+                             ids=[_prim_id(p) for p, _, _ in SPELLINGS])
+    def test_field_primitive_spelling(self, prim, plain, negated):
+        assert rs.prim_to_args(prim) == plain
+        assert rs.prim_to_args(prim, negated=True) == negated
+
+    def test_v6_range_spelling(self):
+        prim = rs.Src(parse_address_set("2001:db8::1-2001:db8::5", "v6"))
+        assert rs.prim_to_args(prim, family="v6") == "-m iprange --src-range 2001:db8::1-2001:db8::5"
+
+
 class TestParseIpassmt:
     def test_single_address(self):
         m = parse_ipassmt("webfrnt = [10.0.0.1]")

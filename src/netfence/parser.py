@@ -11,16 +11,20 @@ iptables-save grammar subset (line oriented):
     option    ::= '-m' module | '-j' target | '-g' chain | name value*
 
 `!` may precede any option, inside a `-m` group or not.  The recognized
-options are the keys of `_OPTIONS`: -s/-d (with the `a,b` multi-address
-sugar), -i/-o, -p, the tcp/udp/sctp port and flag options (also bare,
-after -p), multiport port lists, state/conntrack state lists, iprange
-ranges and comments.  A typed value (address, interface, protocol, port,
-flags, states, module or target name) that looks like an option is a
-syntax error.  Every other option of a group, and every option of an
+options are the keys of `_OPTIONS`: -s/-d (each `a,b` list gives one rule
+per address), -i/-o, -p, the tcp/udp/sctp port and flag options (also
+bare, after -p), multiport port lists, state/conntrack state lists,
+iprange ranges and comments.  A typed value (address, interface, protocol,
+port, flags, states, module or target name) that looks like an option is
+a syntax error.  Every other option of a group, and every option of an
 unknown module, is folded verbatim into that group's one Extra primitive;
 an unknown option outside a group becomes its own Extra.  The ternary
 layer later treats Extras as Unknown.  Only the filter table is
 interpreted; other tables are skipped with a warning.
+
+A rulespec is read in one pass over its tokens.  Each distinct leaf (its
+class and value text, and a port match's protocol) is one MPrim per
+parse_save call, shared by every rule that has it.
 """
 
 from __future__ import annotations
@@ -123,80 +127,102 @@ def _at_line(parse, text, family, lineno):
         raise SyntaxError_(str(exc), lineno) from None
 
 
-# -- option builders: each reads its option's values and returns the
-# primitive, or None when the option adds no term to the rule
+# -- option builders: each reads its option's values from tokens[i:] and
+# returns (its leaf, or None when it adds no term; the index after them).
+# A leaf is made once per parse_save call for each key: its class, its
+# value text and, for a port match, the protocol.
 
-def _address(rp, option, cls, negated):
-    entries = rp.value(option).split(",")
+def _value(rp, option, tokens, i):
+    """tokens[i] as `option`'s typed value, which may not be '!' or option-like."""
+    tok = tokens[i] if i < len(tokens) else None
+    if tok is None or tok == "!" or tok.startswith("-"):
+        rp.error(f"{option} needs a value" + (f", not {tok!r}" if tok else ""))
+    return tok
+
+
+def _address(rp, option, cls, negated, tokens, i):
+    entries = _value(rp, option, tokens, i).split(",")
     if len(entries) == 1:
-        return cls(rp.addresses(entries[0]))
-    rp.alternatives[cls] = [rp.addresses(e) for e in entries]  # one rule each
+        return rp.address(cls, entries[0]), i + 1
+    # the `a,b` sugar: one rule per address, each list its own factor
+    rp.alternatives.setdefault(cls, []).append([rp.address(cls, e) for e in entries])
+    return None, i + 1
 
 
-def _range(rp, option, cls, negated):
-    return cls(rp.addresses(rp.value(option)))
+def _range(rp, option, cls, negated, tokens, i):
+    return rp.address(cls, _value(rp, option, tokens, i)), i + 1
 
 
-def _iface(rp, option, cls, negated):
-    return cls(rp.value(option))
+def _iface(rp, option, cls, negated, tokens, i):
+    return rp.named(cls, _value(rp, option, tokens, i)), i + 1
 
 
-def _protocol(rp, option, cls, negated):
-    value = rp.value(option)
+def _protocol(rp, option, cls, negated, tokens, i):
+    value = _value(rp, option, tokens, i)
     if value == "all":
-        return None
-    number = _parse_protocol(value, rp.lineno)
+        return None, i + 1
+    leaf = rp.shared((cls, value), lambda: rs.MPrim(cls(_parse_protocol(value, rp.lineno))))
     if not negated:
-        rp.proto = number
-    return cls(number)
+        rp.proto = leaf.prim.number
+    return leaf, i + 1
 
 
-def _ports(rp, option, cls, negated):
-    return cls(rp.port_proto(), _parse_port_spec(rp.value(option), rp.lineno))
+def _ports(rp, option, cls, negated, tokens, i):
+    proto = rp.port_proto()
+    text = _value(rp, option, tokens, i)
+    parse = _parse_port_spec if cls.module is None else _parse_multiport_list
+    leaf = rp.shared((cls, text, proto), lambda: rs.MPrim(cls(proto, parse(text, rp.lineno))))
+    return leaf, i + 1
 
 
-def _multiport(rp, option, cls, negated):
-    return cls(rp.port_proto(), _parse_multiport_list(rp.value(option), rp.lineno))
-
-
-def _tcp_flags(rp, option, cls, negated):
+def _tcp_flags(rp, option, cls, negated, tokens, i):
     rp.port_proto()
     if option == "--syn":
-        return cls(frozenset({"FIN", "SYN", "RST", "ACK"}), frozenset({"SYN"}))
-    mask = _parse_flagset(rp.value(option), rp.lineno)
-    return cls(mask, _parse_flagset(rp.value(option), rp.lineno))
+        mask, comp = "FIN,SYN,RST,ACK", "SYN"
+    else:
+        mask = _value(rp, option, tokens, i)
+        _parse_flagset(mask, rp.lineno)  # a bad mask is reported before a missing comp
+        comp, i = _value(rp, option, tokens, i + 1), i + 2
+    return rp.shared((cls, mask, comp), lambda: rs.MPrim(
+        cls(_parse_flagset(mask, rp.lineno), _parse_flagset(comp, rp.lineno)))), i
 
 
-def _states(rp, option, cls, negated):
-    states = frozenset(rp.value(option).split(","))
-    unknown = states - set(rs.CT_STATES)
-    if unknown:
+def _states(rp, option, cls, negated, tokens, i):
+    text = _value(rp, option, tokens, i)
+    states = frozenset(text.split(","))
+    if unknown := states - set(rs.CT_STATES):
         rp.error(f"unknown conntrack states {sorted(unknown)}")
-    return cls(states)
+    return rp.shared((cls, text), lambda: rs.MPrim(cls(states))), i + 1
 
 
-def _comment(rp, option, cls, negated):
-    rp.next()  # comments carry no match semantics
+def _comment(rp, option, cls, negated, tokens, i):
+    if i == len(tokens):
+        rp.error("unexpected end of rule")
+    return None, i + 1  # comments carry no match semantics
 
 
-def _module(rp, option, cls, negated):
-    rp.module = rp.value(option)
+def _module(rp, option, cls, negated, tokens, i):
+    rp.module = _value(rp, option, tokens, i)
+    return None, i + 1
 
 
-def _target(rp, option, cls, negated):
-    name = rp.value(option)
+def _target(rp, option, cls, negated, tokens, i):
+    name = _value(rp, option, tokens, i)
+    i += 1
     if option == "-g":
         rp.action = rs.goto(name)
     elif name in _TARGETS:
         rp.action = _TARGETS[name]
         arity = _TARGET_OPTIONS.get(name, {})
-        while rp.peek() in arity:
-            for _ in range(arity[rp.next()]):
-                rp.next()
+        while i < len(tokens) and tokens[i] in arity:
+            i += 1 + arity[tokens[i]]
+        if i > len(tokens):
+            rp.error("unexpected end of rule")
     elif name in _EXTENSION_TARGETS:
         raise UnknownAction(f"target {name} is not supported in the filter table", rp.lineno)
     else:
         rp.action = rs.call(name)
+    return None, i
 
 
 _PORT_GROUPS = frozenset({"tcp", "udp", "sctp", None})
@@ -204,25 +230,25 @@ _PORT_GROUPS = frozenset({"tcp", "udp", "sctp", None})
 # option spelling -> (modules, builder, class).  `modules` is None for a
 # top-level option, which is valid anywhere and ends the current -m group;
 # otherwise it holds the -m groups the option belongs to, None meaning no
-# group (a port option after -p).
+# group (a port option after -p).  A field primitive is spelt as it prints
+# (`cls.option`, `--<field>-range`) or by one of its long aliases.
 _OPTIONS = {
     spelling: (modules, build, cls)
     for spellings, modules, build, cls in [
-        (("-s", "--source", "--src"), None, _address, rs.Src),
-        (("-d", "--destination", "--dst"), None, _address, rs.Dst),
-        (("-i", "--in-interface"), None, _iface, rs.IIface),
-        (("-o", "--out-interface"), None, _iface, rs.OIface),
+        *(((c.option, *aliases), None, _address, c)
+          for c, *aliases in [(rs.Src, "--source", "--src"), (rs.Dst, "--destination", "--dst")]),
+        *(((f"--{c.field}-range",), {"iprange"}, _range, c) for c in (rs.Src, rs.Dst)),
+        *(((c.option, alias), None, _iface, c)
+          for c, alias in [(rs.IIface, "--in-interface"), (rs.OIface, "--out-interface")]),
+        *(((c.option, alias), _PORT_GROUPS if c.module is None else {c.module}, _ports, c)
+          for c, alias in [(rs.SrcPorts, "--source-port"), (rs.DstPorts, "--destination-port"),
+                           (rs.MultiportSrc, "--source-ports"),
+                           (rs.MultiportDst, "--destination-ports")]),
         (("-p", "--protocol"), None, _protocol, rs.Protocol),
         (("-m",), None, _module, None),
         (("-j", "-g"), None, _target, None),
-        (("--sport", "--source-port"), _PORT_GROUPS, _ports, rs.SrcPorts),
-        (("--dport", "--destination-port"), _PORT_GROUPS, _ports, rs.DstPorts),
         (("--tcp-flags", "--syn"), _PORT_GROUPS, _tcp_flags, rs.TcpFlags),
-        (("--sports", "--source-ports"), {"multiport"}, _multiport, rs.MultiportSrc),
-        (("--dports", "--destination-ports"), {"multiport"}, _multiport, rs.MultiportDst),
         (("--state", "--ctstate"), {"state", "conntrack"}, _states, rs.CtState),
-        (("--src-range",), {"iprange"}, _range, rs.Src),
-        (("--dst-range",), {"iprange"}, _range, rs.Dst),
         (("--comment",), {"comment"}, _comment, None),
     ]
     for spelling in spellings
@@ -232,21 +258,16 @@ _KNOWN_MODULES = {m for modules, _, _ in _OPTIONS.values() for m in modules or (
 
 
 class _RuleParser:
-    """Parses one rulespec token list into [(match expr, action)].
+    """Parses one rulespec token list into [(match expr, action)], one
+    complete rule per choice of an address from each `a,b` list."""
 
-    The `-s a,b` sugar produces one parsed rule per address; the caller
-    receives a list of complete rules.
-    """
-
-    def __init__(self, tokens, family, lineno, memo):
-        self.tokens = tokens
+    def __init__(self, family, lineno, memo):
         self.family = family
         self.lineno = lineno
-        self.memo = memo         # address text -> its set, for one parse_save call
-        self.pos = 0
-        self.terms = []          # list of (negated, primitive)
+        self.memo = memo         # leaf key -> leaf, address text -> its set; per parse_save call
+        self.terms = []          # the match nodes, in order
         self.action = rs.EMPTY
-        self.alternatives = {}   # Src/Dst -> address sets of the `a,b` sugar
+        self.alternatives = {}   # Src/Dst -> the leaf lists of the `a,b` sugar
         self.proto = None        # last positively matched protocol
         self.module = None       # the current -m group
         self.group = []          # its options folded into one Extra
@@ -254,28 +275,16 @@ class _RuleParser:
     def error(self, message):
         raise SyntaxError_(message, self.lineno)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def shared(self, key, make):
+        """memo[key], made by make() on its first use."""
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = make()
+        return got
 
-    def next(self):
-        if self.pos >= len(self.tokens):
-            self.error("unexpected end of rule")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def value(self, option):
-        """The typed value of `option`; '!' and option-like tokens are not."""
-        tok = self.peek()
-        if tok is None or tok == "!" or tok.startswith("-"):
-            self.error(f"{option} needs a value" + (f", not {tok!r}" if tok else ""))
-        self.pos += 1
-        return tok
-
-    def addresses(self, text):
-        wi = self.memo.get(text)
-        if wi is None:
-            wi = self.memo[text] = _at_line(parse_address_set, text, self.family, self.lineno)
-        return wi
+    def address(self, cls, text):  # Src and Dst share the set of a text
+        return self.shared((cls, text), lambda: rs.MPrim(cls(self.shared(
+            text, lambda: _at_line(parse_address_set, text, self.family, self.lineno)))))
 
     def port_proto(self):
         if self.module in ("tcp", "udp", "sctp"):
@@ -284,46 +293,50 @@ class _RuleParser:
             return self.proto
         self.error("port match requires a tcp/udp/sctp protocol context")
 
+    def named(self, cls, text):  # an interface, or an Extra's text
+        return self.shared((cls, text), lambda: rs.MPrim(cls(text)))
+
     def end_group(self):
-        if self.module is not None and (self.group or self.module not in _KNOWN_MODULES):
-            self.terms.append((False, rs.Extra(" ".join(["-m", self.module, *self.group]))))
+        if self.group or self.module not in _KNOWN_MODULES:
+            self.terms.append(self.named(rs.Extra, " ".join(["-m", self.module, *self.group])))
         self.module, self.group = None, []
 
-    def parse(self):
-        while (tok := self.peek()) is not None:
-            negated = tok == "!"
+    def parse(self, tokens):
+        """One pass over the tokens: a table option's builder reads its
+        values; an option the table does not know takes the tokens up to
+        the next option or '!'."""
+        n, i = len(tokens), 0
+        while i < n:
+            negated = tokens[i] == "!"
             if negated:
-                self.pos += 1
-                if self.peek() in (None, "!"):
+                i += 1
+                if i == n or tokens[i] == "!":
                     self.error("dangling '!'")
-            start = self.pos
-            option = self.next()
+            start, option = i, tokens[i]
             modules, build, cls = _OPTIONS.get(option, ((), None, None))
+            i += 1
             if modules is None or self.module in modules:
-                if modules is None:
+                if modules is None and self.module is not None:
                     self.end_group()
-                prim = build(self, option, cls, negated)
-                if prim is not None:
-                    self.terms.append((negated, prim))
+                leaf, i = build(self, option, cls, negated, tokens, i)
+                if leaf is not None:
+                    self.terms.append(rs.MNot(leaf) if negated else leaf)
                 elif negated:
-                    self.error(f"cannot negate {' '.join(self.tokens[start:self.pos])!r}")
+                    self.error(f"cannot negate {' '.join(tokens[start:i])!r}")
                 continue
-            # an option the table does not know, with its values
-            words = [option]
-            while (p := self.peek()) is not None and p != "!" and not p.startswith("-"):
-                words.append(self.next())
+            while i < n and tokens[i] != "!" and not tokens[i].startswith("-"):
+                i += 1
+            words = tokens[start:i]
             if self.module is None:
-                self.terms.append((negated, rs.Extra(" ".join(words))))
+                leaf = self.named(rs.Extra, " ".join(words))
+                self.terms.append(rs.MNot(leaf) if negated else leaf)
             else:
                 self.group += ["!", *words] if negated else words
-        self.end_group()
-        return self.build_rules()
-
-    def build_rules(self):
-        base = [rs.MNot(rs.MPrim(p)) if negated else rs.MPrim(p) for negated, p in self.terms]
-        choices = [[rs.MPrim(cls(wi)) for wi in self.alternatives[cls]]
-                   for cls in (rs.Src, rs.Dst) if cls in self.alternatives]
-        return [(rs.mand(*prefix, *base), self.action)
+        if self.module is not None:
+            self.end_group()
+        # each `a,b` list is one factor of the product, the Src lists first
+        choices = [alt for cls in (rs.Src, rs.Dst) for alt in self.alternatives.get(cls, ())]
+        return [(rs.mand(*prefix, *self.terms), self.action)
                 for prefix in itertools.product(*choices)]
 
 
@@ -355,7 +368,7 @@ def parse_save(text, family="v4") -> rs.Table:
     """Parse `iptables-save` output; only the filter table is interpreted."""
     chains: dict = {}
     policies: dict = {}
-    address_memo: dict = {}  # lives as long as this call
+    memo: dict = {}  # the leaves and address sets of this call
     current_table = None
     saw_filter = False
     for lineno, line in _lines(text):
@@ -407,7 +420,7 @@ def parse_save(text, family="v4") -> rs.Table:
                 if not 1 <= index <= len(rules) + 1:
                     raise SyntaxError_(f"-I {chain} {index}: rule number must be in "
                                        f"1..{len(rules) + 1}", lineno)
-            parsed = _RuleParser(rest, family, lineno, address_memo).parse()
+            parsed = _RuleParser(family, lineno, memo).parse(rest)
             rules[index - 1:index - 1] = [rs.Rule(m, a, raw=line) for m, a in parsed]
             continue
         raise SyntaxError_(f"unsupported directive {head!r}", lineno)

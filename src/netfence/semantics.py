@@ -206,24 +206,26 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
 
 
 def process_return(rules):
-    """pr: Return rules vanish; later rules require the Return not to match."""
+    """pr: Return rules vanish; later rules require the Return not to
+    match.  The rules before the first Return are kept as they are."""
     out = []
     prefix = []  # negated matches of the Returns seen so far
     for r in rules:
         if r.action.kind == "return":
             prefix.append(MNot(r.match))
         else:
-            out.append(Rule(mand(*prefix, r.match), r.action, r.raw))
+            out.append(Rule(mand(*prefix, r.match), r.action, r.raw) if prefix else r)
     return out
 
 
 def process_call(rules, chains):
     """pc: unfold one level of Call, conjoining the call's match in front
-    of each rule of the called chain."""
+    of each rule of the called chain.  A call that always matches inlines
+    the chain's rules as they are, and every other rule is kept as it is."""
     out = []
     for r in rules:
         if r.action.kind == "call":
-            out += [Rule(mand(r.match, c.match), c.action, c.raw)
+            out += [c if r.match is MTrue else Rule(mand(r.match, c.match), c.action, c.raw)
                     for c in process_return(chains[r.action.chain])]
         else:
             out.append(r)
@@ -232,7 +234,8 @@ def process_call(rules, chains):
 
 def optimize_rules(rules):
     """Simplify matches, drop never-matching and Log/Empty rules, rewrite
-    Reject to Drop, and cut everything shadowed by a final catch-all."""
+    Reject to Drop, and cut everything shadowed by a final catch-all.  A
+    rule with nothing to simplify or rewrite is kept as it is."""
     out = []
     for r in rules:
         m = opt_match(r.match)
@@ -243,7 +246,7 @@ def optimize_rules(rules):
             action = rs.DROP
         if action.kind in ("log", "empty"):
             continue
-        out.append(Rule(m, action, r.raw))
+        out.append(r if m is r.match and action is r.action else Rule(m, action, r.raw))
         if m is MTrue and action.kind in ("accept", "drop"):
             break
     return out
@@ -463,7 +466,8 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
     equal to --syn vanish, contradictory ones kill their rule, the rest
     keep the conjunction for later abstraction.  A subtree the assumption
     leaves alone is kept as it is, so that the specialized rules share
-    their nodes (and compiled predicates) with the input.
+    their nodes (and compiled predicates) with the input, and so is a
+    rule whose match it leaves alone.
     """
     def rewrite(node):
         prim = node.prim
@@ -481,7 +485,7 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
     out = []
     for r in rules:
         m = _rewrite_positive(r.match, rewrite)
-        out.append(Rule(m, r.action, r.raw))
+        out.append(r if m is r.match else Rule(m, r.action, r.raw))
     return optimize_rules(out)
 
 

@@ -174,13 +174,14 @@ def _literal(prim, negated) -> list:
 
 def _preboxes(m, negated, memo) -> list:
     """The distinct non-empty pre-boxes of m (of its negation when
-    `negated`) in NNF order.  memo maps each literal's (primitive,
-    negated) and each conjunction's (id(node), negated) to them."""
+    `negated`) in NNF order.  memo maps each literal's and conjunction's
+    (id(node), negated) to them, as spoofing._bounds does; the parser
+    shares each leaf among the rules, so a literal is read once."""
     if isinstance(m, MNot):
         return _preboxes(m.inner, not negated, memo)
     if m is MTrue:
         return [] if negated else [_TOP]
-    key = (m.prim if isinstance(m, MPrim) else id(m), negated)
+    key = (id(m), negated)
     got = memo.get(key)
     if got is None and isinstance(m, MPrim):
         got = memo[key] = _literal(m.prim, negated)

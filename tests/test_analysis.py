@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 
@@ -514,6 +515,22 @@ class TestInterfaceFreeView:
         """Big-step accepts the packet on eth1, so the upper matrix must
         allow the pair."""
         assert self.overlap_run("in_doubt_allow") == (True, ALLOW)
+
+
+class TestAddressLists:
+    def test_two_source_lists_match_only_their_common_sources(self):
+        """`-s a,b -s c,d` matches the sources in both lists, here none; the
+        second list used to replace the first, so 8.8.8.8 reached every host."""
+        save = ("*filter\n:FORWARD DROP [0:0]\n-A FORWARD -s 1.2.3.4,5.6.7.8 "
+                "-s 9.9.9.9,8.8.8.8 -p tcp --dport 22 -j ACCEPT\nCOMMIT\n")
+        hosts = [ip_parse(a) for a in ("1.2.3.4", "5.6.7.8", "9.9.9.9", "8.8.8.8", "10.0.0.1")]
+        for tactic in ("in_doubt_allow", "in_doubt_deny"):
+            result = analyze_pipeline(save, tactic=tactic)
+            evaluate = bigstep_evaluator(result["table"], "FORWARD")
+            assert len(result["unfolded"]) == 5
+            for s, d in itertools.product(hosts, hosts):
+                packet = ServiceTemplate.preset("ssh").packet(s, d)
+                assert not result["matrix"].allows(s, d) and evaluate(packet) != ALLOW
 
 
 class TestWebappCentralFirewall:

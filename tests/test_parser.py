@@ -5,7 +5,7 @@ import shlex
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import load_ruleset
+from conftest import CORPUS, load_ruleset
 from netfence import parser
 from netfence import ruleset as rs
 from netfence.errors import NetfenceError, SyntaxError_, UndefinedChainTarget, UnknownAction
@@ -17,7 +17,7 @@ from netfence.ruleset import (
     conjuncts,
     table_to_save,
 )
-from netfence.wordinterval import WordInterval, ip_parse, parse_address_set
+from netfence.wordinterval import WordInterval, ip_format, ip_parse, parse_address_set
 
 
 def _ports(lo, hi):
@@ -214,6 +214,26 @@ class TestParseSave:
             parse_save(text)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("spec,message", [
+        ("--dport", "port match requires a tcp/udp/sctp protocol context"),
+        ("--tcp-flags", "port match requires a tcp/udp/sctp protocol context"),
+        ("-p tcp --tcp-flags BAD", "unknown TCP flag 'BAD'"),
+        ("-p tcp --tcp-flags SYN", "--tcp-flags needs a value"),
+        ("-p tcp --tcp-flags SYN -j DROP", "--tcp-flags needs a value, not '-j'"),
+        ("-m comment --comment", "unexpected end of rule"),
+        ("-j LOG --log-prefix", "unexpected end of rule"),
+        ("-j REJECT --reject-with", "unexpected end of rule"),
+    ])
+    def test_malformed_option_reports_its_first_fault(self, spec, message):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(f"*filter\n:INPUT ACCEPT [0:0]\n-A INPUT {spec}\nCOMMIT\n")
+        assert str(exc.value) == f"{message} (line 3)"
+
+    def test_comment_text_may_look_like_an_option(self):
+        text = "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -m comment --comment -x -j DROP\nCOMMIT\n"
+        rule = parse_save(text).chains["INPUT"][0]
+        assert rule.match is rs.MTrue and rule.action == rs.DROP
+
     @pytest.mark.parametrize("target,action", [
         ("LOG --log-tcp-options", rs.LOG),
         ("LOG --log-uid --log-prefix x", rs.LOG),
@@ -344,6 +364,96 @@ class TestAddressMemo:
         with pytest.raises(SyntaxError_) as exc:
             parse_save(text, "v6")
         assert exc.value.line == 3 and calls == [("10.0.0.1", "v4"), ("10.0.0.1", "v6")]
+
+
+def _leaves(table):
+    """Every MPrim node of the table's rules, shared ones once per use."""
+    out, stack = [], [r.match for rules in table.chains.values() for r in rules]
+    while stack:
+        m = stack.pop()
+        if isinstance(m, MPrim):
+            out.append(m)
+        elif isinstance(m, MNot):
+            stack.append(m.inner)
+        elif isinstance(m, rs.MAnd):
+            stack += (m.left, m.right)
+    return out
+
+
+class TestSharedLeaves:
+    """parse_save makes each leaf once per call and key: its class, its
+    value text and, for a port match, the protocol."""
+
+    def test_equal_leaves_are_one_object_within_a_call(self):
+        repeated = 0
+        for name in sorted({name for name, _ in CORPUS}):
+            leaves = _leaves(parse_save(load_ruleset(name)))
+            first = {}
+            for leaf in leaves:
+                assert first.setdefault(leaf, leaf) is leaf, (name, leaf)
+            repeated += len(leaves) - len(first)
+        assert repeated > 100
+
+    def test_two_calls_share_no_leaf(self):
+        text = load_ruleset("docker_mynet.iptables")
+        one, two = parse_save(text), parse_save(text)
+        assert one.chains == two.chains
+        assert not {id(m) for m in _leaves(one)} & {id(m) for m in _leaves(two)}
+
+    def test_port_leaves_keep_their_protocol(self):
+        rules = parse_save(_save("-A INPUT -p tcp --dport 22 -j DROP",
+                                 "-A INPUT -p udp --dport 22 -j DROP",
+                                 "-A INPUT -p tcp -m tcp --dport 22 -j DROP",
+                                 "-A INPUT -m udp --dport 22 -j DROP")).chains["INPUT"]
+        tcp, udp, tcp_module, udp_module = (conjuncts(r.match)[-1] for r in rules)
+        assert tcp.prim == rs.DstPorts(6, _ports(22, 22))
+        assert udp.prim == rs.DstPorts(17, _ports(22, 22))
+        assert tcp is tcp_module and udp is udp_module and tcp is not udp
+
+    def test_flag_leaves_ignore_the_protocol(self):
+        rules = parse_save(_save("-A INPUT -p tcp --syn -j DROP",
+                                 "-A INPUT -p udp --tcp-flags FIN,SYN,RST,ACK SYN -j DROP")
+                           ).chains["INPUT"]
+        syn, flags = (conjuncts(r.match)[-1] for r in rules)
+        assert syn is flags and syn.prim == rs.TcpFlags(
+            frozenset({"FIN", "SYN", "RST", "ACK"}), frozenset({"SYN"}))
+
+    def test_a_leaf_shared_under_negation(self):
+        text = _save("-A INPUT -s 10.0.0.0/8 -j DROP", "-A INPUT ! -s 10.0.0.0/8",
+                     "-A INPUT -d 10.0.0.0/8", "-A INPUT ! -i eth0 -i eth0")
+        rules = parse_save(text).chains["INPUT"]
+        assert rules[1].match.inner is rules[0].match
+        assert rules[2].match is not rules[0].match and rules[2].match.prim.addrs is \
+            rules[0].match.prim.addrs
+        negated, plain = conjuncts(rules[3].match)
+        assert negated.inner is plain
+
+
+class TestAddressLists:
+    """Each `a,b` list of -s or -d is one factor of the rule product."""
+
+    def test_two_source_lists_give_every_pair(self):
+        rules = parse_save(_save("-A INPUT -s 1.2.3.4,5.6.7.8 -s 9.9.9.9,8.8.8.8 -p tcp "
+                                 "--dport 22 -j ACCEPT")).chains["INPUT"]
+        tail = [MPrim(rs.Protocol(6)), MPrim(rs.DstPorts(6, _ports(22, 22)))]
+        assert [conjuncts(r.match) for r in rules] == [
+            [MPrim(rs.Src(parse_address_set(a))), MPrim(rs.Src(parse_address_set(b))), *tail]
+            for a in ("1.2.3.4", "5.6.7.8") for b in ("9.9.9.9", "8.8.8.8")]
+        assert all(r.action == rs.ACCEPT and r.raw == rules[0].raw for r in rules)
+
+    def test_source_lists_come_before_destination_lists(self):
+        rules = parse_save(_save("-A INPUT -d 10.0.0.1,10.0.0.2 -s 1.1.1.1,2.2.2.2 "
+                                 "-s 3.3.3.3,4.4.4.4 -j DROP")).chains["INPUT"]
+        addresses = [[ip_format(p.prim.addrs.min()) for p in conjuncts(r.match)] for r in rules]
+        assert addresses == [[s1, s2, d] for s1 in ("1.1.1.1", "2.2.2.2")
+                          for s2 in ("3.3.3.3", "4.4.4.4") for d in ("10.0.0.1", "10.0.0.2")]
+
+    def test_a_list_and_a_single_address_conjoin(self):
+        rules = parse_save(_save("-A INPUT -s 10.0.0.0/8 -s 10.0.0.1,192.168.0.1 -j DROP")
+                           ).chains["INPUT"]
+        assert [conjuncts(r.match) for r in rules] == [
+            [MPrim(rs.Src(parse_address_set(a))), MPrim(rs.Src(parse_address_set("10.0.0.0/8")))]
+            for a in ("10.0.0.1", "192.168.0.1")]
 
 
 class TestRoundTrip:

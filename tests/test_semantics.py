@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -405,6 +406,43 @@ class TestUnfold:
         m, m2 = extra("m"), extra("m2")
         out = process_return([Rule(m, rs.RETURN), Rule(m2, rs.ACCEPT)])
         assert out == [Rule(MAnd(MNot(m), m2), rs.ACCEPT)]
+
+    def test_unchanged_rules_are_kept_by_identity(self):
+        """Each step keeps a rule it leaves unchanged as the very object it
+        got: rules before a Return, rules inlined by an always-matching
+        call, and rules with nothing to simplify or rewrite."""
+        text = ("*filter\n:FORWARD DROP [0:0]\n:sub - [0:0]\n:cond - [0:0]\n"
+                "-A FORWARD -s 10.0.0.0/8 -j ACCEPT\n-A FORWARD -j sub\n"
+                "-A FORWARD -i eth0 -j cond\n-A FORWARD -p tcp -j REJECT\n"
+                "-A FORWARD -p udp -j LOG\n"
+                "-A sub -d 10.0.0.1 -j DROP\n-A sub -p icmp -j RETURN\n-A sub -d 10.0.0.2 -j DROP\n"
+                "-A cond -s 10.0.0.3 -j ACCEPT\nCOMMIT\n")
+        table = parse_save(text)
+        fwd, sub, cond = (table.chains[c] for c in ("FORWARD", "sub", "cond"))
+        unfolded = unfold(table, "FORWARD")
+        assert [r.match for r in unfolded] == [
+            fwd[0].match, sub[0].match, MAnd(MNot(sub[1].match), sub[2].match),
+            MAnd(fwd[2].match, cond[0].match), fwd[3].match, MTrue]
+        kept = [r for r in unfolded if any(r is t for t in fwd + sub + cond)]
+        assert kept == [fwd[0], sub[0]] and unfolded[0] is fwd[0] and unfolded[1] is sub[0]
+        assert unfolded[4] == Rule(fwd[3].match, rs.DROP) and unfolded[4].match is fwd[3].match
+        assert process_return(sub)[0] is sub[0]
+        called = semantics.process_call(fwd, table.chains)
+        assert called[0] is fwd[0] and called[1] is sub[0]
+        assert all(a is b for a, b in zip(semantics.optimize_rules(unfolded), unfolded))
+
+    def test_leading_rules_of_the_start_chain_are_kept(self):
+        """The start chain's Accept and Drop rules before its first other
+        action unfold to the table's very rules."""
+        kept = 0
+        for name, chain in CORPUS:
+            table = parse_save(load_ruleset(name))
+            leading = itertools.takewhile(lambda r: r.action.kind in ("accept", "drop"),
+                                          table.chains[chain])
+            for rule, unfolded in zip(leading, unfold(table, chain)):
+                assert unfolded is rule, (name, rule)
+                kept += 1
+        assert kept > 100
 
     def test_synology_first_rule(self):
         t = parse_save(load_ruleset("synology.iptables"))
@@ -942,6 +980,16 @@ class TestCtStateSpecialize:
                 assert ctstate_specialize([r], "NEW")[0].match is r.match
                 untouched += 1
         assert untouched
+
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_unchanged_rules_are_kept_by_identity(self, name, chain):
+        """A rule whose match the assumption leaves alone is the input
+        Rule itself."""
+        rules = unfold(parse_save(load_ruleset(name)), chain)
+        out = ctstate_specialize(rules, "NEW")
+        assert out == rebuilding_ctstate_specialize(rules, "NEW")
+        kept = [r for r in out if any(r is i for i in rules)]
+        assert kept and kept == [r for r in out if any(r.match is i.match for i in rules)]
 
     @pytest.mark.parametrize("assumed", ["NEW", "ESTABLISHED"])
     def test_equals_the_rebuilding_oracle(self, assumed):

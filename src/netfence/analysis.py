@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from operator import xor
 
-from .errors import ConsistencyError, IllformedService
+from .errors import ConsistencyError, IllformedService, json_block, json_pairs
 from .ruleset import PROTO_NUMBERS
 from .semantics import ALLOW, Packet
 from .simplefw import SimpleRule, simple_fw_eval
@@ -223,38 +223,23 @@ class AccessMatrix:
     def to_json(self):
         """The text of json.dumps(..., indent=2) of the service, the classes
         and the edges, written in one pass.  Its strings are addresses and
-        address ranges, which JSON writes without escapes."""
+        address ranges, which JSON writes without escapes; the edges are
+        sorted by integer representative."""
         fam = self.family()
         name = {rep: ip_format(rep, fam) for rep in sorted(self.classes)}
         classes = [
-            f'"{text}": ' + _json_block(
+            f'"{text}": ' + json_block(
                 [f'"{ip_format(lo, fam)}-{ip_format(hi, fam)}"'
                  for lo, hi in self.classes[rep].parts], 2)
             for rep, text in name.items()
         ]
-        edges = [_json_block([f'"{name[a]}"', f'"{name[b]}"'], 2) for a, b in sorted(self.edges)]
         svc = self.service
-        return (
-            "{\n"
-            '  "service": {\n'
-            f'    "protocol": {svc.protocol},\n'
-            f'    "dport": {svc.dport},\n'
-            f'    "sport": {svc.sport}\n'
-            "  },\n"
-            f'  "classes": {_json_block(classes, 1, "{}")},\n'
-            f'  "edges": {_json_block(edges, 1)}\n'
-            "}"
-        )
-
-
-def _json_block(items, depth, brackets="[]"):
-    """A JSON array (or, with brackets "{}", object) at nesting depth
-    `depth`, as json.dumps(..., indent=2) writes it, of items that are
-    already written for depth + 1."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * depth
-    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+        return json_block([
+            '"service": ' + json_block([f'"protocol": {svc.protocol}', f'"dport": {svc.dport}',
+                                        f'"sport": {svc.sport}'], 1, "{}"),
+            '"classes": ' + json_block(classes, 1, "{}"),
+            '"edges": ' + json_pairs([(name[a], name[b]) for a, b in sorted(self.edges)], 1),
+        ], 0, "{}")
 
 
 def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:

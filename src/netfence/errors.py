@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all netfence modules."""
+"""Exception hierarchy shared by all netfence modules, and the one JSON
+reader (load_json) and indent-2 JSON writer (json_block, json_pairs)."""
 
 import json
 
@@ -117,6 +118,35 @@ def load_json(text, what):
         raise IllformedSpec(f"{what}: not valid JSON ({exc})") from None
     except RecursionError:
         raise IllformedSpec(f"{what}: JSON nested too deeply") from None
+
+
+# The one indent-2 JSON writer.  json.dumps(..., indent=2) runs the pure-
+# Python encoder whenever `indent` is set; these functions write the same
+# text, quoting strings with the C function that json.dumps itself uses.
+json_string = json.encoder.encode_basestring_ascii
+
+
+def json_block(items, depth, brackets="[]"):
+    """A JSON array (or, with brackets "{}", object) at nesting depth
+    `depth`, as json.dumps(..., indent=2) writes it, of items that are
+    already written for depth + 1."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+
+def json_pairs(pairs, depth):
+    """A JSON array at nesting depth `depth` of the [a, b] string arrays,
+    in the order given, as json.dumps(..., indent=2) writes it.  Each
+    distinct string is quoted once, together with what it is written
+    between as the first or the second of a pair."""
+    inner = "\n" + "  " * (depth + 2)
+    outer = "\n" + "  " * (depth + 1)
+    names = {s for pair in pairs for s in pair}
+    first = {s: "[" + inner + json_string(s) + "," + inner for s in names}
+    second = {s: json_string(s) + outer + "]" for s in names}
+    return json_block([first[a] + second[b] for a, b in pairs], depth)
 
 
 class IllformedService(NetfenceError):

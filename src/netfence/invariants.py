@@ -28,12 +28,11 @@ all_hold, set_offending_flows) still evaluate the whole graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Callable, Optional
 
-from .errors import TooLargeForBruteForce
+from .errors import TooLargeForBruteForce, json_block, json_pairs, json_string
 from .policy import AttrMap, PolicyGraph, Strategy
 
 # set_offending_flows enumerates the edge subsets of a non-Phi invariant's
@@ -185,23 +184,31 @@ class ComplianceReport:
         return all(v.holds for v in self.verdicts)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "overall": self.overall,
-                "invariants": [
-                    {
-                        "template": v.template_id,
-                        "strategy": v.strategy.value,
-                        "holds": v.holds,
-                        "offending": None
-                        if v.offending is None
-                        else sorted(sorted(list(e) for e in f) for f in v.offending),
-                    }
-                    for v in self.verdicts
-                ],
-            },
-            indent=2,
-        )
+        """The text of json.dumps(..., indent=2) of the overall verdict and
+        each invariant's template, strategy, verdict and offending flows:
+        null when not computed, else each offending set as its sorted
+        [src, dst] pairs, the sets in that order."""
+        return json_block([
+            '"overall": ' + _json_bool(self.overall),
+            '"invariants": ' + json_block([_verdict_json(v) for v in self.verdicts], 1),
+        ], 0, "{}")
+
+
+def _json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _verdict_json(v: InvariantVerdict) -> str:
+    """One verdict of ComplianceReport.to_json, at nesting depth 2."""
+    offending = "null"
+    if v.offending is not None:
+        offending = json_block([json_pairs(f, 4) for f in sorted(map(sorted, v.offending))], 3)
+    return json_block([
+        '"template": ' + json_string(v.template_id),
+        '"strategy": ' + json_string(v.strategy.value),
+        '"holds": ' + _json_bool(v.holds),
+        '"offending": ' + offending,
+    ], 2, "{}")
 
 
 def all_hold(invariants, graph: PolicyGraph) -> ComplianceReport:

@@ -7,13 +7,13 @@ synthesis pipeline (invariants -> ruleset) and the analysis pipeline
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Any
 
-from .errors import DanglingEndpoint, IllformedSpec, UnknownHost, load_json
+from .errors import (DanglingEndpoint, IllformedSpec, UnknownHost, json_block, json_pairs,
+                     json_string, load_json)
 
 
 class Strategy(Enum):
@@ -62,16 +62,24 @@ class PolicyGraph:
     # -- serialization -------------------------------------------------
 
     def to_json(self):
-        return json.dumps(
-            {"nodes": self.sorted_nodes(), "edges": [list(e) for e in self.sorted_edges()]},
-            indent=2,
-        )
+        """The text of json.dumps(..., indent=2) of the sorted nodes and
+        edges."""
+        return json_block([
+            '"nodes": ' + json_block([json_string(n) for n in self.sorted_nodes()], 1),
+            '"edges": ' + json_pairs(self.sorted_edges(), 1),
+        ], 0, "{}")
 
     @classmethod
     def from_json(cls, text):
+        """A policy of JSON {"nodes": [names], "edges": [[a, b], ...]};
+        every node name is a string, and an edge is a list, not a string of
+        two characters."""
         data = load_json(text, "policy")
         try:
-            return cls.of(data["nodes"], [tuple(e) for e in data["edges"]])
+            nodes, edges = decode_names(data["nodes"]), data["edges"]
+            if not all(isinstance(e, list) for e in edges):
+                raise TypeError("an edge must be a [src, dst] list")
+            return cls.of(nodes, edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise IllformedSpec(f"policy: expected nodes and [src, dst] edges ({exc!r})") from None
 
@@ -90,15 +98,29 @@ class PolicyGraph:
         rows = {n: {} for n in nodes}
         for edges, attr in ((self.edges, None), *styles):
             end = f" [{attr}];" if attr else ";"
+            target = {n: q + end for n, q in quoted.items()}
             for s, r in edges:
-                rows[s][r] = end
+                rows[s][r] = target[r]
         lines = ["digraph policy {"]
         lines += [f"  {quoted[n]};" for n in nodes]
         for s in nodes:
             row, arrow = rows[s], f"  {quoted[s]} -> "
-            lines += [arrow + quoted[r] + row[r] for r in sorted(row)]
+            lines += [arrow + row[r] for r in sorted(row)]
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def decode_names(value) -> tuple:
+    """A JSON list of host names or labels, as a tuple.  A string, which
+    tuple() would split into its characters, or anything else that is not
+    a list of strings raises TypeError, naming the first name that is not
+    a string."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of names, got {value!r}")
+    for v in value:
+        if not isinstance(v, str):
+            raise TypeError(f"a name must be a string, got {v!r}")
+    return tuple(value)
 
 
 def adjacency(edges) -> dict:

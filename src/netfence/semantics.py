@@ -462,12 +462,15 @@ _SYN = rs.TcpFlags(SYN_MASK, SYN_COMP)
 def ctstate_specialize(rules, assumed="NEW") -> list:
     """Pre-evaluate conntrack state matches for packets in a fixed state.
 
-    For NEW, the --syn assumption is applied to TCP flag matches: matches
-    equal to --syn vanish, contradictory ones kill their rule, the rest
-    keep the conjunction for later abstraction.  A subtree the assumption
-    leaves alone is kept as it is, so that the specialized rules share
-    their nodes (and compiled predicates) with the input, and so is a
-    rule whose match it leaves alone.
+    The rules are unfold's output: optimized Accept/Drop rules.  For NEW,
+    the --syn assumption is applied to TCP flag matches: matches equal to
+    --syn vanish, contradictory ones kill their rule, the rest keep the
+    conjunction for later abstraction.  A subtree the assumption leaves
+    alone is kept as it is, so that the specialized rules share their
+    nodes (and compiled predicates) with the input, and so is a rule whose
+    match it leaves alone; only a changed match is optimized again.  A
+    rule that can no longer match is dropped, and a rule that now always
+    matches is the last.
     """
     def rewrite(node):
         prim = node.prim
@@ -485,8 +488,15 @@ def ctstate_specialize(rules, assumed="NEW") -> list:
     out = []
     for r in rules:
         m = _rewrite_positive(r.match, rewrite)
-        out.append(r if m is r.match else Rule(m, r.action, r.raw))
-    return optimize_rules(out)
+        if m is not r.match:
+            m = opt_match(m)
+            if is_false(m):
+                continue
+            r = Rule(m, r.action, r.raw)
+        out.append(r)
+        if m is MTrue:
+            break
+    return out
 
 
 def _rewrite_positive(m: MatchExpr, fn):
@@ -505,4 +515,4 @@ def _rewrite_positive(m: MatchExpr, fn):
         return fn(node) if isinstance(node.prim, rs.CtState) else node
 
     inner = _rewrite_positive(m.inner, neg_fn)
-    return opt_match(m if inner is m.inner else MNot(inner))
+    return m if inner is m.inner else MNot(inner)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .errors import json_block, json_pairs, json_string
 from .invariants import get_acs, get_ifs, phi_failing_edges, set_offending_flows
 from .policy import PolicyGraph, backflows
 
@@ -35,14 +36,13 @@ class StatefulPolicy:
                 raise ValueError(f"flow ({s}, {r}) references unknown nodes")
 
     def to_json(self):
-        return json.dumps(
-            {
-                "nodes": sorted(self.nodes),
-                "flows": [list(e) for e in sorted(self.flows)],
-                "stateful": [list(e) for e in sorted(self.stateful)],
-            },
-            indent=2,
-        )
+        """The text of json.dumps(..., indent=2) of the sorted nodes, flows
+        and stateful flows."""
+        return json_block([
+            '"nodes": ' + json_block([json_string(n) for n in sorted(self.nodes)], 1),
+            '"flows": ' + json_pairs(sorted(self.flows), 1),
+            '"stateful": ' + json_pairs(sorted(self.stateful), 1),
+        ], 0, "{}")
 
     @classmethod
     def from_json(cls, text):

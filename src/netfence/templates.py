@@ -8,7 +8,8 @@ is declared once: an enumerated template lists its attribute values in
 `values`, a reach-bound template (CommWith, NotCommWith, Dependability,
 DependabilityNonRefl) bounds each host's reachable set in `reach_bound`,
 which its whole-graph check and its incremental ReachClosure both read,
-and decode_names decodes every JSON list of host names or labels.
+and policy.decode_names decodes every JSON list of host names or labels
+(a policy's nodes too).
 
 Attribute encodings (each class declares its bottom):
   BLPBasic               int security level
@@ -37,7 +38,8 @@ from typing import Optional
 
 from .errors import AttrTypeMismatch, IllformedSpec, IllformedTaints, NoDefault, load_json
 from .invariants import ConfiguredInvariant
-from .policy import AttrMap, PolicyGraph, Strategy, adjacency, reachable, undirected_adjacency
+from .policy import (AttrMap, PolicyGraph, Strategy, adjacency, decode_names, reachable,
+                     undirected_adjacency)
 
 
 # -- attribute value types ---------------------------------------------------
@@ -126,15 +128,6 @@ class TaintsSpec:
         """Normalizing constructor: X -- Y is stored as (X u Y) -- Y."""
         t, u = frozenset(taints), frozenset(untaints)
         return cls(t | u, u)
-
-
-def decode_names(value) -> tuple:
-    """A JSON list of host names or labels, as a tuple.  A string, which
-    tuple() would split into its characters, or anything else that is not
-    a list of strings raises TypeError."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise TypeError(f"expected a list of names, got {value!r}")
-    return tuple(value)
 
 
 # -- incremental states -----------------------------------------------------

@@ -257,8 +257,13 @@ def ip_format(value, family="v4"):
     raise ValueError(f"unknown address family {family!r}")
 
 
+# The whitespace that may surround an address: str.strip() would also strip
+# non-ASCII spaces such as NBSP, which iptables refuses in an address.
+_ASCII_SPACE = " \t\n\r\v\f"
+
+
 def ip_parse(text, family="v4"):
-    text = text.strip()
+    text = text.strip(_ASCII_SPACE)
     try:
         if family == "v4":
             return int(ipaddress.IPv4Address(text))
@@ -272,13 +277,12 @@ def ip_parse(text, family="v4"):
 def parse_cidr(text, family="v4"):
     """Parse 'addr' or 'addr/n' into a Cidr; plain addresses get a full prefix."""
     width = family_width(family)
-    text = text.strip()
+    text = text.strip(_ASCII_SPACE)
     if "/" in text:
         addr, _, plen = text.partition("/")
-        try:
-            plen = int(plen)
-        except ValueError:
-            raise ParseError(f"bad prefix length in {text!r}") from None
+        if not (plen.isascii() and plen.isdigit()):
+            raise ParseError(f"bad prefix length in {text!r}")
+        plen = int(plen)
     else:
         addr, plen = text, width
     base = ip_parse(addr, family)
@@ -290,7 +294,7 @@ def parse_cidr(text, family="v4"):
 
 def parse_address_set(text, family="v4"):
     """Parse one address token: 'a', 'a/n' or the iprange-style 'lo-hi'."""
-    text = text.strip()
+    text = text.strip(_ASCII_SPACE)
     width = family_width(family)
     if "-" in text and "/" not in text:
         lo, _, hi = text.partition("-")

@@ -694,6 +694,34 @@ class TestSynthesize:
         assert says in assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("policy,says", [
+        ({"nodes": [1, 2, "x"], "edges": [[1, 2]]}, "a name must be a string, got 1"),
+        ({"nodes": ["a", None], "edges": []}, "a name must be a string, got None"),
+        ({"nodes": ["a", ["b"]], "edges": [["a", "a"]]}, "a name must be a string, got ['b']"),
+        ({"nodes": ["a", 1.5], "edges": []}, "a name must be a string, got 1.5"),
+        ({"nodes": ["a", True], "edges": []}, "a name must be a string, got True"),
+        ({"nodes": "ab", "edges": [["a", "b"]]}, "expected a list of names, got 'ab'"),
+        ({"nodes": {"a": 1}, "edges": []}, "expected a list of names"),
+        ({"nodes": ["a", "b"], "edges": [["a", 1]]}, "edge endpoint 1 is not a declared node"),
+        ({"nodes": ["a", "b"], "edges": ["ab"]}, "an edge must be a [src, dst] list"),
+        ({"nodes": ["a", "b"], "edges": {"a": "b"}}, "an edge must be a [src, dst] list"),
+        ({"nodes": ["a", "b"], "edges": [["a", "b", "a"]]}, "too many values"),
+        ({"nodes": ["a", "b"], "edges": [["a", "c"]]}, "edge endpoint 'c' is not a declared node"),
+    ], ids=["int", "null", "list", "float", "bool", "string", "object", "int-endpoint",
+            "string-edge", "object-edges", "triple-edge", "dangling-edge"])
+    def test_malformed_policy_names_exit_one(self, tmp_path, capsys, policy, says):
+        """A policy node must be a string name, as the invariants' host names
+        are; a node list or an edge that is a string is not split into
+        characters."""
+        (tmp_path / "policy.json").write_text(json.dumps(policy))
+        out = tmp_path / "out"
+        code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
+                    "--policy", tmp_path / "policy.json", "--verify", "--construct",
+                    "--stateful", "--out-dir", out])
+        assert code == 1
+        assert says in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_golden_stateful_dot(self, tmp_path):
         out = tmp_path / "out"
         run(

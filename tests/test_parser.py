@@ -281,6 +281,25 @@ class TestParseSave:
         assert exc.value.line == 3 and "/33" in str(exc.value)
 
 
+class TestNonAsciiWhitespace:
+    """The tokenizer splits only on ASCII whitespace, so an NBSP or an
+    ideographic space stays inside an address token, which is refused."""
+
+    @pytest.mark.parametrize("option", ["-s", "-d", "-m iprange --src-range"])
+    @pytest.mark.parametrize("token", ["\u00a010.0.0.1\u3000", "10.0.0.1\u00a0",
+                                       "\u300010.0.0.0/8", "10.0.0.0/\u00a08",
+                                       "10.0.0.1,\u00a010.0.0.2"])
+    def test_address_with_non_ascii_whitespace_is_refused(self, option, token):
+        if option.endswith("range"):
+            token = f"{token}-10.0.0.9"
+        with pytest.raises(SyntaxError_, match=r"\(line 3\)$"):
+            parse_save(_save(f"-A INPUT {option} {token} -j DROP"))
+
+    def test_ascii_whitespace_inside_quotes_is_stripped(self):
+        quoted = parse_save(_save('-A INPUT -s " 10.0.0.1\t" -j DROP'))
+        assert quoted == parse_save(_save("-A INPUT -s 10.0.0.1 -j DROP"))
+
+
 class TestTokenize:
     """_tokenize splits a line as shlex.split does in POSIX mode without
     comments; lines without quotes or backslashes take a regex instead."""

@@ -1,16 +1,19 @@
 import json
 import random
 import re
+from collections import Counter
 
 import pytest
 
 import scenarios as sc
 from checkers import random_library_invariants, sorting_dot
 from netfence.cli import main
-from netfence.errors import DanglingEndpoint, UnknownHost
+from netfence.errors import DanglingEndpoint, UnknownHost, json_block, json_pairs, json_string
+from netfence.invariants import ComplianceReport, InvariantVerdict
 from netfence.policy import (
     AttrMap,
     PolicyGraph,
+    Strategy,
     backflows,
     reachable,
     succ_tran,
@@ -98,9 +101,9 @@ DOT_NAMES = ("a", "B", "a b", "\u00e4", "10", "9", "a-1", "Z", "ab", "b")
 DOT_ID = r'"((?:[^"\\]|\\.)*)"'
 
 
-def random_dot_graph(rng):
-    """A graph over zero to ten of DOT_NAMES, some without edges."""
-    nodes = rng.sample(DOT_NAMES, rng.randint(0, len(DOT_NAMES)))
+def random_dot_graph(rng, names=DOT_NAMES):
+    """A graph over some of `names`, some without edges."""
+    nodes = rng.sample(names, rng.randint(0, len(names)))
     pairs = [(s, r) for s in nodes for r in nodes]
     return PolicyGraph.of(nodes, rng.sample(pairs, rng.randint(0, len(pairs) // 2)))
 
@@ -205,6 +208,103 @@ class TestDotWriter:
             assert dot_nodes == sorted(nodes), name
             assert set(dot_edges) == edges, name
         assert '  "a\\"b" -> "c\\\\d";' in (out / "diff.dot").read_text().splitlines()
+
+
+# names whose JSON text needs escapes, or sorts unlike the name itself
+# ('"a!"' < '"a"' as text, 'a' < 'a!' as names)
+JSON_NAMES = ("a", "a!", "a b", 'q"uote', "back\\slash", "\x00nul", "tab\t", "\x1fus",
+              "\x7f", "\u00e4", "\u2028", "\U0001f600", "", "B", "10", "9")
+
+
+def random_report(rng):
+    """A report of zero to five verdicts, each with offending flows that
+    are None, empty, or one to four sets of edges."""
+    verdicts = []
+    for _ in range(rng.randint(0, 5)):
+        edges = sorted(random_dot_graph(rng, JSON_NAMES).edges)
+        shape = rng.choice(("none", "empty", "sets")) if edges else rng.choice(("none", "empty"))
+        offending = {"none": None, "empty": frozenset()}.get(shape)
+        if shape == "sets":
+            offending = frozenset(frozenset(rng.sample(edges, rng.randint(1, min(6, len(edges)))))
+                                  for _ in range(rng.randint(1, 4)))
+        verdicts.append(InvariantVerdict(rng.choice(JSON_NAMES + ("BLPBasic",)),
+                                         rng.choice(list(Strategy)), shape == "empty", offending))
+    return ComplianceReport(verdicts)
+
+
+class TestJsonWriters:
+    """verify.json, policy.json and stateful.json are the text of
+    json.dumps(..., indent=2) of the documented structure."""
+
+    def test_reports(self):
+        rng = random.Random("json-report")
+        reports = [ComplianceReport(), random_report(rng)]
+        reports += [random_report(rng) for _ in range(500)]
+        shapes = Counter()
+        for report in reports:
+            expected = json.dumps({
+                "overall": report.overall,
+                "invariants": [{
+                    "template": v.template_id,
+                    "strategy": v.strategy.value,
+                    "holds": v.holds,
+                    "offending": None if v.offending is None
+                    else sorted(sorted(list(e) for e in f) for f in v.offending),
+                } for v in report.verdicts],
+            }, indent=2)
+            assert report.to_json() == expected
+            shapes.update(len(v.offending) if v.offending is not None else None
+                          for v in report.verdicts)
+        assert min(shapes[None], shapes[0], shapes[1], shapes[2], shapes[4]) > 50
+
+    def test_offending_sets_sort_by_name_not_by_text(self):
+        report = ComplianceReport([InvariantVerdict("T", Strategy.IFS, False, frozenset({
+            frozenset({("a!", "a")}), frozenset({("a", "a!"), ("a", "a")})}))])
+        assert json.loads(report.to_json())["invariants"][0]["offending"] == [
+            [["a", "a"], ["a", "a!"]], [["a!", "a"]]]
+
+    def test_policy_graphs(self):
+        rng = random.Random("json-policy")
+        graphs = [PolicyGraph.of(()), PolicyGraph.of(["a"]), PolicyGraph.of(JSON_NAMES)]
+        graphs += [random_dot_graph(rng, JSON_NAMES) for _ in range(300)]
+        for g in graphs:
+            assert g.to_json() == json.dumps(
+                {"nodes": sorted(g.nodes), "edges": [list(e) for e in sorted(g.edges)]},
+                indent=2)
+            assert PolicyGraph.from_json(g.to_json()) == g
+
+    def test_stateful_policies(self):
+        rng = random.Random("json-stateful")
+        policies = [StatefulPolicy.of((), (), ()), StatefulPolicy.of(["a"], [("a", "a")], ())]
+        for _ in range(300):
+            g = random_dot_graph(rng, JSON_NAMES)
+            policies.append(StatefulPolicy.of(g.nodes, g.edges,
+                                              rng.sample(sorted(g.edges), len(g.edges) // 2)))
+        for t in policies:
+            assert t.to_json() == json.dumps({
+                "nodes": sorted(t.nodes),
+                "flows": [list(e) for e in sorted(t.flows)],
+                "stateful": [list(e) for e in sorted(t.stateful)],
+            }, indent=2)
+            assert StatefulPolicy.from_json(t.to_json()) == t
+
+    @pytest.mark.parametrize("depth", range(5))
+    def test_blocks_at_every_depth(self, depth):
+        """json_pairs and json_block nested `depth` deep in single-item
+        arrays, against json.dumps of the same nesting."""
+        rng = random.Random(depth)
+        for n in (0, 1, 2, 7):
+            pairs = [tuple(rng.sample(JSON_NAMES, 2)) for _ in range(n)]
+            strings = [a for a, _ in pairs]
+            for inner, value in ((json_pairs(pairs, depth), [list(p) for p in pairs]),
+                                 (json_block([json_string(s) for s in strings], depth),
+                                  strings)):
+                text = inner
+                for d in reversed(range(depth)):
+                    text = json_block([text], d)
+                for _ in range(depth):
+                    value = [value]
+                assert text == json.dumps(value, indent=2)
 
 
 def test_allow_all():

@@ -991,14 +991,30 @@ class TestCtStateSpecialize:
         kept = [r for r in out if any(r is i for i in rules)]
         assert kept and kept == [r for r in out if any(r.match is i.match for i in rules)]
 
+    @pytest.mark.parametrize("name,chain", CORPUS)
+    def test_only_changed_matches_are_optimized_again(self, monkeypatch, name, chain):
+        """unfold's output is optimized already, so opt_match sees at most
+        the matches that hold a state or flag primitive, the ones the
+        assumption may change."""
+        rules = unfold(parse_save(load_ruleset(name)), chain)
+        seen = []
+        monkeypatch.setattr(semantics, "opt_match", lambda m: seen.append(m) or rs.opt_match(m))
+        ctstate_specialize(rules, "NEW")
+        touched = [r for r in rules if any(isinstance(p, (rs.CtState, rs.TcpFlags))
+                                           for p in rs.primitives_in(r.match))]
+        assert len(seen) <= len(touched) < len(rules)
+
     @pytest.mark.parametrize("assumed", ["NEW", "ESTABLISHED"])
     def test_equals_the_rebuilding_oracle(self, assumed):
         tables = [(parse_save(load_ruleset(name)), chain) for name, chain in CORPUS]
         tables += [(parse_save(seeded_return_ladder(1, k)[0]), "FORWARD") for k in range(11)]
         rule_lists = [unfold(table, chain) for table, chain in tables]
-        rng = random.Random(16)  # random state and flag matches, anywhere in a tree
-        rule_lists += [[Rule(_random_expr(rng, 4), rng.choice((rs.ACCEPT, rs.DROP, rs.LOG)))
-                        for _ in range(8)] for _ in range(300)]
+        # random state and flag matches, anywhere in a tree, optimized as
+        # unfold leaves its output
+        rng = random.Random(16)
+        rule_lists += [semantics.optimize_rules([
+            Rule(_random_expr(rng, 4), rng.choice((rs.ACCEPT, rs.DROP, rs.LOG)))
+            for _ in range(8)]) for _ in range(300)]
         for rules in rule_lists:
             assert ctstate_specialize(rules, assumed) == \
                 rebuilding_ctstate_specialize(rules, assumed)

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from checkers import doubling_returns, return_ladder, seeded_return_ladder
+from checkers import (doubling_returns, rebuilding_ctstate_specialize, return_ladder,
+                      seeded_return_ladder)
 from conftest import CORPUS, load_ruleset, stable_hash
 from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
@@ -547,6 +548,19 @@ class TestWholePathSandwich:
                     assert not verdict.certified and p.src in verdict.residual, (seed, p)
                     spoofed[p.iiface] += 1
         assert min(spoofed["eth0"], spoofed["lo"], certified[True], certified[False]) > 500
+
+    @pytest.mark.parametrize("assumed", ["NEW", "ESTABLISHED"])
+    def test_ctstate_equals_the_rebuilding_oracle(self, assumed):
+        """ctstate_specialize, which optimizes only the matches it changed,
+        equals the oracle that rebuilds and optimizes every rule."""
+        rng = random.Random(5)
+        changed = 0
+        for _ in range(150):
+            rules = unfold(_random_table(rng), "FORWARD")
+            out = ctstate_specialize(rules, assumed)
+            assert out == rebuilding_ctstate_specialize(rules, assumed)
+            changed += out != rules
+        assert changed > 20
 
 
 def _walked_rule_lists():

@@ -244,6 +244,28 @@ class TestAddressText:
         with pytest.raises(ParseError):
             ip_parse("300.1.2.3")
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\v", "\f", "\r\n"])
+    def test_ascii_whitespace_around_an_address_is_stripped(self, space):
+        assert ip_parse(f"{space}10.0.0.1{space}") == 0x0A000001
+        assert parse_cidr(f"{space}10.0.0.0/8{space}").prefix == 8
+        assert parse_address_set(f"{space}::1{space}", "v6") == parse_address_set("::1", "v6")
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u3000", "\u2003", "\x85", "\u200b"])
+    def test_non_ascii_whitespace_is_refused(self, space):
+        for text, family in ((f"{space}10.0.0.1", "v4"), (f"10.0.0.1{space}", "v4"),
+                             (f"{space}::1{space}", "v6")):
+            with pytest.raises(ParseError):
+                ip_parse(text, family)
+            with pytest.raises(ParseError):
+                parse_cidr(text, family)
+            with pytest.raises(ParseError):
+                parse_address_set(text, family)
+
+    @pytest.mark.parametrize("plen", ["\uff18", "\u0668", " 8", "+8", "-1", "0_8", "", "8.0"])
+    def test_prefix_length_is_ascii_digits(self, plen):
+        with pytest.raises(ParseError, match="bad prefix length"):
+            parse_cidr(f"10.0.0.0/{plen}")
+
     def test_v4_format_equals_ipaddress(self):
         rng = random.Random(19)
         octet_edges = [v << shift for shift in (0, 8, 16, 24) for v in (1, 127, 128, 255)]

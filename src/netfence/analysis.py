@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
 
 from .errors import ConsistencyError, IllformedService, json_block, json_pairs
 from .ruleset import PROTO_NUMBERS
-from .semantics import ALLOW, Packet
-from .simplefw import SimpleRule, simple_fw_eval
+from .semantics import Packet
 from .wordinterval import WordInterval, format_interval, ip_format
 
 SERVICE_PRESETS = {
@@ -190,7 +189,8 @@ def _fast_rows(rules, svc, reps):
 class AccessMatrix:
     """Minimal behavior classes plus the directed reachability between them
     for one fixed service.  classes maps the representative (minimum)
-    address of each class to its full interval."""
+    address of each class to its full interval; the writers print
+    addresses in the family of `width`."""
 
     classes: dict
     edges: set
@@ -206,17 +206,14 @@ class AccessMatrix:
     def allows(self, src, dst):
         return (self.class_of(src), self.class_of(dst)) in self.edges
 
-    def family(self):
-        return "v6" if self.width == 128 else "v4"
-
     def to_dot(self):
-        fam = self.family()
+        width = self.width
         lines = ["digraph access {"]
         for rep in sorted(self.classes):
-            label = format_interval(self.classes[rep], fam)
-            lines.append(f'  "{ip_format(rep, fam)}" [label="{label}"];')
+            label = format_interval(self.classes[rep])
+            lines.append(f'  "{ip_format(rep, width)}" [label="{label}"];')
         for a, b in sorted(self.edges):
-            lines.append(f'  "{ip_format(a, fam)}" -> "{ip_format(b, fam)}";')
+            lines.append(f'  "{ip_format(a, width)}" -> "{ip_format(b, width)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -225,11 +222,11 @@ class AccessMatrix:
         and the edges, written in one pass.  Its strings are addresses and
         address ranges, which JSON writes without escapes; the edges are
         sorted by integer representative."""
-        fam = self.family()
-        name = {rep: ip_format(rep, fam) for rep in sorted(self.classes)}
+        width = self.width
+        name = {rep: ip_format(rep, width) for rep in sorted(self.classes)}
         classes = [
             f'"{text}": ' + json_block(
-                [f'"{ip_format(lo, fam)}-{ip_format(hi, fam)}"'
+                [f'"{ip_format(lo, width)}-{ip_format(hi, width)}"'
                  for lo, hi in self.classes[rep].parts], 2)
             for rep, text in name.items()
         ]
@@ -270,21 +267,6 @@ def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
     first_mask = sum(1 << a for a in firsts)
     edges = {(reps[a], reps[b]) for a in firsts for b in _bits(rows[a] & first_mask)}
     return AccessMatrix(classes, edges, svc, width)
-
-
-def _slow_rows(rules, svc, reps):
-    """Rows and columns as in _fast_rows, from simple_fw_eval on every pair
-    of representatives with the rules' interfaces wildcarded: O(B²·R), the
-    definition that _fast_rows is tested against."""
-    rules = [SimpleRule(replace(r.match, iiface="+", oiface="+"), r.accept) for r in rules]
-    rows, cols = [0] * len(reps), [0] * len(reps)
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            # an Undecided verdict counts as deny here
-            if simple_fw_eval(rules, svc.packet(a, b)) == ALLOW:
-                rows[i] |= 1 << j
-                cols[j] |= 1 << i
-    return rows, cols
 
 
 def export_matrix(matrix: AccessMatrix, fmt="dot") -> str:

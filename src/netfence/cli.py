@@ -137,7 +137,7 @@ def _cmd_analyze(args):
     field = "out" if args.chain == "OUTPUT" else "in"
     verdicts = spoofing.sp_certify_all(result["unfolded"], ipassmt, field)
     for v in verdicts.values():
-        print(v.report_line(family))
+        print(v.report_line())
     return 0 if all(v.certified for v in verdicts.values()) else 2
 
 
@@ -202,7 +202,7 @@ def _cmd_synthesize(args):
     if binding is not None:
         if stateful_policy is None:
             stateful_policy = StatefulPolicy(graph.nodes, graph.edges, frozenset())
-        text = emit_iptables(stateful_policy, binding, family=args.family)
+        text = emit_iptables(stateful_policy, binding)
         (out_dir / "ruleset.iptables").write_text(text)
         print(f"wrote {out_dir / 'ruleset.iptables'}")
     return 0

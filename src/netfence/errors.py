@@ -26,13 +26,9 @@ class IllformedCidr(NetfenceError):
 
 
 class ParseError(NetfenceError):
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class SyntaxError_(ParseError):

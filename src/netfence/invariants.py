@@ -152,13 +152,6 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     return frozenset(out)
 
 
-def offenders(flows, strategy: Strategy) -> frozenset:
-    """The hosts blamed for a violation: senders under ACS, receivers under IFS."""
-    if strategy is Strategy.ACS:
-        return frozenset(s for s, _ in flows)
-    return frozenset(r for _, r in flows)
-
-
 def get_ifs(invariants):
     return [m for m in invariants if m.strategy is Strategy.IFS]
 

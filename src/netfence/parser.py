@@ -18,8 +18,8 @@ iprange ranges and comments.  A typed value (address, interface, protocol,
 port, flags, states, module or target name) that looks like an option is
 a syntax error.  Every other option of a group, and every option of an
 unknown module, is folded verbatim into that group's one Extra primitive;
-an unknown option outside a group becomes its own Extra.  The ternary
-layer later treats Extras as Unknown.  Only the filter table is
+an unknown option outside a group becomes its own Extra.  The closure
+later treats Extras as unknown.  Only the filter table is
 interpreted; other tables are skipped with a warning.
 
 A rulespec is read in one pass over its tokens.  Each distinct leaf (its
@@ -49,13 +49,13 @@ log = logging.getLogger(__name__)
 # the filter table rather than treated as chain calls
 _EXTENSION_TARGETS = {
     "SNAT", "DNAT", "MASQUERADE", "REDIRECT", "NETMAP", "MARK", "CONNMARK",
-    "NFQUEUE", "NFLOG", "TOS", "TTL", "CLASSIFY", "SET", "TRACE", "AUDIT",
+    "NFQUEUE", "TOS", "TTL", "CLASSIFY", "SET", "TRACE", "AUDIT",
     "CHECKSUM", "CT", "DSCP", "ECN", "HL", "LED", "RATEEST", "SECMARK",
     "SYNPROXY", "TCPMSS", "TCPOPTSTRIP", "TEE", "TPROXY", "ULOG",
 }
 
-_TARGETS = {"ACCEPT": rs.ACCEPT, "DROP": rs.DROP, "REJECT": rs.REJECT,
-            "RETURN": rs.RETURN, "LOG": rs.LOG, "NFLOG": rs.LOG}
+_TARGETS = {**rs.TARGETS, "NFLOG": rs.LOG}  # NFLOG logs, as LOG does
+_POLICIES = ("ACCEPT", "DROP")  # the targets a chain policy may name
 # options of a built-in target and how many values each takes; they are
 # read and dropped, since no target option changes the verdict
 _TARGET_OPTIONS = {
@@ -388,24 +388,20 @@ def parse_save(text, family="v4") -> rs.Table:
         if not tokens:
             continue
         head = tokens[0]
-        if head.startswith(":"):
-            name = head[1:]
-            if len(tokens) < 2:
-                raise SyntaxError_("chain header needs a policy", lineno)
-            policy = tokens[1]
-            chains.setdefault(name, [])
-            if policy == "ACCEPT":
-                policies[name] = rs.ACCEPT
-            elif policy == "DROP":
-                policies[name] = rs.DROP
-            elif policy != "-":
-                raise SyntaxError_(f"unsupported chain policy {policy!r}", lineno)
-            continue
-        if head == "-P":
-            if len(tokens) != 3 or tokens[2] not in ("ACCEPT", "DROP"):
+        if head.startswith(":") or head == "-P":
+            # `:chain POLICY [counters]`, where `-` is no policy, or `-P chain POLICY`
+            header = head != "-P"
+            words = [head[1:], *tokens[1:]] if header else tokens[1:]
+            policy = words[1] if len(words) > 1 else None
+            if not header and (len(words) != 2 or policy not in _POLICIES):
                 raise SyntaxError_("bad -P line", lineno)
-            chains.setdefault(tokens[1], [])
-            policies[tokens[1]] = rs.ACCEPT if tokens[2] == "ACCEPT" else rs.DROP
+            if policy is None:
+                raise SyntaxError_("chain header needs a policy", lineno)
+            if policy not in (*_POLICIES, "-"):
+                raise SyntaxError_(f"unsupported chain policy {policy!r}", lineno)
+            chains.setdefault(words[0], [])
+            if policy != "-":
+                policies[words[0]] = rs.TARGETS[policy]
             continue
         if head in ("-A", "-I", "-N", "--new-chain"):
             if len(tokens) < 2:
@@ -426,7 +422,7 @@ def parse_save(text, family="v4") -> rs.Table:
         raise SyntaxError_(f"unsupported directive {head!r}", lineno)
     if not saw_filter and not chains:
         raise SyntaxError_("no filter table found")
-    table = rs.Table(chains, policies, family)
+    table = rs.Table(chains, policies)
     table.validate()
     return table
 

@@ -440,6 +440,10 @@ LOG = Action("log")
 EMPTY = Action("empty")
 RETURN = Action("return")
 
+# the built-in targets by the name that prints them and that parse_save reads
+TARGETS = {"ACCEPT": ACCEPT, "DROP": DROP, "REJECT": REJECT, "RETURN": RETURN, "LOG": LOG}
+TARGET_NAMES = {action: name for name, action in TARGETS.items()}
+
 
 def call(chain):
     return Action("call", chain)
@@ -460,7 +464,6 @@ class Rule:
 class Table:
     chains: dict
     policies: dict
-    family: str = "v4"
 
     BUILTIN = ("INPUT", "FORWARD", "OUTPUT")
 
@@ -489,7 +492,8 @@ def _flags_text(flags: frozenset) -> str:
     return ",".join(f for f in TCP_FLAG_ORDER if f in flags)
 
 
-def prim_to_args(prim, negated=False, family="v4") -> str:
+def prim_to_args(prim, negated=False) -> str:
+    """The iptables options of prim; addresses print in the family of their width."""
     bang = "! " if negated else ""
     if isinstance(prim, Addrs):
         if len(prim.addrs.parts) != 1:
@@ -498,7 +502,8 @@ def prim_to_args(prim, negated=False, family="v4") -> str:
         if len(cidrs) == 1:
             return f"{bang}{prim.option} {cidrs[0]}"
         (lo, hi), = prim.addrs.parts
-        return f"-m iprange {bang}--{prim.field}-range {ip_format(lo, family)}-{ip_format(hi, family)}"
+        width = prim.addrs.width
+        return f"-m iprange {bang}--{prim.field}-range {ip_format(lo, width)}-{ip_format(hi, width)}"
     if isinstance(prim, Iface):
         return f"{bang}{prim.option} {prim.name}"
     if isinstance(prim, Protocol):
@@ -516,41 +521,39 @@ def prim_to_args(prim, negated=False, family="v4") -> str:
     raise ValueError(f"cannot print primitive {prim!r}")
 
 
-def match_to_args(m: MatchExpr, family="v4") -> str:
+def match_to_args(m: MatchExpr) -> str:
     pieces = []
     for leaf in conjuncts(m):
         if isinstance(leaf, MPrim):
-            pieces.append(prim_to_args(leaf.prim, family=family))
+            pieces.append(prim_to_args(leaf.prim))
         elif isinstance(leaf, MNot) and isinstance(leaf.inner, MPrim):
-            pieces.append(prim_to_args(leaf.inner.prim, negated=True, family=family))
+            pieces.append(prim_to_args(leaf.inner.prim, negated=True))
         else:
             raise ValueError(f"match not in printable NNF conjunction form: {leaf!r}")
     return " ".join(pieces)
 
 
 def action_to_args(action: Action) -> str:
-    kind = action.kind
-    if kind == "call":
+    if action.kind == "call":
         return f"-j {action.chain}"
-    if kind == "goto":
+    if action.kind == "goto":
         return f"-g {action.chain}"
-    if kind == "empty":
+    if action == EMPTY:
         return ""
-    return "-j " + {"accept": "ACCEPT", "drop": "DROP", "reject": "REJECT",
-                    "log": "LOG", "return": "RETURN"}[kind]
+    return f"-j {TARGET_NAMES[action]}"
 
 
 def table_to_save(table: Table) -> str:
+    """iptables-save text; addresses print in the family of their width."""
     lines = ["*filter"]
     ordered = [c for c in Table.BUILTIN if c in table.chains]
     ordered += sorted(c for c in table.chains if c not in Table.BUILTIN)
     for chain in ordered:
         policy = table.policies.get(chain)
-        ptext = {None: "-", ACCEPT: "ACCEPT", DROP: "DROP"}[policy]
-        lines.append(f":{chain} {ptext} [0:0]")
+        lines.append(f":{chain} {'-' if policy is None else TARGET_NAMES[policy]} [0:0]")
     for chain in ordered:
         for rule in table.chains[chain]:
-            args = match_to_args(rule.match, table.family)
+            args = match_to_args(rule.match)
             act = action_to_args(rule.action)
             body = " ".join(x for x in (args, act) if x)
             lines.append(f"-A {chain} {body}".rstrip())

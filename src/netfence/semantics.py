@@ -2,9 +2,9 @@
 
 The big-step evaluator serves as test oracle for everything else: chain
 unfolding flattens Call/Return/Goto control flow into a plain rule list,
-the ternary embedding abstracts match conditions the caller does not
-understand, and the closure step resolves those Unknowns toward accept
-(upper closure) or deny (lower closure).
+and the closure step resolves the match conditions the caller does not
+understand (Unknown in a three-valued reading) toward accept (upper
+closure) or deny (lower closure).
 
 Unfolding treats a goto as a call followed by a Return on the same
 match: a packet the goto takes never comes back to the rest of its
@@ -35,10 +35,6 @@ from .ruleset import (
 ALLOW = "allow"
 DENY = "deny"
 UNDECIDED = "undecided"
-
-TRUE = "true"
-FALSE = "false"
-UNKNOWN = "unknown"
 
 SYN_MASK = frozenset({"FIN", "SYN", "RST", "ACK"})
 SYN_COMP = frozenset({"SYN"})
@@ -300,51 +296,6 @@ def simple_list_eval(rules, packet: Packet, matcher=None) -> str:
             if r.action.kind in ("drop", "reject"):
                 return DENY
             raise IllformedRuleset(f"simple list cannot contain {r.action.kind!r}")
-    return UNDECIDED
-
-
-# -- ternary embedding ---------------------------------------------------------
-
-
-def _ternary_not(v):
-    if v == UNKNOWN:
-        return UNKNOWN
-    return FALSE if v == TRUE else TRUE
-
-
-def _ternary_and(a, b):
-    if a == FALSE or b == FALSE:
-        return FALSE
-    if a == UNKNOWN or b == UNKNOWN:
-        return UNKNOWN
-    return TRUE
-
-
-def ternary_eval(m: MatchExpr, p: Packet, known=default_known) -> str:
-    """Kleene three-valued evaluation: primitives the matcher does not
-    understand yield Unknown."""
-    if m is MTrue:
-        return TRUE
-    if isinstance(m, MPrim):
-        if not known(m.prim):
-            return UNKNOWN
-        return TRUE if m.prim.matches(p, None) else FALSE
-    if isinstance(m, MNot):
-        return _ternary_not(ternary_eval(m.inner, p, known))
-    left = ternary_eval(m.left, p, known)
-    if left == FALSE:
-        return FALSE
-    return _ternary_and(left, ternary_eval(m.right, p, known))
-
-
-def ternary_list_eval(rules, packet, tactic, known=default_known) -> str:
-    """Evaluate an Accept/Drop list under an in-doubt tactic."""
-    for r in rules:
-        v = ternary_eval(r.match, packet, known)
-        if v == UNKNOWN:
-            v = TRUE if (r.action.kind == "accept") == (tactic == "in_doubt_allow") else FALSE
-        if v == TRUE:
-            return ALLOW if r.action.kind == "accept" else DENY
     return UNDECIDED
 
 

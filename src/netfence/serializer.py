@@ -28,10 +28,11 @@ class HostBinding:
     addrs: WordInterval
 
 
-def emit_iptables(t: StatefulPolicy, binding: dict, family: str = "v4") -> str:
+def emit_iptables(t: StatefulPolicy, binding: dict) -> str:
     """Serialize a stateful policy as iptables-save text for FORWARD.
 
-    `binding` maps each policy host with flows to a HostBinding.  Reflexive
+    `binding` maps each policy host with flows to a HostBinding, whose
+    addresses are written in the family of their set's width.  Reflexive
     flows of hosts bound to a single address are in-host traffic and are
     skipped; for one-to-many bindings they become intra-range rules.  A
     fragmented address set gets one rule per part.
@@ -48,7 +49,7 @@ def emit_iptables(t: StatefulPolicy, binding: dict, family: str = "v4") -> str:
         iface, addr = (rs.IIface, rs.Src) if as_source else (rs.OIface, rs.Dst)
         head = rs.prim_to_args(iface(b.iface))
         parts = (WordInterval((part,), b.addrs.width) for part in b.addrs.parts)
-        return [f"{head} {rs.prim_to_args(addr(p), family=family)}" for p in parts]
+        return [f"{head} {rs.prim_to_args(addr(p))}" for p in parts]
 
     accept = rs.action_to_args(rs.ACCEPT)
     established = rs.prim_to_args(rs.CtState(frozenset({"ESTABLISHED"}))) + " "

@@ -282,8 +282,7 @@ def routing_to_ipassmt(routes, width=32) -> dict:
 
 def simple_rules_to_save(rules, chain="FORWARD") -> str:
     """Emit simple rules as loadable iptables-save text, default policy DROP."""
-    family = "v6" if rules and rules[0].match.width == 128 else "v4"
-    table = rs.Table({chain: [_as_rule(r) for r in rules]}, {chain: rs.DROP}, family)
+    table = rs.Table({chain: [_as_rule(r) for r in rules]}, {chain: rs.DROP})
     return rs.table_to_save(table)
 
 

@@ -36,13 +36,14 @@ class SpoofVerdict:
     failing_rule: Optional[int] = None   # first rule index where A \ D escapes
     residual: Optional[WordInterval] = None
 
-    def report_line(self, family="v4"):
+    def report_line(self):
+        """One line; a residual prints in the family of its width."""
         if self.certified:
             return f"{self.iface}: CERTIFIED"
         where = f" at rule #{self.failing_rule}" if self.failing_rule is not None else ""
         extra = ""
         if self.residual is not None and not self.residual.is_empty():
-            extra = f" (residual range {format_interval(self.residual, family)})"
+            extra = f" (residual range {format_interval(self.residual)})"
         return f"{self.iface}: FAIL{where}{extra}"
 
 

@@ -197,10 +197,8 @@ class Cidr:
         return WordInterval._canonical(((self.base, self.base | self.hostmask()),), self.width)
 
     def __str__(self):
-        if self.width == 32:
-            return f"{ip_format(self.base, 'v4')}/{self.prefix}"
-        if self.width == 128:
-            return f"{ip_format(self.base, 'v6')}/{self.prefix}"
+        if self.width in _FAMILY_WIDTH.values():  # an address block
+            return f"{ip_format(self.base, self.width)}/{self.prefix}"
         return f"{self.base}/{self.prefix}"
 
 
@@ -246,15 +244,16 @@ def family_width(family):
         raise ValueError(f"unknown address family {family!r}") from None
 
 
-def ip_format(value, family="v4"):
-    """Render an address word as text; v6 follows RFC 5952."""
-    if family == "v4":
+def ip_format(value, width):
+    """Render a width-bit address word as text: the family is read off the
+    width, 32 bits being dotted v4 and 128 bits v6 after RFC 5952."""
+    if width == 32:
         if not 0 <= value <= 0xFFFFFFFF:
             raise ipaddress.AddressValueError(f"{value} is not a 32-bit address")
         return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
-    if family == "v6":
+    if width == 128:
         return str(ipaddress.IPv6Address(value))
-    raise ValueError(f"unknown address family {family!r}")
+    raise ValueError(f"no address family has width {width}")
 
 
 # The whitespace that may surround an address: str.strip() would also strip
@@ -305,12 +304,13 @@ def parse_address_set(text, family="v4"):
     return parse_cidr(text, family).interval()
 
 
-def format_interval(wi, family="v4"):
-    """Human-readable union form used in figures: {lo .. hi} u {ip} ..."""
+def format_interval(wi):
+    """Human-readable union form used in figures, {lo .. hi} u {ip} ..., in
+    the address family of wi's width."""
     chunks = []
     for lo, hi in wi.parts:
         if lo == hi:
-            chunks.append("{%s}" % ip_format(lo, family))
+            chunks.append("{%s}" % ip_format(lo, wi.width))
         else:
-            chunks.append("{%s .. %s}" % (ip_format(lo, family), ip_format(hi, family)))
+            chunks.append("{%s .. %s}" % (ip_format(lo, wi.width), ip_format(hi, wi.width)))
     return " ∪ ".join(chunks) if chunks else "{}"

@@ -7,13 +7,16 @@ for readability and once as a single gate."""
 
 import importlib.util
 import random
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
-from netfence.invariants import offenders, set_offending_flows
+from netfence.invariants import set_offending_flows
 from netfence import ruleset as rs
-from netfence.policy import PolicyGraph
+from netfence.policy import PolicyGraph, Strategy
 from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
+from netfence.semantics import ALLOW, DENY, UNDECIDED, default_known
+from netfence.simplefw import SimpleRule, simple_fw_eval
 from netfence.spoofing import SpoofVerdict
 from netfence.templates import LIBRARY_IDS, TEMPLATES
 from netfence.wordinterval import WordInterval, parse_address_set
@@ -76,6 +79,13 @@ def check_monotonicity_three_nodes(template):
             subs += [{e for e in edges if rng.random() < 0.5} for _ in range(3)]
             for sub in subs:
                 assert inv.holds(PolicyGraph(g.nodes, frozenset(sub)))
+
+
+def offenders(flows, strategy):
+    """The hosts blamed for a violation: senders under ACS, receivers under IFS."""
+    if strategy is Strategy.ACS:
+        return frozenset(s for s, _ in flows)
+    return frozenset(r for _, r in flows)
 
 
 def violations(template, hosts, maps):
@@ -280,6 +290,73 @@ def seeded_return_ladder(seed, k):
     spec.loader.exec_module(gen)
     text, ipassmt, _ = gen.return_ruleset(random.Random(seed), random.Random("return-0"), k)
     return text, ipassmt
+
+
+# -- ternary embedding -----------------------------------------------------------
+# Kleene three-valued matching, where a primitive the matcher does not
+# understand is Unknown: the definition that semantics.closure's upper and
+# lower closures are tested against.
+
+TRUE = "true"
+FALSE = "false"
+UNKNOWN = "unknown"
+
+
+def _ternary_not(v):
+    if v == UNKNOWN:
+        return UNKNOWN
+    return FALSE if v == TRUE else TRUE
+
+
+def _ternary_and(a, b):
+    if a == FALSE or b == FALSE:
+        return FALSE
+    if a == UNKNOWN or b == UNKNOWN:
+        return UNKNOWN
+    return TRUE
+
+
+def ternary_eval(m, p, known=default_known):
+    """Kleene three-valued evaluation: primitives the matcher does not
+    understand yield Unknown."""
+    if m is MTrue:
+        return TRUE
+    if isinstance(m, MPrim):
+        if not known(m.prim):
+            return UNKNOWN
+        return TRUE if m.prim.matches(p, None) else FALSE
+    if isinstance(m, MNot):
+        return _ternary_not(ternary_eval(m.inner, p, known))
+    left = ternary_eval(m.left, p, known)
+    if left == FALSE:
+        return FALSE
+    return _ternary_and(left, ternary_eval(m.right, p, known))
+
+
+def ternary_list_eval(rules, packet, tactic, known=default_known):
+    """Evaluate an Accept/Drop list under an in-doubt tactic."""
+    for r in rules:
+        v = ternary_eval(r.match, packet, known)
+        if v == UNKNOWN:
+            v = TRUE if (r.action.kind == "accept") == (tactic == "in_doubt_allow") else FALSE
+        if v == TRUE:
+            return ALLOW if r.action.kind == "accept" else DENY
+    return UNDECIDED
+
+
+def slow_rows(rules, svc, reps):
+    """Rows and columns as in analysis._fast_rows, from simple_fw_eval on
+    every pair of representatives with the rules' interfaces wildcarded:
+    O(B²·R), the definition that _fast_rows is tested against."""
+    rules = [SimpleRule(replace(r.match, iiface="+", oiface="+"), r.accept) for r in rules]
+    rows, cols = [0] * len(reps), [0] * len(reps)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            # an Undecided verdict counts as deny here
+            if simple_fw_eval(rules, svc.packet(a, b)) == ALLOW:
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
+    return rows, cols
 
 
 def _interval_bounds(m, iface, side, width, memo):

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from checkers import slow_rows
 from conftest import CORPUS, load_ruleset
 from netfence import analysis
 from netfence.analysis import (
     AccessMatrix,
     ServiceTemplate,
     _fast_rows,
-    _slow_rows,
     access_matrix,
     export_matrix,
     ip_partition,
@@ -287,7 +287,7 @@ class TestBitsetRows:
         for _ in range(200):
             rules = random_ruleset(rng, max_rules=rng.choice([7, 20]))
             reps = sorted_reps(rules, 8)
-            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+            assert _fast_rows(rules, SVC, reps) == slow_rows(rules, SVC, reps)
 
     def test_fast_rows_equal_slow_rows_on_corpus(self, corpus_rules):
         services = [ServiceTemplate.preset(name) for name in ("ssh", "http", "udp:53")]
@@ -296,18 +296,18 @@ class TestBitsetRows:
             for svc in services:
                 fast = _fast_rows(rules, svc, reps)
                 assert fast is not None, label
-                assert fast == _slow_rows(rules, svc, reps), (label, svc)
+                assert fast == slow_rows(rules, svc, reps), (label, svc)
 
     def test_no_default_rule_denies_undecided_pairs(self):
         rules = [SimpleRule(SimpleMatch(width=8, src=Cidr(0, 1, 8)), True)]
         reps = sorted_reps(rules, 8)
-        assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+        assert _fast_rows(rules, SVC, reps) == slow_rows(rules, SVC, reps)
 
     @pytest.mark.parametrize("side", ["src", "dst"])
     def test_fragmented_rulesets_on_either_side(self, side):
         """Rules fragmented in their sources walk the sources and transpose
         to the columns; fragmented in their destinations, the other way
-        round.  Both equal _slow_rows and the brute-force oracle."""
+        round.  Both equal slow_rows and the brute-force oracle."""
         other = {"src": "dst", "dst": "src"}[side]
         rng = random.Random(f"fragmented-{side}")
         for _ in range(80):
@@ -315,20 +315,20 @@ class TestBitsetRows:
             assert covered(rules, side) < covered(rules, other)
             reps = sorted_reps(rules, 8)
             fast = _fast_rows(rules, SVC, reps)
-            assert fast == _slow_rows(rules, SVC, reps)
+            assert fast == slow_rows(rules, SVC, reps)
             assert fast == tuple(oracle_block_rows(rules, reps))
 
     @pytest.mark.parametrize("side", ["src", "dst"])
     def test_fragmented_rulesets_without_default_deny_undecided_pairs(self, side):
         """Without the default rule the addresses that no rule's single
         address names stay undecided, whichever side is walked; they are
-        denied, as in _slow_rows, and the matrix equals the one with an
+        denied, as in slow_rows, and the matrix equals the one with an
         explicit default deny."""
         rng = random.Random(f"no-default-{side}")
         for _ in range(40):
             rules = fragmented_ruleset(rng, side)[:-1]
             reps = sorted_reps(rules, 8)
-            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+            assert _fast_rows(rules, SVC, reps) == slow_rows(rules, SVC, reps)
             implicit = access_matrix(rules, SVC, width=8)
             explicit = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
             assert (implicit.classes, implicit.edges) == (explicit.classes, explicit.edges)
@@ -452,7 +452,7 @@ class TestInterfaceFreeView:
     def test_no_default_rule_equals_the_wildcarded_copy(self):
         """Rulesets with interface names and no default rule, the same with
         an explicit default deny appended, and the wildcarded copy give
-        the same matrix, and _fast_rows equals _slow_rows on them."""
+        the same matrix, and _fast_rows equals slow_rows on them."""
         rng = random.Random(58)
         names = ["+", "eth+", "eth0", "eth1", "lo"]
         for _ in range(60):
@@ -462,7 +462,7 @@ class TestInterfaceFreeView:
                 for r in random_ruleset(rng)[:-1]
             ]
             reps = sorted_reps(rules, 8)
-            assert _fast_rows(rules, SVC, reps) == _slow_rows(rules, SVC, reps)
+            assert _fast_rows(rules, SVC, reps) == slow_rows(rules, SVC, reps)
             implicit = access_matrix(rules, SVC, width=8)
             explicit = access_matrix(rules + [toy_rule(accept=False)], SVC, width=8)
             want = access_matrix(wildcard_ifaces(rules), SVC, width=8)
@@ -586,16 +586,15 @@ class TestExports:
     def test_json_equals_json_dumps(self, width):
         """to_json writes the text of json.dumps(..., indent=2) of the same
         dict: for one class, for no edges and for random matrices."""
-        fam = "v6" if width == 128 else "v4"
 
         def dumps(m):
             return json.dumps({
                 "service": {"protocol": m.service.protocol, "dport": m.service.dport,
                             "sport": m.service.sport},
-                "classes": {ip_format(rep, fam): [f"{ip_format(lo, fam)}-{ip_format(hi, fam)}"
-                                                  for lo, hi in m.classes[rep].parts]
+                "classes": {ip_format(rep, width): [f"{ip_format(lo, width)}-{ip_format(hi, width)}"
+                                                    for lo, hi in m.classes[rep].parts]
                             for rep in sorted(m.classes)},
-                "edges": [[ip_format(a, fam), ip_format(b, fam)] for a, b in sorted(m.edges)],
+                "edges": [[ip_format(a, width), ip_format(b, width)] for a, b in sorted(m.edges)],
             }, indent=2)
 
         rng = random.Random(f"json-{width}")

@@ -3,13 +3,12 @@ from itertools import chain, combinations
 
 import pytest
 
-from checkers import random_graph, random_library_invariants, random_order
+from checkers import offenders, random_graph, random_library_invariants, random_order
 from netfence.errors import TooLargeForBruteForce
 from netfence.invariants import (
     BRUTE_FORCE_BOUND,
     ConfiguredInvariant,
     all_hold,
-    offenders,
     phi_failing_edges,
     set_offending_flows,
 )

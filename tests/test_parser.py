@@ -17,7 +17,11 @@ from netfence.ruleset import (
     conjuncts,
     table_to_save,
 )
-from netfence.wordinterval import WordInterval, ip_format, ip_parse, parse_address_set
+from netfence.serializer import HostBinding, emit_iptables
+from netfence.spoofing import SpoofVerdict
+from netfence.stateful import StatefulPolicy
+from netfence.wordinterval import (WordInterval, format_interval, ip_format, ip_parse,
+                                   parse_address_set)
 
 
 def _ports(lo, hi):
@@ -274,6 +278,25 @@ class TestParseSave:
             parse_save(f"*filter\n:INPUT ACCEPT [0:0]\n{directive}\nCOMMIT\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("line,policy", [
+        (":X ACCEPT [0:0]", rs.ACCEPT), (":X DROP", rs.DROP), (":X - [0:0]", None),
+        (":X ACCEPT more words", rs.ACCEPT), ("-P X ACCEPT", rs.ACCEPT), ("-P X DROP", rs.DROP),
+    ])
+    def test_chain_policy_forms(self, line, policy):
+        t = parse_save(f"*filter\n{line}\nCOMMIT\n")
+        assert t.chains == {"X": []} and t.policies.get("X") == policy
+
+    @pytest.mark.parametrize("line,message", [
+        (":X", "chain header needs a policy"), (":", "chain header needs a policy"),
+        (":X REJECT [0:0]", "unsupported chain policy 'REJECT'"),
+        ("-P X -", "bad -P line"), ("-P X REJECT", "bad -P line"), ("-P X", "bad -P line"),
+        ("-P", "bad -P line"), ("-P X ACCEPT [0:0]", "bad -P line"),
+    ])
+    def test_bad_chain_policy(self, line, message):
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(f"*filter\n{line}\nCOMMIT\n")
+        assert str(exc.value) == f"{message} (line 2)"
+
     def test_address_error_names_its_line(self):
         text = "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -s 10.0.0.0/33 -j DROP\nCOMMIT\n"
         with pytest.raises(SyntaxError_) as exc:
@@ -463,7 +486,8 @@ class TestAddressLists:
     def test_source_lists_come_before_destination_lists(self):
         rules = parse_save(_save("-A INPUT -d 10.0.0.1,10.0.0.2 -s 1.1.1.1,2.2.2.2 "
                                  "-s 3.3.3.3,4.4.4.4 -j DROP")).chains["INPUT"]
-        addresses = [[ip_format(p.prim.addrs.min()) for p in conjuncts(r.match)] for r in rules]
+        addresses = [[ip_format(p.prim.addrs.min(), 32) for p in conjuncts(r.match)]
+                     for r in rules]
         assert addresses == [[s1, s2, d] for s1 in ("1.1.1.1", "2.2.2.2")
                           for s2 in ("3.3.3.3", "4.4.4.4") for d in ("10.0.0.1", "10.0.0.2")]
 
@@ -581,7 +605,51 @@ class TestPrintedSpelling:
 
     def test_v6_range_spelling(self):
         prim = rs.Src(parse_address_set("2001:db8::1-2001:db8::5", "v6"))
-        assert rs.prim_to_args(prim, family="v6") == "-m iprange --src-range 2001:db8::1-2001:db8::5"
+        assert rs.prim_to_args(prim) == "-m iprange --src-range 2001:db8::1-2001:db8::5"
+
+
+V6_RANGE = parse_address_set("2001:db8::1-2001:db8::5", "v6")
+V6_CIDR = parse_address_set("2001:db8:1::/48", "v6")
+
+
+class TestV6Printing:
+    """With no family argument, every printer writes a v6 set as v6 text,
+    the family being its width, and parse_save(..., "v6") reads it back."""
+
+    @pytest.mark.parametrize("prim,text", [
+        (rs.Src(V6_RANGE), "-m iprange --src-range 2001:db8::1-2001:db8::5"),
+        (rs.Dst(V6_RANGE), "-m iprange --dst-range 2001:db8::1-2001:db8::5"),
+        (rs.Src(V6_CIDR), "-s 2001:db8:1::/48"),
+        (rs.Dst(V6_CIDR), "-d 2001:db8:1::/48"),
+    ], ids=["src-range", "dst-range", "src-cidr", "dst-cidr"])
+    def test_prim_to_args_reads_back(self, prim, text):
+        assert rs.prim_to_args(prim) == text
+        rule, = parse_save(_save(f"-A INPUT {text} -j ACCEPT"), "v6").chains["INPUT"]
+        assert rule.match == MPrim(prim)
+
+    def test_table_to_save_reads_back(self):
+        t = rs.Table({"FORWARD": [
+            rs.Rule(rs.mand(MPrim(rs.Src(V6_RANGE)), MNot(MPrim(rs.Dst(V6_CIDR)))), rs.ACCEPT),
+            rs.Rule(rs.mand(MPrim(rs.Src(V6_CIDR)), MPrim(rs.Dst(V6_RANGE))), rs.DROP),
+        ]}, {"FORWARD": rs.DROP})
+        text = table_to_save(t)
+        assert "--src-range 2001:db8::1-2001:db8::5" in text
+        assert parse_save(text, "v6").chains == t.chains
+
+    def test_emit_iptables_reads_back(self):
+        t = StatefulPolicy.of({"a", "b"}, {("a", "b")}, frozenset())
+        binding = {"a": HostBinding("va", V6_RANGE), "b": HostBinding("vb", V6_CIDR)}
+        text = emit_iptables(t, binding)
+        assert "-m iprange --src-range 2001:db8::1-2001:db8::5 -o vb -d 2001:db8:1::/48" in text
+        rule, = parse_save(text, "v6").chains["FORWARD"]
+        assert rule.match == rs.mand(*(MPrim(p) for p in (
+            rs.IIface("va"), rs.Src(V6_RANGE), rs.OIface("vb"), rs.Dst(V6_CIDR))))
+
+    def test_residual_and_interval_text(self):
+        residual = V6_RANGE.union(parse_address_set("2001:db8::9", "v6"))
+        assert format_interval(residual) == "{2001:db8::1 .. 2001:db8::5} ∪ {2001:db8::9}"
+        assert SpoofVerdict("eth0", False, 2, residual).report_line() == \
+            "eth0: FAIL at rule #2 (residual range {2001:db8::1 .. 2001:db8::5} ∪ {2001:db8::9})"
 
 
 class TestParseIpassmt:

@@ -7,9 +7,9 @@ from itertools import product
 
 import pytest
 
-from checkers import (definitional_normalize_nnf, equality_mand, equality_opt_match,
-                      nested_chains, rebuilding_ctstate_specialize, return_chain,
-                      seeded_return_ladder)
+from checkers import (FALSE, TRUE, UNKNOWN, definitional_normalize_nnf, equality_mand,
+                      equality_opt_match, nested_chains, rebuilding_ctstate_specialize,
+                      return_chain, seeded_return_ladder, ternary_eval, ternary_list_eval)
 import conftest
 from conftest import load_ruleset, stable_hash
 from netfence import ruleset as rs
@@ -37,9 +37,6 @@ from netfence.ruleset import (
 from netfence.semantics import (
     ALLOW,
     DENY,
-    FALSE,
-    TRUE,
-    UNKNOWN,
     Packet,
     bigstep_evaluator,
     bool_matcher,
@@ -48,8 +45,6 @@ from netfence.semantics import (
     normalize_nnf,
     process_return,
     simple_list_eval,
-    ternary_eval,
-    ternary_list_eval,
     unfold,
 )
 from netfence.wordinterval import WordInterval, ip_parse, parse_address_set

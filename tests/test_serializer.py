@@ -128,7 +128,7 @@ class TestIpv6Emission:
             "a": HostBinding("va", parse_address_set("2001:db8::1", "v6")),
             "b": HostBinding("vb", parse_address_set("2001:db8::/64", "v6")),
         }
-        text = emit_iptables(t, binding, family="v6")
+        text = emit_iptables(t, binding)
         assert "-s 2001:db8::1/128" in text
         assert "-d 2001:db8::/64" in text
         table = parse_save(text, family="v6")
@@ -251,7 +251,7 @@ def _random_binding_spec(rng, hosts, family):
         base = ip_parse(home, family) + ((i + 1) << shift)
 
         def text(offset):
-            return ip_format(base + offset, family)
+            return ip_format(base + offset, width)
 
         def odd_range(block):  # starts on an odd offset, so no single CIDR
             lo = 256 * block + 2 * rng.randrange(100) + 1
@@ -305,7 +305,7 @@ class TestWriterDifferential:
             sigma = {f for f in flows if rng.random() < 0.5}
             t = StatefulPolicy.of(hosts, flows, sigma)
             binding = binding_from_json(_random_binding_spec(rng, hosts, family), family)
-            rules = unfold(parse_save(emit_iptables(t, binding, family), family), "FORWARD")
+            rules = unfold(parse_save(emit_iptables(t, binding), family), "FORWARD")
 
             def bound(host, iface, addr):
                 b = binding[host]

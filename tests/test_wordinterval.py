@@ -231,11 +231,16 @@ class TestCidr:
 
 class TestAddressText:
     def test_v4_format(self):
-        assert ip_format(0x0A000001, "v4") == "10.0.0.1"
+        assert ip_format(0x0A000001, 32) == "10.0.0.1"
 
     def test_v6_roundtrip(self):
         text = "2001:4ca0:2001:13:216:3eff:fea7:6ad5"
-        assert ip_format(ip_parse(text, "v6"), "v6") == text
+        assert ip_format(ip_parse(text, "v6"), 128) == text
+
+    @pytest.mark.parametrize("width", [0, 16, 31, 64, 127, 129])
+    def test_format_refuses_a_width_of_no_family(self, width):
+        with pytest.raises(ValueError, match="no address family"):
+            ip_format(1, width)
 
     def test_v6_loopback(self):
         assert ip_parse("::1", "v6") == 1
@@ -272,18 +277,18 @@ class TestAddressText:
         values = [0, 2**32 - 1, *octet_edges, *(v - 1 for v in octet_edges),
                   *(rng.getrandbits(32) for _ in range(10_000))]
         for value in values:
-            assert ip_format(value, "v4") == str(ipaddress.IPv4Address(value)), value
+            assert ip_format(value, 32) == str(ipaddress.IPv4Address(value)), value
         for value in (-1, 2**32):
             with pytest.raises(ValueError):
-                ip_format(value, "v4")
+                ip_format(value, 32)
 
     @given(st.integers(0, 2**32 - 1))
     def test_v4_parse_format_identity(self, value):
-        assert ip_parse(ip_format(value, "v4")) == value
+        assert ip_parse(ip_format(value, 32)) == value
 
     @given(st.integers(0, 2**128 - 1))
     def test_v6_parse_format_identity(self, value):
-        assert ip_parse(ip_format(value, "v6"), "v6") == value
+        assert ip_parse(ip_format(value, 128), "v6") == value
 
     def test_interval_syntax(self):
         wi = parse_address_set("10.0.0.1-10.0.0.3")
@@ -294,6 +299,8 @@ class TestAddressText:
         assert format_interval(wi) == "{10.0.1.1 .. 10.0.1.4}"
         single = parse_address_set("10.0.0.1")
         assert format_interval(single) == "{10.0.0.1}"
+        v6 = parse_address_set("2001:db8::/127", "v6").union(parse_address_set("::1", "v6"))
+        assert format_interval(v6) == "{::1} ∪ {2001:db8:: .. 2001:db8::1}"
 
 
 def definitional_cidrs(wi):

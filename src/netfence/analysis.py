@@ -64,8 +64,10 @@ class ServiceTemplate:
         return Packet(src=src, dst=dst, protocol=self.protocol, sport=self.sport, dport=self.dport)
 
 
-def ip_partition(rules, width=32) -> list:
-    """Partition the address universe by every src/dst set in the ruleset.
+def ip_partition(rules, width) -> list:
+    """Partition the `width`-bit address universe by every src/dst set in
+    the ruleset; the width has no default, since rules of either family
+    would be read without complaint in a wrong one.
 
     Two addresses share a block iff they lie in the same rule address
     sets, so every block is treated uniformly by the ruleset.  One sweep:
@@ -239,8 +241,8 @@ class AccessMatrix:
         ], 0, "{}")
 
 
-def access_matrix(rules, svc: ServiceTemplate, width=32) -> AccessMatrix:
-    """Build the minimal service matrix.
+def access_matrix(rules, svc: ServiceTemplate, width) -> AccessMatrix:
+    """Build the minimal service matrix over the `width`-bit addresses.
 
     The blocks of ip_partition (ascending by minimum) are numbered, and rows
     and columns are bitsets over block indices (_fast_rows): the cost is

@@ -24,7 +24,7 @@ from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
 from .stateful import StatefulPolicy, generate_stateful
-from .synthesis import generate_valid_topology3, maximum_policy, policy_diff
+from .synthesis import ClassRows, generate_valid_topology3, maximum_policy, policy_diff
 from .templates import load_invariants
 from .wordinterval import WordInterval, family_width
 
@@ -162,8 +162,9 @@ def _cmd_synthesize(args):
 
     maximum = None
     if args.verify:
-        report = all_hold(invariants, manual)
-        maximum = maximum_policy(invariants, nodes)
+        phi_only = all(inv.phi is not None for inv in invariants)
+        maximum = ClassRows(invariants, nodes) if phi_only else maximum_policy(invariants, nodes)
+        report = all_hold(invariants, manual, getattr(maximum, "class_of", None))
         diff = policy_diff(manual, invariants, maximum, report)
         if not args.construct:
             maximum = None  # free it before the outputs are built
@@ -176,7 +177,7 @@ def _cmd_synthesize(args):
 
     graph = manual
     if args.construct or graph is None:
-        constructed = maximum
+        constructed = maximum  # ClassRows from --verify writes its outputs from its rows
         if constructed is None:
             try:
                 constructed = maximum_policy(invariants, nodes)

@@ -13,9 +13,11 @@ and the stateful filters check each candidate backflow on the edges it
 adds alone (phi_failing_edges over those edges).  set_offending_flows
 takes a Phi invariant's verdict from its phi-failing edges without a
 separate `holds` pass, and all_hold reads every verdict off
-set_offending_flows.  synthesis.maximum_policy groups the
-hosts into classes of equal attributes and checks every phi once per
-ordered pair of classes, plus once per host for the reflexive edge.
+set_offending_flows.  synthesis.ClassRows groups the hosts into classes
+of equal attributes and checks every phi once per ordered pair of
+classes, plus once per host for the reflexive edge; given its class ids,
+all_hold checks every phi once per class pair that holds an edge of the
+graph, plus once per reflexive edge.
 
 The non-Phi library templates (CommWith, NotCommWith, Dependability,
 DependabilityNonRefl, NonInterference) carry an incremental state
@@ -117,6 +119,12 @@ def phi_failing_edges(inv: ConfiguredInvariant, edges) -> set:
     return fails
 
 
+def _phi_offending(fails) -> frozenset:
+    """A Phi-structured invariant's offending-flow set: one member, its
+    phi-failing edges `fails`, or none when there are none."""
+    return frozenset({frozenset(fails)}) if fails else frozenset()
+
+
 def _powerset(items):
     return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
@@ -131,8 +139,7 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     bound.
     """
     if inv.phi is not None:
-        fails = phi_failing_edges(inv, graph.edges)
-        return frozenset({frozenset(fails)}) if fails else frozenset()
+        return _phi_offending(phi_failing_edges(inv, graph.edges))
     if inv.holds(graph):
         return frozenset()
     edges = graph.sorted_edges()
@@ -204,19 +211,36 @@ def _verdict_json(v: InvariantVerdict) -> str:
     ], 2, "{}")
 
 
-def all_hold(invariants, graph: PolicyGraph) -> ComplianceReport:
+def all_hold(invariants, graph: PolicyGraph, class_of=None) -> ComplianceReport:
     """Evaluate every invariant; the report's overall verdict is the
     conjunction.  An invariant holds exactly when set_offending_flows
     finds no offending flow.  That refuses to enumerate only after `holds`
     returned False, so past the brute-force bound the verdict is False and
-    the offending flows are not computed (None)."""
+    the offending flows are not computed (None).
+
+    With `class_of`, an integer class id per host under which every phi
+    gives one verdict on all pairs of distinct hosts of two classes
+    (synthesis.ClassRows.class_of), the edges are grouped by the class
+    ids of their ends, each reflexive edge alone, and phi_failing_edges
+    decides each Phi invariant on the first edge of every group."""
+    groups = {}
+    if class_of is not None:
+        for e in graph.edges:
+            s, r = e
+            # a reflexive edge is its own group: phi may read the host's name
+            groups.setdefault(s if s == r else (class_of[s], class_of[r]), []).append(e)
+    firsts = [g[0] for g in groups.values()]
     report = ComplianceReport()
     for inv in invariants:
-        try:
-            offending = set_offending_flows(inv, graph)
-        except TooLargeForBruteForce:
-            ok, offending = False, None
+        if class_of is not None and inv.phi is not None:
+            failing = phi_failing_edges(inv, firsts)
+            offending = _phi_offending([e for g in groups.values() if g[0] in failing for e in g])
         else:
-            ok, offending = offending == frozenset(), offending or None
-        report.verdicts.append(InvariantVerdict(inv.template_id, inv.strategy, ok, offending))
+            try:
+                offending = set_offending_flows(inv, graph)
+            except TooLargeForBruteForce:
+                offending = None
+        ok = offending == frozenset()
+        report.verdicts.append(InvariantVerdict(inv.template_id, inv.strategy, ok,
+                                                offending or None))
     return report

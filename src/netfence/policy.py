@@ -62,12 +62,7 @@ class PolicyGraph:
     # -- serialization -------------------------------------------------
 
     def to_json(self):
-        """The text of json.dumps(..., indent=2) of the sorted nodes and
-        edges."""
-        return json_block([
-            '"nodes": ' + json_block([json_string(n) for n in self.sorted_nodes()], 1),
-            '"edges": ' + json_pairs(self.sorted_edges(), 1),
-        ], 0, "{}")
+        return policy_json(self.sorted_nodes(), self.sorted_edges())
 
     @classmethod
     def from_json(cls, text):
@@ -87,27 +82,54 @@ class PolicyGraph:
         """Graphviz digraph of the graph's edges, plus the edges of each
         (edges, attribute) pair in `styles` drawn with that attribute
         string, such as 'style=dashed, color=red'; a later pair's
-        attribute wins.  Every edge must join two of the graph's nodes.
+        attribute wins (see dot_text)."""
+        return dot_text(self.nodes, [(self.edges, None), *styles])
 
-        Edges are written in sorted order, row by row: each source's
-        sorted receivers.  Node names are quoted DOT IDs, with `\\` and
-        `"` escaped."""
-        nodes = self.sorted_nodes()
-        quoted = {n: '"' + str(n).replace("\\", "\\\\").replace('"', '\\"') + '"'
-                  for n in nodes}
-        rows = {n: {} for n in nodes}
-        for edges, attr in ((self.edges, None), *styles):
-            end = f" [{attr}];" if attr else ";"
-            target = {n: q + end for n, q in quoted.items()}
-            for s, r in edges:
-                rows[s][r] = target[r]
-        lines = ["digraph policy {"]
-        lines += [f"  {quoted[n]};" for n in nodes]
-        for s in nodes:
-            row, arrow = rows[s], f"  {quoted[s]} -> "
-            lines += [arrow + row[r] for r in sorted(row)]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+
+def policy_json(nodes, edges) -> str:
+    """The text of json.dumps(..., indent=2) of a policy's sorted nodes and
+    edges, given in that order."""
+    return json_block([
+        '"nodes": ' + json_block([json_string(n) for n in nodes], 1),
+        '"edges": ' + json_pairs(edges, 1),
+    ], 0, "{}")
+
+
+def dot_text(nodes, styled, rest=None) -> str:
+    """Graphviz digraph over `nodes`, written row by row: each source in
+    sorted order, then its sorted receivers.  The edges are those of each
+    (edges, attribute) pair in `styled`, drawn with that attribute string
+    (with none when it is None), a later pair's attribute winning, and,
+    when `rest` is a pair (row, attribute), the edges from each source s
+    to the receivers row(s), a sorted list that holds none of s's styled
+    receivers, drawn with that attribute.  A source with no styled edge
+    takes its lines from row(s) in one pass.  Every edge must join two of
+    `nodes`.  Node names are quoted DOT IDs, with `\\` and `"` escaped."""
+    nodes = sorted(nodes)
+    quoted = {n: '"' + str(n).replace("\\", "\\\\").replace('"', '\\"') + '"'
+              for n in nodes}
+
+    def ends(attr):  # each node's quoted name, ending an edge line drawn with attr
+        end = f" [{attr}];" if attr else ";"
+        return {n: q + end for n, q in quoted.items()}
+
+    styled_ends = {n: {} for n in nodes}  # source -> {receiver: line end}
+    for edges, attr in styled:
+        end = ends(attr)
+        for s, r in edges:
+            styled_ends[s][r] = end[r]
+    row, rest_end = (rest[0], ends(rest[1])) if rest else (lambda s: (), None)
+    lines = ["digraph policy {"]
+    lines += [f"  {quoted[n]};" for n in nodes]
+    for s in nodes:
+        arrow, mine, more = f"  {quoted[s]} -> ", styled_ends[s], row(s)
+        if mine:
+            lines += [arrow + (mine[r] if r in mine else rest_end[r])
+                      for r in sorted([*more, *mine])]
+        else:
+            lines += [arrow + rest_end[r] for r in more]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def decode_names(value) -> tuple:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ruleset as rs
-from .errors import IfaceNotInIpassmt, MissingFinalRule, WidthMismatch
+from .errors import MissingFinalRule, WidthMismatch
 from .ruleset import MAnd, MNot, MTrue, match_iface
 from .wordinterval import WordInterval, block_mask, block_minima, format_interval, mask_interval
 
@@ -114,18 +114,6 @@ def _certify(rules, iface, side, masks, full, allowed):
         else:
             deny |= under & ~acc
     return failing, acc & outside & ~deny
-
-
-def sp_certify(rules, iface, ipassmt, field="in") -> SpoofVerdict:
-    """Certify one interface of an unfolded Accept/Drop rule list.
-
-    The list must end in an explicit catch-all rule (the unfolded default
-    policy guarantees this).  `field` selects which interface side the
-    certification is about: "in" for INPUT/FORWARD, "out" for OUTPUT.
-    """
-    if iface not in ipassmt:
-        raise IfaceNotInIpassmt(iface)
-    return sp_certify_all(rules, {iface: ipassmt[iface]}, field)[iface]
 
 
 def sp_certify_all(rules, ipassmt, field="in") -> dict:

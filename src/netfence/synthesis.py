@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, product
 
 from .errors import PreconditionViolated
 from .invariants import ConfiguredInvariant, all_hold, phi_failing_edges, set_offending_flows
-from .policy import PolicyGraph
+from .policy import PolicyGraph, adjacency, dot_text, policy_json
 
 
 def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
@@ -26,51 +27,126 @@ def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
     return graph.delete_edges(removed)
 
 
+class EdgeRows(Set):
+    """A set of edges held as rows: for each of the sorted `sources`,
+    row(s) is the sorted list of its receivers (empty for any other
+    host), and `size` is the number of edges.  It iterates in sorted
+    order; a set operation with another set gives a frozenset."""
+
+    def __init__(self, sources, row, size):
+        self.sources, self.row, self.size = sources, row, size
+
+    @classmethod
+    def _from_iterable(cls, edges):
+        return frozenset(edges)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return chain.from_iterable(product((s,), self.row(s)) for s in self.sources)
+
+    def __contains__(self, edge):
+        return edge[1] in self.row(edge[0])
+
+
+class ClassRows(EdgeRows):
+    """The maximum policy of Phi-structured invariants over `nodes`, as
+    the receiver rows of classes of hosts.
+
+    Hosts are in one class when they have equal attributes in every
+    invariant, and also the same name where an invariant's phi reads
+    names (ConfiguredInvariant.phi_reads_names), so every phi gives one
+    verdict on all pairs of distinct hosts drawn from two classes.  Each
+    phi is called at most once per ordered pair of classes, on distinct
+    representatives (the first members in sorted order, or the first two
+    for a class paired with itself), and once per host for its reflexive
+    edge unless the invariant is `norefl`.  A class keeps one sorted row
+    of receivers; a host's row is its class's, with its own name added or
+    taken out by its reflexive verdict.  `class_of` maps each host to its
+    class's integer id."""
+
+    def __init__(self, invariants, nodes):
+        keyed, order = {}, sorted(nodes)
+        for h in order:
+            key = tuple(h if inv.phi_reads_names else inv.attr_map(h) for inv in invariants)
+            keyed.setdefault(key, []).append(h)
+        # (id, representative, attributes, members) of each class
+        classes = [(c, hosts[0], [inv.attr_map(hosts[0]) for inv in invariants], hosts)
+                   for c, hosts in enumerate(keyed.values())]
+        self.class_of = {h: c for c, _, _, hosts in classes for h in hosts}
+        self.reach = []  # per class, the ids of the classes its hosts may reach
+        for c, s, attrs_s, hosts in classes:
+            # narrowed phi by phi; c itself is represented by its second member
+            targets = [t for t in classes if t[0] != c]
+            if len(hosts) > 1:
+                targets.append((c, hosts[1], attrs_s))
+            for i, inv in enumerate(invariants):
+                phi, a_s = inv.phi, attrs_s[i]
+                targets = [t for t in targets if phi(a_s, s, t[2][i], t[1])]
+            self.reach.append({t[0] for t in targets})
+        refl = [(i, inv.phi) for i, inv in enumerate(invariants) if not inv.norefl]
+        self.refl = {h: all(phi(attrs[i], h, attrs[i], h) for i, phi in refl)
+                     for _, _, attrs, hosts in classes for h in hosts}
+        for c, s, _, hosts in classes:  # a lone host's row holds it by its reflexive verdict
+            if len(hosts) == 1 and self.refl[s]:
+                self.reach[c].add(c)
+        self.class_rows = [sorted(chain.from_iterable(classes[d][3] for d in reach))
+                           for reach in self.reach]
+        size = sum(len(self.class_rows[c]) * len(hosts) for c, _, _, hosts in classes)
+        size += sum(self.refl[h] - (c in self.reach[c]) for h, c in self.class_of.items())
+        super().__init__(order, self._host_row, size)
+
+    def _host_row(self, h):
+        c = self.class_of.get(h)
+        if c is None:
+            return []
+        row = self.class_rows[c]
+        if (c in self.reach[c]) == self.refl[h]:
+            return row
+        return sorted([*row, h]) if self.refl[h] else [r for r in row if r != h]
+
+    @property
+    def edges(self) -> EdgeRows:
+        """These rows.  With to_json and to_dot, which write from the rows
+        what PolicyGraph's write, --construct reads ClassRows as it reads
+        the maximum policy's PolicyGraph."""
+        return self
+
+    def to_json(self):
+        return policy_json(self.sources, list(self))
+
+    def to_dot(self):
+        return dot_text(self.sources, [], (self.row, None))
+
+    def without(self, graph: PolicyGraph) -> EdgeRows:
+        """These edges less those of `graph`, a policy over the same
+        hosts, as rows, each filtered from this one when its source has an
+        edge in `graph`."""
+        theirs, class_of, reach = adjacency(graph.edges), self.class_of, self.reach
+
+        def row(s):
+            mine, drop = self.row(s), theirs.get(s)
+            return [r for r in mine if r not in drop] if drop else mine
+
+        shared = sum(self.refl[s] if s == r else class_of[r] in reach[class_of[s]]
+                     for s, r in graph.edges)
+        return EdgeRows(self.sources, row, self.size - shared)
+
+
 def maximum_policy(invariants, nodes) -> PolicyGraph:
     """The most permissive policy over `nodes` that satisfies the
     invariants, by definition
     generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all()).
 
     When every invariant is Phi-structured that is the set of host pairs
-    on which every phi holds, computed over classes of hosts without
-    building the allow-all graph.  Hosts are in one class when they have
-    equal attributes in every invariant, and also the same name where an
-    invariant's phi reads names (ConfiguredInvariant.phi_reads_names), so
-    every phi gives one verdict on all pairs of distinct hosts drawn from
-    two classes.  Each phi is called at most once per ordered pair of
-    classes, on distinct representatives (the first members in sorted
-    order, or the first two for a class paired with itself), and once
-    per host for its reflexive edge unless the invariant is `norefl`.
-    Otherwise the definition is evaluated, and a non-Phi invariant past
-    its brute-force bound raises TooLargeForBruteForce."""
+    on which every phi holds, built from ClassRows without building the
+    allow-all graph.  Otherwise the definition is evaluated, and a non-Phi
+    invariant past its brute-force bound raises TooLargeForBruteForce."""
     if any(inv.phi is None for inv in invariants):
         return generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all())
-    nodes = frozenset(nodes)
-    members = {}
-    for h in sorted(nodes):
-        key = tuple(h if inv.phi_reads_names else inv.attr_map(h) for inv in invariants)
-        members.setdefault(key, []).append(h)
-    classes = [(hosts, hosts[0], [inv.attr_map(hosts[0]) for inv in invariants])
-               for hosts in members.values()]
-    blocks = []  # iterables of edges
-    for cs, s, attrs_s in classes:
-        # the classes that s may reach, narrowed phi by phi, as (members,
-        # representative, attributes); cs itself is represented by its
-        # second member
-        targets = [c for c in classes if c[0] is not cs]
-        if len(cs) > 1:
-            targets.append((cs, cs[1], attrs_s))
-        for i, inv in enumerate(invariants):
-            phi, a_s = inv.phi, attrs_s[i]
-            targets = [t for t in targets if phi(a_s, s, t[2][i], t[1])]
-        if targets and targets[-1][0] is cs:
-            blocks.append(permutations(cs, 2))
-            targets.pop()
-        blocks.append(product(cs, [r for cr, _, _ in targets for r in cr]))
-    refl = [(i, inv.phi) for i, inv in enumerate(invariants) if not inv.norefl]
-    blocks.append([(h, h) for hosts, _, attrs in classes for h in hosts
-                   if all(phi(attrs[i], h, attrs[i], h) for i, phi in refl)])
-    return PolicyGraph(nodes, frozenset(chain.from_iterable(blocks)))
+    rows = ClassRows(invariants, nodes)
+    return PolicyGraph(frozenset(rows.sources), frozenset(rows))
 
 
 def minimalize_offending_overapprox(
@@ -149,28 +225,34 @@ def generate_valid_topology3(invariants, graph: PolicyGraph) -> PolicyGraph:
 
 @dataclass(frozen=True)
 class DiffReport:
-    """How a manual policy relates to what the invariants require."""
+    """How a manual policy relates to what the invariants require.  From
+    ClassRows, policy_diff gives `absent` as EdgeRows (ClassRows.without),
+    so that the V² absent flows are never held edge by edge."""
 
     kept: frozenset       # in the policy and allowed
     violating: frozenset  # in the policy but forbidden
-    absent: frozenset     # allowed by the maximum policy but not specified
+    absent: Set           # allowed by the maximum policy but not specified
 
     def to_dot(self, graph: PolicyGraph) -> str:
         """The diff over the manual policy `graph`'s nodes: every kept,
         violating (dashed red) and absent (dashed gray) edge."""
-        return PolicyGraph(graph.nodes, self.kept).to_dot([
-            (self.violating, "style=dashed, color=red"),
-            (self.absent, "style=dashed, color=gray"),
-        ])
+        styled = [(self.kept, None), (self.violating, "style=dashed, color=red")]
+        gray = "style=dashed, color=gray"
+        if isinstance(self.absent, EdgeRows):
+            return dot_text(graph.nodes, styled, (self.absent.row, gray))
+        return dot_text(graph.nodes, styled + [(self.absent, gray)])
 
 
 def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> DiffReport:
     """Compare a manual policy with the invariants.  `maximum` is the
-    maximum policy over the manual policy's hosts and `report` is
-    all_hold(invariants, manual), each when the caller already has it;
-    they are computed otherwise."""
+    maximum policy over the manual policy's hosts, as a PolicyGraph or as
+    ClassRows, and `report` is all_hold(invariants, manual), each when
+    the caller already has it; they are computed otherwise, on ClassRows
+    and its classes when every invariant is Phi-structured."""
+    if maximum is None and all(inv.phi is not None for inv in invariants):
+        maximum = ClassRows(invariants, manual.nodes)
     if report is None:
-        report = all_hold(invariants, manual)
+        report = all_hold(invariants, manual, getattr(maximum, "class_of", None))
     violating = set()
     for inv, verdict in zip(invariants, report.verdicts):
         offending = verdict.offending
@@ -180,6 +262,8 @@ def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> D
             violating |= flow_set
     if maximum is None:
         maximum = maximum_policy(invariants, manual.nodes)
-    absent = maximum.edges - manual.edges
-    kept = manual.edges - violating
-    return DiffReport(frozenset(kept), frozenset(violating), frozenset(absent))
+    if isinstance(maximum, ClassRows):
+        absent = maximum.without(manual)
+    else:
+        absent = frozenset(maximum.edges - manual.edges)
+    return DiffReport(frozenset(manual.edges - violating), frozenset(violating), absent)

@@ -17,7 +17,8 @@ from netfence.policy import PolicyGraph, Strategy
 from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
 from netfence.semantics import ALLOW, DENY, UNDECIDED, default_known
 from netfence.simplefw import SimpleRule, simple_fw_eval
-from netfence.spoofing import SpoofVerdict
+from netfence.errors import IfaceNotInIpassmt
+from netfence.spoofing import SpoofVerdict, sp_certify_all
 from netfence.templates import LIBRARY_IDS, TEMPLATES
 from netfence.wordinterval import WordInterval, parse_address_set
 
@@ -177,20 +178,22 @@ def random_order(rng, graph, foreign):
 
 
 def sorting_dot(nodes, edges, edge_attrs=None):
-    """The DOT writer by sorting every (source, receiver) tuple, names
-    quoted without escaping: the oracle of PolicyGraph.to_dot, which
-    writes rows, for names without `"` or `\\`.  `edge_attrs` maps an
-    edge to its attribute string."""
+    """The DOT writer by sorting every (source, receiver) tuple: the oracle
+    of policy.dot_text, which writes rows.  Names are quoted with `\\` and
+    `"` escaped.  `edge_attrs` maps an edge to its attribute string."""
+    def quoted(n):
+        return '"' + n.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = ["digraph policy {"]
     for n in sorted(nodes):
-        lines.append(f'  "{n}";')
+        lines.append(f"  {quoted(n)};")
     for s, r in sorted(edges):
         extra = ""
         if edge_attrs:
             a = edge_attrs.get((s, r))
             if a:
                 extra = f" [{a}]"
-        lines.append(f'  "{s}" -> "{r}"{extra};')
+        lines.append(f"  {quoted(s)} -> {quoted(r)}{extra};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -385,6 +388,19 @@ def _interval_bounds(m, iface, side, width, memo):
         got = everything, nothing
     memo[id(m)] = got
     return got
+
+
+def sp_certify(rules, iface, ipassmt, field="in"):
+    """Certify one interface of an unfolded Accept/Drop rule list, through
+    spoofing.sp_certify_all on a one-interface assignment.
+
+    The list must end in an explicit catch-all rule (the unfolded default
+    policy guarantees this).  `field` selects which interface side the
+    certification is about: "in" for INPUT/FORWARD, "out" for OUTPUT.
+    """
+    if iface not in ipassmt:
+        raise IfaceNotInIpassmt(iface)
+    return sp_certify_all(rules, {iface: ipassmt[iface]}, field)[iface]
 
 
 def definitional_certify(rules, ipassmt, field="in"):

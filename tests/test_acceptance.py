@@ -10,6 +10,7 @@ from itertools import combinations
 
 import checkers
 import scenarios as sc
+from checkers import sp_certify
 from conftest import CORPUS, load_ruleset, stable_hash
 from netfence import ruleset as rs
 from netfence.analysis import ServiceTemplate, access_matrix, ip_partition
@@ -36,7 +37,6 @@ from netfence.simplefw import (
     simple_rules_table,
     translate_to_simple,
 )
-from netfence.spoofing import sp_certify
 from netfence.stateful import StatefulPolicy, alpha, compliance_check, generate_stateful
 from netfence.synthesis import generate_valid_topology
 from netfence.templates import TEMPLATES, instantiate

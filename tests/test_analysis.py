@@ -445,8 +445,8 @@ class TestInterfaceFreeView:
                    for label in translated for r in rules[label])
         for label in translated:
             for svc in map(ServiceTemplate.preset, ("ssh", "http", "udp:53")):
-                got = access_matrix(rules[label], svc)
-                want = access_matrix(rules[f"{label} without interfaces"], svc)
+                got = access_matrix(rules[label], svc, 32)
+                want = access_matrix(rules[f"{label} without interfaces"], svc, 32)
                 assert (got.classes, got.edges) == (want.classes, want.edges), (label, svc)
 
     def test_no_default_rule_equals_the_wildcarded_copy(self):

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from checkers import definitional_certify, doubling_returns, return_ladder, seeded_return_ladder
+from checkers import (definitional_certify, doubling_returns, return_ladder, seeded_return_ladder,
+                      sp_certify)
 from conftest import CORPUS, load_ruleset, stable_hash
 from test_semantics import _random_set
 from test_simplefw import _random_table
@@ -14,7 +15,7 @@ from netfence.parser import parse_ipassmt, parse_save
 from netfence.ruleset import MAnd, MNot, MPrim, MTrue, Rule, mand
 from netfence.semantics import (ALLOW, Packet, bigstep_evaluator, bool_matcher,
                                 normalize_nnf, unfold)
-from netfence.spoofing import _blocks, _bounds, sp_certify, sp_certify_all
+from netfence.spoofing import _blocks, _bounds, sp_certify_all
 from netfence.wordinterval import WordInterval, mask_interval, parse_address_set
 
 FWBUILDER_IPASSMT = parse_ipassmt(

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 from collections import Counter
@@ -14,17 +16,22 @@ from checkers import (
     random_graph,
     random_library_invariants,
     random_order,
+    sorting_dot,
 )
+from netfence import cli
 from netfence.errors import PreconditionViolated, TooLargeForBruteForce
 from netfence.invariants import (
+    ComplianceReport,
     ConfiguredInvariant,
     GraphState,
+    InvariantVerdict,
     all_hold,
     phi_failing_edges,
     set_offending_flows,
 )
 from netfence.policy import AttrMap, PolicyGraph, Strategy
 from netfence.synthesis import (
+    ClassRows,
     generate_valid_topology,
     generate_valid_topology3,
     insertion_member,
@@ -550,3 +557,121 @@ class TestPolicyDiff:
         diff = policy_diff(g, [blp({"db1": 1})])
         dot = diff.to_dot(g)
         assert "color=red" in dot and "color=gray" in dot
+
+
+def definitional_verify(manual, invariants):
+    """What `synthesize --verify` writes, by definition: verify.json from
+    each invariant's set_offending_flows, diff.dot by checkers.sorting_dot
+    over the maximum policy generate_valid_topology(..., allow_all()), and
+    the verify: line."""
+    report = ComplianceReport()
+    violating = set()
+    for inv in invariants:
+        offending = set_offending_flows(inv, manual)
+        report.verdicts.append(InvariantVerdict(inv.template_id, inv.strategy,
+                                                offending == frozenset(), offending or None))
+        for flow_set in offending:
+            violating |= flow_set
+    absent = generate_valid_topology(invariants, manual.allow_all()).edges - manual.edges
+    attrs = {**dict.fromkeys(violating, "style=dashed, color=red"),
+             **dict.fromkeys(absent, "style=dashed, color=gray")}
+    dot = sorting_dot(manual.nodes, manual.edges | absent, attrs)
+    line = (f"verify: {'OK' if report.overall else 'VIOLATED'}; "
+            f"{len(violating)} violating, {len(absent)} absent flows")
+    return report.to_json(), dot, line
+
+
+def verify_hosts(rng):
+    """12 to 30 host names, one holding `"` and one `\\`, shuffled."""
+    hosts = [f"h{i:02d}" for i in range(rng.randint(10, 28))] + ['q"uote', "back\\slash"]
+    rng.shuffle(hosts)
+    return hosts
+
+
+def verify_policy(rng, hosts, invariants):
+    """A policy over `hosts` with a few reflexive edges and some hosts
+    without edges: either random edges, or a part of the maximum policy."""
+    senders = rng.sample(hosts, len(hosts) * 2 // 3)
+    if rng.random() < 0.3:
+        maximum = sorted(maximum_policy(invariants, hosts).edges)
+        edges = [e for e in maximum if e[0] in senders and rng.random() < 0.5]
+    else:
+        edges = [(s, rng.choice(hosts)) for s in senders for _ in range(rng.randint(1, 4))]
+        edges += [(h, h) for h in rng.sample(hosts, 3)]
+    return PolicyGraph.of(hosts, edges)
+
+
+class TestVerifyOnClasses:
+    """`synthesize --verify --construct` on host classes writes what the
+    definition writes: verify.json, diff.dot, the verify: line and, when
+    the policy verifies, policy.json and policy.dot.  Specs are random
+    library Phi specs, class_spec's (a singleton class and two hosts with
+    default attributes only), and those plus a phi that reads names; every
+    norefl template takes part.  Policies have reflexive edges, hosts
+    without edges and names that need DOT escapes."""
+
+    def verify(self, tmp_path, monkeypatch, manual, invariants):
+        # the CLI reads the spec file, then takes `invariants` in its place
+        monkeypatch.setattr(cli, "load_invariants", lambda text: invariants)
+        tmp_path.mkdir()
+        (tmp_path / "spec.json").write_text("[]")
+        (tmp_path / "policy.json").write_text(manual.to_json())
+        out = tmp_path / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["synthesize", "--invariants", str(tmp_path / "spec.json"),
+                             "--policy", str(tmp_path / "policy.json"), "--verify",
+                             "--construct", "--out-dir", str(out)])
+        report, dot, line = definitional_verify(manual, invariants)
+        assert (out / "verify.json").read_text() == report
+        assert (out / "diff.dot").read_text() == dot
+        assert stdout.getvalue().splitlines()[0] == line
+        assert code == (0 if line.startswith("verify: OK") else 2)
+        if code == 0:
+            maximum = generate_valid_topology(invariants, manual.allow_all())
+            assert (out / "policy.json").read_text() == maximum.to_json()
+            assert (out / "policy.dot").read_text() == sorting_dot(maximum.nodes, maximum.edges)
+        return code
+
+    @pytest.mark.parametrize("kind", ["library", "classes", "names"])
+    def test_equals_definition(self, tmp_path, monkeypatch, kind):
+        rng = random.Random(f"verify-classes-{kind}")
+        codes, templates = Counter(), set()
+        for i in range(25):
+            hosts = verify_hosts(rng)
+            if kind == "library":
+                invs = random_library_invariants(rng, hosts, "phi")
+            else:
+                invs = class_spec(rng, PHI_IDS[i % len(PHI_IDS)], hosts)
+                if kind == "names":
+                    invs.insert(rng.randrange(len(invs) + 1), names_phi_invariant(hosts))
+            templates.update(inv.template_id for inv in invs if inv.norefl)
+            manual = verify_policy(rng, hosts, invs)
+            codes[self.verify(tmp_path / str(i), monkeypatch, manual, invs)] += 1
+        assert set(codes) == {0, 2}, codes
+        if kind == "classes":
+            assert templates == {t for t in PHI_IDS if TEMPLATES[t].norefl}
+
+    def test_all_hold_decides_each_class_pair_once(self):
+        """all_hold with ClassRows' class ids calls each phi at most once
+        per (class, class) pair that holds an edge, plus once per
+        reflexive edge, and reports what it reports without them."""
+        rng = random.Random("verify-classes-calls")
+        for _ in range(20):
+            hosts = verify_hosts(rng)
+            calls = Counter()
+
+            def counted(i, inv):
+                def phi(*args):
+                    calls[i] += 1
+                    return inv.phi(*args)
+                return replace(inv, phi=phi)
+
+            invs = class_spec(rng, rng.choice(PHI_IDS), hosts)
+            manual = verify_policy(rng, hosts, invs)
+            rows = ClassRows(invs, hosts)
+            pairs = {(rows.class_of[s], rows.class_of[r]) for s, r in manual.edges if s != r}
+            loops = sum(s == r for s, r in manual.edges)
+            report = all_hold([counted(*c) for c in enumerate(invs)], manual, rows.class_of)
+            assert report.to_json() == all_hold(invs, manual).to_json()
+            assert all(n <= len(pairs) + loops for n in calls.values()), (calls, len(pairs))

@@ -24,7 +24,7 @@ from .invariants import all_hold
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
 from .stateful import StatefulPolicy, generate_stateful
-from .synthesis import ClassRows, generate_valid_topology3, maximum_policy, policy_diff
+from .synthesis import ClassRows, generate_valid_topology3, policy_diff
 from .templates import load_invariants
 from .wordinterval import WordInterval, family_width
 
@@ -85,7 +85,7 @@ def closure_results(prepared, tactic, svc, width):
     """The tactic-dependent tail of analyze_pipeline: closure and
     translation -> partition -> matrix over a prepared box list, for the
     service template `svc`."""
-    simple = simplefw.translate_to_simple(prepared, tactic, width)
+    simple = simplefw.translate_to_simple(prepared, tactic)
     return {
         "simple": simple,
         "matrix": analysis.access_matrix(simple, svc, width),
@@ -136,6 +136,8 @@ def _cmd_analyze(args):
         return 0
     field = "out" if args.chain == "OUTPUT" else "in"
     verdicts = spoofing.sp_certify_all(result["unfolded"], ipassmt, field)
+    if not verdicts:
+        print("warning: the ipassmt assigns no interface; nothing to certify", file=sys.stderr)
     for v in verdicts.values():
         print(v.report_line())
     return 0 if all(v.certified for v in verdicts.values()) else 2
@@ -160,14 +162,17 @@ def _cmd_synthesize(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    maximum = None
+    if args.verify or args.construct or manual is None:
+        try:
+            maximum = ClassRows(invariants, nodes)
+        except TooLargeForBruteForce:
+            if args.verify:
+                raise
+            # past the brute-force bound, one valid policy stands in for the maximum
+            maximum = generate_valid_topology3(invariants, PolicyGraph.of(nodes).allow_all())
     if args.verify:
-        phi_only = all(inv.phi is not None for inv in invariants)
-        maximum = ClassRows(invariants, nodes) if phi_only else maximum_policy(invariants, nodes)
-        report = all_hold(invariants, manual, getattr(maximum, "class_of", None))
+        report = all_hold(invariants, manual, maximum.class_of)
         diff = policy_diff(manual, invariants, maximum, report)
-        if not args.construct:
-            maximum = None  # free it before the outputs are built
         (out_dir / "verify.json").write_text(report.to_json())
         (out_dir / "diff.dot").write_text(diff.to_dot(manual))
         print(f"verify: {'OK' if report.overall else 'VIOLATED'}; "
@@ -175,23 +180,15 @@ def _cmd_synthesize(args):
         if not report.overall:
             return 2
 
-    graph = manual
+    graph = manual  # later steps run on the supplied policy if any
     if args.construct or graph is None:
-        constructed = maximum  # ClassRows from --verify writes its outputs from its rows
-        if constructed is None:
-            try:
-                constructed = maximum_policy(invariants, nodes)
-            except TooLargeForBruteForce:
-                constructed = generate_valid_topology3(invariants,
-                                                       PolicyGraph.of(nodes).allow_all())
-        if not constructed.edges:
-            print("warning: invariants are contradictory, policy is deny-all",
-                  file=sys.stderr)
-        (out_dir / "policy.json").write_text(constructed.to_json())
-        (out_dir / "policy.dot").write_text(constructed.to_dot())
-        print(f"constructed policy with {len(constructed.edges)} flows")
-        if graph is None:
-            graph = constructed  # later steps run on the supplied policy if any
+        if not maximum.edges:
+            print("warning: invariants are contradictory, policy is deny-all", file=sys.stderr)
+        (out_dir / "policy.json").write_text(maximum.to_json())
+        (out_dir / "policy.dot").write_text(maximum.to_dot())
+        print(f"constructed policy with {len(maximum.edges)} flows")
+        if graph is None and (args.stateful or binding is not None):
+            graph = PolicyGraph(frozenset(nodes), frozenset(maximum.edges))
 
     stateful_policy = None
     if args.stateful:

@@ -13,11 +13,12 @@ and the stateful filters check each candidate backflow on the edges it
 adds alone (phi_failing_edges over those edges).  set_offending_flows
 takes a Phi invariant's verdict from its phi-failing edges without a
 separate `holds` pass, and all_hold reads every verdict off
-set_offending_flows.  synthesis.ClassRows groups the hosts into classes
-of equal attributes and checks every phi once per ordered pair of
-classes, plus once per host for the reflexive edge; given its class ids,
-all_hold checks every phi once per class pair that holds an edge of the
-graph, plus once per reflexive edge.
+set_offending_flows.  synthesis.ClassRows, the maximum policy, checks
+every phi once per ordered pair of classes of hosts with equal
+attributes, plus once per host for the reflexive edge (a spec with a
+non-Phi invariant it evaluates by definition, one host per class); given
+its class ids, all_hold checks every phi once per class pair that holds
+an edge of the graph, plus once per reflexive edge.
 
 The non-Phi library templates (CommWith, NotCommWith, Dependability,
 DependabilityNonRefl, NonInterference) carry an incremental state
@@ -218,21 +219,21 @@ def all_hold(invariants, graph: PolicyGraph, class_of=None) -> ComplianceReport:
     returned False, so past the brute-force bound the verdict is False and
     the offending flows are not computed (None).
 
-    With `class_of`, an integer class id per host under which every phi
-    gives one verdict on all pairs of distinct hosts of two classes
-    (synthesis.ClassRows.class_of), the edges are grouped by the class
-    ids of their ends, each reflexive edge alone, and phi_failing_edges
-    decides each Phi invariant on the first edge of every group."""
+    phi_failing_edges decides each Phi invariant on the first edge of
+    every group of edges: each reflexive edge alone, and the edges between
+    two classes of `class_of`, an integer class id per host under which
+    every phi gives one verdict on all pairs of distinct hosts of two
+    classes (synthesis.ClassRows.class_of); without it, each edge alone."""
     groups = {}
-    if class_of is not None:
-        for e in graph.edges:
-            s, r = e
-            # a reflexive edge is its own group: phi may read the host's name
-            groups.setdefault(s if s == r else (class_of[s], class_of[r]), []).append(e)
+    for e in graph.edges:
+        s, r = e
+        # a reflexive edge is its own group: phi may read the host's name
+        key = s if s == r else e if class_of is None else (class_of[s], class_of[r])
+        groups.setdefault(key, []).append(e)
     firsts = [g[0] for g in groups.values()]
     report = ComplianceReport()
     for inv in invariants:
-        if class_of is not None and inv.phi is not None:
+        if inv.phi is not None:
             failing = phi_failing_edges(inv, firsts)
             offending = _phi_offending([e for g in groups.values() if g[0] in failing for e in g])
         else:

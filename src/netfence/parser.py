@@ -463,7 +463,8 @@ def parse_ipassmt(text, family="v4") -> dict:
 def parse_routing(text, family="v4") -> list:
     """Routing table lines: '<cidr> [via ip] dev <iface>' plus an optional
     'default [via ip] dev <iface>'.  Returns [(Cidr, iface)] in file order;
-    longest-prefix-match semantics are applied by the consumer."""
+    longest-prefix-match semantics are applied by the consumer.  As in
+    parse_ipassmt, an interface is one exact name, not a `+` pattern."""
     routes = []
     for lineno, line in _lines(text):
         tokens = line.split()
@@ -472,5 +473,7 @@ def parse_routing(text, family="v4") -> list:
         cidr = _at_line(parse_cidr, tokens[0], family, lineno)
         if "dev" not in tokens[:-1]:
             raise SyntaxError_("route line is missing 'dev <iface>'", lineno)
-        routes.append((cidr, tokens[tokens.index("dev") + 1]))
+        if (name := tokens[tokens.index("dev") + 1]).endswith("+"):
+            raise SyntaxError_(f"interface names are exact, not patterns: {name!r}", lineno)
+        routes.append((cidr, name))
     return routes

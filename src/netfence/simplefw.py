@@ -199,7 +199,7 @@ def _preboxes(m, negated, memo) -> list:
     return got
 
 
-def prepare_for_simple(rules, width=32) -> list:
+def prepare_for_simple(rules, width) -> list:
     """Read an unfolded Accept/Drop rule list into boxes, each rule's
     distinct ones in rule order; any other action raises IllformedRuleset."""
     out, memo, u = [], {}, WordInterval.universe
@@ -218,7 +218,7 @@ def prepare_for_simple(rules, width=32) -> list:
     return out
 
 
-def translate_to_simple(boxes, tactic="in_doubt_allow", width=32) -> list:
+def translate_to_simple(boxes, tactic="in_doubt_allow") -> list:
     """The closure of a box list under an in-doubt tactic, as simple rules.
 
     A box with an unknown literal is kept whole when the tactic lets its
@@ -234,6 +234,7 @@ def translate_to_simple(boxes, tactic="in_doubt_allow", width=32) -> list:
     for b in boxes:
         if b.unknown and b.accept != allow:
             continue
+        width = b.src.width  # the address width the box was prepared with
         out.extend(
             SimpleRule(SimpleMatch(width, b.iiface, b.oiface, s, d, b.proto, sp, dp), b.accept)
             for s in b.src.to_cidrs() for d in b.dst.to_cidrs()
@@ -262,7 +263,7 @@ def iface_rewrite(boxes, ipassmt, field="in") -> list:
     return out
 
 
-def routing_to_ipassmt(routes, width=32) -> dict:
+def routing_to_ipassmt(routes, width) -> dict:
     """Invert a routing table: per interface, the addresses whose
     longest-prefix-match lookup selects that interface (strict reverse
     path filter semantics)."""

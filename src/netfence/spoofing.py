@@ -119,7 +119,7 @@ def _certify(rules, iface, side, masks, full, allowed):
 def sp_certify_all(rules, ipassmt, field="in") -> dict:
     """Pointwise certification for every interface in the assignment; the
     overall verdict is the conjunction.  An empty assignment certifies
-    vacuously (with a warning left to the caller)."""
+    vacuously, with no verdict (`netfence analyze` prints a warning)."""
     if not ipassmt:
         return {}
     if not rules or rules[-1].match is not MTrue or rules[-1].action.kind not in ("accept", "drop"):

@@ -51,49 +51,60 @@ class EdgeRows(Set):
 
 
 class ClassRows(EdgeRows):
-    """The maximum policy of Phi-structured invariants over `nodes`, as
-    the receiver rows of classes of hosts.
+    """The maximum policy of the invariants over `nodes`, by definition
+    generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all()),
+    as the receiver rows of classes of hosts.
 
-    Hosts are in one class when they have equal attributes in every
-    invariant, and also the same name where an invariant's phi reads
-    names (ConfiguredInvariant.phi_reads_names), so every phi gives one
-    verdict on all pairs of distinct hosts drawn from two classes.  Each
-    phi is called at most once per ordered pair of classes, on distinct
-    representatives (the first members in sorted order, or the first two
-    for a class paired with itself), and once per host for its reflexive
-    edge unless the invariant is `norefl`.  A class keeps one sorted row
-    of receivers; a host's row is its class's, with its own name added or
-    taken out by its reflexive verdict.  `class_of` maps each host to its
-    class's integer id."""
+    When every invariant is Phi-structured, hosts are in one class when
+    they have equal attributes in every invariant, and also the same name
+    where an invariant's phi reads names (ConfiguredInvariant.phi_reads_names),
+    so every phi gives one verdict on all pairs of distinct hosts drawn
+    from two classes.  Each phi is called at most once per ordered pair of
+    classes, on distinct representatives (the first members in sorted
+    order, or the first two for a class paired with itself), and once per
+    host for its reflexive edge unless the invariant is `norefl`.
+    Otherwise each host is its own class and the definition is evaluated,
+    raising TooLargeForBruteForce past the brute-force bound.  A class
+    keeps one sorted row of receivers; a host's row is its class's, with
+    its own name added or taken out by its reflexive verdict.  `class_of`
+    maps each host to its class's integer id."""
 
     def __init__(self, invariants, nodes):
-        keyed, order = {}, sorted(nodes)
-        for h in order:
-            key = tuple(h if inv.phi_reads_names else inv.attr_map(h) for inv in invariants)
-            keyed.setdefault(key, []).append(h)
-        # (id, representative, attributes, members) of each class
-        classes = [(c, hosts[0], [inv.attr_map(hosts[0]) for inv in invariants], hosts)
-                   for c, hosts in enumerate(keyed.values())]
-        self.class_of = {h: c for c, _, _, hosts in classes for h in hosts}
-        self.reach = []  # per class, the ids of the classes its hosts may reach
-        for c, s, attrs_s, hosts in classes:
-            # narrowed phi by phi; c itself is represented by its second member
-            targets = [t for t in classes if t[0] != c]
-            if len(hosts) > 1:
-                targets.append((c, hosts[1], attrs_s))
-            for i, inv in enumerate(invariants):
-                phi, a_s = inv.phi, attrs_s[i]
-                targets = [t for t in targets if phi(a_s, s, t[2][i], t[1])]
-            self.reach.append({t[0] for t in targets})
-        refl = [(i, inv.phi) for i, inv in enumerate(invariants) if not inv.norefl]
-        self.refl = {h: all(phi(attrs[i], h, attrs[i], h) for i, phi in refl)
-                     for _, _, attrs, hosts in classes for h in hosts}
-        for c, s, _, hosts in classes:  # a lone host's row holds it by its reflexive verdict
-            if len(hosts) == 1 and self.refl[s]:
-                self.reach[c].add(c)
-        self.class_rows = [sorted(chain.from_iterable(classes[d][3] for d in reach))
+        order = sorted(nodes)
+        if any(inv.phi is None for inv in invariants):
+            edges = generate_valid_topology(invariants, PolicyGraph.of(order).allow_all()).edges
+            members = [[h] for h in order]
+            self.reach = [{c for c, r in enumerate(order) if (h, r) in edges} for h in order]
+            self.refl = {h: (h, h) in edges for h in order}
+        else:
+            keyed = {}
+            for h in order:
+                key = tuple(h if inv.phi_reads_names else inv.attr_map(h) for inv in invariants)
+                keyed.setdefault(key, []).append(h)
+            members = list(keyed.values())
+            # (id, representative, attributes, members) of each class
+            classes = [(c, hosts[0], [inv.attr_map(hosts[0]) for inv in invariants], hosts)
+                       for c, hosts in enumerate(members)]
+            self.reach = []  # per class, the ids of the classes its hosts may reach
+            for c, s, attrs_s, hosts in classes:
+                # narrowed phi by phi; c itself is represented by its second member
+                targets = [t for t in classes if t[0] != c]
+                if len(hosts) > 1:
+                    targets.append((c, hosts[1], attrs_s))
+                for i, inv in enumerate(invariants):
+                    phi, a_s = inv.phi, attrs_s[i]
+                    targets = [t for t in targets if phi(a_s, s, t[2][i], t[1])]
+                self.reach.append({t[0] for t in targets})
+            refl = [(i, inv.phi) for i, inv in enumerate(invariants) if not inv.norefl]
+            self.refl = {h: all(phi(attrs[i], h, attrs[i], h) for i, phi in refl)
+                         for _, _, attrs, hosts in classes for h in hosts}
+            for c, s, _, hosts in classes:  # a lone host's row holds it by its reflexive verdict
+                if len(hosts) == 1 and self.refl[s]:
+                    self.reach[c].add(c)
+        self.class_of = {h: c for c, hosts in enumerate(members) for h in hosts}
+        self.class_rows = [sorted(chain.from_iterable(members[d] for d in reach))
                            for reach in self.reach]
-        size = sum(len(self.class_rows[c]) * len(hosts) for c, _, _, hosts in classes)
+        size = sum(len(row) * len(hosts) for row, hosts in zip(self.class_rows, members))
         size += sum(self.refl[h] - (c in self.reach[c]) for h, c in self.class_of.items())
         super().__init__(order, self._host_row, size)
 
@@ -110,7 +121,7 @@ class ClassRows(EdgeRows):
     def edges(self) -> EdgeRows:
         """These rows.  With to_json and to_dot, which write from the rows
         what PolicyGraph's write, --construct reads ClassRows as it reads
-        the maximum policy's PolicyGraph."""
+        generate_valid_topology3's PolicyGraph."""
         return self
 
     def to_json(self):
@@ -132,21 +143,6 @@ class ClassRows(EdgeRows):
         shared = sum(self.refl[s] if s == r else class_of[r] in reach[class_of[s]]
                      for s, r in graph.edges)
         return EdgeRows(self.sources, row, self.size - shared)
-
-
-def maximum_policy(invariants, nodes) -> PolicyGraph:
-    """The most permissive policy over `nodes` that satisfies the
-    invariants, by definition
-    generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all()).
-
-    When every invariant is Phi-structured that is the set of host pairs
-    on which every phi holds, built from ClassRows without building the
-    allow-all graph.  Otherwise the definition is evaluated, and a non-Phi
-    invariant past its brute-force bound raises TooLargeForBruteForce."""
-    if any(inv.phi is None for inv in invariants):
-        return generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all())
-    rows = ClassRows(invariants, nodes)
-    return PolicyGraph(frozenset(rows.sources), frozenset(rows))
 
 
 def minimalize_offending_overapprox(
@@ -225,34 +221,31 @@ def generate_valid_topology3(invariants, graph: PolicyGraph) -> PolicyGraph:
 
 @dataclass(frozen=True)
 class DiffReport:
-    """How a manual policy relates to what the invariants require.  From
-    ClassRows, policy_diff gives `absent` as EdgeRows (ClassRows.without),
-    so that the V² absent flows are never held edge by edge."""
+    """How a manual policy relates to what the invariants require.
+    `absent` is EdgeRows (ClassRows.without), so that the V² absent flows
+    are never held edge by edge."""
 
     kept: frozenset       # in the policy and allowed
     violating: frozenset  # in the policy but forbidden
-    absent: Set           # allowed by the maximum policy but not specified
+    absent: EdgeRows      # allowed by the maximum policy but not specified
 
     def to_dot(self, graph: PolicyGraph) -> str:
         """The diff over the manual policy `graph`'s nodes: every kept,
-        violating (dashed red) and absent (dashed gray) edge."""
+        violating (dashed red) and absent (dashed gray) edge, the absent
+        ones written from their rows."""
         styled = [(self.kept, None), (self.violating, "style=dashed, color=red")]
-        gray = "style=dashed, color=gray"
-        if isinstance(self.absent, EdgeRows):
-            return dot_text(graph.nodes, styled, (self.absent.row, gray))
-        return dot_text(graph.nodes, styled + [(self.absent, gray)])
+        return dot_text(graph.nodes, styled, (self.absent.row, "style=dashed, color=gray"))
 
 
 def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> DiffReport:
-    """Compare a manual policy with the invariants.  `maximum` is the
-    maximum policy over the manual policy's hosts, as a PolicyGraph or as
-    ClassRows, and `report` is all_hold(invariants, manual), each when
-    the caller already has it; they are computed otherwise, on ClassRows
-    and its classes when every invariant is Phi-structured."""
-    if maximum is None and all(inv.phi is not None for inv in invariants):
+    """Compare a manual policy with the invariants.  `maximum` is
+    ClassRows(invariants, manual.nodes), and `report` is all_hold(invariants,
+    manual, maximum.class_of), each when the caller already has it; they
+    are computed otherwise."""
+    if maximum is None:
         maximum = ClassRows(invariants, manual.nodes)
     if report is None:
-        report = all_hold(invariants, manual, getattr(maximum, "class_of", None))
+        report = all_hold(invariants, manual, maximum.class_of)
     violating = set()
     for inv, verdict in zip(invariants, report.verdicts):
         offending = verdict.offending
@@ -260,10 +253,5 @@ def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> D
             offending = set_offending_flows(inv, manual)  # raises past the brute-force bound
         for flow_set in offending or ():
             violating |= flow_set
-    if maximum is None:
-        maximum = maximum_policy(invariants, manual.nodes)
-    if isinstance(maximum, ClassRows):
-        absent = maximum.without(manual)
-    else:
-        absent = frozenset(maximum.edges - manual.edges)
-    return DiffReport(frozenset(manual.edges - violating), frozenset(violating), absent)
+    return DiffReport(frozenset(manual.edges - violating), frozenset(violating),
+                      maximum.without(manual))

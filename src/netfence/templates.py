@@ -243,7 +243,7 @@ class Template:
     builds an eval_fn (make_eval) to decide whole graphs.  Phi must not
     read the host names s and r beyond testing s == r, so that for s != r
     it depends on the two attributes only; a template whose phi reads
-    them sets `phi_reads_names`, and synthesis.maximum_policy then
+    them sets `phi_reads_names`, and synthesis.ClassRows then
     decides its edges host by host instead of per class of equal
     attributes."""
 

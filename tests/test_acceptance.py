@@ -115,7 +115,7 @@ def test_criterion_2_closure_reproduction():
 def test_criterion_3_translation_examples():
     def translate(name):
         unfolded = unfold(parse_save(load_ruleset(name)), "FORWARD")
-        prepared = prepare_for_simple(ctstate_specialize(unfolded, "NEW"))
+        prepared = prepare_for_simple(ctstate_specialize(unfolded, "NEW"), 32)
         return translate_to_simple(prepared, "in_doubt_allow")
 
     foo = simple_rules_table(translate("forward_foo.iptables")).splitlines()

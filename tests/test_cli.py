@@ -17,7 +17,7 @@ from netfence.policy import PolicyGraph
 from netfence.semantics import unfold
 from netfence.serializer import binding_from_json, emit_iptables
 from netfence.stateful import StatefulPolicy
-from netfence.synthesis import generate_valid_topology3, maximum_policy, policy_diff
+from netfence.synthesis import ClassRows, generate_valid_topology3, policy_diff
 from netfence.templates import load_invariants
 
 
@@ -135,6 +135,20 @@ class TestAnalyze:
         err = assert_one_error_line(capsys)
         assert "'eth+'" in err and "line 1" in err
 
+    @pytest.mark.parametrize("text", ["", "# no interface here\n\n"], ids=["empty", "comments"])
+    def test_spoofing_with_no_assigned_interface_warns(self, tmp_path, capsys, text):
+        """An ipassmt that assigns no interface certifies vacuously: exit 0,
+        no verdict line, and one warning line saying so."""
+        ipassmt = tmp_path / "assmt"
+        ipassmt.write_text(text)
+        code = run(["analyze", "--input", DATA / "fwbuilder.iptables", "--chain", "INPUT",
+                    "--ipassmt", ipassmt, "--spoofing", "--out-dir", tmp_path / "out"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert not any(":" in line for line in out.splitlines() if not line.startswith("["))
+        assert err.splitlines() == [err.strip()] and err.startswith("warning: "), err
+        assert "no interface" in err
+
     def test_spoofing_failure_exit_two(self, tmp_path):
         ipassmt = tmp_path / "assmt"
         ipassmt.write_text("eth1 = [202.54.10.20]\n")
@@ -244,6 +258,22 @@ class TestAnalyze:
              "--routing", routing, "--service", "http", "--out-dir", out]
         )
         assert code == 0
+
+    def test_wildcard_routing_interface_exit_one(self, tmp_path, capsys):
+        """A `dev eth+` route would narrow the wildcard box `-o eth+` to
+        192.168.0.0/16, and the upper matrix would then keep only the DROP
+        where big-step accepts oiface eth0 -> 10.0.0.1; the routing table
+        is refused as an ipassmt naming `eth+` is."""
+        rules = tmp_path / "rules.iptables"
+        rules.write_text("*filter\n:FORWARD DROP [0:0]\n"
+                         "-A FORWARD -o eth+ -d 10.0.0.0/8 -j ACCEPT\nCOMMIT\n")
+        routing = tmp_path / "routes"
+        routing.write_text("192.168.0.0/16 dev eth+\n")
+        code = run(["analyze", "--input", rules, "--routing", routing,
+                    "--out-dir", tmp_path / "out"])
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert "exact, not patterns" in err and "(line 1)" in err
 
 
 ROUTING = "10.0.0.0/8 dev eth1\n192.168.0.0/16 dev eth2\ndefault dev eth0\n"
@@ -545,7 +575,7 @@ class TestSynthesize:
         assert "exceed bound" in err and "minimalize" not in err
 
     def test_construct_past_the_brute_force_bound_falls_back(self, tmp_path, capsys):
-        """CommWith over 5 hosts: maximum_policy refuses to enumerate the
+        """CommWith over 5 hosts: ClassRows refuses to enumerate the
         offending flows of the 25-edge allow-all graph, so --construct
         builds the policy with generate_valid_topology3."""
         text = json.dumps([{"template": "CommWith",
@@ -556,7 +586,7 @@ class TestSynthesize:
         invs = load_invariants(text)
         hosts = {"a", "b", "c", "d", "e"}
         with pytest.raises(TooLargeForBruteForce):
-            maximum_policy(invs, hosts)
+            ClassRows(invs, hosts)
         out = tmp_path / "out"
         assert run(["synthesize", "--invariants", spec, "--construct", "--out-dir", out]) == 0
         constructed = PolicyGraph.from_json((out / "policy.json").read_text())
@@ -566,12 +596,12 @@ class TestSynthesize:
         assert f"constructed policy with {len(expected.edges)} flows" in capsys.readouterr().out
 
     def test_construct_falls_back_only_past_the_bound(self, tmp_path, capsys, monkeypatch):
-        """Any other error of maximum_policy exits 1 with its message
-        instead of being masked by the fallback."""
+        """Any other error of ClassRows exits 1 with its message instead
+        of being masked by the fallback."""
         def refuse(invariants, nodes):
             raise PreconditionViolated("refused")
 
-        monkeypatch.setattr(cli, "maximum_policy", refuse)
+        monkeypatch.setattr(cli, "ClassRows", refuse)
         code = run(["synthesize", "--invariants", DATA / "factory_invariants.json",
                     "--construct", "--out-dir", tmp_path / "out"])
         assert code == 1

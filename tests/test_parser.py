@@ -708,7 +708,8 @@ class TestParseRouting:
         with pytest.raises(SyntaxError_):
             parse_routing("10.0.0.0/8 via 10.0.0.254")
 
-    @pytest.mark.parametrize("line", ["10.0.0.0/8 dev", "10.0.0.0/33 dev eth1", "bogus dev eth1"])
+    @pytest.mark.parametrize("line", ["10.0.0.0/8 dev", "10.0.0.0/33 dev eth1", "bogus dev eth1",
+                                      "192.168.0.0/16 dev eth+"])
     def test_bad_line_names_its_number(self, line):
         with pytest.raises(SyntaxError_) as exc:
             parse_routing(f"default dev eth0\n{line}\n")

@@ -14,13 +14,14 @@ from netfence.policy import (
     AttrMap,
     PolicyGraph,
     Strategy,
+    adjacency,
     backflows,
     reachable,
     succ_tran,
     undirected_adjacency,
 )
 from netfence.stateful import StatefulPolicy, generate_stateful
-from netfence.synthesis import DiffReport, maximum_policy, policy_diff
+from netfence.synthesis import ClassRows, DiffReport, EdgeRows, policy_diff
 
 
 class TestGraphValidation:
@@ -155,13 +156,15 @@ class TestDotWriter:
             manual = random_dot_graph(rng)
             if i % 2:
                 invs = random_library_invariants(rng, manual.sorted_nodes(), "phi")
-                diff = policy_diff(manual, invs, maximum_policy(invs, manual.nodes))
+                diff = policy_diff(manual, invs, ClassRows(invs, manual.nodes))
             else:
                 edges = manual.sorted_edges()
                 violating = set(rng.sample(edges, len(edges) // 3))
                 outside = sorted(manual.allow_all().edges - manual.edges)
-                diff = DiffReport(frozenset(manual.edges - violating), frozenset(violating),
-                                  frozenset(rng.sample(outside, len(outside) // 2)))
+                rows = adjacency(rng.sample(outside, len(outside) // 2))
+                absent = EdgeRows(manual.sorted_nodes(), lambda s: sorted(rows.get(s, ())),
+                                  sum(map(len, rows.values())))
+                diff = DiffReport(frozenset(manual.edges - violating), frozenset(violating), absent)
             attrs = {**dict.fromkeys(diff.violating, "style=dashed, color=red"),
                      **dict.fromkeys(diff.absent, "style=dashed, color=gray")}
             expected = sorting_dot(manual.nodes, diff.kept | diff.violating | diff.absent, attrs)

@@ -59,7 +59,7 @@ def full_pipeline(save_text, chain, tactic="in_doubt_allow", family="v4"):
     t = parse_save(save_text, family)
     unfolded = unfold(t, chain)
     specialized = ctstate_specialize(unfolded, "NEW")
-    return translate_to_simple(prepare_for_simple(specialized, width), tactic, width)
+    return translate_to_simple(prepare_for_simple(specialized, width), tactic)
 
 
 class TestEval:
@@ -189,7 +189,7 @@ class TestConjunction:
     def conj(a, b):
         rule = Rule(mand(_as_rule(SimpleRule(a, True)).match,
                          _as_rule(SimpleRule(b, True)).match), rs.ACCEPT)
-        simple = translate_to_simple(prepare_for_simple([rule]))
+        simple = translate_to_simple(prepare_for_simple([rule], 32))
         assert len(simple) <= 1
         return simple[0].match if simple else None
 
@@ -299,7 +299,7 @@ class TestTranslation:
 
     def test_unsupported_residue(self):
         with pytest.raises(UnsupportedResidue):
-            prepare_for_simple([Rule(MPrim(rs.CtState(frozenset({"NEW"}))), rs.ACCEPT)])
+            prepare_for_simple([Rule(MPrim(rs.CtState(frozenset({"NEW"}))), rs.ACCEPT)], 32)
 
     @pytest.mark.parametrize("action", [rs.REJECT, rs.LOG])
     def test_only_accept_and_drop_rules_are_read(self, action):
@@ -307,7 +307,7 @@ class TestTranslation:
         Drop, nor a Log skipped."""
         tcp = MPrim(rs.Protocol(6))
         with pytest.raises(IllformedRuleset, match="Accept/Drop"):
-            prepare_for_simple([Rule(tcp, action), Rule(MTrue, rs.DROP)])
+            prepare_for_simple([Rule(tcp, action), Rule(MTrue, rs.DROP)], 32)
 
     def test_unknown_box_is_kept_or_dropped_whole(self):
         """An accept box with an unknown literal matches under
@@ -316,7 +316,7 @@ class TestTranslation:
         limit = MPrim(rs.Extra("-m limit"))
         tcp = MPrim(rs.Protocol(6))
         boxes = prepare_for_simple([Rule(mand(limit, tcp), rs.ACCEPT), Rule(limit, rs.ACCEPT),
-                                    Rule(MTrue, rs.DROP)])
+                                    Rule(MTrue, rs.DROP)], 32)
         assert [b.unknown for b in boxes] == [True, True, False]
         assert [b.known for b in boxes] == [True, False, False]
         upper = simple_rules_table(translate_to_simple(boxes, "in_doubt_allow"))
@@ -329,19 +329,19 @@ class TestTranslation:
         and an unknown does not end the list."""
         anywhere = MPrim(rs.Src(WordInterval.universe(32)))
         rules = [Rule(mand(anywhere, MPrim(rs.Extra("-m limit"))), rs.ACCEPT), Rule(MTrue, rs.DROP)]
-        out = translate_to_simple(prepare_for_simple(rules), "in_doubt_allow")
+        out = translate_to_simple(prepare_for_simple(rules, 32), "in_doubt_allow")
         assert [r.accept for r in out] == [True, False]
 
     def test_contradicting_protocol_conjunction_drops_rule(self):
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
         for m in (mand(tcp, MNot(tcp)), mand(tcp, udp)):
-            assert translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)])) == []
+            assert translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)], 32)) == []
 
     def test_compatible_negated_protocol_is_absorbed(self):
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
-        out = translate_to_simple(prepare_for_simple([Rule(mand(udp, MNot(tcp)), rs.ACCEPT)]))
+        out = translate_to_simple(prepare_for_simple([Rule(mand(udp, MNot(tcp)), rs.ACCEPT)], 32))
         assert len(out) == 1 and out[0].match.proto == 17
 
     def test_wellformedness_of_output(self):
@@ -408,8 +408,22 @@ class TestTranslation:
             reparsed = parse_save(text, family)
             width = family_width(family)
             again = translate_to_simple(prepare_for_simple(unfold(reparsed, chain), width),
-                                        tactic, width)
+                                        tactic)
             assert again == simple
+
+    def test_v6_rules_translate_at_their_width(self):
+        """Preparation takes the width with no default, and translation
+        reads it off the boxes: v6 rules without -s/-d give 128-bit simple
+        matches, not 32-bit ones over 128-bit CIDRs."""
+        table = parse_save(load_ruleset("ipv6_host.iptables"), "v6")
+        rules = ctstate_specialize(unfold(table, "INPUT"), "NEW")
+        with pytest.raises(TypeError):
+            prepare_for_simple(rules)
+        for tactic in ("in_doubt_allow", "in_doubt_deny"):
+            simple = translate_to_simple(prepare_for_simple(rules, 128), tactic)
+            assert any(r.match.src.prefix == r.match.dst.prefix == 0 for r in simple)
+            assert {(r.match.width, r.match.src.width, r.match.dst.width)
+                    for r in simple} == {(128, 128, 128)}
 
 
 class TestIfaceRewrite:
@@ -418,7 +432,7 @@ class TestIfaceRewrite:
             Rule(mand(MPrim(rs.IIface("eth0")), MPrim(rs.Protocol(6))), rs.ACCEPT),
             Rule(MPrim(rs.IIface("weird")), rs.ACCEPT),
             Rule(MTrue, rs.DROP),
-        ])
+        ], 32)
         self.ipassmt = parse_ipassmt("eth0 = [192.168.0.0/24]")
 
     def test_constrain_keeps_iface_and_unmapped_rules(self):
@@ -428,7 +442,7 @@ class TestIfaceRewrite:
         assert out[1:] == self.boxes[1:]
 
     def test_constrain_out_field(self):
-        boxes = prepare_for_simple([Rule(MPrim(rs.OIface("eth0")), rs.ACCEPT)])
+        boxes = prepare_for_simple([Rule(MPrim(rs.OIface("eth0")), rs.ACCEPT)], 32)
         out = iface_rewrite(boxes, self.ipassmt, field="out")
         assert out[0].dst == parse_address_set("192.168.0.0/24")
         assert out[0].src == WordInterval.universe(32)
@@ -440,7 +454,7 @@ class TestIfaceRewrite:
         text = "*filter\n:FORWARD DROP [0:0]\n-A FORWARD -i eth+ -j ACCEPT\nCOMMIT\n"
         ipassmt = parse_ipassmt("eth0 = [10.0.0.0/8]")
         upper = analyze_pipeline(text, ipassmt=ipassmt)["simple"]
-        boxes = prepare_for_simple(unfold(parse_save(text), "FORWARD"))
+        boxes = prepare_for_simple(unfold(parse_save(text), "FORWARD"), 32)
         assert iface_rewrite(boxes, ipassmt) == boxes
         p = Packet(iiface="eth1", src=ip_parse("8.8.8.8"))
         assert simple_fw_eval(upper, p) == ALLOW
@@ -450,24 +464,24 @@ class TestIfaceRewrite:
 class TestRoutingInversion:
     def test_single_default_route(self):
         routes = parse_routing("default dev eth0")
-        assert routing_to_ipassmt(routes) == {"eth0": WordInterval.universe(32)}
+        assert routing_to_ipassmt(routes, 32) == {"eth0": WordInterval.universe(32)}
 
     def test_lpm_inversion(self):
         routes = parse_routing("default dev eth0\n10.0.0.0/8 dev br0")
-        m = routing_to_ipassmt(routes)
+        m = routing_to_ipassmt(routes, 32)
         ten = parse_address_set("10.0.0.0/8")
         assert m["br0"] == ten
         assert m["eth0"] == ten.complement()
 
     def test_two_disjoint_prefixes(self):
         routes = parse_routing("10.1.0.0/24 dev a\n10.2.0.0/24 dev b")
-        m = routing_to_ipassmt(routes)
+        m = routing_to_ipassmt(routes, 32)
         assert m["a"] == parse_address_set("10.1.0.0/24")
         assert m["b"] == parse_address_set("10.2.0.0/24")
 
     def test_more_specific_wins(self):
         routes = parse_routing("10.0.0.0/8 dev coarse\n10.0.0.0/16 dev fine")
-        m = routing_to_ipassmt(routes)
+        m = routing_to_ipassmt(routes, 32)
         assert parse_address_set("10.0.0.0/16").issubset(m["fine"])
         assert m["coarse"].isdisjoint(m["fine"])
 
@@ -513,7 +527,7 @@ class TestWholePathSandwich:
         for seed in range(150):
             table = _random_table(rng)
             boxes = iface_rewrite(
-                prepare_for_simple(ctstate_specialize(unfold(table, "FORWARD"), "NEW")),
+                prepare_for_simple(ctstate_specialize(unfold(table, "FORWARD"), "NEW"), 32),
                 self.IPASSMT)
             upper = translate_to_simple(boxes, "in_doubt_allow")
             lower = translate_to_simple(boxes, "in_doubt_deny")
@@ -603,11 +617,11 @@ class TestBoxWalk:
         for label, rules in _walked_rule_lists():
             rules = [replace(r, raw=i) for i, r in enumerate(rules)]
             walked = {}
-            for box in prepare_for_simple(rules):
+            for box in prepare_for_simple(rules, 32):
                 walked.setdefault(box.raw, []).append(box)
             for i, r in enumerate(rules):
                 oracle = [b for lits in normalize_nnf(r.match)
-                          for b in prepare_for_simple([Rule(mand(*lits), r.action, i)])]
+                          for b in prepare_for_simple([Rule(mand(*lits), r.action, i)], 32)]
                 assert list(dict.fromkeys(walked.get(i, []))) == list(dict.fromkeys(oracle)), \
                     (label, i)
                 rules_read += 1
@@ -625,7 +639,7 @@ class TestBoxWalk:
                 if any(_literal_is_unknown(lit) for lits in normalize_nnf(r.match)
                        for lit in lits):
                     continue
-                boxes = [replace(b, accept=True) for b in prepare_for_simple([r])]
+                boxes = [replace(b, accept=True) for b in prepare_for_simple([r], 32)]
                 over = translate_to_simple(boxes, "in_doubt_allow")
                 under = translate_to_simple(boxes, "in_doubt_deny")
                 exact += over == under
@@ -645,11 +659,11 @@ class TestBoxWalk:
         """`! -p tcp` and `! -p udp` read into equal boxes, yet `-p tcp`
         conjoined with the first matches nothing and with the second tcp."""
         tcp, udp = MPrim(rs.Protocol(6)), MPrim(rs.Protocol(17))
-        assert prepare_for_simple([Rule(MNot(tcp), rs.ACCEPT)]) == \
-            prepare_for_simple([Rule(MNot(udp), rs.ACCEPT)])
-        assert prepare_for_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT)]) == []
+        assert prepare_for_simple([Rule(MNot(tcp), rs.ACCEPT)], 32) == \
+            prepare_for_simple([Rule(MNot(udp), rs.ACCEPT)], 32)
+        assert prepare_for_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT)], 32) == []
         boxes = prepare_for_simple([Rule(mand(tcp, MNot(tcp)), rs.ACCEPT),
-                                    Rule(mand(tcp, MNot(udp)), rs.ACCEPT)])
+                                    Rule(mand(tcp, MNot(udp)), rs.ACCEPT)], 32)
         assert [(b.proto, b.unknown, b.known) for b in boxes] == [(6, False, True)]
 
     def test_boxes_past_the_bound_fail_fast(self):
@@ -658,7 +672,7 @@ class TestBoxWalk:
         naming the rule."""
         k = MAX_BOXES.bit_length() - 1
         assert 1 << k == MAX_BOXES
-        boxes = prepare_for_simple(unfold(parse_save(doubling_returns(k)), "FORWARD"))
+        boxes = prepare_for_simple(unfold(parse_save(doubling_returns(k)), "FORWARD"), 32)
         assert len(boxes) == MAX_BOXES + 1 and len(set(boxes)) == len(boxes)
         with pytest.raises(TooManyBoxes, match="'-A USER -j ACCEPT' splits into more than"):
-            prepare_for_simple(unfold(parse_save(doubling_returns(k + 1)), "FORWARD"))
+            prepare_for_simple(unfold(parse_save(doubling_returns(k + 1)), "FORWARD"), 32)

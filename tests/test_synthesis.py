@@ -35,7 +35,6 @@ from netfence.synthesis import (
     generate_valid_topology,
     generate_valid_topology3,
     insertion_member,
-    maximum_policy,
     minimalize_offending_overapprox,
     policy_diff,
 )
@@ -371,8 +370,8 @@ class TestInsertionMember:
 
 
 class TestMaximumPolicy:
-    """maximum_policy equals its definition, generate_valid_topology on
-    the allow-all graph, on random invariant sets over up to six nodes,
+    """ClassRows equals its definition, generate_valid_topology on the
+    allow-all graph, on random invariant sets over up to six nodes,
     and raises TooLargeForBruteForce in the same cases.  Non-Phi sets skip
     four nodes, whose 16-edge allow-all graph is the slowest brute force
     within the bound."""
@@ -389,10 +388,10 @@ class TestMaximumPolicy:
                 expected = generate_valid_topology(invs, PolicyGraph.of(nodes).allow_all())
             except TooLargeForBruteForce:
                 with pytest.raises(TooLargeForBruteForce):
-                    maximum_policy(invs, nodes)
+                    ClassRows(invs, nodes)
                 outcomes.add("raised")
                 continue
-            assert maximum_policy(invs, nodes) == expected
+            assert ClassRows(invs, nodes) == expected.edges
             outcomes.add("equal")
         assert outcomes == ({"equal"} if kind == "phi" else {"equal", "raised"})
 
@@ -407,10 +406,10 @@ class TestMaximumPolicy:
         counted = replace(blp_inv, phi=counted_phi)
         comm = instantiate("CommWith", {"a": ("b",)})
         with pytest.raises(TooLargeForBruteForce, match="CommWith: 25 edges"):
-            maximum_policy([counted, comm], HOSTS6[:5])
+            ClassRows([counted, comm], HOSTS6[:5])
         assert not phi_calls
-        assert maximum_policy([counted, comm], HOSTS6[:3]) == generate_valid_topology(
-            [blp_inv, comm], PolicyGraph.of(HOSTS6[:3]).allow_all())
+        assert ClassRows([counted, comm], HOSTS6[:3]) == generate_valid_topology(
+            [blp_inv, comm], PolicyGraph.of(HOSTS6[:3]).allow_all()).edges
 
 
 def class_spec(rng, template_id, hosts):
@@ -450,7 +449,7 @@ def names_phi_invariant(hosts):
 
 
 class TestMaximumPolicyOnClasses:
-    """maximum_policy decides each phi at most once per pair of classes
+    """ClassRows decides each phi at most once per pair of classes
     of hosts with equal attributes; against its definition on 20 to 40
     hosts whose attributes come from the templates' small pools, so that
     most classes have many members, one host is alone in its class, and
@@ -465,7 +464,7 @@ class TestMaximumPolicyOnClasses:
             rng.shuffle(hosts)
             invs = class_spec(rng, template_id, hosts)
             expected = generate_valid_topology(invs, PolicyGraph.of(hosts).allow_all())
-            assert maximum_policy(invs, hosts) == expected
+            assert ClassRows(invs, hosts) == expected.edges
             keys = Counter(tuple(inv.attr_map(h) for inv in invs) for h in hosts)
             sizes.update(min(n, 3) for n in keys.values())
         assert sizes[1] and sizes[3], sizes
@@ -478,15 +477,18 @@ class TestMaximumPolicyOnClasses:
             assert inv.phi_reads_names
             for invs in ([inv], [inv] + class_spec(rng, rng.choice(PHI_IDS), hosts)):
                 expected = generate_valid_topology(invs, PolicyGraph.of(hosts).allow_all())
-                assert maximum_policy(invs, hosts) == expected
+                assert ClassRows(invs, hosts) == expected.edges
 
 
-def definitional_policy_diff(manual, invariants, maximum):
-    """policy_diff as it was before it could share all_hold's report."""
+def definitional_policy_diff(manual, invariants):
+    """policy_diff by definition: each invariant's set_offending_flows on
+    the manual policy, and the absent flows of the maximum policy
+    generate_valid_topology(..., allow_all())."""
     violating = set()
     for inv in invariants:
         for flow_set in set_offending_flows(inv, manual):
             violating |= flow_set
+    maximum = generate_valid_topology(invariants, manual.allow_all())
     return (frozenset(manual.edges - violating), frozenset(violating),
             frozenset(maximum.edges - manual.edges))
 
@@ -494,10 +496,12 @@ def definitional_policy_diff(manual, invariants, maximum):
 class TestPolicyDiff:
     @pytest.mark.parametrize("kind", ["phi", "nonphi", "mixed"])
     def test_shared_report_equals_definition(self, kind):
-        """With or without all_hold's report, policy_diff gives the
-        definitional sets, and raises TooLargeForBruteForce in the same
-        cases: a non-Phi invariant violated past the bound.  Graphs have
-        up to five edges, or 22 to exceed the bound."""
+        """With or without ClassRows and all_hold's report, policy_diff
+        gives the definitional sets, and raises TooLargeForBruteForce in
+        the same cases: a non-Phi invariant violated past the bound, on the
+        manual policy or on the allow-all graph of the maximum.  Graphs
+        have up to five edges, or 22 to exceed the bound; non-Phi sets skip
+        four nodes, as TestMaximumPolicy does."""
         rng = random.Random(f"diff-{kind}")
         outcomes = set()
         for _ in range(150):
@@ -505,20 +509,24 @@ class TestPolicyDiff:
                 full = PolicyGraph.of(HOSTS6[:5]).allow_all()
                 manual = full.delete_edges(rng.sample(full.sorted_edges(), 3))
             else:
-                manual = random_graph(rng, 5)
+                sizes = (2, 3, 4, 5, 6) if kind == "phi" else (2, 3, 5, 6)
+                nodes = HOSTS6[: rng.choice(sizes)]
+                pairs = [(s, r) for s in nodes for r in nodes]
+                manual = PolicyGraph.of(nodes, rng.sample(pairs, min(rng.randint(0, 5), len(pairs))))
             invs = random_library_invariants(rng, manual.sorted_nodes(), kind)
-            maximum = manual.allow_all()
             try:
-                expected = definitional_policy_diff(manual, invs, maximum)
+                expected = definitional_policy_diff(manual, invs)
             except TooLargeForBruteForce:
                 for report in (None, all_hold(invs, manual)):
                     with pytest.raises(TooLargeForBruteForce):
-                        policy_diff(manual, invs, maximum, report)
+                        policy_diff(manual, invs, report=report)
                 outcomes.add("raised")
                 continue
-            for report in (None, all_hold(invs, manual)):
-                diff = policy_diff(manual, invs, maximum, report)
-                assert (diff.kept, diff.violating, diff.absent) == expected
+            maximum = ClassRows(invs, manual.nodes)
+            for report in (None, all_hold(invs, manual), all_hold(invs, manual, maximum.class_of)):
+                for given in (None, maximum):
+                    diff = policy_diff(manual, invs, given, report)
+                    assert (diff.kept, diff.violating, diff.absent) == expected
             outcomes.add("violating" if expected[1] else "clean")
         assert outcomes >= {"violating", "clean"}
         assert ("raised" in outcomes) == (kind != "phi")
@@ -593,7 +601,7 @@ def verify_policy(rng, hosts, invariants):
     without edges: either random edges, or a part of the maximum policy."""
     senders = rng.sample(hosts, len(hosts) * 2 // 3)
     if rng.random() < 0.3:
-        maximum = sorted(maximum_policy(invariants, hosts).edges)
+        maximum = sorted(ClassRows(invariants, hosts))
         edges = [e for e in maximum if e[0] in senders and rng.random() < 0.5]
     else:
         edges = [(s, rng.choice(hosts)) for s in senders for _ in range(rng.randint(1, 4))]
@@ -610,7 +618,7 @@ class TestVerifyOnClasses:
     norefl template takes part.  Policies have reflexive edges, hosts
     without edges and names that need DOT escapes."""
 
-    def verify(self, tmp_path, monkeypatch, manual, invariants):
+    def verify(self, tmp_path, monkeypatch, manual, invariants, flags=("--verify", "--construct")):
         # the CLI reads the spec file, then takes `invariants` in its place
         monkeypatch.setattr(cli, "load_invariants", lambda text: invariants)
         tmp_path.mkdir()
@@ -620,17 +628,23 @@ class TestVerifyOnClasses:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main(["synthesize", "--invariants", str(tmp_path / "spec.json"),
-                             "--policy", str(tmp_path / "policy.json"), "--verify",
-                             "--construct", "--out-dir", str(out)])
-        report, dot, line = definitional_verify(manual, invariants)
-        assert (out / "verify.json").read_text() == report
-        assert (out / "diff.dot").read_text() == dot
-        assert stdout.getvalue().splitlines()[0] == line
-        assert code == (0 if line.startswith("verify: OK") else 2)
-        if code == 0:
+                             "--policy", str(tmp_path / "policy.json"), *flags,
+                             "--out-dir", str(out)])
+        if "--verify" in flags:
+            report, dot, line = definitional_verify(manual, invariants)
+            assert (out / "verify.json").read_text() == report
+            assert (out / "diff.dot").read_text() == dot
+            assert stdout.getvalue().splitlines()[0] == line
+            assert code == (0 if line.startswith("verify: OK") else 2)
+        else:
+            assert code == 0
+        assert (out / "policy.json").exists() == (code == 0 and "--construct" in flags)
+        if code == 0 and "--construct" in flags:
             maximum = generate_valid_topology(invariants, manual.allow_all())
             assert (out / "policy.json").read_text() == maximum.to_json()
             assert (out / "policy.dot").read_text() == sorting_dot(maximum.nodes, maximum.edges)
+            assert stdout.getvalue().splitlines()[-1] == \
+                f"constructed policy with {len(maximum.edges)} flows"
         return code
 
     @pytest.mark.parametrize("kind", ["library", "classes", "names"])
@@ -651,6 +665,24 @@ class TestVerifyOnClasses:
         assert set(codes) == {0, 2}, codes
         if kind == "classes":
             assert templates == {t for t in PHI_IDS if TEMPLATES[t].norefl}
+
+    @pytest.mark.parametrize("kind", ["mixed", "nonphi"])
+    def test_non_phi_specs_within_the_bound(self, tmp_path, monkeypatch, kind):
+        """Specs with a non-Phi invariant, over two or three hosts whose
+        allow-all graph is within the brute-force bound, so that ClassRows
+        evaluates the definition and holds each host as its own class;
+        run with --verify, --verify --construct and --construct alone."""
+        rng = random.Random(f"verify-bound-{kind}")
+        codes = Counter()
+        for i in range(20):
+            hosts = ["a", 'q"uote', "back\\slash"][: rng.choice((2, 3))]
+            rng.shuffle(hosts)
+            invs = random_library_invariants(rng, hosts, kind)
+            manual = random_graph(rng, 5, hosts)
+            for j, flags in enumerate((["--verify"], ["--verify", "--construct"],
+                                       ["--construct"])):
+                codes[self.verify(tmp_path / f"{i}-{j}", monkeypatch, manual, invs, flags)] += 1
+        assert set(codes) == {0, 2}, codes
 
     def test_all_hold_decides_each_class_pair_once(self):
         """all_hold with ClassRows' class ids calls each phi at most once

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis, parser, semantics, simplefw, spoofing
 from .errors import NetfenceError, TooLargeForBruteForce, UnreadableInput, UsageError, load_json
-from .invariants import all_hold
+from .invariants import all_hold, all_phi
 from .policy import PolicyGraph
 from .serializer import binding_from_json, emit_iptables
 from .stateful import StatefulPolicy, generate_stateful
@@ -182,8 +182,10 @@ def _cmd_synthesize(args):
 
     graph = manual  # later steps run on the supplied policy if any
     if args.construct or graph is None:
-        if not maximum.edges:
-            print("warning: invariants are contradictory, policy is deny-all", file=sys.stderr)
+        if not maximum.edges:  # a non-Phi maximum may drop flows a satisfying policy keeps
+            print("warning: invariants are contradictory, policy is deny-all" if all_phi(invariants)
+                  else "warning: policy is deny-all; with a non-Phi invariant the invariants may "
+                  "still be satisfiable", file=sys.stderr)
         (out_dir / "policy.json").write_text(maximum.to_json())
         (out_dir / "policy.dot").write_text(maximum.to_dot())
         print(f"constructed policy with {len(maximum.edges)} flows")

@@ -160,6 +160,11 @@ def set_offending_flows(inv: ConfiguredInvariant, graph: PolicyGraph) -> frozens
     return frozenset(out)
 
 
+def all_phi(invariants) -> bool:
+    """Whether every invariant is Phi-structured."""
+    return all(inv.phi is not None for inv in invariants)
+
+
 def get_ifs(invariants):
     return [m for m in invariants if m.strategy is Strategy.IFS]
 

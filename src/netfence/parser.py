@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import re
 import shlex
 
 from . import ruleset as rs
@@ -132,6 +131,20 @@ def _at_line(parse, text, family, lineno):
 # A leaf is made once per parse_save call for each key: its class, its
 # value text and, for a port match, the protocol.
 
+def _leaf(cls, *values):
+    return rs.MPrim(cls(*values))
+
+
+def _parsed(cls, parse, text, lineno, *head):
+    """The leaf of cls over head and text read by parse."""
+    return rs.MPrim(cls(*head, parse(text, lineno)))
+
+
+def _address_leaf(rp, cls, text):
+    addrs = rp.shared(text, _at_line, parse_address_set, text, rp.family, rp.lineno)
+    return rs.MPrim(cls(addrs))
+
+
 def _value(rp, option, tokens, i):
     """tokens[i] as `option`'s typed value, which may not be '!' or option-like."""
     tok = tokens[i] if i < len(tokens) else None
@@ -161,7 +174,7 @@ def _protocol(rp, option, cls, negated, tokens, i):
     value = _value(rp, option, tokens, i)
     if value == "all":
         return None, i + 1
-    leaf = rp.shared((cls, value), lambda: rs.MPrim(cls(_parse_protocol(value, rp.lineno))))
+    leaf = rp.shared((cls, value), _parsed, cls, _parse_protocol, value, rp.lineno)
     if not negated:
         rp.proto = leaf.prim.number
     return leaf, i + 1
@@ -171,20 +184,17 @@ def _ports(rp, option, cls, negated, tokens, i):
     proto = rp.port_proto()
     text = _value(rp, option, tokens, i)
     parse = _parse_port_spec if cls.module is None else _parse_multiport_list
-    leaf = rp.shared((cls, text, proto), lambda: rs.MPrim(cls(proto, parse(text, rp.lineno))))
+    leaf = rp.shared((cls, text, proto), _parsed, cls, parse, text, rp.lineno, proto)
     return leaf, i + 1
 
 
 def _tcp_flags(rp, option, cls, negated, tokens, i):
     rp.port_proto()
-    if option == "--syn":
-        mask, comp = "FIN,SYN,RST,ACK", "SYN"
-    else:
-        mask = _value(rp, option, tokens, i)
-        _parse_flagset(mask, rp.lineno)  # a bad mask is reported before a missing comp
-        comp, i = _value(rp, option, tokens, i + 1), i + 2
-    return rp.shared((cls, mask, comp), lambda: rs.MPrim(
-        cls(_parse_flagset(mask, rp.lineno), _parse_flagset(comp, rp.lineno)))), i
+    syn = option == "--syn"
+    mask = "FIN,SYN,RST,ACK" if syn else _value(rp, option, tokens, i)
+    flags = _parse_flagset(mask, rp.lineno)  # a bad mask is reported before a missing comp
+    comp, i = ("SYN", i) if syn else (_value(rp, option, tokens, i + 1), i + 2)
+    return rp.shared((cls, mask, comp), _parsed, cls, _parse_flagset, comp, rp.lineno, flags), i
 
 
 def _states(rp, option, cls, negated, tokens, i):
@@ -192,7 +202,7 @@ def _states(rp, option, cls, negated, tokens, i):
     states = frozenset(text.split(","))
     if unknown := states - set(rs.CT_STATES):
         rp.error(f"unknown conntrack states {sorted(unknown)}")
-    return rp.shared((cls, text), lambda: rs.MPrim(cls(states))), i + 1
+    return rp.shared((cls, text), _leaf, cls, states), i + 1
 
 
 def _comment(rp, option, cls, negated, tokens, i):
@@ -275,16 +285,15 @@ class _RuleParser:
     def error(self, message):
         raise SyntaxError_(message, self.lineno)
 
-    def shared(self, key, make):
-        """memo[key], made by make() on its first use."""
+    def shared(self, key, make, *args):
+        """memo[key], made by make(*args) on its first use."""
         got = self.memo.get(key)
         if got is None:
-            got = self.memo[key] = make()
+            got = self.memo[key] = make(*args)
         return got
 
     def address(self, cls, text):  # Src and Dst share the set of a text
-        return self.shared((cls, text), lambda: rs.MPrim(cls(self.shared(
-            text, lambda: _at_line(parse_address_set, text, self.family, self.lineno)))))
+        return self.shared((cls, text), _address_leaf, self, cls, text)
 
     def port_proto(self):
         if self.module in ("tcp", "udp", "sctp"):
@@ -294,7 +303,7 @@ class _RuleParser:
         self.error("port match requires a tcp/udp/sctp protocol context")
 
     def named(self, cls, text):  # an interface, or an Extra's text
-        return self.shared((cls, text), lambda: rs.MPrim(cls(text)))
+        return self.shared((cls, text), _leaf, cls, text)
 
     def end_group(self):
         if self.group or self.module not in _KNOWN_MODULES:
@@ -348,16 +357,14 @@ def _lines(text):
             yield lineno, line
 
 
-# shlex's POSIX whitespace; any other character, NBSP included, is part of a word
-_WORD = re.compile(r"[^ \t\r\n]+")
-
-
 def _tokenize(line, lineno):
     """shlex.split(line) in POSIX mode, without comments.  A line with no
     quote or backslash, as iptables-save writes almost every line, is
-    split on whitespace by one regex, which gives the same words."""
+    split on shlex's whitespace (space, tab, CR and LF; NBSP and any other
+    character is part of a word), which gives the same words."""
     if '"' not in line and "'" not in line and "\\" not in line:
-        return _WORD.findall(line)
+        spaced = line.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+        return [word for word in spaced.split(" ") if word]
     try:
         return shlex.split(line, comments=False, posix=True)
     except ValueError as exc:

@@ -9,7 +9,8 @@ Preparation walks each unfolded rule's match once into its distinct
 Boxes (7 fields with word-interval sets, plus flags for what the model
 cannot express), meeting them as Header Space Analysis meets wildcard
 cubes.  Interface constraining narrows the boxes; translate_to_simple
-closes them under an in-doubt tactic and splits them into CIDRs.
+closes them under an in-doubt tactic and splits them into CIDRs, each
+distinct address set once, so that rules share their Cidr objects.
 """
 
 from __future__ import annotations
@@ -141,12 +142,18 @@ _PROTOCOLS = [WordInterval.single(n, 8) for n in range(256)]
 
 
 def _meet(a, b) -> Optional[_PreBox]:
+    """a ∩ b, met field by field up to the first empty one (None)."""
     iif, oif = iface_conj(a.iiface, b.iiface), iface_conj(a.oiface, b.oiface)
-    sets = [y if x is None or x is y else x if y is None else x.intersect(y)
-            for x, y in zip(a[2:7], b[2:7])]
-    if iif is None or oif is None or not all(s is None or s.parts for s in sets):
+    if iif is None or oif is None:
         return None
-    return _PreBox(iif, oif, *sets, a.unknown or b.unknown, a.known or b.known)
+    fields = [iif, oif]
+    for i in range(2, 7):  # the five sets
+        x, y = a[i], b[i]
+        if x is not None and y is not None and x is not y and not (y := x.intersect(y)).parts:
+            return None
+        fields.append(x if y is None else y)
+    fields += (a.unknown or b.unknown, a.known or b.known)
+    return _PreBox._make(fields)
 
 
 def _literal(prim, negated) -> list:
@@ -231,13 +238,16 @@ def translate_to_simple(boxes, tactic="in_doubt_allow") -> list:
         raise ValueError(f"unknown tactic {tactic!r}")
     allow = tactic == "in_doubt_allow"
     out = []
+    split = {}  # id of each address set -> (the set, its CIDRs); boxes share sets
     for b in boxes:
         if b.unknown and b.accept != allow:
             continue
         width = b.src.width  # the address width the box was prepared with
+        (_, srcs), (_, dsts) = (split.get(id(wi)) or split.setdefault(id(wi), (wi, wi.to_cidrs()))
+                                for wi in (b.src, b.dst))
         out.extend(
             SimpleRule(SimpleMatch(width, b.iiface, b.oiface, s, d, b.proto, sp, dp), b.accept)
-            for s in b.src.to_cidrs() for d in b.dst.to_cidrs()
+            for s in srcs for d in dsts
             for sp in b.sports.parts for dp in b.dports.parts
         )
         if not b.known:

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from .errors import PreconditionViolated
-from .invariants import ConfiguredInvariant, all_hold, phi_failing_edges, set_offending_flows
+from .invariants import (ConfiguredInvariant, all_hold, all_phi, phi_failing_edges,
+                         set_offending_flows)
 from .policy import PolicyGraph, adjacency, dot_text, policy_json
 
 
@@ -71,7 +72,7 @@ class ClassRows(EdgeRows):
 
     def __init__(self, invariants, nodes):
         order = sorted(nodes)
-        if any(inv.phi is None for inv in invariants):
+        if not all_phi(invariants):
             edges = generate_valid_topology(invariants, PolicyGraph.of(order).allow_all()).edges
             members = [[h] for h in order]
             self.reach = [{c for c, r in enumerate(order) if (h, r) in edges} for h in order]

@@ -189,6 +189,11 @@ class Cidr:
             raise IllformedCidr(f"prefix /{self.prefix} out of range for width {self.width}")
         if self.base & self.hostmask():
             raise IllformedCidr(f"{self.base}/{self.prefix}: bits set after the prefix")
+        # the dataclass hash, kept: rules share few blocks, which dicts hash often
+        object.__setattr__(self, "_hash", hash((self.base, self.prefix, self.width)))
+
+    def __hash__(self):
+        return self._hash
 
     def hostmask(self):
         return (1 << (self.width - self.prefix)) - 1

@@ -16,7 +16,7 @@ from netfence import ruleset as rs
 from netfence.policy import PolicyGraph, Strategy
 from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
 from netfence.semantics import ALLOW, DENY, UNDECIDED, default_known
-from netfence.simplefw import SimpleRule, simple_fw_eval
+from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
 from netfence.errors import IfaceNotInIpassmt
 from netfence.spoofing import SpoofVerdict, sp_certify_all
 from netfence.templates import LIBRARY_IDS, TEMPLATES
@@ -345,6 +345,35 @@ def ternary_list_eval(rules, packet, tactic, known=default_known):
         if v == TRUE:
             return ALLOW if r.action.kind == "accept" else DENY
     return UNDECIDED
+
+
+def fieldwise_meet(a, b):
+    """simplefw._meet by its definition: conjoin both interface patterns
+    and intersect all five sets (None being the universe); the meet is
+    None when any of the seven fields is empty."""
+    fields = [rs.iface_conj(a.iiface, b.iiface), rs.iface_conj(a.oiface, b.oiface)]
+    fields += [y if x is None else x if y is None else x.intersect(y)
+               for x, y in zip(a[2:7], b[2:7])]
+    if None in fields[:2] or any(s is not None and s.is_empty() for s in fields[2:]):
+        return None
+    return type(a)(*fields, a.unknown or b.unknown, a.known or b.known)
+
+
+def per_box_translation(boxes, tactic):
+    """translate_to_simple by its definition: every box the tactic keeps,
+    up to the first kept one without a known literal, split into CIDRs on
+    its own, with no split shared between boxes."""
+    out = []
+    for b in boxes:
+        if b.unknown and b.accept != (tactic == "in_doubt_allow"):
+            continue
+        out += [SimpleRule(SimpleMatch(b.src.width, b.iiface, b.oiface, s, d, b.proto, sp, dp),
+                           b.accept)
+                for s in b.src.to_cidrs() for d in b.dst.to_cidrs()
+                for sp in b.sports.parts for dp in b.dports.parts]
+        if not b.known:
+            break
+    return out
 
 
 def slow_rows(rules, svc, reps):

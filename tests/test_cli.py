@@ -534,9 +534,29 @@ class TestSynthesize:
         out = tmp_path / "out"
         code = run(["synthesize", "--invariants", spec, "--construct", "--out-dir", out])
         assert code == 0
-        assert "deny-all" in capsys.readouterr().err
+        assert capsys.readouterr().err == "warning: invariants are contradictory, policy is deny-all\n"
         constructed = PolicyGraph.from_json((out / "policy.json").read_text())
         assert not constructed.edges
+
+    def test_empty_non_phi_maximum_is_not_called_contradictory(self, tmp_path, capsys):
+        """CommWith a -> b, b -> c is satisfied by the policy {a -> b}, yet
+        the maximum policy of this non-Phi spec has no edge; the warning
+        says deny-all without calling the invariants contradictory."""
+        spec = tmp_path / "inv.json"
+        spec.write_text(json.dumps([
+            {"template": "CommWith", "attrs": {"a": ["b"], "b": ["c"], "c": []}},
+        ]))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"nodes": ["a", "b", "c"], "edges": [["a", "b"]]}))
+        out = tmp_path / "out"
+        code = run(["synthesize", "--invariants", spec, "--policy", policy,
+                    "--verify", "--construct", "--out-dir", out])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "verify: OK" in captured.out
+        assert "deny-all" in captured.err
+        assert "contradictory" not in captured.err
+        assert not PolicyGraph.from_json((out / "policy.json").read_text()).edges
 
     def test_verify_detects_violations(self, tmp_path, monkeypatch):
         policy = tmp_path / "policy.json"

@@ -325,7 +325,7 @@ class TestNonAsciiWhitespace:
 
 class TestTokenize:
     """_tokenize splits a line as shlex.split does in POSIX mode without
-    comments; lines without quotes or backslashes take a regex instead."""
+    comments; lines without quotes or backslashes are split with str.split."""
 
     @staticmethod
     def shlex_words(line):
@@ -336,7 +336,7 @@ class TestTokenize:
             return f"tokenizer: {exc}"
 
     @settings(derandomize=True, max_examples=600, deadline=None)
-    @given(st.text(alphabet="ab9-!,/:# \t\r\xa0\"'\\", max_size=30))
+    @given(st.text(alphabet="ab9-!,/:# \t\r\n\xa0\"'\\", max_size=30))
     @example("-A INPUT\t-s 10.0.0.0/8 -j DROP")
     @example("-m comment --comment \"web tier\" -i a\\ b")
     def test_equals_shlex(self, line):

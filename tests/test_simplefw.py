@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from checkers import (doubling_returns, rebuilding_ctstate_specialize, return_ladder,
-                      seeded_return_ladder)
+from checkers import (doubling_returns, fieldwise_meet, per_box_translation,
+                      rebuilding_ctstate_specialize, return_ladder, seeded_return_ladder)
 from conftest import CORPUS, load_ruleset, stable_hash
 from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
@@ -30,7 +30,9 @@ from netfence.simplefw import (
     PORT_UNIV,
     SimpleMatch,
     SimpleRule,
+    _PreBox,
     _as_rule,
+    _meet,
     iface_rewrite,
     prepare_for_simple,
     routing_to_ipassmt,
@@ -543,6 +545,17 @@ class TestWholePathSandwich:
                 checked[exact] += 1
         assert checked[ALLOW] > 1000 and checked[DENY] > 1000
 
+    @pytest.mark.parametrize("tactic", ["in_doubt_allow", "in_doubt_deny"])
+    def test_translation_equals_the_unshared_per_box_product(self, tactic):
+        """translate_to_simple splits each address set once and shares the
+        CIDRs among the boxes that hold it; the rules equal those of
+        splitting every box on its own."""
+        rng = random.Random(5)
+        for _ in range(150):
+            boxes = iface_rewrite(prepare_for_simple(
+                ctstate_specialize(unfold(_random_table(rng), "FORWARD"), "NEW"), 32), self.IPASSMT)
+            assert translate_to_simple(boxes, tactic) == per_box_translation(boxes, tactic)
+
     def test_spoofed_accepts_lie_in_the_residual(self):
         """Every packet the exact semantics accepts on eth0 or lo with a source
         outside the interface's range lies in the residual that spoofing
@@ -654,6 +667,33 @@ class TestBoxWalk:
                     assert (simple_fw_eval(under, p) == ALLOW) <= holds, (label, r.raw, p)
                     assert holds <= (simple_fw_eval(over, p) == ALLOW), (label, r.raw, p)
         assert exact > 300
+
+    def test_meet_equals_the_fieldwise_definition(self):
+        """_meet, which stops at the first empty field, against the meet of
+        all seven fields on random pre-boxes.  Their sets come from a small
+        pool, so that fields are often the same object, and their
+        interface patterns are `+`, wildcards and exact names."""
+        rng = random.Random(29)
+        ifaces = ["+", "+", "eth+", "e+", "eth0", "eth1", "lo"]
+
+        def random_set(width):
+            ends = sorted(rng.randrange(16) for _ in range(2 * rng.randint(1, 2)))
+            return WordInterval(list(zip(ends[::2], ends[1::2])), width)
+
+        pools = [[random_set(width) for _ in range(6)] for width in (32, 32, 8, 16, 16)]
+
+        def prebox():
+            sets = [rng.choice(pool) if rng.random() < 0.6 else None for pool in pools]
+            return _PreBox(rng.choice(ifaces), rng.choice(ifaces), *sets,
+                           rng.random() < 0.2, rng.random() < 0.8)
+
+        met = Counter()
+        for _ in range(5000):
+            a, b = prebox(), prebox()
+            got = _meet(a, b)
+            assert got == fieldwise_meet(a, b), (a, b)
+            met[got is None] += 1
+        assert min(met.values()) > 1000
 
     def test_negated_protocols_stay_apart_under_a_conjunction(self):
         """`! -p tcp` and `! -p udp` read into equal boxes, yet `-p tcp`

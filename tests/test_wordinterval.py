@@ -2,7 +2,7 @@ import ipaddress
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from netfence.errors import IllformedCidr, ParseError, WidthMismatch
 from netfence.wordinterval import (
@@ -167,6 +167,15 @@ class TestCidr:
         with pytest.raises(IllformedCidr):
             Cidr(ip_parse("10.0.0.1"), 8, 32)
 
+    def test_hash_is_the_field_tuple_hash(self):
+        """The hash cached on each Cidr is the frozen dataclass's, and equal
+        blocks made apart hash and compare equal."""
+        for c in parse_address_set("10.0.0.1-10.0.3.254").to_cidrs():
+            twin = Cidr(c.base, c.prefix, c.width)
+            assert twin is not c and twin == c and hash(twin) == hash(c)
+            assert hash(c) == hash((c.base, c.prefix, c.width))
+        assert Cidr(0, 0, 32) != Cidr(0, 0, 128)
+
     def test_split_aligned_block(self):
         wi = parse_address_set("10.0.0.0-10.0.0.15")
         assert [str(c) for c in wi.to_cidrs()] == ["10.0.0.0/28"]
@@ -229,6 +238,12 @@ class TestCidr:
             assert inter.is_empty() or inter in (a.interval(), b.interval())
 
 
+# octet texts near a valid one: leading zeros, values past 255, an empty
+# octet, and digits, signs and spaces that int() reads but an address does not
+NEAR_OCTETS = ["0", "00", "01", "007", "1", "99", "255", "256", "300", "1000", "",
+               "\u0661", "1\u0661", "+1", "-1", "\u00a01", "1\u00a0", " 1", "0x1", "1_0"]
+
+
 class TestAddressText:
     def test_v4_format(self):
         assert ip_format(0x0A000001, 32) == "10.0.0.1"
@@ -281,6 +296,32 @@ class TestAddressText:
         for value in (-1, 2**32):
             with pytest.raises(ValueError):
                 ip_format(value, 32)
+
+    @given(st.lists(st.integers(0, 255).map(str), min_size=3, max_size=5),
+           st.lists(st.tuples(st.integers(0, 4), st.sampled_from(NEAR_OCTETS)), max_size=2),
+           st.sampled_from(["", " ", "\t", "\u00a0"]))
+    @example(["1", "2", "3", "4"], [(0, "01")], "")
+    @example(["1", "2", "3", "4"], [(3, "256")], " ")
+    @example(["1", "2", "3", "4"], [(3, "\u0661")], "")
+    @example(["1", "2", "3", "4"], [(3, "1\u0661")], "")
+    @example(["1", "2", "3", "4"], [(1, "")], "")
+    @example(["10", "0", "0", "1"], [], "\u00a0")
+    def test_v4_parse_equals_ipaddress_on_near_addresses(self, octets, edits, space):
+        """On texts near a dotted quad, with 3 to 5 octets and some octets
+        replaced by near ones, ip_parse gives ipaddress's value or a
+        ParseError with ipaddress's reason, and strips ASCII spaces only."""
+        for i, near in edits:
+            octets[i % len(octets)] = near
+        text = space + ".".join(octets) + space
+        stripped = text.strip(" \t\n\r\v\f")
+        try:
+            expected = int(ipaddress.IPv4Address(stripped))
+        except ipaddress.AddressValueError as exc:
+            with pytest.raises(ParseError) as raised:
+                ip_parse(text)
+            assert str(raised.value) == f"bad v4 address {stripped!r}: {exc}"
+        else:
+            assert ip_parse(text) == expected
 
     @given(st.integers(0, 2**32 - 1))
     def test_v4_parse_format_identity(self, value):

@@ -1,11 +1,18 @@
 """Emit an iptables ruleset that implements a stateful policy.
 
-Every flow becomes one ACCEPT rule matching input interface + source
-range and output interface + destination range; every stateful flow
-additionally permits its reverse direction behind an ESTABLISHED state
-match.  The FORWARD chain's default policy is DROP, so rule order is
-irrelevant; the ESTABLISHED rules go on top for performance.  Every match
-is spelled by `ruleset.prim_to_args`, the printer `parse_save` reads back.
+The sources are grouped by their set of receivers, the rows of the
+policy.  Each distinct row, a row class, gets one user chain that
+ACCEPTs each receiver's output interface and destination address part,
+and FORWARD jumps each source's input interface and source address part
+to its row's chain.  The backflows of the stateful flows get the same
+layout inside one chain, `backflows`, which FORWARD enters first behind
+one ESTABLISHED state match.  FORWARD's policy is DROP and every
+terminal rule is an ACCEPT, so a packet is accepted exactly when some
+flow's two bindings match it, and it walks the source jumps and the row
+chains they enter instead of one rule per flow.  Every match is spelled
+by `ruleset.prim_to_args`, the printer `parse_save` reads back, and the
+chains are in `ruleset.table_to_save`'s order: FORWARD, then the user
+chains sorted by name.
 """
 
 from __future__ import annotations
@@ -32,10 +39,12 @@ def emit_iptables(t: StatefulPolicy, binding: dict) -> str:
     """Serialize a stateful policy as iptables-save text for FORWARD.
 
     `binding` maps each policy host with flows to a HostBinding, whose
-    addresses are written in the family of their set's width.  Reflexive
-    flows of hosts bound to a single address are in-host traffic and are
-    skipped; for one-to-many bindings they become intra-range rules.  A
-    fragmented address set gets one rule per part.
+    addresses are written in the family of their set's width.  Every flow
+    is written, a reflexive one too.  The row chains of the flows are
+    `row-<k>` and those of the backflows `backflow-row-<k>`, numbered in
+    the order of their first source in sorted order and zero-padded, so
+    that the chains print sorted by number.  A fragmented address set
+    gets one rule per part.
     """
     for s, r in sorted(t.flows):
         for h in (s, r):
@@ -52,20 +61,32 @@ def emit_iptables(t: StatefulPolicy, binding: dict) -> str:
         return [f"{head} {rs.prim_to_args(addr(p))}" for p in parts]
 
     accept = rs.action_to_args(rs.ACCEPT)
-    established = rs.prim_to_args(rs.CtState(frozenset({"ESTABLISHED"}))) + " "
+    chains = {}  # the rule bodies of each chain
 
-    def rule_lines(src_host, dst_host, state=""):
-        return [f"-A FORWARD {s} {d} {state}{accept}"
-                for s in args(src_host, True) for d in args(dst_host, False)]
+    def jumps(flows, prefix):
+        """The bodies of one rule per address part of each source of
+        `flows`, jumping to its row class's chain, which goes in `chains`."""
+        rows = {}
+        for s, r in sorted(flows):
+            rows.setdefault(s, []).append(r)
+        targets = dict.fromkeys(tuple(row) for row in rows.values())
+        digits = len(str(len(targets) - 1))
+        for k, row in enumerate(targets):
+            name = f"{prefix}{k:0{digits}}"
+            targets[row] = rs.action_to_args(rs.call(name))
+            chains[name] = [f"{d} {accept}" for r in row for d in args(r, False)]
+        return [f"{a} {targets[tuple(row)]}" for s, row in rows.items() for a in args(s, True)]
 
-    lines = ["*filter", ":FORWARD DROP [0:0]"]
-    for s, r in sorted(t.stateful):
-        if s != r:
-            lines += rule_lines(r, s, established)
-    for s, r in sorted(t.flows):
-        if s == r and binding[s].addrs.size() == 1:
-            continue  # in-host traffic
-        lines += rule_lines(s, r)
+    forward = jumps(t.flows, "row-")
+    backflows = {(r, s) for s, r in t.stateful if s != r}  # a reflexive one is its flow
+    if backflows:
+        chains["backflows"] = jumps(backflows, "backflow-row-")
+        established = rs.prim_to_args(rs.CtState(frozenset({"ESTABLISHED"})))
+        forward.insert(0, f"{established} {rs.action_to_args(rs.call('backflows'))}")
+    order = sorted(chains)
+    lines = ["*filter", ":FORWARD DROP [0:0]", *(f":{c} - [0:0]" for c in order)]
+    lines += [f"-A FORWARD {body}" for body in forward]
+    lines += [f"-A {c} {body}" for c in order for body in chains[c]]
     lines.append("COMMIT")
     return "\n".join(lines) + "\n"
 

@@ -107,9 +107,10 @@ class ClassRows(EdgeRows):
                            for reach in self.reach]
         size = sum(len(row) * len(hosts) for row, hosts in zip(self.class_rows, members))
         size += sum(self.refl[h] - (c in self.reach[c]) for h, c in self.class_of.items())
-        super().__init__(order, self._host_row, size)
+        # not EdgeRows.__init__: self.row stored on self would be a reference cycle
+        self.sources, self.size = order, size
 
-    def _host_row(self, h):
+    def row(self, h):
         c = self.class_of.get(h)
         if c is None:
             return []

@@ -295,6 +295,35 @@ def seeded_return_ladder(seed, k):
     return text, ipassmt
 
 
+# -- emission ---------------------------------------------------------------
+
+
+def per_flow_ruleset(t, binding):
+    """The definitional counterpart of serializer.emit_iptables: one FORWARD
+    ACCEPT per flow, reflexive flows included, and one per backflow of a
+    stateful flow behind an ESTABLISHED match, for every pair of address
+    parts of the two bindings; FORWARD's policy is DROP."""
+    def args(host, iface, addr):
+        b = binding[host]
+        head = rs.prim_to_args(iface(b.iface))
+        return [f"{head} {rs.prim_to_args(addr(WordInterval((p,), b.addrs.width)))}"
+                for p in b.addrs.parts]
+
+    def rule_lines(s, r, state=""):
+        return [f"-A FORWARD {a} {b} {state}-j ACCEPT"
+                for a in args(s, rs.IIface, rs.Src) for b in args(r, rs.OIface, rs.Dst)]
+
+    established = rs.prim_to_args(rs.CtState(frozenset({"ESTABLISHED"}))) + " "
+    lines = ["*filter", ":FORWARD DROP [0:0]"]
+    for s, r in sorted(t.stateful):
+        if s != r:
+            lines += rule_lines(r, s, established)
+    for s, r in sorted(t.flows):
+        lines += rule_lines(s, r)
+    lines.append("COMMIT")
+    return "\n".join(lines) + "\n"
+
+
 # -- ternary embedding -----------------------------------------------------------
 # Kleene three-valued matching, where a primitive the matcher does not
 # understand is Unknown: the definition that semantics.closure's upper and

@@ -640,10 +640,13 @@ class TestV6Printing:
         t = StatefulPolicy.of({"a", "b"}, {("a", "b")}, frozenset())
         binding = {"a": HostBinding("va", V6_RANGE), "b": HostBinding("vb", V6_CIDR)}
         text = emit_iptables(t, binding)
-        assert "-m iprange --src-range 2001:db8::1-2001:db8::5 -o vb -d 2001:db8:1::/48" in text
-        rule, = parse_save(text, "v6").chains["FORWARD"]
-        assert rule.match == rs.mand(*(MPrim(p) for p in (
-            rs.IIface("va"), rs.Src(V6_RANGE), rs.OIface("vb"), rs.Dst(V6_CIDR))))
+        assert "-A FORWARD -i va -m iprange --src-range 2001:db8::1-2001:db8::5 -j row-0\n" in text
+        assert "-A row-0 -o vb -d 2001:db8:1::/48 -j ACCEPT\n" in text
+        chains = parse_save(text, "v6").chains
+        assert chains["FORWARD"] == [rs.Rule(rs.mand(MPrim(rs.IIface("va")), MPrim(rs.Src(V6_RANGE))),
+                                             rs.call("row-0"))]
+        assert chains["row-0"] == [rs.Rule(rs.mand(MPrim(rs.OIface("vb")), MPrim(rs.Dst(V6_CIDR))),
+                                           rs.ACCEPT)]
 
     def test_residual_and_interval_text(self):
         residual = V6_RANGE.union(parse_address_set("2001:db8::9", "v6"))

@@ -4,7 +4,9 @@ import re
 import pytest
 
 import scenarios as sc
+from checkers import per_flow_ruleset
 from netfence import ruleset as rs
+from netfence.cli import analyze_pipeline
 from netfence.errors import IllformedSpec, UnboundHost
 from netfence.parser import parse_save
 from netfence.ruleset import MPrim, match_iface
@@ -22,6 +24,27 @@ def binding_for(hosts):
     }
 
 
+def rule_lines(text):
+    return [l for l in text.splitlines() if l.startswith("-A")]
+
+
+def flow_rules(text):
+    """The (kind, source match, destination match) of each path of the
+    emitted layout: a source jump, in FORWARD or in `backflows`, then one
+    ACCEPT of the row chain it jumps to; kind is "plain" or "answer"."""
+    chains = {}
+    for line in rule_lines(text):
+        chain, body = line.split(" ", 2)[1:]
+        chains.setdefault(chain, []).append(body)
+    out = []
+    for kind, chain in (("plain", "FORWARD"), ("answer", "backflows")):
+        for body in chains.get(chain, []):
+            match, target = body.split(" -j ")
+            if "--state" not in match:
+                out += [(kind, match, row.removesuffix(" -j ACCEPT")) for row in chains[target]]
+    return out
+
+
 class TestEmit:
     def test_single_edge_without_state(self):
         t = StatefulPolicy.of({"a", "b"}, {("a", "b")}, set())
@@ -30,31 +53,33 @@ class TestEmit:
             "b": HostBinding("eth_b", parse_address_set("10.0.0.2")),
         }
         text = emit_iptables(t, binding)
-        lines = [l for l in text.splitlines() if l.startswith("-A")]
-        assert lines == [
-            "-A FORWARD -i eth_a -s 10.0.0.1/32 -o eth_b -d 10.0.0.2/32 -j ACCEPT"
+        assert rule_lines(text) == [
+            "-A FORWARD -i eth_a -s 10.0.0.1/32 -j row-0",
+            "-A row-0 -o eth_b -d 10.0.0.2/32 -j ACCEPT",
         ]
-        assert ":FORWARD DROP [0:0]" in text
+        assert ":FORWARD DROP [0:0]" in text and ":row-0 - [0:0]" in text
+        assert "--state" not in text and "backflows" not in text
 
     def test_unbound_host(self):
         t = StatefulPolicy.of({"a", "b"}, {("a", "b")}, set())
         with pytest.raises(UnboundHost):
             emit_iptables(t, {"a": HostBinding("e", parse_address_set("10.0.0.1"))})
 
-    def test_reflexive_flow_skipped_for_single_address(self):
+    def test_reflexive_flow_written_for_single_address(self):
         t = StatefulPolicy.of({"a"}, {("a", "a")}, set())
         binding = {"a": HostBinding("eth_a", parse_address_set("10.0.0.1"))}
-        text = emit_iptables(t, binding)
-        assert not [l for l in text.splitlines() if l.startswith("-A")]
+        assert rule_lines(emit_iptables(t, binding)) == [
+            "-A FORWARD -i eth_a -s 10.0.0.1/32 -j row-0",
+            "-A row-0 -o eth_a -d 10.0.0.1/32 -j ACCEPT",
+        ]
 
     def test_reflexive_flow_emitted_for_ranges(self):
         t = StatefulPolicy.of({"a"}, {("a", "a")}, set())
         binding = {"a": HostBinding("br0", parse_address_set("10.0.0.0/24"))}
-        text = emit_iptables(t, binding)
-        assert (
-            "-A FORWARD -i br0 -s 10.0.0.0/24 -o br0 -d 10.0.0.0/24 -j ACCEPT"
-            in text
-        )
+        assert rule_lines(emit_iptables(t, binding)) == [
+            "-A FORWARD -i br0 -s 10.0.0.0/24 -j row-0",
+            "-A row-0 -o br0 -d 10.0.0.0/24 -j ACCEPT",
+        ]
 
     def test_fragmented_binding_uses_iprange(self):
         t = StatefulPolicy.of({"inet", "srv"}, {("inet", "srv")}, set())
@@ -62,63 +87,70 @@ class TestEmit:
             "inet": HostBinding("eth0", parse_address_set("10.0.0.0/8").complement()),
             "srv": HostBinding("srv0", parse_address_set("10.0.0.1")),
         }
-        text = emit_iptables(t, binding)
-        rules = [l for l in text.splitlines() if l.startswith("-A")]
-        assert rules == [
-            "-A FORWARD -i eth0 -m iprange --src-range 0.0.0.0-9.255.255.255"
-            " -o srv0 -d 10.0.0.1/32 -j ACCEPT",
-            "-A FORWARD -i eth0 -m iprange --src-range 11.0.0.0-255.255.255.255"
-            " -o srv0 -d 10.0.0.1/32 -j ACCEPT",
+        assert rule_lines(emit_iptables(t, binding)) == [
+            "-A FORWARD -i eth0 -m iprange --src-range 0.0.0.0-9.255.255.255 -j row-0",
+            "-A FORWARD -i eth0 -m iprange --src-range 11.0.0.0-255.255.255.255 -j row-0",
+            "-A row-0 -o srv0 -d 10.0.0.1/32 -j ACCEPT",
         ]
 
     def test_fragmented_binding_spells_a_cidr_part_with_s(self):
-        t = StatefulPolicy.of({"lan", "srv"}, {("lan", "srv")}, set())
+        t = StatefulPolicy.of({"lan", "srv"}, {("lan", "srv"), ("srv", "lan")}, set())
         binding = {
             "lan": HostBinding("br0", parse_address_set("10.0.0.0/24").union(
                 parse_address_set("10.0.1.5-10.0.1.9"))),
             "srv": HostBinding("srv0", parse_address_set("10.0.2.1")),
         }
-        rules = [l for l in emit_iptables(t, binding).splitlines() if l.startswith("-A")]
-        assert rules == [
-            "-A FORWARD -i br0 -s 10.0.0.0/24 -o srv0 -d 10.0.2.1/32 -j ACCEPT",
-            "-A FORWARD -i br0 -m iprange --src-range 10.0.1.5-10.0.1.9"
-            " -o srv0 -d 10.0.2.1/32 -j ACCEPT",
+        assert rule_lines(emit_iptables(t, binding)) == [
+            "-A FORWARD -i br0 -s 10.0.0.0/24 -j row-0",
+            "-A FORWARD -i br0 -m iprange --src-range 10.0.1.5-10.0.1.9 -j row-0",
+            "-A FORWARD -i srv0 -s 10.0.2.1/32 -j row-1",
+            "-A row-0 -o srv0 -d 10.0.2.1/32 -j ACCEPT",
+            "-A row-1 -o br0 -d 10.0.0.0/24 -j ACCEPT",
+            "-A row-1 -o br0 -m iprange --dst-range 10.0.1.5-10.0.1.9 -j ACCEPT",
         ]
 
     def test_established_rules_ordered_first(self):
+        """FORWARD enters the backflows first, behind its one state match."""
         t = StatefulPolicy.of({"a", "b"}, {("a", "b")}, {("a", "b")})
         binding = {
             "a": HostBinding("ea", parse_address_set("10.0.0.1")),
             "b": HostBinding("eb", parse_address_set("10.0.0.2")),
         }
-        lines = [
-            l for l in emit_iptables(t, binding).splitlines() if l.startswith("-A")
+        text = emit_iptables(t, binding)
+        assert rule_lines(text) == [
+            "-A FORWARD -m state --state ESTABLISHED -j backflows",
+            "-A FORWARD -i ea -s 10.0.0.1/32 -j row-0",
+            "-A backflow-row-0 -o ea -d 10.0.0.1/32 -j ACCEPT",
+            "-A backflows -i eb -s 10.0.0.2/32 -j backflow-row-0",
+            "-A row-0 -o eb -d 10.0.0.2/32 -j ACCEPT",
         ]
-        assert "--state ESTABLISHED" in lines[0]
-        assert lines[1].endswith("-j ACCEPT") and "--state" not in lines[1]
+        assert text.count("--state") == 1
 
     def test_factory_ruleset_structure(self):
-        """The emitted factory ruleset contains exactly one plain ACCEPT per
-        flow and one ESTABLISHED ACCEPT per stateful backflow."""
+        """The emitted factory ruleset has exactly one path of a source jump
+        and a row ACCEPT per flow, and one behind the ESTABLISHED match per
+        stateful backflow."""
         t = generate_stateful(sc.factory_policy(), sc.factory_invariants())
-        text = emit_iptables(t, binding_for(sc.FACTORY_HOSTS))
+        paths = flow_rules(emit_iptables(t, binding_for(sc.FACTORY_HOSTS)))
+        assert len(paths) == len(set(paths))
         plain, answers = set(), set()
-        for line in text.splitlines():
-            if not line.startswith("-A"):
-                continue
-            toks = line.split()
-            src = toks[toks.index("-s") + 1].removesuffix("/32")
-            dst = toks[toks.index("-d") + 1].removesuffix("/32")
-            (answers if "ESTABLISHED" in line else plain).add((src, dst))
+        for kind, src, dst in paths:
+            src = src.split()[src.split().index("-s") + 1].removesuffix("/32")
+            dst = dst.split()[dst.split().index("-d") + 1].removesuffix("/32")
+            (answers if kind == "answer" else plain).add((src, dst))
         ip = sc.FACTORY_IPS
+        assert len(paths) == len(plain) + len(answers)
         assert plain == {(ip[s], ip[r]) for s, r in sc.FACTORY_EDGES}
         assert answers == {(ip[r], ip[s]) for s, r in sc.FACTORY_STATEFUL}
 
     def test_emitted_ruleset_parses(self):
         t = generate_stateful(sc.factory_policy(), sc.factory_invariants())
-        text = emit_iptables(t, binding_for(sc.FACTORY_HOSTS))
-        table = parse_save(text)
-        assert len(table.chains["FORWARD"]) == 20  # 12 flows + 8 answers
+        table = parse_save(emit_iptables(t, binding_for(sc.FACTORY_HOSTS)))
+        assert table.policies == {"FORWARD": rs.DROP}
+        assert table.chains["FORWARD"][0] == rs.Rule(
+            rs.MPrim(rs.CtState(frozenset({"ESTABLISHED"}))), rs.call("backflows"))
+        # 12 flows + 8 answers, and the chain policy
+        assert len(unfold(table, "FORWARD")) == 21
 
 
 class TestIpv6Emission:
@@ -150,8 +182,11 @@ class TestBindingFile:
     def test_interface_names_that_parse_back(self, iface):
         binding = binding_from_json({"web": {"iface": iface, "ips": ["10.0.0.0/24"]}})
         t = StatefulPolicy.of({"web"}, {("web", "web")}, set())
-        rule = parse_save(emit_iptables(t, binding)).chains["FORWARD"][0]
-        assert rule.match.left == MPrim(rs.IIface(iface))
+        table = parse_save(emit_iptables(t, binding))
+        jump, = table.chains["FORWARD"]
+        accept, = table.chains[jump.action.chain]
+        assert jump.match.left == MPrim(rs.IIface(iface))
+        assert accept.match.left == MPrim(rs.OIface(iface))
 
     @pytest.mark.parametrize("iface", [
         "", " ", "eth 0", "eth0\t", "a'b", 'a"b', "a\\b", "-j DROP", "-eth0", "!eth0",
@@ -234,24 +269,32 @@ _IFACES = ["eth0", "eth1", "br0", "vlan+"]
 
 
 def _random_binding_spec(rng, hosts, family):
-    """A binding file of disjoint address sets, one kind per host: a single
-    address, a CIDR, an unaligned range, fragmented sets with and without a
-    CIDR-aligned part, and at most one all_but host outside the home block."""
+    """A binding file of address sets, one kind per host: a single address,
+    a CIDR, an unaligned range, fragmented sets with and without a
+    CIDR-aligned part, and at most one all_but host outside the home block.
+    A quarter of the hosts take the set of an earlier host instead, half
+    of them with one address of their own added, so bindings overlap."""
     home, home_len, shift = _HOME[family]
     width = family_width(family)
     kinds = ["single", "cidr", "range", "fragments", "fragments_with_cidr", "all_but"]
     spec = {}
     for i, h in enumerate(hosts):
         kind = rng.choice(kinds)
+        base = ip_parse(home, family) + ((i + 1) << shift)
+
+        def text(offset):
+            return ip_format(base + offset, width)
+
+        if spec and rng.random() < 0.25:  # the set of an earlier host, or more
+            earlier = spec[rng.choice(list(spec))]
+            extra = [] if earlier.get("all_but") or rng.random() < 0.5 else [text(7)]
+            spec[h] = {**earlier, "iface": rng.choice(_IFACES), "ips": earlier["ips"] + extra}
+            continue
         if kind == "all_but":
             kinds.remove("all_but")
             spec[h] = {"iface": rng.choice(_IFACES), "ips": [f"{home}/{home_len}"],
                        "all_but": True}
             continue
-        base = ip_parse(home, family) + ((i + 1) << shift)
-
-        def text(offset):
-            return ip_format(base + offset, width)
 
         def odd_range(block):  # starts on an odd offset, so no single CIDR
             lo = 256 * block + 2 * rng.randrange(100) + 1
@@ -290,32 +333,52 @@ def _iface_of(rng, binding, addr):
     return rng.choice(["eth0", "eth1", "eth2", "br0", "vlan7", "lo"])
 
 
+def _random_policy(rng, hosts):
+    """A random stateful policy in which some sources copy the receivers
+    of another, so that row classes have more than one source."""
+    flows = {(a, b) for a in hosts for b in hosts if rng.random() < 0.35}
+    for a in hosts:
+        if rng.random() < 0.3:
+            model = rng.choice(hosts)
+            flows = {f for f in flows if f[0] != a} | {(a, r) for s, r in flows if s == model}
+    return StatefulPolicy.of(hosts, flows, {f for f in flows if rng.random() < 0.5})
+
+
+def _random_cases(family, n):
+    """n random (policy, binding) pairs of 1-6 hosts."""
+    rng = random.Random(f"writer-{family}")
+    for _ in range(n):
+        hosts = [f"h{i}" for i in range(rng.randint(1, 6))]
+        t = _random_policy(rng, hosts)
+        yield rng, t, binding_from_json(_random_binding_spec(rng, hosts, family), family)
+
+
+def _matrix_jsons(text, family):
+    """The matrix JSON of both closures under NEW and ESTABLISHED."""
+    return [analyze_pipeline(text, family=family, tactic=tactic, assumed_state=state)
+            ["matrix"].to_json()
+            for tactic in ("in_doubt_allow", "in_doubt_deny") for state in ("NEW", "ESTABLISHED")]
+
+
 class TestWriterDifferential:
     """The emitted ruleset, parsed back and unfolded, accepts exactly the
     packets of a flow (or, for ESTABLISHED packets, of a stateful flow's
     backflow) whose two bindings the packet's interfaces and addresses
-    match; reflexive flows of one-address hosts are skipped."""
+    match, and it analyzes to the matrices of `checkers.per_flow_ruleset`,
+    the one rule per flow that it groups by row class."""
 
     @pytest.mark.parametrize("family", ["v4", "v6"])
     def test_emitted_ruleset_decides_like_the_policy(self, family):
-        rng = random.Random(f"writer-{family}")
-        for _ in range(25):
-            hosts = [f"h{i}" for i in range(rng.randint(1, 6))]
-            flows = {(a, b) for a in hosts for b in hosts if rng.random() < 0.35}
-            sigma = {f for f in flows if rng.random() < 0.5}
-            t = StatefulPolicy.of(hosts, flows, sigma)
-            binding = binding_from_json(_random_binding_spec(rng, hosts, family), family)
+        for rng, t, binding in _random_cases(family, 25):
             rules = unfold(parse_save(emit_iptables(t, binding), family), "FORWARD")
 
             def bound(host, iface, addr):
                 b = binding[host]
                 return match_iface(b.iface, iface) and addr in b.addrs
 
-            expected = {"NEW": flows, "ESTABLISHED": flows | {(r, s) for s, r in sigma}}
+            expected = {"NEW": t.flows, "ESTABLISHED": t.flows | {(r, s) for s, r in t.stateful}}
             addrs = _addresses(rng, binding, family, 12)
             for state, edges in expected.items():
-                edges = {(a, b) for a, b in edges
-                         if a != b or binding[a].addrs.size() > 1}
                 for src in addrs:
                     for dst in addrs:
                         p = Packet(iiface=_iface_of(rng, binding, src),
@@ -324,3 +387,45 @@ class TestWriterDifferential:
                         oracle = any(bound(a, p.iiface, src) and bound(b, p.oiface, dst)
                                      for a, b in edges)
                         assert (simple_list_eval(rules, p) == ALLOW) == oracle, (state, p)
+
+    @pytest.mark.parametrize("family", ["v4", "v6"])
+    def test_matrix_json_equals_the_per_flow_ruleset(self, family):
+        for _, t, binding in _random_cases(family, 12):
+            assert _matrix_jsons(emit_iptables(t, binding), family) == \
+                _matrix_jsons(per_flow_ruleset(t, binding), family)
+
+    def test_factory_matrix_json_equals_the_per_flow_ruleset(self):
+        t = generate_stateful(sc.factory_policy(), sc.factory_invariants())
+        binding = binding_for(sc.FACTORY_HOSTS)
+        assert _matrix_jsons(emit_iptables(t, binding), "v4") == \
+            _matrix_jsons(per_flow_ruleset(t, binding), "v4")
+
+    @pytest.mark.parametrize("family", ["v4", "v6"])
+    def test_equal_rows_share_one_chain(self, family):
+        """Sources jump to one chain exactly when their receivers are equal,
+        in FORWARD and in `backflows`, and the ruleset has at most one rule
+        more than the per-flow one plus a jump per source address part."""
+        shared = 0
+        for _, t, binding in _random_cases(family, 25):
+            # one interface per host, so that each jump names its source
+            binding = {h: HostBinding(h, b.addrs) for h, b in binding.items()}
+            text = emit_iptables(t, binding)
+            backflows = {(r, s) for s, r in t.stateful if s != r}
+            for chain, flows in (("FORWARD", t.flows), ("backflows", backflows)):
+                rows, targets = {}, {}
+                for s, r in flows:
+                    rows.setdefault(s, set()).add(r)
+                for line in rule_lines(text):
+                    words = line.split()
+                    if words[1] == chain and words[2] == "-i":
+                        targets.setdefault(words[3], set()).add(words[-1])
+                assert targets.keys() == rows.keys()
+                assert all(len(names) == 1 for names in targets.values())
+                for a in rows:
+                    for b in rows:
+                        assert (targets[a] == targets[b]) == (rows[a] == rows[b])
+                shared += len(rows) - len({frozenset(row) for row in rows.values()})
+            parts = sum(len(binding[s].addrs.parts)
+                        for flows in (t.flows, backflows) for s in {s for s, _ in flows})
+            assert len(rule_lines(text)) <= len(rule_lines(per_flow_ruleset(t, binding))) + parts + 1
+        assert shared >= 10

@@ -164,15 +164,15 @@ def _cmd_synthesize(args):
 
     if args.verify or args.construct or manual is None:
         try:
-            maximum = ClassRows(invariants, nodes)
+            maximum = PolicyGraph(frozenset(nodes), ClassRows(invariants, nodes))
         except TooLargeForBruteForce:
             if args.verify:
                 raise
             # past the brute-force bound, one valid policy stands in for the maximum
             maximum = generate_valid_topology3(invariants, PolicyGraph.of(nodes).allow_all())
     if args.verify:
-        report = all_hold(invariants, manual, maximum.class_of)
-        diff = policy_diff(manual, invariants, maximum, report)
+        report = all_hold(invariants, manual, maximum.edges.class_of)
+        diff = policy_diff(manual, invariants, maximum.edges, report)
         (out_dir / "verify.json").write_text(report.to_json())
         (out_dir / "diff.dot").write_text(diff.to_dot(manual))
         print(f"verify: {'OK' if report.overall else 'VIOLATED'}; "
@@ -180,8 +180,8 @@ def _cmd_synthesize(args):
         if not report.overall:
             return 2
 
-    graph = manual  # later steps run on the supplied policy if any
-    if args.construct or graph is None:
+    graph = maximum if manual is None else manual  # later steps run on the supplied policy if any
+    if args.construct or manual is None:
         if not maximum.edges:  # a non-Phi maximum may drop flows a satisfying policy keeps
             print("warning: invariants are contradictory, policy is deny-all" if all_phi(invariants)
                   else "warning: policy is deny-all; with a non-Phi invariant the invariants may "
@@ -189,10 +189,8 @@ def _cmd_synthesize(args):
         (out_dir / "policy.json").write_text(maximum.to_json())
         (out_dir / "policy.dot").write_text(maximum.to_dot())
         print(f"constructed policy with {len(maximum.edges)} flows")
-        if graph is None and (args.stateful or binding is not None):
-            graph = PolicyGraph(frozenset(nodes), frozenset(maximum.edges))
 
-    stateful_policy = None
+    stateful_policy = StatefulPolicy(graph.nodes, graph.edges, frozenset())
     if args.stateful:
         stateful_policy = generate_stateful(graph, invariants)
         (out_dir / "stateful.json").write_text(stateful_policy.to_json())
@@ -200,10 +198,7 @@ def _cmd_synthesize(args):
         print(f"stateful policy: {len(stateful_policy.stateful)} stateful flows")
 
     if binding is not None:
-        if stateful_policy is None:
-            stateful_policy = StatefulPolicy(graph.nodes, graph.edges, frozenset())
-        text = emit_iptables(stateful_policy, binding)
-        (out_dir / "ruleset.iptables").write_text(text)
+        (out_dir / "ruleset.iptables").write_text(emit_iptables(stateful_policy, binding))
         print(f"wrote {out_dir / 'ruleset.iptables'}")
     return 0
 

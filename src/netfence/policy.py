@@ -7,9 +7,11 @@ synthesis pipeline (invariants -> ruleset) and the analysis pipeline
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, product
 from typing import Any
 
 from .errors import (DanglingEndpoint, IllformedSpec, UnknownHost, json_block, json_pairs,
@@ -25,13 +27,13 @@ class Strategy(Enum):
 class PolicyGraph:
     """Directed graph (nodes, edges); edge endpoints must be declared nodes.
 
-    Nodes and edges are stored as frozensets; all iteration helpers return
-    lexicographically sorted views so downstream algorithms are
-    deterministic.
-    """
+    `nodes` is a frozenset and `edges` any collections.abc.Set of edges,
+    such as a frozenset or EdgeRows (then the graph is unhashable).  The
+    sorted views, JSON and DOT read the edges through one sorted row view,
+    EdgeRows.of, so downstream algorithms are deterministic."""
 
     nodes: frozenset
-    edges: frozenset
+    edges: Set
 
     @classmethod
     def of(cls, nodes, edges=()):
@@ -50,7 +52,7 @@ class PolicyGraph:
         return sorted(self.nodes)
 
     def sorted_edges(self):
-        return sorted(self.edges)
+        return list(EdgeRows.of(self.edges))
 
     def delete_edges(self, removed):
         return PolicyGraph(self.nodes, self.edges - frozenset(removed))
@@ -62,7 +64,7 @@ class PolicyGraph:
     # -- serialization -------------------------------------------------
 
     def to_json(self):
-        return policy_json(self.sorted_nodes(), self.sorted_edges())
+        return policy_json(self.nodes, edges=self.edges)
 
     @classmethod
     def from_json(cls, text):
@@ -79,30 +81,79 @@ class PolicyGraph:
             raise IllformedSpec(f"policy: expected nodes and [src, dst] edges ({exc!r})") from None
 
     def to_dot(self, styles=()):
-        """Graphviz digraph of the graph's edges, plus the edges of each
-        (edges, attribute) pair in `styles` drawn with that attribute
-        string, such as 'style=dashed, color=red'; a later pair's
+        """Graphviz digraph of the graph's edges, written from their rows, plus
+        the edges of each (edges, attribute) pair in `styles` drawn with that
+        attribute string, such as 'style=dashed, color=red'; a later pair's
         attribute wins (see dot_text)."""
-        return dot_text(self.nodes, [(self.edges, None), *styles])
+        styled = set().union(*(edges for edges, _ in styles))
+        return dot_text(self.nodes, styles, EdgeRows.of(self.edges).without(styled).row)
 
 
-def policy_json(nodes, edges) -> str:
-    """The text of json.dumps(..., indent=2) of a policy's sorted nodes and
-    edges, given in that order."""
+def policy_json(nodes, **edge_sets) -> str:
+    """The text of json.dumps(..., indent=2) of {"nodes": the sorted nodes}
+    and then, under each keyword, that set of edges in sorted order."""
     return json_block([
-        '"nodes": ' + json_block([json_string(n) for n in nodes], 1),
-        '"edges": ' + json_pairs(edges, 1),
+        '"nodes": ' + json_block([json_string(n) for n in sorted(nodes)], 1),
+        *(f'"{key}": ' + json_pairs(list(EdgeRows.of(edges)), 1)
+          for key, edges in edge_sets.items()),
     ], 0, "{}")
 
 
-def dot_text(nodes, styled, rest=None) -> str:
-    """Graphviz digraph over `nodes`, written row by row: each source in
-    sorted order, then its sorted receivers.  The edges are those of each
-    (edges, attribute) pair in `styled`, drawn with that attribute string
-    (with none when it is None), a later pair's attribute winning, and,
-    when `rest` is a pair (row, attribute), the edges from each source s
-    to the receivers row(s), a sorted list that holds none of s's styled
-    receivers, drawn with that attribute.  A source with no styled edge
+class EdgeRows(Set):
+    """A set of edges held as rows: for each of the sorted `sources`,
+    row(s) is the sorted list of its receivers (empty for any other
+    host), and `size` is the number of edges.  It iterates in sorted
+    order; a set operation with another set gives a frozenset."""
+
+    def __init__(self, sources, row, size):
+        self.sources, self.row, self.size = sources, row, size
+
+    @classmethod
+    def of(cls, edges) -> EdgeRows:
+        """`edges` as rows: an EdgeRows itself, another set grouped, then each row sorted."""
+        if isinstance(edges, EdgeRows):
+            return edges
+        rows = {}
+        for s, r in edges:
+            rows.setdefault(s, []).append(r)
+        for row in rows.values():
+            row.sort()
+        return cls(sorted(rows), lambda s: rows.get(s, []), len(edges))
+
+    @classmethod
+    def _from_iterable(cls, edges):
+        return frozenset(edges)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return chain.from_iterable(product((s,), self.row(s)) for s in self.sources)
+
+    def __contains__(self, edge):
+        row = self.row(edge[0])
+        i = bisect_left(row, edge[1])
+        return i < len(row) and row[i] == edge[1]
+
+    def without(self, edges) -> EdgeRows:
+        """These edges less those of the set `edges`, as rows, each filtered
+        from this one when its source has an edge in `edges`."""
+        theirs = adjacency(edges)
+
+        def row(s):
+            mine, drop = self.row(s), theirs.get(s)
+            return [r for r in mine if r not in drop] if drop else mine
+
+        return EdgeRows(self.sources, row, self.size - sum(e in self for e in edges))
+
+
+def dot_text(nodes, styled, row, row_attr=None) -> str:
+    """Graphviz digraph over `nodes`, written row by row: each source in sorted
+    order, then its sorted receivers.  The edges are those of each (edges,
+    attribute) pair in `styled`, drawn with that attribute string (with none
+    when it is None), a later pair's attribute winning, and those from each
+    source s to the receivers row(s), a sorted list that holds none of s's
+    styled receivers, drawn with `row_attr`.  A source with no styled edge
     takes its lines from row(s) in one pass.  Every edge must join two of
     `nodes`.  Node names are quoted DOT IDs, with `\\` and `"` escaped."""
     nodes = sorted(nodes)
@@ -118,7 +169,7 @@ def dot_text(nodes, styled, rest=None) -> str:
         end = ends(attr)
         for s, r in edges:
             styled_ends[s][r] = end[r]
-    row, rest_end = (rest[0], ends(rest[1])) if rest else (lambda s: (), None)
+    rest_end = ends(row_attr)
     lines = ["digraph policy {"]
     lines += [f"  {quoted[n]};" for n in nodes]
     for s in nodes:

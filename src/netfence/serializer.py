@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import ruleset as rs
 from .errors import IllformedSpec, ParseError, UnboundHost
+from .policy import EdgeRows
 from .stateful import StatefulPolicy
 from .wordinterval import WordInterval, family_width, parse_address_set
 
@@ -46,10 +47,6 @@ def emit_iptables(t: StatefulPolicy, binding: dict) -> str:
     that the chains print sorted by number.  A fragmented address set
     gets one rule per part.
     """
-    for s, r in sorted(t.flows):
-        for h in (s, r):
-            if h not in binding:
-                raise UnboundHost(h)
 
     @functools.cache
     def args(host, as_source):
@@ -65,17 +62,22 @@ def emit_iptables(t: StatefulPolicy, binding: dict) -> str:
 
     def jumps(flows, prefix):
         """The bodies of one rule per address part of each source of
-        `flows`, jumping to its row class's chain, which goes in `chains`."""
-        rows = {}
-        for s, r in sorted(flows):
-            rows.setdefault(s, []).append(r)
-        targets = dict.fromkeys(tuple(row) for row in rows.values())
+        `flows`, jumping to its row class's chain, which goes in `chains`;
+        UnboundHost names the first unbound endpoint in sorted flow order."""
+        edges, rows = EdgeRows.of(flows), {}
+        for s in edges.sources:
+            if row := tuple(edges.row(s)):
+                for h in (s, *row):
+                    if h not in binding:
+                        raise UnboundHost(h)
+                rows[s] = row
+        targets = dict.fromkeys(rows.values())
         digits = len(str(len(targets) - 1))
         for k, row in enumerate(targets):
             name = f"{prefix}{k:0{digits}}"
             targets[row] = rs.action_to_args(rs.call(name))
             chains[name] = [f"{d} {accept}" for r in row for d in args(r, False)]
-        return [f"{a} {targets[tuple(row)]}" for s, row in rows.items() for a in args(s, True)]
+        return [f"{a} {targets[row]}" for s, row in rows.items() for a in args(s, True)]
 
     forward = jumps(t.flows, "row-")
     backflows = {(r, s) for s, r in t.stateful if s != r}  # a reflexive one is its flow

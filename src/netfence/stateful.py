@@ -9,17 +9,17 @@ access-control violations are confined to the newly added backflows.
 from __future__ import annotations
 
 import json
+from collections.abc import Set
 from dataclasses import dataclass
 
-from .errors import json_block, json_pairs, json_string
 from .invariants import get_acs, get_ifs, phi_failing_edges, set_offending_flows
-from .policy import PolicyGraph, backflows
+from .policy import PolicyGraph, backflows, policy_json
 
 
 @dataclass(frozen=True)
 class StatefulPolicy:
     nodes: frozenset
-    flows: frozenset      # E_tau
+    flows: Set            # E_tau, any set of edges (as PolicyGraph.edges)
     stateful: frozenset   # E_sigma, subset of flows
 
     @classmethod
@@ -36,13 +36,7 @@ class StatefulPolicy:
                 raise ValueError(f"flow ({s}, {r}) references unknown nodes")
 
     def to_json(self):
-        """The text of json.dumps(..., indent=2) of the sorted nodes, flows
-        and stateful flows."""
-        return json_block([
-            '"nodes": ' + json_block([json_string(n) for n in sorted(self.nodes)], 1),
-            '"flows": ' + json_pairs(sorted(self.flows), 1),
-            '"stateful": ' + json_pairs(sorted(self.stateful), 1),
-        ], 0, "{}")
+        return policy_json(self.nodes, flows=self.flows, stateful=self.stateful)
 
     @classmethod
     def from_json(cls, text):

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Set
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 
 from .errors import PreconditionViolated
 from .invariants import (ConfiguredInvariant, all_hold, all_phi, phi_failing_edges,
                          set_offending_flows)
-from .policy import PolicyGraph, adjacency, dot_text, policy_json
+from .policy import EdgeRows, PolicyGraph, dot_text
 
 
 def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
@@ -26,29 +25,6 @@ def generate_valid_topology(invariants, graph: PolicyGraph) -> PolicyGraph:
         for flow_set in set_offending_flows(inv, graph):
             removed |= flow_set
     return graph.delete_edges(removed)
-
-
-class EdgeRows(Set):
-    """A set of edges held as rows: for each of the sorted `sources`,
-    row(s) is the sorted list of its receivers (empty for any other
-    host), and `size` is the number of edges.  It iterates in sorted
-    order; a set operation with another set gives a frozenset."""
-
-    def __init__(self, sources, row, size):
-        self.sources, self.row, self.size = sources, row, size
-
-    @classmethod
-    def _from_iterable(cls, edges):
-        return frozenset(edges)
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return chain.from_iterable(product((s,), self.row(s)) for s in self.sources)
-
-    def __contains__(self, edge):
-        return edge[1] in self.row(edge[0])
 
 
 class ClassRows(EdgeRows):
@@ -68,7 +44,8 @@ class ClassRows(EdgeRows):
     raising TooLargeForBruteForce past the brute-force bound.  A class
     keeps one sorted row of receivers; a host's row is its class's, with
     its own name added or taken out by its reflexive verdict.  `class_of`
-    maps each host to its class's integer id."""
+    maps each host to its class's integer id; with `reach` (per class, the
+    ids its hosts may reach) and `refl` (per host) it decides an edge in O(1)."""
 
     def __init__(self, invariants, nodes):
         order = sorted(nodes)
@@ -119,32 +96,12 @@ class ClassRows(EdgeRows):
             return row
         return sorted([*row, h]) if self.refl[h] else [r for r in row if r != h]
 
-    @property
-    def edges(self) -> EdgeRows:
-        """These rows.  With to_json and to_dot, which write from the rows
-        what PolicyGraph's write, --construct reads ClassRows as it reads
-        generate_valid_topology3's PolicyGraph."""
-        return self
-
-    def to_json(self):
-        return policy_json(self.sources, list(self))
-
-    def to_dot(self):
-        return dot_text(self.sources, [], (self.row, None))
-
-    def without(self, graph: PolicyGraph) -> EdgeRows:
-        """These edges less those of `graph`, a policy over the same
-        hosts, as rows, each filtered from this one when its source has an
-        edge in `graph`."""
-        theirs, class_of, reach = adjacency(graph.edges), self.class_of, self.reach
-
-        def row(s):
-            mine, drop = self.row(s), theirs.get(s)
-            return [r for r in mine if r not in drop] if drop else mine
-
-        shared = sum(self.refl[s] if s == r else class_of[r] in reach[class_of[s]]
-                     for s, r in graph.edges)
-        return EdgeRows(self.sources, row, self.size - shared)
+    def __contains__(self, edge):
+        s, r = edge
+        if s == r:
+            return self.refl.get(s, False)
+        c = self.class_of.get(s)
+        return c is not None and self.class_of.get(r) in self.reach[c]
 
 
 def minimalize_offending_overapprox(
@@ -224,8 +181,8 @@ def generate_valid_topology3(invariants, graph: PolicyGraph) -> PolicyGraph:
 @dataclass(frozen=True)
 class DiffReport:
     """How a manual policy relates to what the invariants require.
-    `absent` is EdgeRows (ClassRows.without), so that the V² absent flows
-    are never held edge by edge."""
+    `absent` is EdgeRows (the maximum's rows without the manual edges), so
+    that the V² absent flows are never held edge by edge."""
 
     kept: frozenset       # in the policy and allowed
     violating: frozenset  # in the policy but forbidden
@@ -236,7 +193,7 @@ class DiffReport:
         violating (dashed red) and absent (dashed gray) edge, the absent
         ones written from their rows."""
         styled = [(self.kept, None), (self.violating, "style=dashed, color=red")]
-        return dot_text(graph.nodes, styled, (self.absent.row, "style=dashed, color=gray"))
+        return dot_text(graph.nodes, styled, self.absent.row, "style=dashed, color=gray")
 
 
 def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> DiffReport:
@@ -256,4 +213,4 @@ def policy_diff(manual: PolicyGraph, invariants, maximum=None, report=None) -> D
         for flow_set in offending or ():
             violating |= flow_set
     return DiffReport(frozenset(manual.edges - violating), frozenset(violating),
-                      maximum.without(manual))
+                      maximum.without(manual.edges))

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from netfence.errors import DanglingEndpoint, UnknownHost, json_block, json_pair
 from netfence.invariants import ComplianceReport, InvariantVerdict
 from netfence.policy import (
     AttrMap,
+    EdgeRows,
     PolicyGraph,
     Strategy,
     adjacency,
@@ -21,7 +23,7 @@ from netfence.policy import (
     undirected_adjacency,
 )
 from netfence.stateful import StatefulPolicy, generate_stateful
-from netfence.synthesis import ClassRows, DiffReport, EdgeRows, policy_diff
+from netfence.synthesis import ClassRows, DiffReport, policy_diff
 
 
 class TestGraphValidation:
@@ -211,6 +213,61 @@ class TestDotWriter:
             assert dot_nodes == sorted(nodes), name
             assert set(dot_edges) == edges, name
         assert '  "a\\"b" -> "c\\\\d";' in (out / "diff.dot").read_text().splitlines()
+
+
+class TestGraphOverRows:
+    """A PolicyGraph over EdgeRows, EdgeRows.of a frozenset's or
+    ClassRows, and a PolicyGraph over the equal frozenset agree on ==
+    both ways, sorted_edges, delete_edges, to_json and to_dot(styles);
+    EdgeRows' membership and `without` agree with the frozenset's."""
+
+    def cases(self, rng, n):
+        for i in range(n):
+            if i % 2:
+                g = random_dot_graph(rng)
+                rows = EdgeRows.of(g.edges)
+            else:
+                nodes = rng.sample(DOT_NAMES, rng.randint(1, len(DOT_NAMES)))
+                rows = ClassRows(random_library_invariants(rng, nodes, "phi"), nodes)
+                g = PolicyGraph(frozenset(nodes), frozenset(rows))
+            yield g, rows
+
+    def test_graphs_agree(self):
+        rng = random.Random("graph-over-rows")
+        for g, rows in self.cases(rng, 200):
+            over = PolicyGraph(g.nodes, rows)
+            assert EdgeRows.of(rows) is rows
+            assert over == g and g == over
+            assert over.sorted_edges() == g.sorted_edges() == sorted(g.edges)
+            edges = g.sorted_edges()
+            if edges:
+                fewer = g.delete_edges([rng.choice(edges)])
+                assert over != fewer and fewer != over
+            removed = set(rng.sample(edges, len(edges) // 3)) | {("zz", "zz")}
+            assert over.delete_edges(removed) == g.delete_edges(removed)
+            assert over.to_json() == g.to_json()
+            styles = [(set(rng.sample(edges, len(edges) // 4)), "style=dashed"),
+                      ({*rng.sample(edges, len(edges) // 4), ("zz", "zz")}, "color=red")]
+            styles = [(edges_, attr) for edges_, attr in styles if rng.random() < 0.8]
+            nodes = g.nodes | {"zz"}
+            assert (PolicyGraph(nodes, rows).to_dot(styles)
+                    == PolicyGraph(nodes, g.edges).to_dot(styles))
+            with pytest.raises(TypeError):
+                hash(over)
+
+    def test_membership_and_without(self):
+        rng = random.Random("rows-without")
+        for g, rows in self.cases(rng, 200):
+            hosts = [*g.sorted_nodes(), "zz"]
+            for e in product(hosts, hosts):
+                assert (e in rows) == (e in g.edges), e
+            pairs = list(product(hosts, hosts))
+            other = set(rng.sample(pairs, rng.randint(0, len(pairs))))
+            rest = rows.without(other)
+            assert len(rest) == len(g.edges - other)
+            assert list(rest) == sorted(g.edges - other)
+            assert all(rest.row(s) == sorted(r for t, r in g.edges - other if t == s)
+                       for s in hosts)
 
 
 # names whose JSON text needs escapes, or sorts unlike the name itself

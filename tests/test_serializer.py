@@ -65,6 +65,29 @@ class TestEmit:
         with pytest.raises(UnboundHost):
             emit_iptables(t, {"a": HostBinding("e", parse_address_set("10.0.0.1"))})
 
+    def test_unbound_host_is_the_first_in_sorted_flow_order(self):
+        """With one or two of the hosts left out of the binding, the error
+        names the first unbound endpoint of the flows in sorted order, as a
+        source or as a receiver; with none of them on a flow, it emits."""
+        rng = random.Random("unbound")
+        where = set()
+        for _ in range(300):
+            hosts = [f"h{i}" for i in range(rng.randint(2, 7))]
+            t = _random_policy(rng, hosts)
+            unbound = set(rng.sample(hosts, rng.randint(1, 2)))
+            binding = {h: HostBinding(f"eth{i}", parse_address_set(f"10.0.0.{i + 1}"))
+                       for i, h in enumerate(hosts) if h not in unbound}
+            first = next(((i, h) for e in sorted(t.flows) for i, h in enumerate(e)
+                          if h in unbound), None)
+            if first is None:
+                emit_iptables(t, binding)
+            else:
+                with pytest.raises(UnboundHost) as exc:
+                    emit_iptables(t, binding)
+                assert exc.value.args == (first[1],)
+                where.add((first[0], first[1] == min(unbound)))
+        assert where == {(0, True), (0, False), (1, True), (1, False)}
+
     def test_reflexive_flow_written_for_single_address(self):
         t = StatefulPolicy.of({"a"}, {("a", "a")}, set())
         binding = {"a": HostBinding("eth_a", parse_address_set("10.0.0.1"))}

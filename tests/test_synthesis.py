@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from checkers import (
     random_order,
     sorting_dot,
 )
+from conftest import DATA
 from netfence import cli
 from netfence.errors import PreconditionViolated, TooLargeForBruteForce
 from netfence.invariants import (
@@ -30,6 +32,8 @@ from netfence.invariants import (
     set_offending_flows,
 )
 from netfence.policy import AttrMap, PolicyGraph, Strategy
+from netfence.serializer import binding_from_json, emit_iptables
+from netfence.stateful import StatefulPolicy, generate_stateful
 from netfence.synthesis import (
     ClassRows,
     generate_valid_topology,
@@ -411,6 +415,34 @@ class TestMaximumPolicy:
         assert ClassRows([counted, comm], HOSTS6[:3]) == generate_valid_topology(
             [blp_inv, comm], PolicyGraph.of(HOSTS6[:3]).allow_all()).edges
 
+    def test_membership_equals_the_edge_set(self):
+        """ClassRows decides `in` from class_of, reach and refl as set(rows)
+        decides it, on random Phi, mixed, non-Phi and name-reading specs
+        and class_spec's, for every pair of the nodes and of hosts outside
+        them."""
+        rng = random.Random("maximum-contains")
+        kinds, verdicts = Counter(), set()
+        for i in range(150):
+            kind = ("phi", "mixed", "nonphi", "names", "classes")[i % 5]
+            if kind == "classes":
+                nodes = verify_hosts(rng)
+                invs = class_spec(rng, PHI_IDS[i % len(PHI_IDS)], nodes)
+            else:
+                nodes = HOSTS6[: rng.choice((2, 3) if kind in ("mixed", "nonphi") else (2, 4, 6))]
+                invs = random_library_invariants(rng, nodes, "phi" if kind == "names" else kind)
+                if kind == "names":
+                    invs.append(names_phi_invariant(nodes))
+            rows = ClassRows(invs, nodes)
+            edges = set(rows)
+            assert len(rows) == len(edges)
+            hosts = [*nodes, "zz", "0"]  # the last two are outside the nodes
+            for e in product(hosts, hosts):
+                assert (e in rows) == (e in edges), (kind, e)
+                verdicts.add((e[0] == e[1], e in edges))
+            kinds[kind] += 1
+        assert verdicts == set(product((False, True), repeat=2))
+        assert len(kinds) == 5
+
 
 def class_spec(rng, template_id, hosts):
     """`template_id`'s invariant over `hosts` plus up to two other random
@@ -707,3 +739,104 @@ class TestVerifyOnClasses:
             report = all_hold([counted(*c) for c in enumerate(invs)], manual, rows.class_of)
             assert report.to_json() == all_hold(invs, manual).to_json()
             assert all(n <= len(pairs) + loops for n in calls.values()), (calls, len(pairs))
+
+
+class TestConstructWithoutPolicy:
+    """`synthesize --construct` without --policy, alone, with --stateful
+    and with --stateful --emit-iptables, writes what the definition writes:
+    generate_valid_topology on the allow-all graph, held as a frozenset
+    PolicyGraph, through policy.json and policy.dot written as json.dumps
+    and checkers.sorting_dot write them, generate_stateful and
+    emit_iptables.  Specs are random library Phi specs and class_spec's
+    over hosts whose names need DOT escapes; maximum policies have
+    reflexive edges."""
+
+    FLAGS = (["--construct"], ["--construct", "--stateful"],
+             ["--construct", "--stateful", "--emit-iptables"])
+
+    def run(self, tmp_path, monkeypatch, invariants, hosts, flags):
+        monkeypatch.setattr(cli, "load_invariants", lambda text: invariants)
+        tmp_path.mkdir()
+        (tmp_path / "spec.json").write_text("[]")
+        spec = {h: {"iface": f"eth{i % 3}", "ips": [f"10.0.{i}.1"]} for i, h in enumerate(hosts)}
+        (tmp_path / "binding.json").write_text(json.dumps(spec))
+        argv = ["synthesize", "--invariants", str(tmp_path / "spec.json"), *flags]
+        if "--emit-iptables" in flags:
+            argv.append(str(tmp_path / "binding.json"))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out-dir", str(out)]) == 0
+        files = {p.name: p.read_text() for p in out.iterdir()}
+        return files, binding_from_json(spec)
+
+    def expected(self, invariants, flags, binding):
+        nodes = {h for inv in invariants for h in inv.attr_map.partial}
+        maximum = generate_valid_topology(invariants, PolicyGraph.of(nodes).allow_all())
+        assert isinstance(maximum.edges, frozenset)
+        edges = sorted(maximum.edges)
+        files = {"policy.json": json.dumps({"nodes": sorted(nodes),
+                                            "edges": [list(e) for e in edges]}, indent=2),
+                 "policy.dot": sorting_dot(nodes, edges)}
+        t = StatefulPolicy(maximum.nodes, maximum.edges, frozenset())
+        if "--stateful" in flags:
+            t = generate_stateful(maximum, invariants)
+            files["stateful.json"] = json.dumps({
+                "nodes": sorted(nodes), "flows": [list(e) for e in edges],
+                "stateful": [list(e) for e in sorted(t.stateful)]}, indent=2)
+            files["stateful.dot"] = sorting_dot(nodes, edges,
+                                                dict.fromkeys(t.stateful, "style=dashed"))
+        if "--emit-iptables" in flags:
+            files["ruleset.iptables"] = emit_iptables(t, binding)
+        return files
+
+    @pytest.mark.parametrize("kind", ["library", "classes"])
+    def test_equals_definition(self, tmp_path, monkeypatch, kind):
+        rng = random.Random(f"construct-{kind}")
+        reflexive = stateful = 0
+        for i in range(12):
+            hosts = verify_hosts(rng)
+            if kind == "library":
+                invs = random_library_invariants(rng, hosts, "phi")
+            else:
+                invs = class_spec(rng, PHI_IDS[i % len(PHI_IDS)], hosts)
+            if not any(inv.attr_map.partial for inv in invs):
+                continue
+            for j, flags in enumerate(self.FLAGS):
+                files, binding = self.run(tmp_path / f"{i}-{j}", monkeypatch, invs, hosts, flags)
+                expected = self.expected(invs, flags, binding)
+                assert files == expected, flags
+            reflexive += any(s == r for s, r in json.loads(files["policy.json"])["edges"])
+            stateful += "style=dashed" in files["stateful.dot"]
+        assert reflexive and stateful
+
+    def test_stateful_and_emission_get_the_class_rows(self, tmp_path, monkeypatch):
+        """The maximum policy reaches generate_stateful as the graph over
+        the ClassRows object the CLI built, and emit_iptables as flows that
+        are that object, with --stateful and without."""
+        built, seen = [], []
+
+        def class_rows(invariants, nodes):
+            built.append(ClassRows(invariants, nodes))
+            return built[-1]
+
+        def stateful(graph, invariants):
+            seen.append(graph.edges)
+            return generate_stateful(graph, invariants)
+
+        def emit(t, binding):
+            seen.append(t.flows)
+            return emit_iptables(t, binding)
+
+        monkeypatch.setattr(cli, "ClassRows", class_rows)
+        monkeypatch.setattr(cli, "generate_stateful", stateful)
+        monkeypatch.setattr(cli, "emit_iptables", emit)
+        for flags in (["--stateful"], []):
+            built.clear()
+            seen.clear()
+            argv = ["synthesize", "--invariants", str(DATA / "factory_invariants.json"),
+                    "--construct", *flags, "--emit-iptables", str(DATA / "factory_binding.json"),
+                    "--out-dir", str(tmp_path / "out")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert len(built) == 1 and len(seen) == 1 + len(flags)
+            assert all(edges is built[0] for edges in seen)

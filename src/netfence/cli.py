@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -242,9 +243,16 @@ def build_arg_parser():
     return ap
 
 
+@functools.cache
+def _arg_parser():
+    """build_arg_parser()'s parser, built on the first call to main and
+    kept for every later call in the process."""
+    return build_arg_parser()
+
+
 def main(argv=None):
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _arg_parser().parse_args(argv)
         return args.func(args)
     except NetfenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

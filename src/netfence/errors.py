@@ -93,6 +93,12 @@ class CallsTooDeep(UnfoldBoundExceeded):
     recursive match helpers would exhaust Python's recursion limit."""
 
 
+class TooManyUnfoldedRules(UnfoldBoundExceeded):
+    """A chain whose unfolding has more than semantics.MAX_UNFOLDED_RULES
+    rules, as calls that fan out do: a chain that calls the next one twice
+    doubles the rules at each level."""
+
+
 class TooManyBoxes(UnfoldBoundExceeded):
     """A rule whose unfolded match splits into more than simplefw.MAX_BOXES
     distinct boxes, as RETURNs that cut different fields before it can

@@ -22,7 +22,10 @@ an unknown option outside a group becomes its own Extra.  The closure
 later treats Extras as unknown.  Only the filter table is
 interpreted; other tables are skipped with a warning.
 
-A rulespec is read in one pass over its tokens.  Each distinct leaf (its
+A rulespec is read in one pass over its tokens.  Each distinct rulespec
+(the words after the chain name and `-I`'s index) is read once per
+parse_save call: every line that repeats it gets rules with the same match
+and action objects, each with its own raw line.  Each distinct leaf (its
 class and value text, and a port match's protocol) is one MPrim per
 parse_save call, shared by every rule that has it.
 """
@@ -376,6 +379,7 @@ def parse_save(text, family="v4") -> rs.Table:
     chains: dict = {}
     policies: dict = {}
     memo: dict = {}  # the leaves and address sets of this call
+    specs: dict = {}  # rulespec words -> its [(match, action)], for this call
     current_table = None
     saw_filter = False
     for lineno, line in _lines(text):
@@ -423,7 +427,10 @@ def parse_save(text, family="v4") -> rs.Table:
                 if not 1 <= index <= len(rules) + 1:
                     raise SyntaxError_(f"-I {chain} {index}: rule number must be in "
                                        f"1..{len(rules) + 1}", lineno)
-            parsed = _RuleParser(family, lineno, memo).parse(rest)
+            key = tuple(rest)
+            parsed = specs.get(key)
+            if parsed is None:
+                parsed = specs[key] = _RuleParser(family, lineno, memo).parse(rest)
             rules[index - 1:index - 1] = [rs.Rule(m, a, raw=line) for m, a in parsed]
             continue
         raise SyntaxError_(f"unsupported directive {head!r}", lineno)

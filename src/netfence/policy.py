@@ -94,7 +94,7 @@ def policy_json(nodes, **edge_sets) -> str:
     and then, under each keyword, that set of edges in sorted order."""
     return json_block([
         '"nodes": ' + json_block([json_string(n) for n in sorted(nodes)], 1),
-        *(f'"{key}": ' + json_pairs(list(EdgeRows.of(edges)), 1)
+        *(f'"{key}": ' + json_pairs(EdgeRows.of(edges), 1)
           for key, edges in edge_sets.items()),
     ], 0, "{}")
 
@@ -102,8 +102,9 @@ def policy_json(nodes, **edge_sets) -> str:
 class EdgeRows(Set):
     """A set of edges held as rows: for each of the sorted `sources`,
     row(s) is the sorted list of its receivers (empty for any other
-    host), and `size` is the number of edges.  It iterates in sorted
-    order; a set operation with another set gives a frozenset."""
+    host), and `size` is the number of edges, or a function that counts
+    them on the first len().  It iterates in sorted order; a set operation
+    with another set gives a frozenset."""
 
     def __init__(self, sources, row, size):
         self.sources, self.row, self.size = sources, row, size
@@ -125,6 +126,8 @@ class EdgeRows(Set):
         return frozenset(edges)
 
     def __len__(self):
+        if callable(self.size):
+            self.size = self.size()
         return self.size
 
     def __iter__(self):
@@ -137,14 +140,15 @@ class EdgeRows(Set):
 
     def without(self, edges) -> EdgeRows:
         """These edges less those of the set `edges`, as rows, each filtered
-        from this one when its source has an edge in `edges`."""
+        from this one when its source has an edge in `edges`; the edges
+        taken away are counted on the first len()."""
         theirs = adjacency(edges)
 
         def row(s):
             mine, drop = self.row(s), theirs.get(s)
             return [r for r in mine if r not in drop] if drop else mine
 
-        return EdgeRows(self.sources, row, self.size - sum(e in self for e in edges))
+        return EdgeRows(self.sources, row, lambda: len(self) - sum(e in self for e in edges))
 
 
 def dot_text(nodes, styled, row, row_attr=None) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import ruleset as rs
-from .errors import CallCycle, CallsTooDeep, IllformedRuleset
+from .errors import CallCycle, CallsTooDeep, IllformedRuleset, TooManyUnfoldedRules
 from .ruleset import (
     MAnd,
     MNot,
@@ -92,19 +92,29 @@ def bool_matcher(oracle=None):
 # level; 500 leaves half of Python's default recursion limit to the rest.
 MAX_CALL_DEPTH = 500
 
+# unfold refuses a chain whose unfolding, before optimize_rules and with
+# the default policy, has more rules than this: a chain that calls the
+# next one twice doubles the rules at each level.  The V = 1,000 emitted
+# zone ruleset unfolds to 400,246 rules.
+MAX_UNFOLDED_RULES = 1_000_000
 
-def _check_calls(table: Table, start_chain: str):
+
+def _check_calls(table: Table, start_chain: str) -> dict:
     """Static sanity: all targets defined, and the call graph (calls and
     gotos) from the start chain acyclic and at most MAX_CALL_DEPTH levels
     deep, counting the RETURNs before each rule.  A cycle raises
     CallCycle naming a chain on it; deeper nesting raises CallsTooDeep
     naming the first chain past the bound on a deepest path.  Iterative,
-    so any nesting gets this far."""
+    so any nesting gets this far.  Returns, for each chain the start
+    chain reaches, in post-order, the number of rules its unfolding has
+    before optimize_rules: a call or goto counts its callee's, a RETURN
+    none and any other rule one."""
     table.validate()
     if start_chain not in table.chains:
         raise IllformedRuleset(f"start chain {start_chain!r} does not exist")
     below = {}  # chain -> {callee: RETURNs before its last call}; None: before its last rule
     depth = {None: -1}  # finished chain -> levels on the deepest path from it
+    size = {}  # finished chain -> the rules of its unfolding
     on_path, stack = set(), []  # the chains being visited, with their pending targets
 
     def enter(chain):
@@ -131,6 +141,8 @@ def _check_calls(table: Table, start_chain: str):
             stack.pop()
             on_path.remove(chain)
             depth[chain] = max((n + 1 + depth[c] for c, n in below[chain].items()), default=0)
+            size[chain] = sum(size[r.action.chain] if r.action.kind in ("call", "goto")
+                              else r.action.kind != "return" for r in table.chains[chain])
         elif target in on_path:
             raise CallCycle(f"calling loop through chain {target!r}")
         elif target not in depth:
@@ -142,6 +154,7 @@ def _check_calls(table: Table, start_chain: str):
             chain, level = target, level + below[chain][target] + 1
         raise CallsTooDeep(f"chain {chain!r} is nested more than {MAX_CALL_DEPTH} calls deep, "
                            "counting each RETURN before a rule as one")
+    return size
 
 
 def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
@@ -269,12 +282,18 @@ def unfold(table: Table, start_chain: str) -> list:
     same match (exact for any target chain), calls are unfolded to a
     fixpoint, Rejects become Drops, Log/Empty disappear.  A call cycle,
     which the kernel rejects and which has no fixpoint, raises CallCycle
-    before the first unfolding step.
+    before the first unfolding step; an unfolding of more than
+    MAX_UNFOLDED_RULES rules raises TooManyUnfoldedRules, naming the first
+    chain, callees before callers, whose unfolding passes the bound.
     """
-    _check_calls(table, start_chain)
+    size = _check_calls(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None or policy.kind not in ("accept", "drop"):
         raise IllformedRuleset(f"chain {start_chain!r} has no Accept/Drop default policy")
+    for chain, n in size.items():
+        if n + (chain == start_chain) > MAX_UNFOLDED_RULES:  # the wrapper adds the policy
+            raise TooManyUnfoldedRules(f"chain {chain!r} unfolds to more than "
+                                       f"{MAX_UNFOLDED_RULES:,} rules")
     chains = {name: _goto_as_call_return(rules) for name, rules in table.chains.items()}
     rules = [Rule(MTrue, rs.call(start_chain)), Rule(MTrue, policy)]
     while any(r.action.kind == "call" for r in rules):

@@ -5,12 +5,17 @@ The template checks are shared between the per-template tests and the
 acceptance suite: the same checks run in both places, once parametrized
 for readability and once as a single gate."""
 
+import contextlib
 import importlib.util
+import io
+import json
 import random
+import shlex
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+from netfence import cli, semantics
 from netfence.invariants import set_offending_flows
 from netfence import ruleset as rs
 from netfence.policy import PolicyGraph, Strategy
@@ -18,6 +23,7 @@ from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
 from netfence.semantics import ALLOW, DENY, UNDECIDED, default_known
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
 from netfence.errors import IfaceNotInIpassmt
+from netfence.parser import parse_save
 from netfence.spoofing import SpoofVerdict, sp_certify_all
 from netfence.templates import LIBRARY_IDS, TEMPLATES
 from netfence.wordinterval import WordInterval, parse_address_set
@@ -284,15 +290,97 @@ def doubling_returns(k):
     return "\n".join(lines) + "\n"
 
 
-def seeded_return_ladder(seed, k):
-    """The benchmark's Docker-style ruleset (bench/gen.py) with a ladder of
-    k RETURN rules, addresses drawn at `seed`: (save text, ipassmt text)."""
+def _bench_gen():
+    """bench/gen.py, the benchmark's input generator, as a module."""
     spec = importlib.util.spec_from_file_location(
         "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def fan_out(d):
+    """A FORWARD ruleset whose calls fan out: FORWARD calls C0, each Ci
+    calls C(i+1) on a source and on a destination match, and Cd accepts
+    ssh; it unfolds to 2^d + 1 rules, the default policy DROP included."""
+    lines = ["*filter", ":FORWARD DROP [0:0]", *(f":C{i} - [0:0]" for i in range(d + 1)),
+             "-A FORWARD -j C0"]
+    for i in range(d):
+        lines += [f"-A C{i} -s 10.0.0.0/8 -j C{i + 1}", f"-A C{i} -d 10.0.0.0/8 -j C{i + 1}"]
+    lines += [f"-A C{d} -p tcp --dport 22 -j ACCEPT", "COMMIT"]
+    return "\n".join(lines) + "\n"
+
+
+def inlined_chain(table, chain):
+    """The rules of `chain` with each goto made a call and a Return and the
+    calls inlined to a fixpoint, as unfold builds them before
+    optimize_rules, less the wrapper's default policy."""
+    chains = {name: semantics._goto_as_call_return(rules) for name, rules in table.chains.items()}
+    rules = [Rule(MTrue, rs.call(chain))]
+    while any(r.action.kind == "call" for r in rules):
+        rules = semantics.process_call(rules, chains)
+    return rules
+
+
+def seeded_return_ladder(seed, k):
+    """The benchmark's Docker-style ruleset (bench/gen.py) with a ladder of
+    k RETURN rules, addresses drawn at `seed`: (save text, ipassmt text)."""
+    gen = _bench_gen()
     text, ipassmt, _ = gen.return_ruleset(random.Random(seed), random.Random("return-0"), k)
     return text, ipassmt
+
+
+def emitted_synth_a(hosts_n, out_dir):
+    """The ruleset text that `synthesize --construct --stateful
+    --emit-iptables` writes into `out_dir` for the benchmark's synth-a
+    spec over `hosts_n` hosts (bench/gen.py, shape seed "synthesize",
+    binding seed 1, as CI's synth 200/400 step builds it)."""
+    gen = _bench_gen()
+    hosts = gen.host_names("h", hosts_n)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    spec, binding = out_dir / "spec.json", out_dir / "binding.json"
+    spec.write_text(json.dumps(gen.invariant_spec(random.Random("synthesize"), hosts)))
+    binding.write_text(json.dumps(gen.binding(random.Random(1), hosts)))
+    argv = ["synthesize", "--invariants", spec, "--construct", "--stateful",
+            "--emit-iptables", binding, "--out-dir", out_dir]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main([str(a) for a in argv]) != 0:
+            raise RuntimeError(f"synthesize failed on {hosts_n} hosts")
+    return (out_dir / "ruleset.iptables").read_text()
+
+
+# -- parsing ----------------------------------------------------------------
+
+
+def rules_parsed_alone(text, family="v4"):
+    """The definitional counterpart of parse_save's shared rulespecs: for
+    each chain of parse_save(text), its (rule, line) pairs in chain order,
+    each rule parsed from its `-A`/`-I` line of the filter table alone, in
+    a filter table that declares the chains of parse_save(text).  A line's
+    rules go where parse_save puts them: -A appends, -I inserts at its
+    index (1 when it has none)."""
+    names = list(parse_save(text, family).chains)
+    header = ["*filter", *(f":{c} - [0:0]" for c in names)]
+    chains = {c: [] for c in names}
+    table = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("*"):
+            table = line[1:].strip()
+        elif line == "COMMIT":
+            table = None
+        elif table == "filter" and line.startswith(("-A ", "-I ")):
+            head, chain, *rest = shlex.split(line)
+            index = len(chains[chain]) + 1
+            if head == "-I":
+                index = 1
+                if rest and rest[0].isdecimal():
+                    index, rest = int(rest[0]), rest[1:]
+            alone = parse_save("\n".join([*header, shlex.join(["-A", chain, *rest]), "COMMIT"]),
+                               family)
+            chains[chain][index - 1:index - 1] = [(r, line) for r in alone.chains[chain]]
+    return chains
 
 
 # -- emission ---------------------------------------------------------------

@@ -1,12 +1,13 @@
 import gc
 import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
 
 import scenarios as sc
-from checkers import (doubling_returns, nested_chains, return_chain, return_ladder,
+from checkers import (doubling_returns, fan_out, nested_chains, return_chain, return_ladder,
                       seeded_return_ladder)
 from conftest import CORPUS, DATA, load_ruleset
 from netfence import analysis, invariants, parser, semantics, simplefw, spoofing
@@ -62,6 +63,25 @@ class TestUsage:
             run([*command, "--help"])
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        """main builds its argument parser on first use and keeps it; an
+        option given to one call does not carry over to the next."""
+        example = DATA / "example_ruleset.iptables"
+        assert run(["analyze", "--input", example, "--closure", "both", "--emit", "json",
+                    "--out-dir", tmp_path / "both"]) == 0
+
+        def no_build():
+            raise AssertionError("the argument parser was built again")
+
+        monkeypatch.setattr(cli, "build_arg_parser", no_build)
+        assert run(["analyze", "--input", example, "--out-dir", tmp_path / "upper"]) == 0
+        assert sorted(p.name for p in (tmp_path / "upper").iterdir()) == ["matrix-upper.dot"]
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == [
+            "matrix-lower.json", "matrix-upper.json"]
+        capsys.readouterr()
+        assert run(["analyze", "--closure", "nope"]) == 1
+        assert_one_error_line(capsys)
 
     def test_spoofing_without_ipassmt(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -454,6 +474,25 @@ class TestOneAnalysisRun:
         err = assert_one_error_line(capsys)
         assert (f"rule '-A USER -j ACCEPT' splits into more than {simplefw.MAX_BOXES} "
                 "distinct boxes") in err
+
+    def test_call_fan_out_exits_one_naming_the_chain(self, tmp_path, capsys, monkeypatch):
+        """30 levels of chains that each call the next twice unfold to
+        2^30 + 1 rules: the run fails before any rule is inlined."""
+        ruleset = tmp_path / "fanout.iptables"
+        ruleset.write_text(fan_out(30))
+
+        def no_step(*args):
+            raise AssertionError("unfolding started past the bound")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        start = time.perf_counter()
+        code = run(["analyze", "--input", ruleset, "--closure", "both",
+                    "--out-dir", tmp_path / "out"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = assert_one_error_line(capsys)
+        assert (f"chain 'C10' unfolds to more than {semantics.MAX_UNFOLDED_RULES:,} rules"
+                in err)
 
 
 class TestSynthesize:

@@ -5,6 +5,7 @@ import shlex
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import checkers
 from conftest import CORPUS, load_ruleset
 from netfence import parser
 from netfence import ruleset as rs
@@ -406,6 +407,75 @@ class TestAddressMemo:
         with pytest.raises(SyntaxError_) as exc:
             parse_save(text, "v6")
         assert exc.value.line == 3 and calls == [("10.0.0.1", "v4"), ("10.0.0.1", "v6")]
+
+
+class TestSharedRulespecs:
+    """parse_save reads each distinct rulespec (the words after the chain
+    name and -I's index) once per call: every line that repeats it gets
+    rules with the same match objects, each rule with its own raw line."""
+
+    @pytest.mark.parametrize("name,family", [
+        *((name, "v4") for name in sorted({name for name, _ in CORPUS})),
+        ("ipv6_host.iptables", "v6"),
+        ("synth-a-50", "v4"),
+        ("synth-a-100", "v4"),
+    ])
+    def test_rules_equal_their_lines_parsed_alone(self, tmp_path, name, family):
+        if name.startswith("synth-a-"):
+            text = checkers.emitted_synth_a(int(name.rsplit("-", 1)[1]), tmp_path)
+        else:
+            text = load_ruleset(name)
+        table = parse_save(text, family)
+        alone = checkers.rules_parsed_alone(text, family)
+        assert list(table.chains) == list(alone)
+        for chain, rules in table.chains.items():
+            assert [(r, r.raw) for r in rules] == alone[chain], (name, chain)
+
+    def test_equal_specs_share_one_match(self):
+        """Lines with one spec in three chains, after -A and after -I with
+        an index, as an `a,b` list gives two rules per line."""
+        spec = "-s 10.0.0.1,10.0.0.2 -p tcp --dport 22 -j DROP"
+        raws = [f"-A INPUT {spec}", f"-A FORWARD   {spec}", f"-I FORWARD 3 {spec}",
+                f"-I USER 1 {spec}"]
+        text = "\n".join(["*filter", ":INPUT ACCEPT [0:0]", ":FORWARD ACCEPT [0:0]",
+                          ":USER - [0:0]", raws[0], "-A INPUT -j USER", raws[1],
+                          "-A FORWARD -j USER", raws[3], raws[2], "COMMIT"]) + "\n"
+        chains = parse_save(text).chains
+        sharing = [chains["INPUT"][:2], chains["FORWARD"][:2], chains["FORWARD"][2:4],
+                   chains["USER"]]
+        first = sharing[0]
+        assert first[0].match is not first[1].match
+        for rules, raw in zip(sharing, raws):
+            assert [r.raw for r in rules] == [raw, raw]
+            assert all(r.match is s.match and r.action is s.action for r, s in zip(rules, first))
+
+    def test_each_spec_is_parsed_once_per_call(self, monkeypatch):
+        words = []
+        parse = parser._RuleParser.parse
+
+        def counting(self, tokens):
+            words.append(tuple(tokens))
+            return parse(self, tokens)
+
+        monkeypatch.setattr(parser._RuleParser, "parse", counting)
+        specs = ["-s 10.0.0.1 -j DROP", "-s 10.0.0.1,10.0.0.2 -j DROP", "-j ACCEPT"]
+        lines = [f"-A INPUT {specs[i % 3]}" for i in range(300)]
+        lines += [f"-I INPUT {1 + i % 3} {specs[i % 3]}" for i in range(30)]
+        text = _save(*lines)
+        assert len(parse_save(text).chains["INPUT"]) == 440
+        distinct = [tuple(spec.split()) for spec in specs]
+        assert words == distinct
+        parse_save(text)
+        assert words == distinct * 2
+
+    def test_bad_spec_is_reported_at_its_first_line(self):
+        bad = "-A INPUT -p tcp --dport 70000 -j DROP"
+        text = _save(bad, "-A INPUT -j ACCEPT", "-A INPUT -p tcp --dport 22 -j DROP",
+                     "-A INPUT -p udp -j DROP", bad)
+        assert text.splitlines()[2] == text.splitlines()[6] == bad
+        with pytest.raises(SyntaxError_) as exc:
+            parse_save(text)
+        assert exc.value.line == 3
 
 
 def _leaves(table):

@@ -7,9 +7,10 @@ from itertools import product
 
 import pytest
 
-from checkers import (FALSE, TRUE, UNKNOWN, definitional_normalize_nnf, equality_mand,
-                      equality_opt_match, nested_chains, rebuilding_ctstate_specialize,
-                      return_chain, seeded_return_ladder, ternary_eval, ternary_list_eval)
+from checkers import (FALSE, TRUE, UNKNOWN, definitional_normalize_nnf, doubling_returns,
+                      equality_mand, equality_opt_match, fan_out, inlined_chain, nested_chains,
+                      rebuilding_ctstate_specialize, return_chain, seeded_return_ladder,
+                      ternary_eval, ternary_list_eval)
 import conftest
 from conftest import load_ruleset, stable_hash
 from netfence import ruleset as rs
@@ -18,6 +19,7 @@ from netfence.errors import (
     CallCycle,
     CallsTooDeep,
     IllformedRuleset,
+    TooManyUnfoldedRules,
     UnfoldBoundExceeded,
 )
 from netfence.parser import parse_save
@@ -657,6 +659,62 @@ class TestUnfold:
             unfold(table, "FORWARD")
         with pytest.raises(CallsTooDeep, match="chain 'USER'"):
             bigstep_evaluator(table, "FORWARD")
+
+    def test_counts_equal_the_unoptimized_unfolding(self):
+        """_check_calls' count of each chain it reaches is the length of the
+        chain's unfolding before optimize_rules, on random call DAGs with
+        gotos and RETURNs, the corpus, RETURN doublings and fan-outs."""
+        rng = random.Random(15)
+        cases = [(_random_jump_table(rng), "FORWARD") for _ in range(300)]
+        cases += [(parse_save(load_ruleset(name)), chain) for name, chain in CORPUS]
+        cases += [(parse_save(text), "FORWARD")
+                  for text in [*map(doubling_returns, (0, 1, 11)), *map(fan_out, (0, 1, 6))]]
+        seen = Counter()
+        for table, start in cases:
+            size = semantics._check_calls(table, start)
+            assert size == {c: len(inlined_chain(table, c)) for c in size}
+            assert start in size and next(reversed(size)) == start  # post-order
+            seen["jumps"] += sum(r.action.kind in ("call", "goto")
+                                 for c in size for r in table.chains[c])
+            seen["returns"] += sum(r.action.kind == "return" for c in size for r in table.chains[c])
+            seen["shared"] += sum(n > 1 for n in Counter(
+                r.action.chain for c in size for r in table.chains[c]
+                if r.action.kind in ("call", "goto")).values())
+        assert len(unfold(parse_save(fan_out(6)), "FORWARD")) == 2 ** 6 + 1
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("bound,chain", [(9, None), (8, "FORWARD"), (7, "C0"), (3, "C1"),
+                                             (1, "C2"), (0, "C3")])
+    def test_fan_out_past_the_bound_fails_naming_a_chain(self, monkeypatch, bound, chain):
+        """fan_out(3) unfolds to 9 rules: C3 has 1, C2 2, C1 4, C0 and
+        FORWARD 8, and the wrapper adds the default policy."""
+        table = parse_save(fan_out(3))
+        monkeypatch.setattr(semantics, "MAX_UNFOLDED_RULES", bound)
+        if chain is None:
+            assert len(unfold(table, "FORWARD")) == 9
+            return
+
+        def no_step(*args):
+            raise AssertionError("unfolding started past the bound")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        with pytest.raises(TooManyUnfoldedRules, match=f"chain '{chain}' unfolds to more than "
+                                                       f"{bound:,} rules") as exc:
+            unfold(table, "FORWARD")
+        assert isinstance(exc.value, UnfoldBoundExceeded)
+        evaluate = bigstep_evaluator(table, "FORWARD")  # the evaluator does not unfold
+        assert evaluate(Packet(src=ip_parse("10.0.0.1"), dport=22)) == ALLOW
+
+    def test_fan_out_of_30_levels_fails_fast(self, monkeypatch):
+        table = parse_save(fan_out(30))
+        assert semantics._check_calls(table, "FORWARD")["FORWARD"] == 2 ** 30
+
+        def no_step(*args):
+            raise AssertionError("unfolding started past the bound")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        with pytest.raises(TooManyUnfoldedRules, match="chain 'C10' unfolds"):
+            unfold(table, "FORWARD")
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_unfolding_preserves_semantics(self, name, chain):

@@ -96,7 +96,8 @@ class CallsTooDeep(UnfoldBoundExceeded):
 class TooManyUnfoldedRules(UnfoldBoundExceeded):
     """A chain whose unfolding has more than semantics.MAX_UNFOLDED_RULES
     rules, as calls that fan out do: a chain that calls the next one twice
-    doubles the rules at each level."""
+    doubles the rules at each level.  unfold and the big-step evaluator
+    both refuse it."""
 
 
 class TooManyBoxes(UnfoldBoundExceeded):
@@ -165,10 +166,6 @@ class UnsupportedResidue(NetfenceError):
 
 
 class MissingFinalRule(NetfenceError):
-    pass
-
-
-class IfaceNotInIpassmt(NetfenceError):
     pass
 
 

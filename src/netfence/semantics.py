@@ -157,15 +157,26 @@ def _check_calls(table: Table, start_chain: str) -> dict:
     return size
 
 
+def _check_unfolding(table: Table, start_chain: str) -> None:
+    """_check_calls, then TooManyUnfoldedRules naming the first chain,
+    callees before callers, whose unfolding has more than
+    MAX_UNFOLDED_RULES rules: one packet's evaluation may visit as many."""
+    for chain, n in _check_calls(table, start_chain).items():
+        if n + (chain == start_chain) > MAX_UNFOLDED_RULES:  # the wrapper adds the policy
+            raise TooManyUnfoldedRules(f"chain {chain!r} unfolds to more than "
+                                       f"{MAX_UNFOLDED_RULES:,} rules")
+
+
 def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
     """Build a packet -> state evaluator that runs a packet through a chain
     of the filter table, with the static checks done once.
 
     Evaluation is wrapped as [(True, Call start), (True, default-policy)],
     so a Return on top level of the start chain falls through to the
-    default policy.  Deterministic; always returns ALLOW or DENY.
+    default policy.  Deterministic; always returns ALLOW or DENY.  A chain
+    that unfold refuses for its size is refused here too.
     """
-    _check_calls(table, start_chain)
+    _check_unfolding(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None:
         raise IllformedRuleset(f"chain {start_chain!r} has no default policy")
@@ -286,14 +297,10 @@ def unfold(table: Table, start_chain: str) -> list:
     MAX_UNFOLDED_RULES rules raises TooManyUnfoldedRules, naming the first
     chain, callees before callers, whose unfolding passes the bound.
     """
-    size = _check_calls(table, start_chain)
+    _check_unfolding(table, start_chain)
     policy = table.policies.get(start_chain)
     if policy is None or policy.kind not in ("accept", "drop"):
         raise IllformedRuleset(f"chain {start_chain!r} has no Accept/Drop default policy")
-    for chain, n in size.items():
-        if n + (chain == start_chain) > MAX_UNFOLDED_RULES:  # the wrapper adds the policy
-            raise TooManyUnfoldedRules(f"chain {chain!r} unfolds to more than "
-                                       f"{MAX_UNFOLDED_RULES:,} rules")
     chains = {name: _goto_as_call_return(rules) for name, rules in table.chains.items()}
     rules = [Rule(MTrue, rs.call(start_chain)), Rule(MTrue, policy)]
     while any(r.action.kind == "call" for r in rules):

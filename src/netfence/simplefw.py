@@ -11,6 +11,13 @@ cannot express), meeting them as Header Space Analysis meets wildcard
 cubes.  Interface constraining narrows the boxes; translate_to_simple
 closes them under an in-doubt tactic and splits them into CIDRs, each
 distinct address set once, so that rules share their Cidr objects.
+
+Its output is a SimpleRules tuple.  The first simple_fw_eval on it
+builds a tuple space index (Srinivasan, Suri & Varghese, SIGCOMM 1999):
+the rules grouped by their source and destination host bits, each group
+keyed by the address prefixes, so that a packet is tested only against
+the rules whose address blocks hold it.  Walking any other sequence
+stays the definitional first-match evaluation.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import logging
 import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from . import ruleset as rs
@@ -95,8 +103,51 @@ class SimpleRule:
         return f"{self.match} {'ACCEPT' if self.accept else 'DROP'}"
 
 
+class SimpleRules(tuple):
+    """An immutable first-match list of simple rules, with the tuple space
+    index that simple_fw_eval builds on its first call on it."""
+
+    @cached_property
+    def index(self) -> list:
+        """The rule indices grouped by (source host bits, destination host
+        bits), each group a dict from (src.base >> its bits, dst.base >>
+        its bits) to that key's indices in ascending order; the groups as
+        (lowest index, source bits, destination bits, dict), lowest first."""
+        groups = {}
+        for i, r in enumerate(self):
+            src, dst = r.match.src, r.match.dst
+            sbits, dbits = src.width - src.prefix, dst.width - dst.prefix
+            group = groups.get((sbits, dbits))
+            if group is None:
+                group = groups[sbits, dbits] = (i, sbits, dbits, {})
+            group[3].setdefault((src.base >> sbits, dst.base >> dbits), []).append(i)
+        return list(groups.values())  # dicts keep insertion order: lowest index first
+
+
 def simple_fw_eval(rules, p: Packet) -> str:
-    """First-match semantics; Undecided only when no rule matched."""
+    """First-match semantics; Undecided only when no rule matched.
+
+    A SimpleRules answers from its index: the groups are visited lowest
+    index first until that index reaches the best match so far, and in
+    each the packet's key's rules are tested in order with their own
+    match.  A packet lies in a block only if its address shifted by the
+    block's host bits is the block's key, and an address outside
+    0 <= x < 2**width hits no rule's key, so the lowest matching index is
+    the walk's first match.  Any other sequence is walked rule by rule."""
+    if isinstance(rules, SimpleRules):
+        best, src, dst = len(rules), p.src, p.dst
+        for first, sbits, dbits, table in rules.index:
+            if first >= best:
+                break
+            for i in table.get((src >> sbits, dst >> dbits), ()):
+                if i >= best:
+                    break
+                if rules[i].match.matches(p):
+                    best = i
+                    break
+        if best == len(rules):
+            return UNDECIDED
+        return ALLOW if rules[best].accept else DENY
     for r in rules:
         if r.match.matches(p):
             return ALLOW if r.accept else DENY
@@ -225,14 +276,15 @@ def prepare_for_simple(rules, width) -> list:
     return out
 
 
-def translate_to_simple(boxes, tactic="in_doubt_allow") -> list:
+def translate_to_simple(boxes, tactic="in_doubt_allow") -> SimpleRules:
     """The closure of a box list under an in-doubt tactic, as simple rules.
 
     A box with an unknown literal is kept whole when the tactic lets its
     unknowns match (Accepts under in_doubt_allow, Drops under
     in_doubt_deny) and dropped otherwise; the list ends after the first
     kept box without a known literal, which matches every packet.  Each
-    kept box becomes one simple rule per CIDR/port-part combination.
+    kept box becomes one simple rule per CIDR/port-part combination; the
+    rules come as a SimpleRules, whose index no translation builds.
     """
     if tactic not in ("in_doubt_allow", "in_doubt_deny"):
         raise ValueError(f"unknown tactic {tactic!r}")
@@ -253,7 +305,7 @@ def translate_to_simple(boxes, tactic="in_doubt_allow") -> list:
         if not b.known:
             break
     log.info("translated %d boxes into %d simple rules", len(boxes), len(out))
-    return out
+    return SimpleRules(out)
 
 
 # -- interface / IP correlation ------------------------------------------------

@@ -22,7 +22,7 @@ from netfence.policy import PolicyGraph, Strategy
 from netfence.ruleset import MAnd, MNot, MNotTrue, MPrim, MTrue, Rule, mand
 from netfence.semantics import ALLOW, DENY, UNDECIDED, default_known
 from netfence.simplefw import SimpleMatch, SimpleRule, simple_fw_eval
-from netfence.errors import IfaceNotInIpassmt
+from netfence.errors import NetfenceError
 from netfence.parser import parse_save
 from netfence.spoofing import SpoofVerdict, sp_certify_all
 from netfence.templates import LIBRARY_IDS, TEMPLATES
@@ -534,6 +534,10 @@ def _interval_bounds(m, iface, side, width, memo):
         got = everything, nothing
     memo[id(m)] = got
     return got
+
+
+class IfaceNotInIpassmt(NetfenceError):
+    """sp_certify asked about an interface the assignment does not name."""
 
 
 def sp_certify(rules, iface, ipassmt, field="in"):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -692,6 +693,8 @@ class TestUnfold:
         monkeypatch.setattr(semantics, "MAX_UNFOLDED_RULES", bound)
         if chain is None:
             assert len(unfold(table, "FORWARD")) == 9
+            evaluate = bigstep_evaluator(table, "FORWARD")
+            assert evaluate(Packet(src=ip_parse("10.0.0.1"), dport=22)) == ALLOW
             return
 
         def no_step(*args):
@@ -702,8 +705,8 @@ class TestUnfold:
                                                        f"{bound:,} rules") as exc:
             unfold(table, "FORWARD")
         assert isinstance(exc.value, UnfoldBoundExceeded)
-        evaluate = bigstep_evaluator(table, "FORWARD")  # the evaluator does not unfold
-        assert evaluate(Packet(src=ip_parse("10.0.0.1"), dport=22)) == ALLOW
+        with pytest.raises(TooManyUnfoldedRules, match=f"chain '{chain}' unfolds"):
+            bigstep_evaluator(table, "FORWARD")  # one packet may visit as many rules
 
     def test_fan_out_of_30_levels_fails_fast(self, monkeypatch):
         table = parse_save(fan_out(30))
@@ -715,6 +718,21 @@ class TestUnfold:
         monkeypatch.setattr(semantics, "process_call", no_step)
         with pytest.raises(TooManyUnfoldedRules, match="chain 'C10' unfolds"):
             unfold(table, "FORWARD")
+
+    def test_evaluator_on_a_fan_out_past_the_bound_fails_fast(self, monkeypatch):
+        """A packet that takes both jumps at every level and is not
+        accepted would visit 2^30 rules; building the evaluator refuses
+        the ruleset as unfold does."""
+        table = parse_save(fan_out(30))
+
+        def no_step(*args):
+            raise AssertionError("unfolding started past the bound")
+
+        monkeypatch.setattr(semantics, "process_call", no_step)
+        start = time.perf_counter()
+        with pytest.raises(TooManyUnfoldedRules, match="chain 'C10' unfolds"):
+            bigstep_evaluator(table, "FORWARD")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("name,chain", CORPUS)
     def test_unfolding_preserves_semantics(self, name, chain):

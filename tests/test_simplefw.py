@@ -7,10 +7,11 @@ import pytest
 
 from checkers import (doubling_returns, fieldwise_meet, per_box_translation,
                       rebuilding_ctstate_specialize, return_ladder, seeded_return_ladder)
-from conftest import CORPUS, load_ruleset, stable_hash
+from conftest import CORPUS, DATA, load_ruleset, stable_hash
 from test_semantics import _near_packet, _random_primitive, hash_oracle
 from netfence import ruleset as rs
-from netfence.cli import analyze_pipeline
+from netfence import simplefw
+from netfence.cli import analyze_pipeline, main
 from netfence.errors import IllformedRuleset, TooManyBoxes, UnsupportedResidue
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
 from netfence.ruleset import MNot, MPrim, MTrue, Rule, Table, mand
@@ -30,6 +31,7 @@ from netfence.simplefw import (
     PORT_UNIV,
     SimpleMatch,
     SimpleRule,
+    SimpleRules,
     _PreBox,
     _as_rule,
     _meet,
@@ -82,6 +84,137 @@ class TestEval:
     def test_ports_require_port_protocol(self):
         with pytest.raises(IllformedRuleset):
             SimpleMatch(proto=1, dports=(80, 80))
+
+
+class TestRuleIndex:
+    """simple_fw_eval on a SimpleRules answers from its tuple space index;
+    walking the same rules as a list is the definition."""
+
+    IFACES = ["+", "eth+", "eth0", "eth1", "lo"]
+    NAMES = ["eth0", "eth1", "eth", "lo", "ppp9", ""]
+
+    @staticmethod
+    def _blocks(rng, width):
+        """Nested blocks /0 to /width around two random addresses, every
+        prefix for v4 and every fourth for v6, and a few unrelated ones."""
+        out = []
+        for _ in range(2):
+            a = rng.getrandbits(width)
+            out += [Cidr(a >> h << h, width - h, width) for h in range(0, width + 1, width // 32)]
+        out += [Cidr(rng.getrandbits(width) >> h << h, width - h, width)
+                for h in rng.sample(range(width + 1), 4)]
+        return out
+
+    def _random_rules(self, rng, widths):
+        blocks = {w: self._blocks(rng, w) for w in widths}
+        rules = []
+        for _ in range(rng.randrange(1, 40)):
+            width = rng.choice(widths)
+            proto = rng.choice((None, None, 6, 17, 132, 1, 47))
+            ports = [rng.choice([PORT_UNIV, PORT_UNIV, (80, 80), (1024, 65535), (0, 1023)])
+                     if proto in (6, 17, 132) else PORT_UNIV for _ in range(2)]
+            m = SimpleMatch(width, rng.choice(self.IFACES), rng.choice(self.IFACES),
+                            rng.choice(blocks[width]), rng.choice(blocks[width]), proto, *ports)
+            rules.append(SimpleRule(m, rng.random() < 0.5))
+        return rules
+
+    def _packets(self, rng, rules, n):
+        """Packets inside a random rule's tuple, with up to two fields moved
+        to a block's edge, outside the word width, or to ports, protocols
+        and names no rule holds."""
+        def address(c):
+            lo, hi, top = c.base, c.base | c.hostmask(), 1 << c.width
+            return rng.choice([lo, hi, lo - 1, hi + 1, rng.randint(lo, hi), -1, -top, top,
+                               top + lo, rng.getrandbits(c.width), rng.getrandbits(136)])
+
+        def name(pattern):
+            return rng.choice(self.NAMES) if pattern == "+" else pattern.rstrip("+") + "0" * (
+                pattern.endswith("+") and rng.random() < 0.5)
+
+        out = []
+        for _ in range(n):
+            m = rng.choice(rules).match if rules else SimpleMatch()
+            p = Packet(iiface=name(m.iiface), oiface=name(m.oiface),
+                       src=rng.randint(m.src.base, m.src.base | m.src.hostmask()),
+                       dst=rng.randint(m.dst.base, m.dst.base | m.dst.hostmask()),
+                       protocol=rng.choice((6, 17, 1)) if m.proto is None else m.proto,
+                       sport=rng.randint(*m.sports), dport=rng.randint(*m.dports))
+            for _ in range(rng.randrange(3)):
+                c = rng.choice(rules).match if rules else m
+                p = p.with_(**rng.choice([
+                    {"iiface": rng.choice(self.NAMES)}, {"oiface": rng.choice(self.NAMES)},
+                    {"src": address(c.src)}, {"dst": address(c.dst)},
+                    {"protocol": rng.choice((0, 6, 17, 47, 132, 255, -1, 256))},
+                    {"sport": rng.choice((0, 1023, 1024, 65535, -1, 65536))},
+                    {"dport": rng.choice((80, 1023, 1024, 65535, -1, 65536))}]))
+            out.append(p)
+        return out
+
+    def _agree(self, rules, packets):
+        indexed = SimpleRules(rules)
+        verdicts = Counter()
+        for p in packets:
+            verdict = simple_fw_eval(indexed, p)
+            assert verdict == simple_fw_eval(list(rules), p), (p, rules)
+            verdicts[verdict] += 1
+        return verdicts
+
+    @pytest.mark.parametrize("widths", [(32,), (128,), (32, 128)])
+    def test_index_equals_the_walk_on_random_rules(self, widths):
+        rng = random.Random(sum(widths))
+        verdicts = Counter()
+        for _ in range(300):
+            rules = self._random_rules(rng, widths)
+            verdicts += self._agree(rules, self._packets(rng, rules, 40))
+        assert min(verdicts[v] for v in (ALLOW, DENY, UNDECIDED)) > 2000, verdicts
+
+    def test_empty_list_is_undecided(self):
+        rng = random.Random(0)
+        assert self._agree([], self._packets(rng, [], 50)) == Counter({UNDECIDED: 50})
+
+    @pytest.mark.parametrize("name", sorted(f.name for f in DATA.glob("*.iptables")))
+    def test_index_equals_the_walk_on_the_corpus(self, name):
+        text = load_ruleset(name)
+        family = "v6" if "ipv6" in name else "v4"
+        rng = random.Random(stable_hash(name) & 0xFFFF)
+        closures = 0
+        for chain in ("FORWARD", "INPUT", "OUTPUT"):
+            if chain not in parse_save(text, family).chains:
+                continue
+            for tactic in ("in_doubt_allow", "in_doubt_deny"):
+                rules = full_pipeline(text, chain, tactic, family)
+                assert isinstance(rules, SimpleRules)
+                self._agree(list(rules), self._packets(rng, list(rules), 500))
+                closures += 1
+        assert closures >= 2
+
+    def test_index_is_built_once_on_the_first_evaluation(self):
+        rules = full_pipeline(load_ruleset("webapp_central.iptables"), "FORWARD")
+        assert "index" not in vars(rules)
+        packets = self._packets(random.Random(1), list(rules), 20)
+        simple_fw_eval(rules, packets[0])
+        index = vars(rules)["index"]
+        for p in packets:
+            simple_fw_eval(rules, p)
+        assert vars(rules)["index"] is index
+
+    def test_analysis_leaves_the_index_unbuilt(self, monkeypatch, tmp_path):
+        made = []
+
+        class Recorded(SimpleRules):
+            def __new__(cls, rules):
+                made.append(super().__new__(cls, rules))
+                return made[-1]
+
+        monkeypatch.setattr(simplefw, "SimpleRules", Recorded)
+        text = load_ruleset("webapp_central.iptables")
+        assert analyze_pipeline(text, chain="FORWARD")["simple"] is made[0]
+        ruleset = tmp_path / "rules.iptables"
+        ruleset.write_text(text)
+        argv = ["analyze", "--input", str(ruleset), "--chain", "FORWARD", "--closure", "both",
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(made) == 3 and not any("index" in vars(rules) for rules in made)
 
 
 class TestSimpleMatchMembership:
@@ -338,7 +471,7 @@ class TestTranslation:
         tcp = MPrim(rs.Protocol(6))
         udp = MPrim(rs.Protocol(17))
         for m in (mand(tcp, MNot(tcp)), mand(tcp, udp)):
-            assert translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)], 32)) == []
+            assert list(translate_to_simple(prepare_for_simple([Rule(m, rs.ACCEPT)], 32))) == []
 
     def test_compatible_negated_protocol_is_absorbed(self):
         tcp = MPrim(rs.Protocol(6))
@@ -554,7 +687,7 @@ class TestWholePathSandwich:
         for _ in range(150):
             boxes = iface_rewrite(prepare_for_simple(
                 ctstate_specialize(unfold(_random_table(rng), "FORWARD"), "NEW"), 32), self.IPASSMT)
-            assert translate_to_simple(boxes, tactic) == per_box_translation(boxes, tactic)
+            assert list(translate_to_simple(boxes, tactic)) == per_box_translation(boxes, tactic)
 
     def test_spoofed_accepts_lie_in_the_residual(self):
         """Every packet the exact semantics accepts on eth0 or lo with a source

@@ -3,14 +3,14 @@ from itertools import product
 
 import pytest
 
-from checkers import (definitional_certify, doubling_returns, return_ladder, seeded_return_ladder,
-                      sp_certify)
+from checkers import (IfaceNotInIpassmt, definitional_certify, doubling_returns, return_ladder,
+                      seeded_return_ladder, sp_certify)
 from conftest import CORPUS, load_ruleset, stable_hash
 from test_semantics import _random_set
 from test_simplefw import _random_table
 from netfence import ruleset as rs
 from netfence import spoofing
-from netfence.errors import IfaceNotInIpassmt, MissingFinalRule, WidthMismatch
+from netfence.errors import MissingFinalRule, WidthMismatch
 from netfence.parser import parse_ipassmt, parse_save
 from netfence.ruleset import MAnd, MNot, MPrim, MTrue, Rule, mand
 from netfence.semantics import (ALLOW, Packet, bigstep_evaluator, bool_matcher,

@@ -10,11 +10,22 @@ Unfolding treats a goto as a call followed by a Return on the same
 match: a packet the goto takes never comes back to the rest of its
 chain, whether the target decides, returns or falls through, which is
 exactly what the Return says.
+
+Unfolding returns an UnfoldedRules tuple.  The first simple_list_eval on
+it builds a tuple space index (Srinivasan, Suri & Varghese, SIGCOMM
+1999) keyed by the blocks of each rule's positive address conjuncts, so
+that a packet is tested only against the rules whose blocks hold its
+addresses; simplefw.SimpleRules shares the index (IndexedRules).
+Walking any other sequence stays the definitional first-match
+evaluation.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import product
 
 from . import ruleset as rs
 from .errors import CallCycle, CallsTooDeep, IllformedRuleset, TooManyUnfoldedRules
@@ -222,6 +233,93 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
     return evaluate
 
 
+# -- tuple space index ---------------------------------------------------------
+
+
+def address_block(lo: int, hi: int) -> tuple:
+    """(bits, keys) of the narrowest aligned block holding lo..hi: bits =
+    (lo ^ hi).bit_length() and keys = (lo >> bits,).  Every integer x in
+    lo..hi, and so every member of a set spanning lo..hi, has x >> bits ==
+    lo >> bits, and a negative or wider integer shifts past every key."""
+    bits = (lo ^ hi).bit_length()
+    return bits, (lo >> bits,)
+
+
+# The block of a side no address test constrains: shifted by more bits than
+# any integer has, every address is 0, or -1 if it is negative.
+WILDCARD = (sys.maxsize, (0, -1))
+
+
+class IndexedRules(tuple):
+    """An immutable first-match rule list with a tuple space index
+    (Srinivasan, Suri & Varghese, SIGCOMM 1999) over the packets' source
+    and destination addresses, built on the first lookup.  A subclass
+    names, in `blocks`, a source and a destination block that hold the
+    addresses of every packet its rule matches."""
+
+    def blocks(self, rule):
+        """((bits, keys), (bits, keys)) of rule's source and destination,
+        as address_block or WILDCARD; None when the rule matches no packet."""
+        raise NotImplementedError
+
+    @cached_property
+    def index(self) -> list:
+        """The rules grouped by (source bits, destination bits), each group
+        a dict from (source key, destination key) to that key's rules as
+        (index, match) pairs in ascending index order; the groups as
+        (lowest index, source bits, destination bits, dict), lowest first."""
+        groups = {}
+        for i, r in enumerate(self):
+            blocks = self.blocks(r)
+            if blocks is None:
+                continue
+            (sbits, skeys), (dbits, dkeys) = blocks
+            group = groups.get((sbits, dbits))
+            if group is None:
+                group = groups[sbits, dbits] = (i, sbits, dbits, {})
+            entry = (i, r.match)
+            for key in product(skeys, dkeys):
+                group[3].setdefault(key, []).append(entry)
+        return list(groups.values())  # dicts keep insertion order: lowest index first
+
+    def first_match(self, src: int, dst: int, test, arg):
+        """The lowest-index rule r with test(r.match, arg) among the rules
+        whose blocks hold (src, dst), or None.  The groups are visited
+        lowest index first until that index reaches the best match so
+        far, and in each the packet's key's rules are tested in order.  A
+        rule outside the packet's key cannot match it, so this is the
+        walk's first match whenever test(r.match, arg) implies that r's
+        blocks hold the packet's addresses."""
+        best = len(self)
+        for first, sbits, dbits, table in self.index:
+            if first >= best:
+                break
+            for i, match in table.get((src >> sbits, dst >> dbits), ()):
+                if i >= best:
+                    break
+                if test(match, arg):
+                    best = i
+                    break
+        return self[best] if best < len(self) else None
+
+
+class UnfoldedRules(IndexedRules):
+    """unfold's Accept/Drop rule list.  A rule's blocks are those of its
+    positive Src and Dst conjuncts at the top level of its match, the
+    narrowest per side; a side without one is a wildcard, and a negated
+    address test never gives a block."""
+
+    def blocks(self, rule):
+        sides = {"src": [], "dst": []}
+        for c in rs.conjuncts(rule.match):
+            if isinstance(c, MPrim) and isinstance(c.prim, rs.Addrs):
+                parts = c.prim.addrs.parts
+                if not parts:
+                    return None  # an empty address set
+                sides[c.prim.field].append(address_block(parts[0][0], parts[-1][1]))
+        return tuple(min(b) if b else WILDCARD for b in sides.values())  # min: fewest bits
+
+
 # -- custom chain unfolding ---------------------------------------------------
 
 
@@ -285,7 +383,7 @@ def _goto_as_call_return(rules):
     return out
 
 
-def unfold(table: Table, start_chain: str) -> list:
+def unfold(table: Table, start_chain: str) -> UnfoldedRules:
     """Flatten a chain into an equivalent Accept/Drop rule list.
 
     The evaluation wrapper [(True, Call start), (True, default-policy)] is
@@ -296,6 +394,7 @@ def unfold(table: Table, start_chain: str) -> list:
     before the first unfolding step; an unfolding of more than
     MAX_UNFOLDED_RULES rules raises TooManyUnfoldedRules, naming the first
     chain, callees before callers, whose unfolding passes the bound.
+    Returns an UnfoldedRules tuple, which simple_list_eval indexes.
     """
     _check_unfolding(table, start_chain)
     policy = table.policies.get(start_chain)
@@ -309,19 +408,35 @@ def unfold(table: Table, start_chain: str) -> list:
     for r in rules:
         if r.action.kind not in ("accept", "drop"):
             raise IllformedRuleset(f"unfolding left a {r.action.kind} rule")
-    return rules
+    return UnfoldedRules(rules)
+
+
+def _verdict(action) -> str:
+    if action.kind == "accept":
+        return ALLOW
+    if action.kind in ("drop", "reject"):
+        return DENY
+    raise IllformedRuleset(f"simple list cannot contain {action.kind!r}")
 
 
 def simple_list_eval(rules, packet: Packet, matcher=None) -> str:
-    """First-match evaluation of an unfolded rule list (with default None)."""
+    """First-match evaluation of an unfolded rule list (with default None).
+
+    The matcher (default: bool_matcher()) must decide a Src or Dst
+    primitive by membership of the packet's address, as every
+    bool_matcher does; its oracle decides only Extra primitives.  An
+    UnfoldedRules answers from its index, built on the first call: only
+    the rules whose positive address conjuncts' blocks hold the packet's
+    addresses are tested, with the matcher, and the lowest matching one
+    decides, which is the walk's first match.  Any other sequence is
+    walked rule by rule, the definitional oracle of the index."""
     matcher = matcher or _default_matcher
+    if isinstance(rules, UnfoldedRules):
+        r = rules.first_match(packet.src, packet.dst, matcher, packet)
+        return UNDECIDED if r is None else _verdict(r.action)
     for r in rules:
         if matcher(r.match, packet):
-            if r.action.kind == "accept":
-                return ALLOW
-            if r.action.kind in ("drop", "reject"):
-                return DENY
-            raise IllformedRuleset(f"simple list cannot contain {r.action.kind!r}")
+            return _verdict(r.action)
     return UNDECIDED
 
 

@@ -13,11 +13,12 @@ closes them under an in-doubt tactic and splits them into CIDRs, each
 distinct address set once, so that rules share their Cidr objects.
 
 Its output is a SimpleRules tuple.  The first simple_fw_eval on it
-builds a tuple space index (Srinivasan, Suri & Varghese, SIGCOMM 1999):
-the rules grouped by their source and destination host bits, each group
-keyed by the address prefixes, so that a packet is tested only against
-the rules whose address blocks hold it.  Walking any other sequence
-stays the definitional first-match evaluation.
+builds the tuple space index that semantics.IndexedRules shares with
+unfold's rules (Srinivasan, Suri & Varghese, SIGCOMM 1999): the rules
+grouped by their source and destination host bits, each group keyed by
+the address prefixes, so that a packet is tested only against the rules
+whose address blocks hold it.  Walking any other sequence stays the
+definitional first-match evaluation.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import logging
 import dataclasses
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 from . import ruleset as rs
 from .errors import IllformedRuleset, TooManyBoxes, UnsupportedResidue
 from .ruleset import MNot, MPrim, MTrue, Rule, iface_conj, mand
-from .semantics import ALLOW, DENY, UNDECIDED, Packet
+from .semantics import ALLOW, DENY, UNDECIDED, IndexedRules, Packet, address_block
 from .wordinterval import Cidr, WordInterval
 
 log = logging.getLogger(__name__)
@@ -103,51 +103,31 @@ class SimpleRule:
         return f"{self.match} {'ACCEPT' if self.accept else 'DROP'}"
 
 
-class SimpleRules(tuple):
-    """An immutable first-match list of simple rules, with the tuple space
-    index that simple_fw_eval builds on its first call on it."""
+class SimpleRules(IndexedRules):
+    """An immutable first-match list of simple rules; a rule's blocks are
+    its source and destination Cidrs."""
 
-    @cached_property
-    def index(self) -> list:
-        """The rule indices grouped by (source host bits, destination host
-        bits), each group a dict from (src.base >> its bits, dst.base >>
-        its bits) to that key's indices in ascending order; the groups as
-        (lowest index, source bits, destination bits, dict), lowest first."""
-        groups = {}
-        for i, r in enumerate(self):
-            src, dst = r.match.src, r.match.dst
-            sbits, dbits = src.width - src.prefix, dst.width - dst.prefix
-            group = groups.get((sbits, dbits))
-            if group is None:
-                group = groups[sbits, dbits] = (i, sbits, dbits, {})
-            group[3].setdefault((src.base >> sbits, dst.base >> dbits), []).append(i)
-        return list(groups.values())  # dicts keep insertion order: lowest index first
+    def blocks(self, rule):
+        return tuple(address_block(c.base, c.base | c.hostmask())
+                     for c in (rule.match.src, rule.match.dst))
+
+
+def _matches(m: SimpleMatch, p: Packet) -> bool:
+    return m.matches(p)
 
 
 def simple_fw_eval(rules, p: Packet) -> str:
     """First-match semantics; Undecided only when no rule matched.
 
-    A SimpleRules answers from its index: the groups are visited lowest
-    index first until that index reaches the best match so far, and in
-    each the packet's key's rules are tested in order with their own
-    match.  A packet lies in a block only if its address shifted by the
-    block's host bits is the block's key, and an address outside
-    0 <= x < 2**width hits no rule's key, so the lowest matching index is
-    the walk's first match.  Any other sequence is walked rule by rule."""
+    A SimpleRules answers from its index (IndexedRules.first_match), each
+    candidate tested with its own match: a packet lies in a rule's Cidrs
+    only if its addresses lie in their blocks.  Any other sequence is
+    walked rule by rule."""
     if isinstance(rules, SimpleRules):
-        best, src, dst = len(rules), p.src, p.dst
-        for first, sbits, dbits, table in rules.index:
-            if first >= best:
-                break
-            for i in table.get((src >> sbits, dst >> dbits), ()):
-                if i >= best:
-                    break
-                if rules[i].match.matches(p):
-                    best = i
-                    break
-        if best == len(rules):
+        r = rules.first_match(p.src, p.dst, _matches, p)
+        if r is None:
             return UNDECIDED
-        return ALLOW if rules[best].accept else DENY
+        return ALLOW if r.accept else DENY
     for r in rules:
         if r.match.matches(p):
             return ALLOW if r.accept else DENY

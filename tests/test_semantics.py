@@ -1,4 +1,7 @@
+import contextlib
 import copy
+import functools
+import io
 import itertools
 import pickle
 import random
@@ -9,13 +12,15 @@ from itertools import product
 import pytest
 
 from checkers import (FALSE, TRUE, UNKNOWN, definitional_normalize_nnf, doubling_returns,
-                      equality_mand, equality_opt_match, fan_out, inlined_chain, nested_chains,
+                      emitted_synth_a, equality_mand, equality_opt_match, fan_out, inlined_chain,
+                      nested_chains,
                       rebuilding_ctstate_specialize, return_chain, seeded_return_ladder,
                       ternary_eval, ternary_list_eval)
 import conftest
 from conftest import load_ruleset, stable_hash
 from netfence import ruleset as rs
 from netfence import semantics
+from netfence.cli import analyze_pipeline, main
 from netfence.errors import (
     CallCycle,
     CallsTooDeep,
@@ -461,7 +466,7 @@ class TestUnfold:
             "-A noisy -s 10.0.0.0/8 -j LOG\nCOMMIT\n"
         )
         unfolded = unfold(parse_save(text), "INPUT")
-        assert unfolded == [Rule(MTrue, rs.ACCEPT)]
+        assert list(unfolded) == [Rule(MTrue, rs.ACCEPT)]
 
     def test_reject_becomes_drop(self):
         text = "*filter\n:INPUT ACCEPT [0:0]\n-A INPUT -s 10.0.0.1 -j REJECT\nCOMMIT\n"
@@ -473,7 +478,7 @@ class TestUnfold:
             "*filter\n:INPUT ACCEPT [0:0]\n"
             "-A INPUT -j DROP\n-A INPUT -s 10.0.0.1 -j ACCEPT\nCOMMIT\n"
         )
-        assert unfold(parse_save(text), "INPUT") == [Rule(MTrue, rs.DROP)]
+        assert list(unfold(parse_save(text), "INPUT")) == [Rule(MTrue, rs.DROP)]
 
     def test_goto_rewrite_safe_when_last(self):
         text = (
@@ -594,7 +599,7 @@ class TestUnfold:
     def test_cycle_outside_the_start_chains_reach_is_ignored(self):
         text = ("*filter\n:FORWARD DROP [0:0]\n:A - [0:0]\n"
                 "-A FORWARD -j ACCEPT\n-A A -j A\nCOMMIT\n")
-        assert unfold(parse_save(text), "FORWARD") == [Rule(MTrue, rs.ACCEPT)]
+        assert list(unfold(parse_save(text), "FORWARD")) == [Rule(MTrue, rs.ACCEPT)]
 
     def test_nesting_at_the_depth_bound_unfolds(self):
         table = parse_save(nested_chains(semantics.MAX_CALL_DEPTH))
@@ -633,7 +638,7 @@ class TestUnfold:
             lines += [f"-A {a} -j {b}" for a, b in zip(chains, chains[1:])]
             return "\n".join(lines + ["COMMIT"]) + "\n"
 
-        assert unfold(parse_save(ruleset(bound - 10)), "FORWARD") == [Rule(MTrue, rs.DROP)]
+        assert list(unfold(parse_save(ruleset(bound - 10)), "FORWARD")) == [Rule(MTrue, rs.DROP)]
         with pytest.raises(CallsTooDeep, match=f"chain 'D{bound - 9}'"):
             unfold(parse_save(ruleset(bound - 9)), "FORWARD")
 
@@ -747,6 +752,235 @@ class TestUnfold:
             for _ in range(2000):
                 p = random_packet(rng)
                 assert ev(p) == simple_list_eval(unfolded, p, m)
+
+
+def _random_table(rng, n_chains=4, primitive=_random_primitive):
+    """A random acyclic FORWARD table shaped like _random_jump_table, whose
+    rules conjoin up to two random primitives, some of them negated."""
+    names = ["FORWARD"] + [f"c{i}" for i in range(1, n_chains)]
+    chains = {}
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        rules = []
+        for _ in range(rng.randrange(5)):
+            lits = [MPrim(primitive(rng)) for _ in range(rng.randint(0, 2))]
+            m = mand(*(MNot(lit) if rng.random() < 0.3 else lit for lit in lits))
+            kind = rng.choice(["accept", "drop", "return"] + ["call", "goto"] * bool(later))
+            rules.append(Rule(m, rs.Action(kind, rng.choice(later) if kind in ("call", "goto")
+                                           else None)))
+        chains[name] = rules
+    return Table(chains, {"FORWARD": rng.choice([rs.ACCEPT, rs.DROP])})
+
+
+class TestUnfoldedIndex:
+    """simple_list_eval on unfold's UnfoldedRules answers from its tuple
+    space index; walking the same rules as a list is the definition."""
+
+    SEEDS = (1, 2, 3)
+
+    @staticmethod
+    def _packets(rng, rules, n):
+        """Random packets whose addresses sit in, on the edges of and next
+        to the address sets the rules name, negated or not, or outside
+        the word width: negative, 2**width and past, 136-bit.  Half of
+        them take their interfaces and state from the rules too, and half
+        start inside one rule's positive conjuncts."""
+        prims = [prim for r in rules for prim in rs.primitives_in(r.match)]
+        ranges = [(lo, hi, prim.addrs.width) for prim in prims
+                  if isinstance(prim, rs.Addrs) for lo, hi in prim.addrs.parts]
+        ranges = ranges or [(0, (1 << 32) - 1, 32)]
+        named = {field: sorted({prim.name.replace("+", "0") for prim in prims
+                                if isinstance(prim, cls)})
+                 for field, cls in (("iiface", rs.IIface), ("oiface", rs.OIface))}
+        named["ctstate"] = sorted({s for prim in prims if isinstance(prim, rs.CtState)
+                                   for s in prim.states})
+
+        def address():
+            lo, hi, width = rng.choice(ranges)
+            top = 1 << width
+            return rng.choice([lo, hi, lo - 1, hi + 1, rng.randint(lo, hi), rng.randint(lo, hi),
+                               -1, -top, -lo - 1, top, top + lo, rng.getrandbits(width),
+                               rng.getrandbits(136)])
+
+        def inside(p, rule):
+            for c in conjuncts(rule.match):
+                prim = c.prim if isinstance(c, MPrim) else None
+                if isinstance(prim, rs.Addrs) and prim.addrs.parts:
+                    p = p.with_(**{prim.field: rng.randint(*rng.choice(prim.addrs.parts))})
+                elif isinstance(prim, (rs.IIface, rs.OIface)):
+                    p = p.with_(**{prim.field: prim.name.replace("+", "0")})
+                elif isinstance(prim, rs.CtState):
+                    p = p.with_(ctstate=rng.choice(sorted(prim.states)))
+                elif isinstance(prim, rs.Protocol):
+                    p = p.with_(protocol=prim.number)
+            return p
+
+        def packet():
+            p = random_packet(rng).with_(src=address(), dst=address())
+            p = p.with_(**{field: rng.choice(values) for field, values in named.items()
+                           if values and rng.random() < 0.5})
+            return inside(p, rng.choice(rules)) if rules and rng.random() < 0.5 else p
+
+        return [packet() for _ in range(n)]
+
+    def _agree(self, rules, packets):
+        """The index's verdict equals the walk's for every packet and each
+        hash oracle; returns the verdicts counted."""
+        assert isinstance(rules, semantics.UnfoldedRules)
+        walk = list(rules)
+        verdicts = Counter()
+        for seed in self.SEEDS:
+            m = bool_matcher(hash_oracle(seed))
+            for p in packets:
+                verdict = simple_list_eval(rules, p, m)
+                assert verdict == simple_list_eval(walk, p, m), (seed, p, walk)
+                verdicts[verdict] += 1
+        return verdicts
+
+    @pytest.mark.parametrize("name", sorted(f.name for f in conftest.DATA.glob("*.iptables")))
+    def test_index_equals_the_walk_on_the_corpus(self, name):
+        family = "v6" if "ipv6" in name else "v4"
+        table = parse_save(load_ruleset(name), family)
+        rng = random.Random(stable_hash(name) & 0xFFFF)
+        chains = [c for c in ("FORWARD", "INPUT", "OUTPUT") if c in table.policies]
+        assert chains
+        for chain in chains:
+            rules = unfold(table, chain)
+            self._agree(rules, self._packets(rng, rules, 300))
+
+    @staticmethod
+    def _address_or_any(rng):
+        """A Src or Dst of up to four ranges half of the time, else any
+        random primitive."""
+        if rng.random() < 0.5:
+            return rng.choice((rs.Src, rs.Dst))(_random_set(rng, 32))
+        return _random_primitive(rng)
+
+    def test_index_equals_the_walk_on_random_tables(self):
+        rng = random.Random(34)
+        verdicts = Counter()
+        for k in range(300):
+            table = (_random_table(rng, primitive=self._address_or_any) if k % 2
+                     else _random_jump_table(rng))
+            rules = unfold(table, "FORWARD")
+            verdicts += self._agree(rules, self._packets(rng, rules, 30))
+        assert min(verdicts[v] for v in (ALLOW, DENY)) > 3000, verdicts
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 11])
+    def test_index_equals_the_walk_on_return_doublings(self, k):
+        rules = unfold(parse_save(doubling_returns(k)), "FORWARD")
+        self._agree(rules, self._packets(random.Random(k), rules, 300))
+
+    def test_index_equals_the_walk_on_the_emitted_synth_a_ruleset(self, tmp_path):
+        """The synth-a spec emitted at V = 50, the ruleset the benchmark
+        classifies: the index agrees with the walk and tests a few rules
+        per packet where the walk tests hundreds."""
+        rules = unfold(parse_save(emitted_synth_a(50, tmp_path)), "FORWARD")
+        packets = self._packets(random.Random(50), rules, 400)
+        verdicts = self._agree(rules, packets)
+        assert min(verdicts[v] for v in (ALLOW, DENY)) > 30, verdicts
+        tested = Counter()
+
+        def counting(m, p):
+            tested[m] += 1
+            return semantics._default_matcher(m, p)
+
+        for p in packets:
+            simple_list_eval(rules, p, counting)
+        assert len(rules) > 300 and sum(tested.values()) < 5 * len(packets), len(rules)
+
+    @staticmethod
+    def _addrs(field, text, family="v4"):
+        """The Src or Dst match of the union of comma-separated blocks."""
+        sets = [parse_address_set(t, family) for t in text.split(",")]
+        return MPrim(field(functools.reduce(WordInterval.union, sets)))
+
+    # Hand-built matches: a Src only under a negation, two positive Src
+    # conjuncts of different widths, multi-part and empty sets, rules with
+    # no address conjunct, Dst keys, Extras, v4 and v6.
+    MATCHES = [
+        MTrue,
+        proto("tcp"),
+        extra("-m limit"),
+        MNot(src("10.0.0.0/8")),
+        mand(MNot(src("10.0.0.0/8")), proto("udp")),
+        src("10.0.0.0/8"),
+        mand(src("10.0.0.0/8"), src("10.1.0.0/16")),
+        mand(src("10.1.0.0/16"), proto("tcp"), src("10.0.0.0/8")),
+        mand(src("10.0.0.0/8"), src("11.0.0.0/16")),
+        mand(src("10.0.0.0/8"), MNot(src("10.1.0.0/16"))),
+        _addrs(rs.Src, "10.0.0.1,10.0.0.200,192.168.0.0/16"),
+        _addrs(rs.Src, "10.0.0.0/31,10.0.0.3"),
+        mand(src("10.0.0.0/24"), extra("-m recent")),
+        MPrim(rs.Src(WordInterval.empty(32))),
+        MNot(MPrim(rs.Dst(WordInterval.empty(32)))),
+        _addrs(rs.Dst, "10.0.0.0/24"),
+        mand(_addrs(rs.Dst, "10.0.0.7"), src("10.0.0.0/8")),
+        _addrs(rs.Src, "2001:db8::/32", "v6"),
+        mand(_addrs(rs.Src, "2001:db8::/32", "v6"),
+             _addrs(rs.Dst, "2001:db8::1,::ffff:0:0/96", "v6")),
+        mand(src("0.0.0.0/0"), _addrs(rs.Src, "::/0", "v6")),
+        MNot(mand(src("10.0.0.0/8"), proto("tcp"))),
+    ]
+
+    def test_index_equals_the_walk_on_hand_built_lists(self):
+        rng = random.Random(340)
+        verdicts = Counter()
+        for _ in range(400):
+            rules = semantics.UnfoldedRules(
+                Rule(rng.choice(self.MATCHES), rng.choice([rs.ACCEPT, rs.DROP]))
+                for _ in range(rng.randrange(13)))
+            verdicts += self._agree(rules, self._packets(rng, rules, 20))
+        assert min(verdicts.values()) > 2000 and len(verdicts) == 3, verdicts
+
+    def test_lowest_index_decides_across_groups(self):
+        """A rule of a later-visited group with a lower index than the match
+        found first decides: the /24 group is visited first, and its
+        ACCEPT sits after the /16 group's DROP."""
+        rules = semantics.UnfoldedRules([
+            Rule(mand(src("10.0.0.0/24"), proto("udp")), rs.DROP),
+            Rule(mand(src("10.0.0.0/16"), proto("tcp")), rs.DROP),
+            Rule(src("10.0.0.0/24"), rs.ACCEPT),
+        ])
+        p = Packet(src=ip_parse("10.0.0.1"), protocol=6)
+        assert simple_list_eval(rules, p) == simple_list_eval(list(rules), p) == DENY
+        assert simple_list_eval(rules, p.with_(protocol=1)) == ALLOW
+
+    def test_negated_address_gives_no_key(self):
+        rules = semantics.UnfoldedRules([Rule(MNot(src("10.0.0.0/8")), rs.DROP),
+                                         Rule(MTrue, rs.ACCEPT)])
+        for address, want in (("11.0.0.1", DENY), ("10.0.0.1", ALLOW)):
+            assert simple_list_eval(rules, Packet(src=ip_parse(address))) == want
+        assert simple_list_eval(rules, Packet(src=-1)) == DENY
+
+    def test_index_is_built_once_on_the_first_evaluation(self):
+        rules = unfold(parse_save(load_ruleset("webapp_central.iptables")), "FORWARD")
+        assert "index" not in vars(rules)
+        packets = self._packets(random.Random(1), rules, 20)
+        simple_list_eval(rules, packets[0])
+        index = vars(rules)["index"]
+        for p in packets:
+            simple_list_eval(rules, p)
+        assert vars(rules)["index"] is index
+
+    def test_analysis_leaves_the_index_unbuilt(self, monkeypatch, tmp_path):
+        made = []
+
+        class Recorded(semantics.UnfoldedRules):
+            def __new__(cls, rules):
+                made.append(super().__new__(cls, rules))
+                return made[-1]
+
+        monkeypatch.setattr(semantics, "UnfoldedRules", Recorded)
+        text = load_ruleset("webapp_central.iptables")
+        assert analyze_pipeline(text, chain="FORWARD")["unfolded"] is made[0]
+        ruleset = tmp_path / "rules.iptables"
+        ruleset.write_text(text)
+        argv = ["analyze", "--input", str(ruleset), "--chain", "FORWARD", "--closure", "both",
+                "--out-dir", str(tmp_path / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(made) == 2 and not any("index" in vars(rules) for rules in made)
 
 
 class TestTernary:
@@ -912,7 +1146,7 @@ class TestNormalizeNnf:
             table = parse_save(path.read_text(), family)
             for chain in table.policies:
                 unfolded = unfold(table, chain)
-                rules = unfolded + ctstate_specialize(unfolded)
+                rules = list(unfolded) + ctstate_specialize(unfolded)
                 self.assert_tuples_equal_definitional_trees(r.match for r in rules)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -920,7 +1154,7 @@ class TestNormalizeNnf:
         for k in range(9):
             text, _ = seeded_return_ladder(seed, k)
             unfolded = unfold(parse_save(text), "FORWARD")
-            rules = unfolded + ctstate_specialize(unfolded)
+            rules = list(unfolded) + ctstate_specialize(unfolded)
             self.assert_tuples_equal_definitional_trees(r.match for r in rules)
 
     def test_tuples_equal_definitional_trees_on_random_matches(self):

@@ -8,13 +8,13 @@ import pytest
 from checkers import (doubling_returns, fieldwise_meet, per_box_translation,
                       rebuilding_ctstate_specialize, return_ladder, seeded_return_ladder)
 from conftest import CORPUS, DATA, load_ruleset, stable_hash
-from test_semantics import _near_packet, _random_primitive, hash_oracle
+from test_semantics import _near_packet, _random_table, hash_oracle
 from netfence import ruleset as rs
 from netfence import simplefw
 from netfence.cli import analyze_pipeline, main
 from netfence.errors import IllformedRuleset, TooManyBoxes, UnsupportedResidue
 from netfence.parser import parse_ipassmt, parse_routing, parse_save
-from netfence.ruleset import MNot, MPrim, MTrue, Rule, Table, mand
+from netfence.ruleset import MNot, MPrim, MTrue, Rule, mand
 from netfence.semantics import (
     ALLOW,
     DENY,
@@ -619,25 +619,6 @@ class TestRoutingInversion:
         m = routing_to_ipassmt(routes, 32)
         assert parse_address_set("10.0.0.0/16").issubset(m["fine"])
         assert m["coarse"].isdisjoint(m["fine"])
-
-
-def _random_table(rng, n_chains=4):
-    """A random acyclic FORWARD table shaped like test_semantics'
-    _random_jump_table, whose rules conjoin up to two random primitives,
-    some of them negated."""
-    names = ["FORWARD"] + [f"c{i}" for i in range(1, n_chains)]
-    chains = {}
-    for i, name in enumerate(names):
-        later = names[i + 1:]
-        rules = []
-        for _ in range(rng.randrange(5)):
-            lits = [MPrim(_random_primitive(rng)) for _ in range(rng.randint(0, 2))]
-            m = mand(*(MNot(lit) if rng.random() < 0.3 else lit for lit in lits))
-            kind = rng.choice(["accept", "drop", "return"] + ["call", "goto"] * bool(later))
-            rules.append(Rule(m, rs.Action(kind, rng.choice(later) if kind in ("call", "goto")
-                                           else None)))
-        chains[name] = rules
-    return Table(chains, {"FORWARD": rng.choice([rs.ACCEPT, rs.DROP])})
 
 
 class TestWholePathSandwich:

@@ -17,7 +17,10 @@ it builds a tuple space index (Srinivasan, Suri & Varghese, SIGCOMM
 that a packet is tested only against the rules whose blocks hold its
 addresses; simplefw.SimpleRules shares the index (IndexedRules).
 Walking any other sequence stays the definitional first-match
-evaluation.
+evaluation.  The big-step evaluator indexes each chain the same way, as
+an UnfoldedRules over the chain's rules, on the chain's first visit; a
+chain with no positive address conjunct, and every chain of a traced
+run, is walked rule by rule.
 """
 
 from __future__ import annotations
@@ -186,6 +189,16 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
     so a Return on top level of the start chain falls through to the
     default policy.  Deterministic; always returns ALLOW or DENY.  A chain
     that unfold refuses for its size is refused here too.
+
+    The matcher (default: bool_matcher()) must decide a Src or Dst
+    primitive by membership of the packet's address, as every
+    bool_matcher does.  The first packet that visits a chain builds its
+    tuple space index (an UnfoldedRules over the chain's rules), and every
+    visit then tests, in rule order, only the rules whose positive address
+    conjuncts' blocks hold the packet's addresses: under that contract no
+    other rule can match.  A chain without a positive address conjunct,
+    and with trace given every chain, is walked rule by rule, so that the
+    trace lists every rule tested, the definitional walk.
     """
     _check_unfolding(table, start_chain)
     policy = table.policies.get(start_chain)
@@ -193,16 +206,30 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
         raise IllformedRuleset(f"chain {start_chain!r} has no default policy")
     matcher = matcher or _default_matcher
     default_state = ALLOW if policy == rs.ACCEPT else DENY
+    plans = {}  # chain -> (its rules, their (index, match) pairs or None to index them)
 
-    def run_chain(name, rules, packet):
+    def plan(name):
+        rules = table.chains[name]
+        indexed = UnfoldedRules(rules)
+        if trace is None and any(sbits != WILDCARD[0] or dbits != WILDCARD[0]
+                                 for _, sbits, dbits, _ in indexed.index):
+            plans[name] = indexed, None
+        else:  # nothing to prune, or a trace to write: walk
+            plans[name] = rules, tuple(enumerate(r.match for r in rules))
+        return plans[name]
+
+    def run_chain(name, packet):
         """Returns ('decision', state) | ('fallthrough',) | ('return',)."""
-        for idx, rule in enumerate(rules):
-            matched = matcher(rule.match, packet)
+        rules, walk = plans.get(name) or plan(name)
+        for idx, match in rules.candidates(packet.src, packet.dst) if walk is None else walk:
+            matched = matcher(match, packet)
             if trace is not None:
-                trace.append(f"{name}:{idx} {'match' if matched else 'skip'} {rule.action.kind}")
+                trace.append(f"{name}:{idx} {'match' if matched else 'skip'} "
+                             f"{rules[idx].action.kind}")
             if not matched:
                 continue
-            kind = rule.action.kind
+            action = rules[idx].action
+            kind = action.kind
             if kind == "accept":
                 return ("decision", ALLOW)
             if kind in ("drop", "reject"):
@@ -212,12 +239,12 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
             if kind == "return":
                 return ("return",)
             if kind == "call":
-                sub = run_chain(rule.action.chain, table.chains[rule.action.chain], packet)
+                sub = run_chain(action.chain, packet)
                 if sub[0] == "decision":
                     return sub
                 continue  # a Return in the called chain resumes here
             if kind == "goto":
-                sub = run_chain(rule.action.chain, table.chains[rule.action.chain], packet)
+                sub = run_chain(action.chain, packet)
                 if sub[0] == "decision":
                     return sub
                 return ("fallthrough",)  # goto never comes back
@@ -225,7 +252,7 @@ def bigstep_evaluator(table: Table, start_chain: str, matcher=None, trace=None):
         return ("fallthrough",)
 
     def evaluate(packet: Packet) -> str:
-        result = run_chain(start_chain, table.chains[start_chain], packet)
+        result = run_chain(start_chain, packet)
         if result[0] == "decision":
             return result[1]
         return default_state
@@ -302,12 +329,26 @@ class IndexedRules(tuple):
                     break
         return self[best] if best < len(self) else None
 
+    def candidates(self, src: int, dst: int):
+        """The (index, match) pairs of the rules whose blocks hold (src,
+        dst), in ascending index across all groups."""
+        found, groups = [], 0
+        for _, sbits, dbits, table in self.index:
+            entries = table.get((src >> sbits, dst >> dbits))
+            if entries:
+                found += entries
+                groups += 1
+        if groups > 1:
+            found.sort()  # each index is in one group, so no two pairs tie
+        return found
+
 
 class UnfoldedRules(IndexedRules):
-    """unfold's Accept/Drop rule list.  A rule's blocks are those of its
+    """unfold's Accept/Drop rule list, and the index of a chain's rules of
+    any action in bigstep_evaluator.  A rule's blocks are those of its
     positive Src and Dst conjuncts at the top level of its match, the
     narrowest per side; a side without one is a wildcard, and a negated
-    address test never gives a block."""
+    address test never gives a block.  They depend on the match alone."""
 
     def blocks(self, rule):
         sides = {"src": [], "dst": []}

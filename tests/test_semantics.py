@@ -983,6 +983,232 @@ class TestUnfoldedIndex:
         assert len(made) == 2 and not any("index" in vars(rules) for rules in made)
 
 
+class TestBigstepIndex:
+    """bigstep_evaluator tests, in each chain, only the rules whose positive
+    address conjuncts' blocks hold the packet; the traced evaluator walks
+    every rule and is the definition."""
+
+    SEEDS = (1, 2, 3)
+
+    @staticmethod
+    def _rules(table, chain="FORWARD"):
+        """The rules to draw packets from: the chain's unfolding, whose
+        matches conjoin each path's tests, and every rule of the table."""
+        return [*unfold(table, chain), *(r for rules in table.chains.values() for r in rules)]
+
+    def _agree(self, table, chain, packets):
+        """The indexed verdict equals the traced walk's for every packet and
+        each hash oracle; returns the verdicts counted."""
+        verdicts = Counter()
+        for seed in self.SEEDS:
+            m = bool_matcher(hash_oracle(seed))
+            trace = []
+            indexed, walk = bigstep_evaluator(table, chain, m), bigstep_evaluator(table, chain, m,
+                                                                                   trace)
+            for p in packets:
+                verdict = indexed(p)
+                assert verdict == walk(p), (seed, p, table)
+                trace.clear()
+                verdicts[verdict] += 1
+        return verdicts
+
+    @pytest.mark.parametrize("name", sorted(f.name for f in conftest.DATA.glob("*.iptables")))
+    def test_index_equals_the_walk_on_the_corpus(self, name):
+        family = "v6" if "ipv6" in name else "v4"
+        table = parse_save(load_ruleset(name), family)
+        rng = random.Random(stable_hash(name) & 0xFFFF)
+        chains = [c for c in ("FORWARD", "INPUT", "OUTPUT") if c in table.policies]
+        assert chains
+        for chain in chains:
+            self._agree(table, chain, TestUnfoldedIndex._packets(rng, self._rules(table, chain),
+                                                                 300))
+
+    def test_index_equals_the_walk_on_random_tables(self):
+        rng = random.Random(35)
+        verdicts = Counter()
+        for k in range(300):
+            table = (_random_table(rng, primitive=TestUnfoldedIndex._address_or_any) if k % 2
+                     else _random_jump_table(rng))
+            packets = TestUnfoldedIndex._packets(rng, self._rules(table), 30)
+            verdicts += self._agree(table, "FORWARD", packets)
+        assert min(verdicts[v] for v in (ALLOW, DENY)) > 3000, verdicts
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 11])
+    def test_index_equals_the_walk_on_return_doublings(self, k):
+        table = parse_save(doubling_returns(k))
+        self._agree(table, "FORWARD", TestUnfoldedIndex._packets(random.Random(k),
+                                                                 self._rules(table), 300))
+
+    def test_index_equals_the_walk_on_the_emitted_synth_a_ruleset(self, tmp_path):
+        table = parse_save(emitted_synth_a(50, tmp_path))
+        packets = TestUnfoldedIndex._packets(random.Random(50), self._rules(table), 400)
+        verdicts = self._agree(table, "FORWARD", packets)
+        assert min(verdicts[v] for v in (ALLOW, DENY)) > 30, verdicts
+
+    # Actions of the hand-built chains; a jump names a chain defined later.
+    ACTIONS = ["accept", "drop", "reject", "return", "log", "empty", "call", "goto"]
+
+    def _hand_built_table(self, rng, n_chains=4):
+        """A random acyclic FORWARD table whose rules take TestUnfoldedIndex's
+        hand-built matches (wildcards, /8 to /32 and v6 keys, multi-part and
+        empty sets, addresses under MNot) with any action."""
+        names = ["FORWARD"] + [f"c{i}" for i in range(1, n_chains)]
+        chains = {}
+        for i, name in enumerate(names):
+            later = names[i + 1:]
+            kinds = self.ACTIONS if later else self.ACTIONS[:-2]
+            rules = []
+            for _ in range(rng.randrange(9)):
+                kind = rng.choice(kinds)
+                rules.append(Rule(rng.choice(TestUnfoldedIndex.MATCHES),
+                                  rs.Action(kind, rng.choice(later) if kind in ("call", "goto")
+                                            else None)))
+            chains[name] = rules
+        return Table(chains, {"FORWARD": rng.choice([rs.ACCEPT, rs.DROP])})
+
+    def test_index_equals_the_walk_on_hand_built_chains(self):
+        rng = random.Random(350)
+        verdicts = Counter()
+        for _ in range(400):
+            table = self._hand_built_table(rng)
+            packets = TestUnfoldedIndex._packets(rng, self._rules(table), 20)
+            verdicts += self._agree(table, "FORWARD", packets)
+        assert min(verdicts[v] for v in (ALLOW, DENY)) > 5000, verdicts
+
+    def test_keyed_jumps_between_wildcards(self):
+        """Keyed call, log, goto and RETURN rules sit between wildcard rules,
+        in groups of /8, /16 and /32 keys: a call resumes at the next
+        candidate, a goto ends its chain, and an address under MNot or an
+        empty address set gives no key."""
+        table = Table({
+            "FORWARD": [Rule(MPrim(rs.Protocol(47)), rs.ACCEPT),
+                        Rule(src("10.1.0.0/16"), rs.call("ret")),
+                        Rule(mand(src("10.0.0.0/8"), proto("udp")), rs.Action("log")),
+                        Rule(mand(src("10.0.0.0/8"), proto("tcp")), rs.Action("goto", "ret")),
+                        Rule(MNot(src("10.2.0.0/16")), rs.call("keyed")),
+                        Rule(src("10.2.0.9/32"), rs.ACCEPT),
+                        Rule(MNot(proto("icmp")), rs.DROP)],
+            "ret": [Rule(src("10.1.0.1/32"), rs.RETURN),
+                    Rule(proto("udp"), rs.ACCEPT)],
+            "keyed": [Rule(MPrim(rs.Src(WordInterval.empty(32))), rs.ACCEPT),
+                      Rule(src("10.3.0.0/16"), rs.DROP)],
+        }, {"FORWARD": rs.ACCEPT})
+        evaluate = bigstep_evaluator(table, "FORWARD")
+        cases = [("10.1.0.1", 17, DENY),    # RETURNs to the log; the last rule drops
+                 ("10.1.0.1", 6, ALLOW),    # RETURNs, and the goto's RETURN ends FORWARD
+                 ("10.1.0.1", 47, ALLOW),   # the first rule accepts
+                 ("10.1.0.2", 17, ALLOW),   # the call accepts
+                 ("10.2.0.9", 17, ALLOW),   # no keyed call; the /32 accepts
+                 ("10.2.0.8", 17, DENY),
+                 ("10.3.0.1", 17, DENY),    # the keyed chain drops
+                 ("11.0.0.1", 1, ALLOW)]    # no rule matches: the default policy
+        for address, protocol, want in cases:
+            p = Packet(src=ip_parse(address), protocol=protocol)
+            assert evaluate(p) == bigstep_evaluator(table, "FORWARD", trace=[])(p) == want, address
+
+    @staticmethod
+    def _assert_walks(trace, table, start):
+        """Each visited chain's trace lines name its rules from index 0 on,
+        one by one, until a RETURN, a goto's callee or a decision ends it or
+        its rules run out; a call's callee is walked in between."""
+        stack = [[start, 0]]  # the visited chains, each with the index of its next rule
+        for line in trace:
+            where, outcome, kind = line.split()
+            chain, idx = where.rsplit(":", 1)
+            while stack[-1] != [chain, int(idx)]:  # the callee has ended
+                name, nxt = stack.pop()
+                assert nxt == len(table.chains[name]) and stack, (line, trace)
+            frame = stack[-1]
+            frame[1] += 1
+            if outcome == "match":
+                action = table.chains[chain][int(idx)].action
+                assert action.kind == kind
+                if kind in ("return", "goto"):  # nothing after it in this chain
+                    frame[1] = len(table.chains[chain])
+                if kind in ("call", "goto"):
+                    stack.append([action.chain, 0])
+                elif kind in ("accept", "drop", "reject"):
+                    assert line is trace[-1], trace
+                    return
+        for name, nxt in stack:  # fell through to the default policy
+            assert nxt == len(table.chains[name]), trace
+
+    def test_index_prunes_and_the_trace_walks_on_the_emitted_synth_a_ruleset(self, tmp_path):
+        """The ruleset the benchmark classifies: the index tests fewer than
+        5 matches per packet on average where the walk tests dozens, and
+        the walk's trace lists every rule of each chain it visits."""
+        table = parse_save(emitted_synth_a(50, tmp_path))
+        packets = TestUnfoldedIndex._packets(random.Random(50), self._rules(table), 400)
+        tested = []
+
+        def counting(m, p):
+            tested.append(m)
+            return semantics._default_matcher(m, p)
+
+        evaluate = bigstep_evaluator(table, "FORWARD", counting)
+        for p in packets:
+            evaluate(p)
+        indexed = len(tested)
+        trace = []
+        walk = bigstep_evaluator(table, "FORWARD", counting, trace)
+        for p in packets:
+            walk(p)
+            self._assert_walks(trace, table, "FORWARD")
+            trace.clear()
+        walked = len(tested) - indexed
+        assert indexed < 5 * len(packets) and walked > 30 * len(packets), (indexed, walked)
+
+    def test_trace_walks_on_hand_built_chains(self):
+        rng = random.Random(351)
+        for _ in range(200):
+            table = self._hand_built_table(rng)
+            trace = []
+            walk = bigstep_evaluator(table, "FORWARD", trace=trace)
+            for p in TestUnfoldedIndex._packets(rng, self._rules(table), 10):
+                walk(p)
+                self._assert_walks(trace, table, "FORWARD")
+                trace.clear()
+
+    def test_trace_lists_skipped_rules_outside_the_packets_blocks(self):
+        table = Table({"FORWARD": [Rule(MTrue, rs.Action("log")),
+                                   Rule(src("10.0.0.1/32"), rs.call("X")),
+                                   Rule(src("10.0.0.2/32"), rs.ACCEPT),
+                                   Rule(MTrue, rs.DROP)],
+                       "X": [Rule(MPrim(rs.Dst(parse_address_set("10.9.0.0/16"))), rs.RETURN),
+                             Rule(MTrue, rs.ACCEPT)]}, {"FORWARD": rs.ACCEPT})
+        trace = []
+        evaluate = bigstep_evaluator(table, "FORWARD", trace=trace)
+        assert evaluate(Packet(src=ip_parse("10.0.0.1"), dst=ip_parse("10.9.0.1"))) == DENY
+        assert trace == ["FORWARD:0 match log", "FORWARD:1 match call", "X:0 match return",
+                         "FORWARD:2 skip accept", "FORWARD:3 match drop"]
+
+    def test_a_chain_is_indexed_on_its_first_visit(self, monkeypatch):
+        made = []
+
+        class Recorded(semantics.UnfoldedRules):
+            def __new__(cls, rules):
+                made.append(super().__new__(cls, rules))
+                return made[-1]
+
+        monkeypatch.setattr(semantics, "UnfoldedRules", Recorded)
+        dst = MPrim(rs.Dst(parse_address_set("10.9.0.0/16")))
+        table = Table({"FORWARD": [Rule(src("10.0.0.1/32"), rs.call("X")),
+                                   Rule(src("10.0.0.2/32"), rs.call("Y")),
+                                   Rule(MTrue, rs.DROP)],
+                       "X": [Rule(dst, rs.ACCEPT)],
+                       "Y": [Rule(dst, rs.ACCEPT)]}, {"FORWARD": rs.ACCEPT})
+        evaluate = bigstep_evaluator(table, "FORWARD")
+        assert made == []
+        to_x = Packet(src=ip_parse("10.0.0.1"), dst=ip_parse("10.9.0.1"))
+        assert evaluate(to_x) == ALLOW
+        assert made == [tuple(table.chains[c]) for c in ("FORWARD", "X")]
+        index = vars(made[0])["index"]
+        assert evaluate(to_x) == ALLOW and evaluate(to_x.with_(dst=1)) == DENY and len(made) == 2
+        assert evaluate(to_x.with_(src=ip_parse("10.0.0.2"))) == ALLOW
+        assert made[2] == tuple(table.chains["Y"]) and len(made) == 3
+        assert vars(made[0])["index"] is index
+
+
 class TestTernary:
     def test_extra_is_unknown(self):
         assert ternary_eval(extra("limit: avg 1/sec"), Packet()) == UNKNOWN
